@@ -109,7 +109,10 @@ impl LintConfig {
 }
 
 /// Recursively collect the `.rs` files under `root`, deterministically
-/// ordered, skipping build output, VCS internals, and lint fixtures.
+/// ordered, skipping build output, VCS internals, lint fixtures, and
+/// `benchmark/` — a standalone package with its own workspace, lock file
+/// and documented environment, outside the registries these lints check
+/// the workspace's crates against.
 pub fn collect_rs_files(root: &Path) -> Vec<PathBuf> {
     fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
         let Ok(rd) = std::fs::read_dir(dir) else { return };
@@ -118,7 +121,10 @@ pub fn collect_rs_files(root: &Path) -> Vec<PathBuf> {
         for p in entries {
             let name = p.file_name().and_then(|n| n.to_str()).unwrap_or("");
             if p.is_dir() {
-                if matches!(name, "target" | ".git" | "results" | "fixtures" | "snapshots") {
+                if matches!(
+                    name,
+                    "target" | ".git" | "results" | "fixtures" | "snapshots" | "benchmark"
+                ) {
                     continue;
                 }
                 walk(&p, out);

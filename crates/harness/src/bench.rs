@@ -1,9 +1,9 @@
 //! Machine-readable benchmark baselines for the decode hot path.
 //!
 //! `ft2-repro bench` measures the three throughput quantities the
-//! reproduction's performance work is judged by, on the same fixtures the
-//! `ft2-bench` criterion targets use (OPT-6.7B stand-in, deterministic
-//! SQuAD-style prompts, 16 generated tokens):
+//! reproduction's performance work is judged by, on fixed fixtures
+//! (OPT-6.7B stand-in, deterministic SQuAD-style prompts, 16 generated
+//! tokens):
 //!
 //! * **prefill tok/s** — prompt tokens per second through a single
 //!   [`Model::forward_step`] prefill;
@@ -43,7 +43,7 @@ pub const BENCH_BASELINE_PATH: &str = "BENCH_decode.json";
 /// One benchmark run's measurements.
 #[derive(Clone, Debug)]
 pub struct BenchReport {
-    /// Benchmarked model name (the `ft2-bench` fixture model).
+    /// Benchmarked model name (the fixture model).
     pub model: String,
     /// Worker threads the campaign ran on.
     pub threads: usize,
@@ -115,7 +115,7 @@ fn best_of<F: FnMut()>(reps: usize, mut f: F) -> f64 {
 
 /// Run the benchmark suite and collect a [`BenchReport`].
 ///
-/// Deterministic in its measured work (same fixtures as `ft2-bench`); only
+/// Deterministic in its measured work (fixed fixtures); only
 /// the timings vary run to run, hence best-of-`reps`.
 pub fn run(pool: &WorkStealingPool) -> BenchReport {
     let quick = quick_mode();
@@ -124,7 +124,7 @@ pub fn run(pool: &WorkStealingPool) -> BenchReport {
     let trials = env_usize("FT2_BENCH_TRIALS").unwrap_or(if quick { 3 } else { 10 });
     let campaign_inputs = if quick { 2 } else { 4 };
 
-    // The ft2-bench fixtures: OPT-6.7B stand-in, deterministic QA prompts.
+    // The fixtures: OPT-6.7B stand-in, deterministic QA prompts.
     let model: Model = ZooModel::Opt6_7B.spec().build();
     let prompts = generate_prompts(DatasetId::Squad, campaign_inputs.max(1), 0xBE7C4);
     let prompt = &prompts[0];

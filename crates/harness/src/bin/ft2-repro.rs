@@ -17,7 +17,7 @@
 //!
 //! ft2-repro bench [--json] [--out PATH]
 //!   measures prefill tok/s, decode tok/s and unprotected campaign trials/s
-//!   on the ft2-bench fixtures; --json writes the schema-stable
+//!   on fixed fixtures; --json writes the schema-stable
 //!   BENCH_decode.json baseline CI gates perf regressions against.
 //!   Sizing: FT2_BENCH_REPS, FT2_BENCH_GEN, FT2_BENCH_TRIALS, FT2_QUICK=1.
 //!
@@ -321,7 +321,7 @@ fn main() {
         println!("         or mishandled checkpoint version");
         println!("       ft2-repro bench [--json] [--out PATH]");
         println!("         measures prefill/decode tok/s and campaign trials/s on the");
-        println!("         ft2-bench fixtures; --json writes a schema-stable baseline");
+        println!("         fixed fixtures; --json writes a schema-stable baseline");
         println!("         ({BENCH_BASELINE_PATH} by default) for perf-regression gating;");
         println!("         sizing via FT2_BENCH_REPS, FT2_BENCH_GEN, FT2_BENCH_TRIALS, FT2_QUICK=1");
         println!("       ft2-repro shards [--json] [--out PATH] [--smoke]");

@@ -1,10 +1,11 @@
 //! Multi-head causal self-attention with a KV cache.
 
 use crate::config::{ArchStyle, ModelConfig, RopeTable};
-use crate::hooks::{HookKind, TapCtx, TapList, TapPoint};
+use crate::hooks::TapList;
 use crate::scratch::AttnScratch;
+use crate::walk::{self, KvStore, Lane};
 use crate::weights::BlockWeights;
-use ft2_tensor::{dot, softmax_rows, KernelPolicy, Matrix};
+use ft2_tensor::{KernelPolicy, Matrix};
 
 /// Cached keys and values of one block (one row per past position).
 #[derive(Clone, Debug)]
@@ -76,79 +77,54 @@ pub fn apply_rope(x: &mut Matrix, start_pos: usize, heads: usize, head_dim: usiz
     }
 }
 
-/// Table-driven [`apply_rope`]: identical rotation (the table stores the
-/// bit-exact same sin/cos values) without the per-element `powf`/`sin_cos`.
-pub fn apply_rope_with(x: &mut Matrix, start_pos: usize, heads: usize, table: &RopeTable) {
+/// Table-driven [`apply_rope`] of one row at absolute position `pos`:
+/// identical rotation (the table stores the bit-exact same sin/cos values)
+/// without the per-element `powf`/`sin_cos`.
+pub fn apply_rope_with(row: &mut [f32], pos: usize, heads: usize, table: &RopeTable) {
     let half = table.half();
     let head_dim = 2 * half;
-    debug_assert_eq!(x.cols(), heads * head_dim);
-    for r in 0..x.rows() {
-        let (sin, cos) = table.at(start_pos + r);
-        let row = x.row_mut(r);
-        for h in 0..heads {
-            let base = h * head_dim;
-            for i in 0..half {
-                let a = row[base + 2 * i];
-                let b = row[base + 2 * i + 1];
-                row[base + 2 * i] = a * cos[i] - b * sin[i];
-                row[base + 2 * i + 1] = a * sin[i] + b * cos[i];
-            }
+    debug_assert_eq!(row.len(), heads * head_dim);
+    let (sin, cos) = table.at(pos);
+    for h in 0..heads {
+        let base = h * head_dim;
+        for i in 0..half {
+            let a = row[base + 2 * i];
+            let b = row[base + 2 * i + 1];
+            row[base + 2 * i] = a * cos[i] - b * sin[i];
+            row[base + 2 * i + 1] = a * sin[i] + b * cos[i];
         }
     }
 }
 
-/// Run causal multi-head attention for the rows of `x` (absolute positions
-/// `start_pos..start_pos + n`), appending this step's K/V to the cache.
-/// Returns the attention output `[n, hidden]` (after `OUT_PROJ`).
-///
-/// Compatibility wrapper over [`attention_forward_into`]: strict kernel
-/// policy, on-the-fly RoPE, fresh scratch.
-#[allow(clippy::too_many_arguments)]
-pub fn attention_forward(
-    config: &ModelConfig,
-    weights: &BlockWeights,
-    block_idx: usize,
-    x: &Matrix,
-    start_pos: usize,
-    step: usize,
-    cache: &mut KvCacheBlock,
-    taps: &mut TapList<'_>,
-) -> Matrix {
-    let mut scratch = AttnScratch::default();
-    attention_forward_into(
-        config,
-        weights,
-        block_idx,
-        x,
-        start_pos,
-        step,
-        cache,
-        taps,
-        KernelPolicy::Strict,
-        None,
-        &mut scratch,
-    );
-    scratch.out
+/// The contiguous store: position `pos` is row `pos`, and a sequence
+/// needs no handle. Rows are only ever appended (see
+/// [`KvCacheBlock::truncate`]).
+impl KvStore for KvCacheBlock {
+    type Seq = ();
+
+    fn k_row(&self, _seq: &(), pos: usize) -> &[f32] {
+        self.k.row(pos)
+    }
+
+    fn v_row(&self, _seq: &(), pos: usize) -> &[f32] {
+        self.v.row(pos)
+    }
+
+    fn put(&mut self, _seq: &(), pos: usize, k: &[f32], v: &[f32]) {
+        debug_assert_eq!(self.len(), pos, "cache out of sync with position");
+        self.k.push_row(k);
+        self.v.push_row(v);
+    }
 }
 
-/// [`attention_forward`] with explicit [`KernelPolicy`], optional
-/// precomputed [`RopeTable`], and caller-owned scratch buffers; the result
-/// lands in `scratch.out`.
+/// Run causal multi-head attention for the rows of `x` (absolute positions
+/// `start_pos..start_pos + n`), appending this step's K/V to the cache; the
+/// attention output `[n, hidden]` (after `OUT_PROJ`) lands in `scratch.out`.
 ///
-/// The computation is head-major: for each head, contiguous per-head Q and
-/// cached-K slices feed the unrolled [`ft2_tensor::dot`], the reused
-/// `scratch.scores` buffer is softmaxed, and the weighted value sum is
-/// accumulated into the head's slice of `scratch.ctx`.
-///
-/// # Kernel-policy semantics
-///
-/// The value sum visits exactly the *unmasked* positions `0..=start_pos+i`
-/// — like a fused attention kernel, which never reads K/V rows of
-/// causally-masked future positions. Within the unmasked range, Strict mode
-/// accumulates every term so a NaN in a cached V row poisons the output
-/// even when its softmax weight underflowed to exactly `0.0` (IEEE:
-/// `0 × NaN = NaN`); Fast mode may skip those zero-weight terms, which is
-/// unobservable on finite caches only.
+/// This is [`walk::attend`] — the layer walk's attention half, which
+/// documents the kernel-policy semantics — for one lane on the dense
+/// executor over a contiguous cache. `rope: None` on a Llama-style
+/// configuration builds the table for the call.
 #[allow(clippy::too_many_arguments)]
 pub fn attention_forward_into(
     config: &ModelConfig,
@@ -163,88 +139,24 @@ pub fn attention_forward_into(
     rope: Option<&RopeTable>,
     scratch: &mut AttnScratch,
 ) {
-    use crate::config::LayerKind::*;
-    let n = x.rows();
-    let heads = config.heads;
-    let head_dim = config.head_dim();
-    let dtype = config.dtype;
-    let ctx = |layer| TapCtx {
-        point: TapPoint {
-            block: block_idx,
-            layer,
-        },
-        hook: HookKind::LinearOutput,
-        step,
-        first_pos: start_pos,
-        dtype,
+    let built;
+    let rope = match rope {
+        None if config.style == ArchStyle::LlamaStyle => {
+            built = RopeTable::build(config);
+            Some(&built)
+        }
+        given => given,
     };
-
-    weights.k_proj.forward_into(x, dtype, &mut scratch.k);
-    taps.fire(&ctx(KProj), &mut scratch.k);
-    weights.q_proj.forward_into(x, dtype, &mut scratch.q);
-    taps.fire(&ctx(QProj), &mut scratch.q);
-    weights.v_proj.forward_into(x, dtype, &mut scratch.v);
-    taps.fire(&ctx(VProj), &mut scratch.v);
-
-    if config.style == ArchStyle::LlamaStyle {
-        match rope {
-            Some(table) => {
-                apply_rope_with(&mut scratch.q, start_pos, heads, table);
-                apply_rope_with(&mut scratch.k, start_pos, heads, table);
-            }
-            None => {
-                apply_rope(&mut scratch.q, start_pos, heads, head_dim);
-                apply_rope(&mut scratch.k, start_pos, heads, head_dim);
-            }
-        }
-    }
-
-    debug_assert_eq!(cache.len(), start_pos, "cache out of sync with position");
-    cache.k.append_rows(&scratch.k);
-    cache.v.append_rows(&scratch.v);
-    let total = cache.len();
-
-    let scale = 1.0 / (head_dim as f32).sqrt();
-    scratch.ctx.reset(n, config.hidden);
-    for h in 0..heads {
-        let base = h * head_dim;
-        // scores[i][j] = q_i · k_j · scale for unmasked j, else -inf.
-        scratch.scores.reset(n, total);
-        for i in 0..n {
-            let limit = start_pos + i;
-            let qrow = &scratch.q.row(i)[base..base + head_dim];
-            let srow = scratch.scores.row_mut(i);
-            for (j, s) in srow.iter_mut().enumerate() {
-                *s = if j <= limit {
-                    dot(qrow, &cache.k.row(j)[base..base + head_dim]) * scale
-                } else {
-                    f32::NEG_INFINITY
-                };
-            }
-        }
-        softmax_rows(&mut scratch.scores);
-        for i in 0..n {
-            let out_row = &mut scratch.ctx.row_mut(i)[base..base + head_dim];
-            for j in 0..=(start_pos + i) {
-                let w = scratch.scores.get(i, j);
-                // Fault-free-only shortcut: on a finite cache a zero weight
-                // contributes nothing, but it would mask a NaN/Inf in the
-                // cached V row (0 × NaN = NaN on real hardware).
-                if policy == KernelPolicy::Fast && w == 0.0 {
-                    continue;
-                }
-                let vrow = &cache.v.row(j)[base..base + head_dim];
-                for (o, &vv) in out_row.iter_mut().zip(vrow) {
-                    *o += w * vv;
-                }
-            }
-        }
-    }
-
-    weights
-        .out_proj
-        .forward_into(&scratch.ctx, dtype, &mut scratch.out);
-    taps.fire(&ctx(OutProj), &mut scratch.out);
+    let lane = Lane {
+        rows: x.rows(),
+        start_pos,
+        step,
+        seq: &(),
+        tap: Some(taps),
+    };
+    walk::dense_pass(config, rope, policy, lane, |pass| {
+        walk::attend(pass, weights, block_idx, x, cache, scratch)
+    });
 }
 
 #[cfg(test)]
@@ -252,6 +164,25 @@ mod tests {
     use super::*;
     use crate::config::ModelConfig;
     use crate::weights::ModelWeights;
+
+    /// [`attention_forward_into`] under the strict policy with fresh
+    /// scratch, returning the attention output.
+    fn attention(
+        config: &ModelConfig,
+        weights: &BlockWeights,
+        x: &Matrix,
+        start_pos: usize,
+        step: usize,
+        cache: &mut KvCacheBlock,
+        taps: &mut TapList<'_>,
+    ) -> Matrix {
+        let mut scratch = AttnScratch::default();
+        attention_forward_into(
+            config, weights, 0, x, start_pos, step, cache, taps, KernelPolicy::Strict, None,
+            &mut scratch,
+        );
+        scratch.out
+    }
 
     #[test]
     fn rope_preserves_norm() {
@@ -286,22 +217,16 @@ mod tests {
 
         let mut taps = TapList::new();
         let mut cache_a = KvCacheBlock::new(config.hidden);
-        let out_full = attention_forward(
-            &config, block, 0, &x_full, 0, 0, &mut cache_a, &mut taps,
-        );
+        let out_full = attention(&config, block, &x_full, 0, 0, &mut cache_a, &mut taps);
 
         let mut cache_b = KvCacheBlock::new(config.hidden);
         let x01 = x_full.slice_rows(0, 2);
-        let _ = attention_forward(&config, block, 0, &x01, 0, 0, &mut cache_b, &mut taps);
+        let _ = attention(&config, block, &x01, 0, 0, &mut cache_b, &mut taps);
         let x2 = x_full.slice_rows(2, 3);
-        let out_step = attention_forward(&config, block, 0, &x2, 2, 1, &mut cache_b, &mut taps);
+        let out_step = attention(&config, block, &x2, 2, 1, &mut cache_b, &mut taps);
 
-        let last_full = out_full.slice_rows(2, 3);
-        assert!(
-            last_full.max_abs_diff(&out_step) < 2e-3,
-            "cache incremental mismatch: {}",
-            last_full.max_abs_diff(&out_step)
-        );
+        // One walk, one reduction order per element: the match is exact.
+        assert_eq!(out_full.slice_rows(2, 3), out_step);
     }
 
     #[test]
@@ -316,9 +241,9 @@ mod tests {
         let x_b = Matrix::from_fn(2, config.hidden, |r, c| if r == 0 { (c % 5) as f32 * 0.2 } else { -1.0 });
 
         let mut ca = KvCacheBlock::new(config.hidden);
-        let out_a = attention_forward(&config, block, 0, &x_a, 0, 0, &mut ca, &mut taps);
+        let out_a = attention(&config, block, &x_a, 0, 0, &mut ca, &mut taps);
         let mut cb = KvCacheBlock::new(config.hidden);
-        let out_b = attention_forward(&config, block, 0, &x_b, 0, 0, &mut cb, &mut taps);
+        let out_b = attention(&config, block, &x_b, 0, 0, &mut cb, &mut taps);
 
         let row0_a = out_a.slice_rows(0, 1);
         let row0_b = out_b.slice_rows(0, 1);
@@ -340,16 +265,16 @@ mod tests {
         let mut taps = TapList::new();
         let prefill = Matrix::from_fn(3, config.hidden, |r, c| ((r * 13 + c) % 11) as f32 * 0.07);
         let mut cache = KvCacheBlock::new(config.hidden);
-        let _ = attention_forward(&config, block, 0, &prefill, 0, 0, &mut cache, &mut taps);
+        let _ = attention(&config, block, &prefill, 0, 0, &mut cache, &mut taps);
         let snapshot_len = cache.len();
         let k_before = cache.k.clone();
 
         let x = Matrix::from_fn(1, config.hidden, |_, c| (c % 5) as f32 * 0.11 - 0.2);
-        let out_a = attention_forward(&config, block, 0, &x, 3, 1, &mut cache, &mut taps);
+        let out_a = attention(&config, block, &x, 3, 1, &mut cache, &mut taps);
         cache.truncate(snapshot_len);
         assert_eq!(cache.len(), snapshot_len);
         assert_eq!(cache.k, k_before);
-        let out_b = attention_forward(&config, block, 0, &x, 3, 1, &mut cache, &mut taps);
+        let out_b = attention(&config, block, &x, 3, 1, &mut cache, &mut taps);
         assert_eq!(out_a, out_b);
     }
 
@@ -373,7 +298,9 @@ mod tests {
             let mut a = orig.clone();
             let mut b = orig.clone();
             apply_rope(&mut a, start_pos, heads, head_dim);
-            apply_rope_with(&mut b, start_pos, heads, &table);
+            for r in 0..4 {
+                apply_rope_with(b.row_mut(r), start_pos + r, heads, &table);
+            }
             assert_eq!(a, b, "bitwise divergence at start_pos={start_pos}");
         }
     }
@@ -408,7 +335,7 @@ mod tests {
             let mut cache = KvCacheBlock::new(config.hidden);
             let prefill =
                 Matrix::from_fn(3, config.hidden, |r, c| ((r * 7 + c) % 5) as f32 * 0.1);
-            let mut scratch = crate::scratch::AttnScratch::default();
+            let mut scratch = AttnScratch::default();
             attention_forward_into(
                 &config, block, 0, &prefill, 0, 0, &mut cache, &mut taps,
                 KernelPolicy::Strict, None, &mut scratch,
@@ -423,7 +350,7 @@ mod tests {
             let mut force = ForceQ;
             let mut step_taps = TapList::new();
             step_taps.push(&mut force);
-            let mut s2 = crate::scratch::AttnScratch::default();
+            let mut s2 = AttnScratch::default();
             attention_forward_into(
                 &config, block, 0, &x, 3, 1, &mut cache, &mut step_taps, policy, None,
                 &mut s2,
@@ -455,10 +382,10 @@ mod tests {
         let mut taps = TapList::new();
         let mut cache = KvCacheBlock::new(config.hidden);
         let x = Matrix::zeros(4, config.hidden);
-        let _ = attention_forward(&config, &weights.blocks[0], 0, &x, 0, 0, &mut cache, &mut taps);
+        let _ = attention(&config, &weights.blocks[0], &x, 0, 0, &mut cache, &mut taps);
         assert_eq!(cache.len(), 4);
         let x1 = Matrix::zeros(1, config.hidden);
-        let _ = attention_forward(&config, &weights.blocks[0], 0, &x1, 4, 1, &mut cache, &mut taps);
+        let _ = attention(&config, &weights.blocks[0], &x1, 4, 1, &mut cache, &mut taps);
         assert_eq!(cache.len(), 5);
     }
 }

@@ -1,12 +1,9 @@
-//! The pre-norm decoder block (both architecture styles).
+//! The pre-norm decoder block's normalisation (both architecture styles);
+//! the block itself is [`crate::walk::block`], which the tests here drive.
 
-use crate::attention::{attention_forward_into, KvCacheBlock};
-use crate::config::{ModelConfig, NormKind, RopeTable};
-use crate::hooks::TapList;
-use crate::mlp::mlp_forward_into;
-use crate::scratch::BlockScratch;
-use crate::weights::{BlockWeights, NormParams};
-use ft2_tensor::{add_inplace, layer_norm, rms_norm, KernelPolicy, Matrix};
+use crate::config::{ModelConfig, NormKind};
+use crate::weights::NormParams;
+use ft2_tensor::{layer_norm, rms_norm, Matrix};
 
 /// Per-position activation growth rate. Pre-norm LLMs exhibit a systematic
 /// increase of activation magnitudes along the sequence (residual-stream
@@ -17,46 +14,9 @@ use ft2_tensor::{add_inplace, layer_norm, rms_norm, KernelPolicy, Matrix};
 /// linear-layer output inherits the drift.
 pub const POSITION_GAIN: f32 = 0.012;
 
-/// Apply the configured normalisation to a copy of `x`, then the
-/// position-dependent activation gain for absolute positions
-/// `start_pos..start_pos + rows`.
-pub fn normed_at(
-    config: &ModelConfig,
-    params: &NormParams,
-    x: &Matrix,
-    start_pos: usize,
-) -> Matrix {
-    let mut y = Matrix::zeros(0, 0);
-    normed_at_into(config, params, x, start_pos, &mut y);
-    y
-}
-
-/// [`normed_at`] writing into a caller-owned buffer.
-pub fn normed_at_into(
-    config: &ModelConfig,
-    params: &NormParams,
-    x: &Matrix,
-    start_pos: usize,
-    y: &mut Matrix,
-) {
-    normed_into(config, params, x, y);
-    for r in 0..y.rows() {
-        let gain = 1.0 + POSITION_GAIN * (start_pos + r) as f32;
-        for v in y.row_mut(r) {
-            *v *= gain;
-        }
-    }
-}
-
-/// Normalisation without the positional gain (used for the final norm
-/// before the LM head, where the paper's protected layers have all run).
-pub fn normed(config: &ModelConfig, params: &NormParams, x: &Matrix) -> Matrix {
-    let mut y = Matrix::zeros(0, 0);
-    normed_into(config, params, x, &mut y);
-    y
-}
-
-/// [`normed`] writing into a caller-owned buffer.
+/// The configured normalisation of `x` into a caller-owned buffer, without
+/// the positional gain (the walk adds that per row; the final norm before
+/// the LM head, where the paper's protected layers have all run, does not).
 pub fn normed_into(config: &ModelConfig, params: &NormParams, x: &Matrix, y: &mut Matrix) {
     y.reset(x.rows(), x.cols());
     y.as_mut_slice().copy_from_slice(x.as_slice());
@@ -66,92 +26,38 @@ pub fn normed_into(config: &ModelConfig, params: &NormParams, x: &Matrix, y: &mu
     }
 }
 
-/// Run one decoder block: pre-norm attention with residual, then pre-norm
-/// MLP with residual. `x` is updated in place.
-///
-/// Compatibility wrapper over [`block_forward_into`]: strict kernel
-/// policy, on-the-fly RoPE, fresh scratch.
-#[allow(clippy::too_many_arguments)]
-pub fn block_forward(
-    config: &ModelConfig,
-    weights: &BlockWeights,
-    block_idx: usize,
-    x: &mut Matrix,
-    start_pos: usize,
-    step: usize,
-    cache: &mut KvCacheBlock,
-    taps: &mut TapList<'_>,
-) {
-    let mut scratch = BlockScratch::default();
-    block_forward_into(
-        config,
-        weights,
-        block_idx,
-        x,
-        start_pos,
-        step,
-        cache,
-        taps,
-        KernelPolicy::Strict,
-        None,
-        &mut scratch,
-    );
-}
-
-/// [`block_forward`] with explicit [`KernelPolicy`], optional precomputed
-/// [`RopeTable`], and caller-owned scratch buffers.
-#[allow(clippy::too_many_arguments)]
-pub fn block_forward_into(
-    config: &ModelConfig,
-    weights: &BlockWeights,
-    block_idx: usize,
-    x: &mut Matrix,
-    start_pos: usize,
-    step: usize,
-    cache: &mut KvCacheBlock,
-    taps: &mut TapList<'_>,
-    policy: KernelPolicy,
-    rope: Option<&RopeTable>,
-    scratch: &mut BlockScratch,
-) {
-    // Attention sub-block: x = x + Attn(Norm(x)).
-    normed_at_into(config, &weights.attn_norm, x, start_pos, &mut scratch.normed);
-    attention_forward_into(
-        config,
-        weights,
-        block_idx,
-        &scratch.normed,
-        start_pos,
-        step,
-        cache,
-        taps,
-        policy,
-        rope,
-        &mut scratch.attn,
-    );
-    add_inplace(x, &scratch.attn.out);
-
-    // MLP sub-block: x = x + MLP(Norm(x)).
-    normed_at_into(config, &weights.mlp_norm, x, start_pos, &mut scratch.normed);
-    mlp_forward_into(
-        config,
-        weights,
-        block_idx,
-        &scratch.normed,
-        start_pos,
-        step,
-        taps,
-        &mut scratch.mlp,
-    );
-    add_inplace(x, &scratch.mlp.out);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ModelConfig;
-    use crate::hooks::RecordingTap;
-    use crate::weights::ModelWeights;
+    use crate::attention::KvCacheBlock;
+    use crate::config::RopeTable;
+    use crate::hooks::{RecordingTap, TapList};
+    use crate::scratch::BlockScratch;
+    use crate::walk::{self, Lane};
+    use crate::weights::{BlockWeights, ModelWeights};
+    use ft2_tensor::KernelPolicy;
+
+    /// [`walk::block`] as block 0 at position 0, step 0: one lane on the
+    /// dense executor, strict, over a contiguous cache.
+    fn run_block(
+        config: &ModelConfig,
+        weights: &BlockWeights,
+        x: &mut Matrix,
+        cache: &mut KvCacheBlock,
+        taps: &mut TapList<'_>,
+    ) {
+        let rope = RopeTable::build(config);
+        let lane = Lane {
+            rows: x.rows(),
+            start_pos: 0,
+            step: 0,
+            seq: &(),
+            tap: Some(taps),
+        };
+        walk::dense_pass(config, Some(&rope), KernelPolicy::Strict, lane, |pass| {
+            walk::block(pass, weights, 0, x, cache, &mut BlockScratch::default())
+        });
+    }
 
     #[test]
     fn block_preserves_shape_and_is_deterministic() {
@@ -162,11 +68,11 @@ mod tests {
 
         let mut xa = x0.clone();
         let mut ca = KvCacheBlock::new(config.hidden);
-        block_forward(&config, &weights.blocks[0], 0, &mut xa, 0, 0, &mut ca, &mut taps);
+        run_block(&config, &weights.blocks[0], &mut xa, &mut ca, &mut taps);
 
         let mut xb = x0.clone();
         let mut cb = KvCacheBlock::new(config.hidden);
-        block_forward(&config, &weights.blocks[0], 0, &mut xb, 0, 0, &mut cb, &mut taps);
+        run_block(&config, &weights.blocks[0], &mut xb, &mut cb, &mut taps);
 
         assert_eq!(xa, xb);
         assert_eq!(xa.rows(), 3);
@@ -206,7 +112,7 @@ mod tests {
         let x0 = Matrix::from_fn(2, config.hidden, |r, c| (r as f32 - c as f32) * 0.05);
         let mut x = x0.clone();
         let mut cache = KvCacheBlock::new(config.hidden);
-        block_forward(&config, &weights.blocks[0], 0, &mut x, 0, 0, &mut cache, &mut taps);
+        run_block(&config, &weights.blocks[0], &mut x, &mut cache, &mut taps);
         assert!(x.max_abs_diff(&x0) < 1e-6);
     }
 
@@ -220,7 +126,7 @@ mod tests {
             taps.push(&mut rec);
             let mut x = Matrix::from_fn(1, config.hidden, |_, c| (c % 2) as f32 * 0.4);
             let mut cache = KvCacheBlock::new(config.hidden);
-            block_forward(&config, &weights.blocks[0], 0, &mut x, 0, 0, &mut cache, &mut taps);
+            run_block(&config, &weights.blocks[0], &mut x, &mut cache, &mut taps);
         }
         let kinds: Vec<_> = rec.captures.iter().map(|(c, _)| c.point.layer).collect();
         let expected: Vec<_> = config.block_layers().to_vec();

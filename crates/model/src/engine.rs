@@ -2,11 +2,11 @@
 //! autoregressive generation with a KV cache.
 
 use crate::attention::KvCacheBlock;
-use crate::block::{block_forward_into, normed_into};
 use crate::config::{ArchStyle, ModelConfig, RopeTable};
 use crate::hooks::{AnomalyVerdict, StepReport, TapList};
 use crate::scratch::DecodeScratch;
 use crate::state::{StateCtx, StateTapList};
+use crate::walk::{self, Lane};
 use crate::weights::ModelWeights;
 use ft2_tensor::{argmax, KernelPolicy, Matrix};
 use std::time::Instant;
@@ -188,7 +188,8 @@ impl GenerationOutput {
 
 /// Per-generation KV cache (one entry per block).
 pub struct KvCache {
-    blocks: Vec<KvCacheBlock>,
+    /// In block order: the contiguous [`walk::KvStore`]s a pass appends to.
+    pub(crate) blocks: Vec<KvCacheBlock>,
 }
 
 impl KvCache {
@@ -269,40 +270,17 @@ impl Model {
         &mut self.weights
     }
 
-    /// Precomputed RoPE table (Llama-style models; the sharded executor and
-    /// the serving runtime replicate position handling on the driver).
+    /// Precomputed RoPE table (Llama-style models): what a
+    /// [`walk::Pass`] over this model rotates Q and K with.
     pub fn rope_table(&self) -> Option<&RopeTable> {
         self.rope.as_ref()
     }
 
-    /// Embed token ids at absolute positions `start_pos..` using the given
-    /// weight set, writing into a reusable buffer.
-    pub(crate) fn embed_into(
-        &self,
-        weights: &ModelWeights,
-        tokens: &[u32],
-        start_pos: usize,
-        x: &mut Matrix,
-    ) {
-        x.reset(tokens.len(), self.config.hidden);
-        for (i, &t) in tokens.iter().enumerate() {
-            let t = (t as usize) % self.config.vocab;
-            let row = weights.embed.row(t);
-            x.row_mut(i).copy_from_slice(row);
-            if let Some(pos) = &weights.pos_embed {
-                let p = (start_pos + i).min(pos.rows() - 1);
-                for (v, &pe) in x.row_mut(i).iter_mut().zip(pos.row(p)) {
-                    *v += pe;
-                }
-            }
-        }
-        x.quantize(self.config.dtype);
-    }
-
-    /// Run the decoder stack with an explicit weight set (the checkpoint
-    /// weights normally; a trial-owned working copy when state taps are
-    /// registered and stored-state corruption is possible). The final
-    /// hidden states land in `scratch.hidden`.
+    /// Run the decoder stack — one lane of the layer walk on the dense
+    /// executor — with an explicit weight set (the checkpoint weights
+    /// normally; a trial-owned working copy when state taps are registered
+    /// and stored-state corruption is possible). The final hidden states
+    /// land in `scratch.hidden`.
     #[allow(clippy::too_many_arguments)]
     fn forward_with(
         &self,
@@ -315,33 +293,16 @@ impl Model {
         kernel: KernelPolicy,
         scratch: &mut DecodeScratch,
     ) {
-        self.embed_into(weights, tokens, start_pos, &mut scratch.x);
-        for (b, (bw, cb)) in weights
-            .blocks
-            .iter()
-            .zip(cache.blocks.iter_mut())
-            .enumerate()
-        {
-            block_forward_into(
-                &self.config,
-                bw,
-                b,
-                &mut scratch.x,
-                start_pos,
-                step,
-                cb,
-                taps,
-                kernel,
-                self.rope.as_ref(),
-                &mut scratch.block,
-            );
-        }
-        normed_into(
-            &self.config,
-            &weights.final_norm,
-            &scratch.x,
-            &mut scratch.hidden,
-        );
+        let lane = Lane {
+            rows: tokens.len(),
+            start_pos,
+            step,
+            seq: &(),
+            tap: Some(taps),
+        };
+        walk::dense_pass(&self.config, self.rope.as_ref(), kernel, lane, |pass| {
+            walk::walk(pass, weights, tokens, &mut cache.blocks, scratch)
+        });
     }
 
     /// Run the decoder stack for `tokens` at positions `start_pos..`,

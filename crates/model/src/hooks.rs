@@ -196,6 +196,23 @@ impl<'a> TapList<'a> {
     }
 }
 
+/// A tap list is itself a tap — the composite of its members in
+/// registration order — which is how a whole list rides in one lane of the
+/// layer walk.
+impl LayerTap for TapList<'_> {
+    fn on_output(&mut self, ctx: &TapCtx, data: &mut Matrix) {
+        self.fire(ctx, data);
+    }
+
+    fn end_step(&mut self, step: usize) -> StepReport {
+        TapList::end_step(self, step)
+    }
+
+    fn on_rollback(&mut self, step: usize, attempt: u32) {
+        self.notify_rollback(step, attempt);
+    }
+}
+
 /// The no-op tap set for clean (unfaulted, unprotected) runs.
 pub struct NoTaps;
 

@@ -19,6 +19,11 @@
 //!   through an ordered tap list, mirroring PyTorch's
 //!   `register_forward_hook` — the interception point used both for fault
 //!   injection and for FT2's range-restriction protection.
+//! * **One layer walk** ([`walk`]): the decoder stack is walked by a single
+//!   function over a batch of lanes, parameterised by how a linear runs
+//!   (dense, shard fan-out, batched) and where K/V rows live (contiguous,
+//!   paged) — the engine, the sharded executor and the serving runtime are
+//!   instantiations, not copies.
 //! * **KV-cached autoregressive generation** ([`engine`]): faults injected
 //!   into `K/V_PROJ` outputs persist in the cache and keep corrupting later
 //!   steps, exactly as on real serving stacks.
@@ -40,6 +45,7 @@ pub mod mlp;
 pub mod scratch;
 pub mod shard;
 pub mod state;
+pub mod walk;
 pub mod weights;
 pub mod zoo;
 

@@ -1,39 +1,17 @@
 //! The two MLP variants of Fig. 1.
 
-use crate::config::{Activation, ArchStyle, LayerKind, ModelConfig};
-use crate::hooks::{HookKind, TapCtx, TapList, TapPoint};
+use crate::config::ModelConfig;
+use crate::hooks::TapList;
 use crate::scratch::MlpScratch;
+use crate::walk::{self, Lane};
 use crate::weights::BlockWeights;
-use ft2_tensor::{gelu_inplace, ops::mul_inplace, relu_inplace, silu_inplace, Matrix};
-
-fn activate(act: Activation, m: &mut Matrix) {
-    match act {
-        Activation::Relu => relu_inplace(m),
-        Activation::Gelu => gelu_inplace(m),
-        Activation::Silu => silu_inplace(m),
-    }
-}
+use ft2_tensor::{KernelPolicy, Matrix};
 
 /// Run the block's MLP on `x` (`[n, hidden] -> [n, hidden]`), firing taps
-/// after every linear layer.
+/// after every linear layer; the result lands in `scratch.out`.
 ///
-/// Compatibility wrapper over [`mlp_forward_into`] with fresh scratch.
-pub fn mlp_forward(
-    config: &ModelConfig,
-    weights: &BlockWeights,
-    block_idx: usize,
-    x: &Matrix,
-    start_pos: usize,
-    step: usize,
-    taps: &mut TapList<'_>,
-) -> Matrix {
-    let mut scratch = MlpScratch::default();
-    mlp_forward_into(config, weights, block_idx, x, start_pos, step, taps, &mut scratch);
-    scratch.out
-}
-
-/// [`mlp_forward`] writing all intermediates into caller-owned scratch;
-/// the result lands in `scratch.out`.
+/// This is [`walk::mlp`] — the layer walk's MLP half — for one lane on the
+/// dense executor.
 #[allow(clippy::too_many_arguments)]
 pub fn mlp_forward_into(
     config: &ModelConfig,
@@ -45,62 +23,32 @@ pub fn mlp_forward_into(
     taps: &mut TapList<'_>,
     scratch: &mut MlpScratch,
 ) {
-    let dtype = config.dtype;
-    let ctx = |layer: LayerKind| TapCtx {
-        point: TapPoint {
-            block: block_idx,
-            layer,
-        },
-        hook: HookKind::LinearOutput,
+    let lane = Lane {
+        rows: x.rows(),
+        start_pos,
         step,
-        first_pos: start_pos,
-        dtype,
+        seq: &(),
+        tap: Some(taps),
     };
-    let act_ctx = |layer: LayerKind| TapCtx {
-        point: TapPoint {
-            block: block_idx,
-            layer,
-        },
-        hook: HookKind::ActivationOutput,
-        step,
-        first_pos: start_pos,
-        dtype,
-    };
-
-    match config.style {
-        ArchStyle::OptStyle => {
-            let (fc1, fc2) = weights.fc.as_ref().expect("OPT-style block without FC");
-            fc1.forward_into(x, dtype, &mut scratch.h);
-            taps.fire(&ctx(LayerKind::Fc1), &mut scratch.h);
-            activate(config.activation, &mut scratch.h);
-            taps.fire(&act_ctx(LayerKind::Fc1), &mut scratch.h);
-            fc2.forward_into(&scratch.h, dtype, &mut scratch.out);
-            taps.fire(&ctx(LayerKind::Fc2), &mut scratch.out);
-        }
-        ArchStyle::LlamaStyle => {
-            let (gate, up, down) = weights
-                .gated
-                .as_ref()
-                .expect("Llama-style block without gated MLP");
-            gate.forward_into(x, dtype, &mut scratch.h);
-            taps.fire(&ctx(LayerKind::GateProj), &mut scratch.h);
-            up.forward_into(x, dtype, &mut scratch.up);
-            taps.fire(&ctx(LayerKind::UpProj), &mut scratch.up);
-            activate(config.activation, &mut scratch.h);
-            taps.fire(&act_ctx(LayerKind::GateProj), &mut scratch.h);
-            mul_inplace(&mut scratch.h, &scratch.up);
-            down.forward_into(&scratch.h, dtype, &mut scratch.out);
-            taps.fire(&ctx(LayerKind::DownProj), &mut scratch.out);
-        }
-    }
+    // The MLP neither rotates nor attends: no table, and the policy is moot.
+    walk::dense_pass(config, None, KernelPolicy::Strict, lane, |pass| {
+        walk::mlp(pass, weights, block_idx, x, scratch)
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ModelConfig;
+    use crate::config::LayerKind;
     use crate::hooks::RecordingTap;
     use crate::weights::ModelWeights;
+
+    /// [`mlp_forward_into`] at position 0, step 0, with fresh scratch.
+    fn mlp(config: &ModelConfig, weights: &BlockWeights, x: &Matrix, taps: &mut TapList<'_>) -> Matrix {
+        let mut scratch = MlpScratch::default();
+        mlp_forward_into(config, weights, 0, x, 0, 0, taps, &mut scratch);
+        scratch.out
+    }
 
     #[test]
     fn opt_mlp_fires_fc_taps_in_order() {
@@ -110,7 +58,7 @@ mod tests {
         let mut taps = TapList::new();
         taps.push(&mut rec);
         let x = Matrix::from_fn(2, config.hidden, |_, c| (c % 3) as f32 * 0.3);
-        let y = mlp_forward(&config, &weights.blocks[0], 0, &x, 0, 0, &mut taps);
+        let y = mlp(&config, &weights.blocks[0], &x, &mut taps);
         drop(taps);
         assert_eq!(y.rows(), 2);
         assert_eq!(y.cols(), config.hidden);
@@ -128,7 +76,7 @@ mod tests {
         let mut taps = TapList::new();
         taps.push(&mut rec);
         let x = Matrix::from_fn(1, config.hidden, |_, c| ((c * 7) % 5) as f32 * 0.2 - 0.4);
-        let _ = mlp_forward(&config, &weights.blocks[0], 0, &x, 0, 0, &mut taps);
+        let _ = mlp(&config, &weights.blocks[0], &x, &mut taps);
         drop(taps);
         let kinds: Vec<LayerKind> = rec.captures.iter().map(|(c, _)| c.point.layer).collect();
         assert_eq!(
@@ -151,7 +99,7 @@ mod tests {
         }
         let mut taps = TapList::new();
         let x = Matrix::from_fn(1, config.hidden, |_, c| c as f32 * 0.01);
-        let y = mlp_forward(&config, &weights.blocks[0], 0, &x, 0, 0, &mut taps);
+        let y = mlp(&config, &weights.blocks[0], &x, &mut taps);
         assert!(y.as_slice().iter().all(|&v| v == 0.0));
     }
 }

@@ -20,7 +20,8 @@ pub struct AttnScratch {
     pub k: Matrix,
     /// Value projections `[n, hidden]`.
     pub v: Matrix,
-    /// Per-head score rows `[n, cached positions]`, reused across heads.
+    /// One score row per pass row `[n, longest context]`, reused across
+    /// heads.
     pub scores: Matrix,
     /// Weighted value context `[n, hidden]` (pre `OUT_PROJ`).
     pub ctx: Matrix,

@@ -1,11 +1,12 @@
 //! Behavioural invariants of the inference engine.
 
-use ft2_model::attention::KvCacheBlock;
+use ft2_model::attention::{attention_forward_into, KvCacheBlock};
 use ft2_model::block::POSITION_GAIN;
 use ft2_model::engine::KvCache;
 use ft2_model::hooks::RecordingTap;
 use ft2_model::{
-    model_zoo, ArchStyle, HookKind, LayerKind, Model, ModelConfig, TapList, ZooModel,
+    model_zoo, ArchStyle, AttnScratch, HookKind, KernelPolicy, LayerKind, Model, ModelConfig,
+    TapList, ZooModel,
 };
 use proptest::prelude::*;
 
@@ -50,6 +51,42 @@ fn kv_cache_incremental_equals_batch_for_all_zoo_models() {
             "{}: incremental vs batch prefill diff {diff}",
             spec.name()
         );
+    }
+}
+
+/// Identity (i) of the layer walk: a joint prefill of 150 tokens equals a
+/// joint prefill of the first `split` plus one single-token step per
+/// remaining token — every K/V row of every block and the last hidden row,
+/// bit for bit, tap-less, on the whole zoo. Each element comes out of the
+/// same reduction whatever the row count, so nothing needs to replay a
+/// sequence "in the shape it was first produced". Runs under whichever
+/// GEMM kernel the process selected; `scripts/verify.sh` runs it once more
+/// with `FT2_NO_SIMD=1`.
+#[test]
+fn joint_prefill_equals_incremental_prefill_bit_for_bit() {
+    const LEN: usize = 150;
+    for spec in model_zoo() {
+        let model = spec.build();
+        let vocab = model.config().vocab as u32;
+        let tokens: Vec<u32> = (0..LEN as u32).map(|i| (i * 37 + 11) % vocab).collect();
+        let mut taps = TapList::new();
+
+        let mut joint = KvCache::new(model.config());
+        let h_joint = model.forward_step(&tokens, 0, 0, &mut joint, &mut taps);
+        let last_joint = h_joint.slice_rows(LEN - 1, LEN);
+
+        for split in [1usize, 5, 16, 40] {
+            let mut inc = KvCache::new(model.config());
+            let mut last = model.forward_step(&tokens[..split], 0, 0, &mut inc, &mut taps);
+            for (pos, &tok) in tokens.iter().enumerate().skip(split) {
+                last = model.forward_step(&[tok], pos, pos - split + 1, &mut inc, &mut taps);
+            }
+            assert_eq!(last, last_joint, "{} split {split}: last hidden row", spec.name());
+            for b in 0..joint.num_blocks() {
+                assert_eq!(inc.block(b).k, joint.block(b).k, "{} split {split}: K of block {b}", spec.name());
+                assert_eq!(inc.block(b).v, joint.block(b).v, "{} split {split}: V of block {b}", spec.name());
+            }
+        }
     }
 }
 
@@ -163,14 +200,17 @@ proptest! {
         let weights = ft2_model::weights::ModelWeights::build(&config);
         let mut cache = KvCacheBlock::new(config.hidden);
         let mut taps = TapList::new();
+        let mut scratch = AttnScratch::default();
         let x1 = ft2_tensor::Matrix::zeros(n1, config.hidden);
-        let _ = ft2_model::attention::attention_forward(
+        attention_forward_into(
             &config, &weights.blocks[0], 0, &x1, 0, 0, &mut cache, &mut taps,
+            KernelPolicy::Strict, None, &mut scratch,
         );
         prop_assert_eq!(cache.len(), n1);
         let x2 = ft2_tensor::Matrix::zeros(n2, config.hidden);
-        let _ = ft2_model::attention::attention_forward(
+        attention_forward_into(
             &config, &weights.blocks[0], 0, &x2, n1, 1, &mut cache, &mut taps,
+            KernelPolicy::Strict, None, &mut scratch,
         );
         prop_assert_eq!(cache.len(), n1 + n2);
     }

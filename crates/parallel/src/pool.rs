@@ -58,8 +58,11 @@ struct BatchState {
     queues: Vec<Mutex<VecDeque<(usize, usize)>>>,
     /// Tasks remaining in the current batch.
     remaining: AtomicUsize,
-    /// Workers currently holding a clone of the batch closure. `run` waits
-    /// for this to hit zero so no borrow of the caller's stack outlives it.
+    /// Workers currently holding a clone of the batch closure. Only ever
+    /// incremented while holding the `job` lock with the job still `Some`,
+    /// so once `try_run` has retired the job no worker can join the batch;
+    /// `try_run` then waits for this to hit zero so no borrow of the
+    /// caller's stack outlives it.
     active: AtomicUsize,
     /// Panics caught during the current batch, in discovery order.
     panics: Mutex<Vec<TaskPanic>>,
@@ -174,16 +177,20 @@ impl WorkStealingPool {
             return Vec::new();
         }
         let grain = grain.max(1);
-        // Invariant upheld by the transmute below: this function does not
-        // return until (a) `remaining == 0` — every queued block has run —
-        // and (b) `active == 0` *after* each worker dropped its clone of
-        // the Arc (workers `drop(job)` before decrementing `active`), and
-        // the caller-held clones are dropped here before the wait loop, so
-        // no reference derived from `f` survives this call.
+        // Invariant upheld for the transmute below: no clone of the batch
+        // closure outlives this call. A worker clones it only out of
+        // `state.job`, and counts itself into `active` under that same
+        // lock; this function retires the job (`None`, under the lock) once
+        // `remaining == 0` and only then waits for `active == 0`. A worker
+        // that locked `job` before the retirement is therefore counted and
+        // waited for (it drops its clone before decrementing `active`); one
+        // that locks it after finds `None` and never sees the closure. The
+        // caller-held clones are dropped below, before the waits.
         let boxed: Arc<dyn Fn(usize) + Send + Sync> = Arc::new(f);
         // SAFETY: erases only the closure's lifetime to 'static (same fat
-        // pointer layout); sound because no worker can touch `f` after this
-        // call returns, per the wait-for-drain invariant above.
+        // pointer layout); sound because no reference derived from `f`
+        // survives this call, per the join-under-the-`job`-lock and
+        // retire-before-the-final-wait invariant above.
         let boxed: BatchFn = unsafe { std::mem::transmute(boxed) };
 
         let blocks = n.div_ceil(grain);
@@ -215,17 +222,21 @@ impl WorkStealingPool {
         }
         drop(boxed);
 
-        // Wait until every block has run AND every worker has dropped its
-        // clone of the batch closure (so borrows of the caller's stack
-        // cannot outlive this call).
+        // Wait until every block has run, retire the job so no further
+        // worker can count itself in, then wait until every worker that did
+        // has dropped its clone of the batch closure (so borrows of the
+        // caller's stack cannot outlive this call).
         let mut guard = lock_clean(&self.state.done_mx);
-        while self.state.remaining.load(Ordering::SeqCst) != 0
-            || self.state.active.load(Ordering::SeqCst) != 0
-        {
+        while self.state.remaining.load(Ordering::SeqCst) != 0 {
             guard = wait_clean(&self.state.done_cv, guard);
         }
         drop(guard);
         *lock_clean(&self.state.job) = None;
+        let mut guard = lock_clean(&self.state.done_mx);
+        while self.state.active.load(Ordering::SeqCst) != 0 {
+            guard = wait_clean(&self.state.done_cv, guard);
+        }
+        drop(guard);
         std::mem::take(&mut *lock_clean(&self.state.panics))
     }
 
@@ -307,9 +318,15 @@ fn worker_loop(wid: usize, state: Arc<BatchState>) {
         if state.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        let job = lock_clean(&state.job).clone();
-        let Some(job) = job else { continue };
-        state.active.fetch_add(1, Ordering::SeqCst);
+        // Join the batch under the `job` lock: `try_run` retires the job
+        // under the same lock before its final `active == 0` wait, so a
+        // worker is either counted before that wait or finds `None` here.
+        let job = {
+            let slot = lock_clean(&state.job);
+            let Some(job) = slot.as_ref() else { continue };
+            state.active.fetch_add(1, Ordering::SeqCst);
+            Arc::clone(job)
+        };
 
         // Drain: own deque from the back, then steal siblings' fronts.
         while let Some((lo, hi)) = state.take_block(wid) {

@@ -4,9 +4,11 @@
 //! blocks grow by appended rows. A serving batch holds many sequences of
 //! wildly different lengths that start, finish, roll back, and get evicted
 //! independently — per-sequence growable matrices would fragment and copy
-//! constantly. [`KvArena`] instead owns one K and one V slab per decoder
-//! block, carved into fixed-size pages of [`KV_PAGE`] positions; a
-//! [`KvSeq`] maps a request's logical positions onto the pages it holds.
+//! constantly. [`KvArena`] instead owns one [`KvSlab`] (K and V rows) per
+//! decoder block, carved into fixed-size pages of [`KV_PAGE`] positions; a
+//! [`KvSeq`] maps a request's logical positions onto the pages it holds,
+//! and slab plus sequence are the layer walk's paged
+//! [`ft2_model::walk::KvStore`].
 //! Pages come from a single free list shared by all blocks (the slabs grow
 //! in lockstep, so one page id addresses every block's slab), which makes
 //! alloc/free O(1) and eviction a straight hand-back of the page list.
@@ -17,6 +19,7 @@
 //! recovery ladder, sweeps the seals to find (and rebuild) corrupted
 //! positions without touching any other request's pages.
 
+use ft2_model::walk::KvStore;
 use ft2_numeric::crc64_f32s;
 use ft2_tensor::Matrix;
 
@@ -25,12 +28,37 @@ use ft2_tensor::Matrix;
 /// free-list traffic of long prefill bursts.
 pub const KV_PAGE: usize = 16;
 
-/// A slab of paged K/V storage shared by every sequence in a serving batch.
+/// One decoder block's paged K/V rows, `[capacity_pages * KV_PAGE, hidden]`
+/// each: the paged [`KvStore`] of the layer walk. A sequence's position
+/// lives at the slab row its [`KvSeq`] maps it to, so a pass writes a
+/// lane's rows straight into the pages the sequence already holds.
+pub struct KvSlab {
+    k: Matrix,
+    v: Matrix,
+}
+
+impl KvStore for KvSlab {
+    type Seq = KvSeq;
+
+    fn k_row(&self, seq: &KvSeq, pos: usize) -> &[f32] {
+        self.k.row(seq.row_of(pos))
+    }
+
+    fn v_row(&self, seq: &KvSeq, pos: usize) -> &[f32] {
+        self.v.row(seq.row_of(pos))
+    }
+
+    fn put(&mut self, seq: &KvSeq, pos: usize, k: &[f32], v: &[f32]) {
+        let row = seq.row_of(pos);
+        self.k.row_mut(row).copy_from_slice(k);
+        self.v.row_mut(row).copy_from_slice(v);
+    }
+}
+
+/// Paged K/V storage shared by every sequence in a serving batch.
 pub struct KvArena {
-    /// Per-block key slabs, `[capacity_pages * KV_PAGE, hidden]`.
-    k: Vec<Matrix>,
-    /// Per-block value slabs, same shape as `k`.
-    v: Vec<Matrix>,
+    /// Per-block slabs, grown in lockstep.
+    slabs: Vec<KvSlab>,
     /// Free page ids; pages index all block slabs identically.
     free: Vec<usize>,
     capacity_pages: usize,
@@ -41,13 +69,22 @@ impl KvArena {
     /// Empty arena for a model with `blocks` decoder blocks and hidden
     /// width `hidden`. Slabs start at zero pages and grow on demand.
     pub fn new(blocks: usize, hidden: usize) -> KvArena {
+        let slab = || KvSlab {
+            k: Matrix::zeros(0, hidden),
+            v: Matrix::zeros(0, hidden),
+        };
         KvArena {
-            k: (0..blocks).map(|_| Matrix::zeros(0, hidden)).collect(),
-            v: (0..blocks).map(|_| Matrix::zeros(0, hidden)).collect(),
+            slabs: (0..blocks).map(|_| slab()).collect(),
             free: Vec::new(),
             capacity_pages: 0,
             hidden,
         }
+    }
+
+    /// Every block's slab, in block order — the stores a pass over arena
+    /// sequences reads and writes.
+    pub fn slabs_mut(&mut self) -> &mut [KvSlab] {
+        &mut self.slabs
     }
 
     /// Hidden width of every stored row.
@@ -57,7 +94,7 @@ impl KvArena {
 
     /// Number of decoder blocks the arena stores K/V for.
     pub fn num_blocks(&self) -> usize {
-        self.k.len()
+        self.slabs.len()
     }
 
     /// Total pages ever allocated (slab size in pages).
@@ -82,8 +119,9 @@ impl KvArena {
             return p;
         }
         let grow = Matrix::zeros(KV_PAGE, self.hidden);
-        for slab in self.k.iter_mut().chain(self.v.iter_mut()) {
-            slab.append_rows(&grow);
+        for slab in &mut self.slabs {
+            slab.k.append_rows(&grow);
+            slab.v.append_rows(&grow);
         }
         let p = self.capacity_pages;
         self.capacity_pages += 1;
@@ -100,23 +138,22 @@ impl KvArena {
     /// Key row `row` (a slab row index from [`KvSeq::row_of`]) of block
     /// `block`.
     pub fn k_row(&self, block: usize, row: usize) -> &[f32] {
-        self.k[block].row(row)
+        self.slabs[block].k.row(row)
     }
 
     /// Value row `row` of block `block`.
     pub fn v_row(&self, block: usize, row: usize) -> &[f32] {
-        self.v[block].row(row)
+        self.slabs[block].v.row(row)
     }
 
-    /// Mutable key row (the batch engine writes each step's projections
-    /// here; a rebuild overwrites poisoned positions).
+    /// Mutable key row (fault drills corrupt sealed rows through this).
     pub fn k_row_mut(&mut self, block: usize, row: usize) -> &mut [f32] {
-        self.k[block].row_mut(row)
+        self.slabs[block].k.row_mut(row)
     }
 
     /// Mutable value row.
     pub fn v_row_mut(&mut self, block: usize, row: usize) -> &mut [f32] {
-        self.v[block].row_mut(row)
+        self.slabs[block].v.row_mut(row)
     }
 
     /// Integrity seal of one sequence position: a CRC64 chain over the K
@@ -165,8 +202,8 @@ impl KvSeq {
         &self.pages
     }
 
-    /// Slab row index of logical position `j` (same row in every block's
-    /// slab, so the batch engine computes one row map per step).
+    /// Slab row index of logical position `j` (the same row in every
+    /// block's slab).
     pub fn row_of(&self, j: usize) -> usize {
         debug_assert!(j < self.len, "position {j} beyond sequence length {}", self.len);
         self.pages[j / KV_PAGE] * KV_PAGE + j % KV_PAGE

@@ -1,39 +1,34 @@
-//! The batched decode step: one forward pass advancing every lane of a
-//! serving batch by one token, bit-identical per lane to the
-//! single-sequence engine.
+//! The serving runtime's two passes of the layer walk: the batched decode
+//! step (N one-row lanes, one per request) and prefill (one multi-row lane
+//! written straight into a request's arena pages).
 //!
-//! The identity contract is what makes per-request fault isolation
-//! *checkable*: a clean request served in a batch of N must emit exactly
-//! the tokens its solo [`Model::generate`] would. The batch step therefore
-//! does not invent new math — every per-lane computation replicates the
-//! engine's operation and reduction order:
+//! Neither contains any model math. Both are [`ft2_model::walk`] over the
+//! arena's paged [`crate::arena::KvSlab`] stores, so a clean request served
+//! in a batch of N emits exactly the tokens its solo [`Model::generate`]
+//! would — the identity that makes per-request fault isolation checkable —
+//! because it runs the same code, not a copy of it. What this module adds
+//! is the serving [`Exec`]:
 //!
-//! * the batched linear layers go through
-//!   [`ft2_tensor::matmul_transb_batch_into`], whose panel-major loop
-//!   produces each output row with the exact `dot4`/`dot` reductions the
-//!   row-major kernel uses — one weight-panel pass amortised over the
-//!   batch's activation rows, zero numeric divergence;
-//! * normalisation runs on the whole batch matrix (norms are row-local)
-//!   with the engine's per-position activation gain applied per lane;
-//! * attention is computed lane-major over the arena's paged K/V rows with
-//!   the engine's per-head score/softmax/value loops, parallelised across
-//!   lanes on the [`WorkStealingPool`] (lanes write disjoint rows, so the
-//!   schedule cannot change results);
-//! * taps fire per lane on a one-row staging view in the engine's layer
-//!   order (K, Q, V, out-proj, MLP), with each lane's own `step` and
-//!   position, so per-request injectors and detectors observe exactly what
-//!   they would single-sequence.
+//! * linears go through [`ft2_tensor::matmul_transb_batch_into`], whose
+//!   panel-major loop produces each output row with the exact `dot4`/`dot`
+//!   reductions of the row-major kernel — one weight-panel pass amortised
+//!   over the batch's rows;
+//! * the lanes' attention runs in parallel on the [`WorkStealingPool`]
+//!   (lanes write disjoint rows, so the schedule cannot change results).
+//!
+//! Per-request taps ride in their lanes: the walk shows each tap its own
+//! row with its own `step` and position, in the engine's layer order, so
+//! per-request injectors and detectors observe exactly what they would
+//! single-sequence.
 
 use crate::arena::{KvArena, KvSeq};
-use ft2_model::block::{normed_into, POSITION_GAIN};
-use ft2_model::config::{Activation, ArchStyle, LayerKind, ModelConfig, RopeTable};
-use ft2_model::hooks::{HookKind, LayerTap, TapCtx, TapPoint};
-use ft2_model::Model;
+use ft2_model::hooks::{LayerTap, TapPoint};
+use ft2_model::walk::{self, Exec, Lane, Pass};
+use ft2_model::weights::Linear;
+use ft2_model::{DecodeScratch, KernelPolicy, Model};
 use ft2_parallel::WorkStealingPool;
-use ft2_tensor::ops::mul_inplace;
-use ft2_tensor::{
-    add_inplace, argmax, dot, gelu_inplace, relu_inplace, silu_inplace, DType, Matrix,
-};
+use ft2_tensor::{argmax, DType, Matrix};
+use std::convert::Infallible;
 
 /// One request's view of a batch step: the token to decode, its absolute
 /// position, the generation step number (for tap contexts), the request's
@@ -53,24 +48,13 @@ pub struct BatchLane<'a> {
     pub tap: Option<&'a mut (dyn LayerTap + Send + 'static)>,
 }
 
-/// Reusable buffers of the batched decode step (the serving analogue of
-/// the engine's `DecodeScratch`): allocated once per scheduler and
-/// `reset` in place every step.
+/// Reusable buffers of the serving passes: allocated once per scheduler
+/// and `reset` in place every pass.
 #[derive(Default)]
 pub struct BatchScratch {
-    x: Matrix,
-    normed: Matrix,
-    q: Matrix,
-    k: Matrix,
-    v: Matrix,
-    scores: Matrix,
-    ctx: Matrix,
-    attn_out: Matrix,
-    h: Matrix,
-    up: Matrix,
-    mlp_out: Matrix,
-    hidden: Matrix,
-    logits: Matrix,
+    /// The walk's own buffers; the hidden states land in `walk.hidden`.
+    pub(crate) walk: DecodeScratch,
+    /// The one-lane view a tap sees its rows through in a multi-lane pass.
     stage: Matrix,
 }
 
@@ -81,125 +65,37 @@ impl BatchScratch {
     }
 }
 
-fn activate(act: Activation, m: &mut Matrix) {
-    match act {
-        Activation::Relu => relu_inplace(m),
-        Activation::Gelu => gelu_inplace(m),
-        Activation::Silu => silu_inplace(m),
-    }
-}
+/// The serving [`Exec`]: batched GEMMs, rows attending in parallel.
+struct Batched<'p>(&'p WorkStealingPool);
 
-/// The engine's `softmax_rows` inner loop on one row: max-subtract, exp,
-/// single-pass sum, multiply by the reciprocal. Replicated verbatim so a
-/// lane's decode softmax is bit-identical to the single-sequence path.
-fn softmax_row(row: &mut [f32]) {
-    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0f32;
-    for v in row.iter_mut() {
-        *v = (*v - max).exp();
-        sum += *v;
-    }
-    let inv = 1.0 / sum;
-    for v in row.iter_mut() {
-        *v *= inv;
-    }
-}
+impl Exec for Batched<'_> {
+    type Error = Infallible;
 
-/// Table-driven RoPE on a single row at absolute position `pos` — the
-/// per-row body of `apply_rope_with`.
-fn rope_row(row: &mut [f32], heads: usize, table: &RopeTable, pos: usize) {
-    let half = table.half();
-    let head_dim = 2 * half;
-    let (sin, cos) = table.at(pos);
-    for h in 0..heads {
-        let base = h * head_dim;
-        for i in 0..half {
-            let a = row[base + 2 * i];
-            let b = row[base + 2 * i + 1];
-            row[base + 2 * i] = a * cos[i] - b * sin[i];
-            row[base + 2 * i + 1] = a * sin[i] + b * cos[i];
+    fn linear(
+        &mut self,
+        golden: &Linear,
+        _point: TapPoint,
+        dtype: DType,
+        x: &Matrix,
+        out: &mut Matrix,
+    ) -> Result<(), Infallible> {
+        golden.forward_batch_into(x, dtype, out);
+        Ok(())
+    }
+
+    fn each_row(&self, rows: usize, f: impl Fn(usize) + Send + Sync) {
+        if rows > 1 {
+            let panics = self.0.try_run(rows, 1, f);
+            assert!(
+                panics.is_empty(),
+                "batch attention task panicked: {}",
+                panics[0]
+            );
+        } else {
+            f(0);
         }
     }
 }
-
-/// Fire each lane's tap on its own row of `data` through a one-row staging
-/// matrix, so a tap observes exactly the `[1, features]` view the
-/// single-sequence engine hands it (same step, same first position).
-fn fire_rows(
-    lanes: &mut [BatchLane<'_>],
-    data: &mut Matrix,
-    block: usize,
-    layer: LayerKind,
-    hook: HookKind,
-    dtype: DType,
-    stage: &mut Matrix,
-) {
-    for (r, lane) in lanes.iter_mut().enumerate() {
-        let Some(tap) = lane.tap.as_mut() else {
-            continue;
-        };
-        let ctx = TapCtx {
-            point: TapPoint { block, layer },
-            hook,
-            step: lane.step,
-            first_pos: lane.pos,
-            dtype,
-        };
-        stage.reset(1, data.cols());
-        stage.row_mut(0).copy_from_slice(data.row(r));
-        tap.on_output(&ctx, stage);
-        data.row_mut(r).copy_from_slice(stage.row(0));
-    }
-}
-
-/// Per-row normalisation plus the engine's position-dependent activation
-/// gain, with each lane's own absolute position.
-fn normed_gained(
-    config: &ModelConfig,
-    params: &ft2_model::weights::NormParams,
-    x: &Matrix,
-    lanes: &[BatchLane<'_>],
-    y: &mut Matrix,
-) {
-    normed_into(config, params, x, y);
-    for (r, lane) in lanes.iter().enumerate() {
-        let gain = 1.0 + POSITION_GAIN * lane.pos as f32;
-        for v in y.row_mut(r) {
-            *v *= gain;
-        }
-    }
-}
-
-/// Raw pointer handed to the lane-parallel attention tasks. Each task `r`
-/// touches only row `r` of the matrix behind the pointer, so concurrent
-/// tasks never alias.
-struct RowSlab(*mut f32, usize);
-
-impl RowSlab {
-    /// Row `r` of the slab as a mutable slice of `len <= stride` elements.
-    ///
-    /// # Safety
-    /// The caller must be the only task touching row `r` while the slice
-    /// lives, and the backing matrix must outlive it.
-    // Takes `&self` deliberately: the closure must capture the whole slab
-    // (not the raw-pointer field) so the manual Send/Sync impls apply, and
-    // exclusivity is per-row (caller-guaranteed), not per-slab.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn row_mut(&self, r: usize, len: usize) -> &mut [f32] {
-        debug_assert!(len <= self.1);
-        // SAFETY: rows are disjoint `stride`-strided ranges of one live
-        // allocation; the caller guarantees exclusive access to row `r`.
-        unsafe { std::slice::from_raw_parts_mut(self.0.add(r * self.1), len) }
-    }
-}
-
-// SAFETY: tasks index disjoint rows (task r writes rows [r*stride,
-// (r+1)*stride) only), and the pool's batch barrier ends all tasks before
-// the borrow of the underlying matrix resumes.
-unsafe impl Send for RowSlab {}
-// SAFETY: same disjoint-rows argument — no two tasks read or write the
-// same element.
-unsafe impl Sync for RowSlab {}
 
 /// Advance every lane by one decode step. Reserves each lane's KV slot,
 /// runs the batched forward pass, and returns the next token per lane.
@@ -214,155 +110,78 @@ pub fn batch_step(
 ) -> Vec<u32> {
     assert!(!lanes.is_empty(), "batch_step on an empty batch");
     let config = model.config();
+    let tokens: Vec<u32> = lanes.iter().map(|lane| lane.token).collect();
+    let mut rows: Vec<Lane<'_, KvSeq>> = lanes
+        .iter_mut()
+        .map(|lane| {
+            debug_assert_eq!(lane.seq.len(), lane.pos, "KV sequence out of sync");
+            lane.seq.push(arena);
+            Lane {
+                rows: 1,
+                start_pos: lane.pos,
+                step: lane.step,
+                seq: &*lane.seq,
+                tap: lane.tap.as_deref_mut().map(|tap| tap as &mut dyn LayerTap),
+            }
+        })
+        .collect();
+    let mut exec = Batched(pool);
+    let mut pass = Pass::new(
+        config,
+        model.rope_table(),
+        KernelPolicy::Strict,
+        &mut exec,
+        &mut rows,
+        &mut scratch.stage,
+    );
     let weights = model.weights();
-    let n = lanes.len();
-    let hidden = config.hidden;
-    let heads = config.heads;
-    let head_dim = config.head_dim();
-    let dtype = config.dtype;
+    let Ok(()) = walk::walk(
+        &mut pass,
+        weights,
+        &tokens,
+        arena.slabs_mut(),
+        &mut scratch.walk,
+    );
 
-    // Reserve this step's KV slot per lane and build the per-lane row maps
-    // (identical across blocks, so computed once per step).
-    let mut row_maps: Vec<Vec<usize>> = Vec::with_capacity(n);
-    for lane in lanes.iter_mut() {
-        debug_assert_eq!(lane.seq.len(), lane.pos, "KV sequence out of sync");
-        lane.seq.push(arena);
-        row_maps.push((0..=lane.pos).map(|j| lane.seq.row_of(j)).collect());
-    }
-    let max_total = lanes.iter().map(|l| l.pos + 1).max().unwrap_or(1);
-
-    // Embedding, replicating the engine's per-token lookup at each lane's
-    // own position, then one whole-matrix quantize (elementwise).
-    scratch.x.reset(n, hidden);
-    for (r, lane) in lanes.iter().enumerate() {
-        let t = (lane.token as usize) % config.vocab;
-        scratch.x.row_mut(r).copy_from_slice(weights.embed.row(t));
-        if let Some(pos_embed) = &weights.pos_embed {
-            let p = lane.pos.min(pos_embed.rows() - 1);
-            for (v, &pe) in scratch.x.row_mut(r).iter_mut().zip(pos_embed.row(p)) {
-                *v += pe;
-            }
-        }
-    }
-    scratch.x.quantize(dtype);
-
-    let rope = model.rope_table();
-    let scale = 1.0 / (head_dim as f32).sqrt();
-
-    for (b, bw) in weights.blocks.iter().enumerate() {
-        // Attention sub-block: x = x + Attn(Norm(x)), engine tap order
-        // K, Q, V, then RoPE, then the cache append.
-        normed_gained(config, &bw.attn_norm, &scratch.x, lanes, &mut scratch.normed);
-        bw.k_proj.forward_batch_into(&scratch.normed, dtype, &mut scratch.k);
-        fire_rows(lanes, &mut scratch.k, b, LayerKind::KProj, HookKind::LinearOutput, dtype, &mut scratch.stage);
-        bw.q_proj.forward_batch_into(&scratch.normed, dtype, &mut scratch.q);
-        fire_rows(lanes, &mut scratch.q, b, LayerKind::QProj, HookKind::LinearOutput, dtype, &mut scratch.stage);
-        bw.v_proj.forward_batch_into(&scratch.normed, dtype, &mut scratch.v);
-        fire_rows(lanes, &mut scratch.v, b, LayerKind::VProj, HookKind::LinearOutput, dtype, &mut scratch.stage);
-
-        if config.style == ArchStyle::LlamaStyle {
-            let table = rope.expect("Llama-style model without a RoPE table");
-            for (r, lane) in lanes.iter().enumerate() {
-                rope_row(scratch.q.row_mut(r), heads, table, lane.pos);
-                rope_row(scratch.k.row_mut(r), heads, table, lane.pos);
-            }
-        }
-
-        // Append this step's K/V to each lane's reserved arena row.
-        for (r, lane) in lanes.iter().enumerate() {
-            let row = lane.seq.row_of(lane.pos);
-            arena.k_row_mut(b, row).copy_from_slice(scratch.k.row(r));
-            arena.v_row_mut(b, row).copy_from_slice(scratch.v.row(r));
-        }
-
-        // Lane-parallel attention over the paged cache. Each lane runs the
-        // engine's head-major score/softmax/value loops against its own
-        // rows of `scores`/`ctx`, so the parallel schedule cannot change
-        // any result.
-        scratch.scores.reset(n, max_total);
-        scratch.ctx.reset(n, hidden);
-        {
-            let scores_ptr = RowSlab(scratch.scores.as_mut_slice().as_mut_ptr(), max_total);
-            let ctx_ptr = RowSlab(scratch.ctx.as_mut_slice().as_mut_ptr(), hidden);
-            let q = &scratch.q;
-            let arena_ref: &KvArena = arena;
-            let positions: Vec<usize> = lanes.iter().map(|l| l.pos).collect();
-            let row_maps = &row_maps;
-            let lane_attn = |r: usize| {
-                let pos = positions[r];
-                let total = pos + 1;
-                let rows = &row_maps[r];
-                // SAFETY: row r of each slab belongs to this task alone
-                // (see RowSlab); the slabs outlive the pool batch.
-                let srow = unsafe { scores_ptr.row_mut(r, total) };
-                // SAFETY: as above — disjoint ctx row r.
-                let crow = unsafe { ctx_ptr.row_mut(r, hidden) };
-                for h in 0..heads {
-                    let base = h * head_dim;
-                    let qrow = &q.row(r)[base..base + head_dim];
-                    for (j, s) in srow.iter_mut().enumerate() {
-                        *s = dot(qrow, &arena_ref.k_row(b, rows[j])[base..base + head_dim]) * scale;
-                    }
-                    softmax_row(srow);
-                    let out_row = &mut crow[base..base + head_dim];
-                    for (j, &w) in srow.iter().enumerate() {
-                        let vrow = &arena_ref.v_row(b, rows[j])[base..base + head_dim];
-                        for (o, &vv) in out_row.iter_mut().zip(vrow) {
-                            *o += w * vv;
-                        }
-                    }
-                }
-            };
-            if n > 1 {
-                let panics = pool.try_run(n, 1, lane_attn);
-                assert!(
-                    panics.is_empty(),
-                    "batch attention task panicked: {}",
-                    panics[0]
-                );
-            } else {
-                lane_attn(0);
-            }
-        }
-
-        bw.out_proj.forward_batch_into(&scratch.ctx, dtype, &mut scratch.attn_out);
-        fire_rows(lanes, &mut scratch.attn_out, b, LayerKind::OutProj, HookKind::LinearOutput, dtype, &mut scratch.stage);
-        add_inplace(&mut scratch.x, &scratch.attn_out);
-
-        // MLP sub-block: x = x + MLP(Norm(x)), engine tap order preserved.
-        normed_gained(config, &bw.mlp_norm, &scratch.x, lanes, &mut scratch.normed);
-        match config.style {
-            ArchStyle::OptStyle => {
-                let (fc1, fc2) = bw.fc.as_ref().expect("OPT-style block without FC");
-                fc1.forward_batch_into(&scratch.normed, dtype, &mut scratch.h);
-                fire_rows(lanes, &mut scratch.h, b, LayerKind::Fc1, HookKind::LinearOutput, dtype, &mut scratch.stage);
-                activate(config.activation, &mut scratch.h);
-                fire_rows(lanes, &mut scratch.h, b, LayerKind::Fc1, HookKind::ActivationOutput, dtype, &mut scratch.stage);
-                fc2.forward_batch_into(&scratch.h, dtype, &mut scratch.mlp_out);
-                fire_rows(lanes, &mut scratch.mlp_out, b, LayerKind::Fc2, HookKind::LinearOutput, dtype, &mut scratch.stage);
-            }
-            ArchStyle::LlamaStyle => {
-                let (gate, up, down) = bw.gated.as_ref().expect("Llama-style block without gated MLP");
-                gate.forward_batch_into(&scratch.normed, dtype, &mut scratch.h);
-                fire_rows(lanes, &mut scratch.h, b, LayerKind::GateProj, HookKind::LinearOutput, dtype, &mut scratch.stage);
-                up.forward_batch_into(&scratch.normed, dtype, &mut scratch.up);
-                fire_rows(lanes, &mut scratch.up, b, LayerKind::UpProj, HookKind::LinearOutput, dtype, &mut scratch.stage);
-                activate(config.activation, &mut scratch.h);
-                fire_rows(lanes, &mut scratch.h, b, LayerKind::GateProj, HookKind::ActivationOutput, dtype, &mut scratch.stage);
-                mul_inplace(&mut scratch.h, &scratch.up);
-                down.forward_batch_into(&scratch.h, dtype, &mut scratch.mlp_out);
-                fire_rows(lanes, &mut scratch.mlp_out, b, LayerKind::DownProj, HookKind::LinearOutput, dtype, &mut scratch.stage);
-            }
-        }
-        add_inplace(&mut scratch.x, &scratch.mlp_out);
-    }
-
-    // Final norm (no positional gain) and the batched LM head.
-    normed_into(config, &weights.final_norm, &scratch.x, &mut scratch.hidden);
+    // The batched LM head over the final-norm rows.
+    let logits = &mut scratch.walk.logits;
     weights
         .lm_head
-        .forward_batch_into(&scratch.hidden, dtype, &mut scratch.logits);
-    (0..n).map(|r| argmax(scratch.logits.row(r)) as u32).collect()
+        .forward_batch_into(&scratch.walk.hidden, config.dtype, logits);
+    (0..tokens.len())
+        .map(|r| argmax(logits.row(r)) as u32)
+        .collect()
+}
+
+/// Prefill `tokens` as positions `start_pos..` of `seq`, straight into its
+/// arena pages: one multi-row lane on the dense executor, attending to the
+/// rows `seq` already holds below `start_pos`. Pages are reserved as
+/// needed; positions `seq` already has are overwritten in place (KV
+/// rebuild). The hidden states land in `scratch.walk.hidden`.
+pub fn prefill<'a>(
+    model: &Model,
+    arena: &mut KvArena,
+    seq: &'a mut KvSeq,
+    tokens: &[u32],
+    start_pos: usize,
+    tap: Option<&'a mut dyn LayerTap>,
+    scratch: &mut BatchScratch,
+) {
+    while seq.len() < start_pos + tokens.len() {
+        seq.push(arena);
+    }
+    let lane = Lane {
+        rows: tokens.len(),
+        start_pos,
+        step: 0,
+        seq: &*seq,
+        tap,
+    };
+    let strict = KernelPolicy::Strict;
+    walk::dense_pass(model.config(), model.rope_table(), strict, lane, |pass| {
+        let slabs = arena.slabs_mut();
+        walk::walk(pass, model.weights(), tokens, slabs, &mut scratch.walk)
+    });
 }
 
 #[cfg(test)]
@@ -387,25 +206,86 @@ mod tests {
         (cache, tokens)
     }
 
-    /// Prefill a lane by copying the engine's prefill cache into the arena.
-    fn arena_prefill(
-        model: &Model,
-        arena: &mut KvArena,
-        seq: &mut KvSeq,
-        prompt: &[u32],
-    ) -> u32 {
-        let mut cache = KvCache::new(model.config());
-        let mut taps = TapList::new();
-        let hidden = model.forward_step(prompt, 0, 0, &mut cache, &mut taps);
-        for j in 0..prompt.len() {
-            let row = seq.push(arena);
-            for b in 0..cache.num_blocks() {
-                arena.k_row_mut(b, row).copy_from_slice(cache.block(b).k.row(j));
-                arena.v_row_mut(b, row).copy_from_slice(cache.block(b).v.row(j));
-            }
-        }
+    /// Prefill a lane's prompt into the arena, returning its first token.
+    fn arena_prefill(model: &Model, arena: &mut KvArena, seq: &mut KvSeq, prompt: &[u32]) -> u32 {
+        let mut scratch = BatchScratch::new();
+        prefill(model, arena, seq, prompt, 0, None, &mut scratch);
+        let hidden = &scratch.walk.hidden;
         let last = hidden.slice_rows(hidden.rows() - 1, hidden.rows());
         argmax(&model.logits(&last)) as u32
+    }
+
+    /// Identity (ii) of the layer walk: a prefill written straight into
+    /// arena pages — jointly, or as a joint head plus a second pass over
+    /// the rest — holds the rows the engine's `KvCache` holds, bit for bit,
+    /// across page boundaries, and ends in the same hidden row. The arena
+    /// is pre-fragmented so the sequence's pages are neither contiguous nor
+    /// in order. `scripts/verify.sh` runs this once more with
+    /// `FT2_NO_SIMD=1`.
+    #[test]
+    fn prefill_into_arena_pages_equals_the_engine_cache() {
+        use crate::arena::KV_PAGE;
+        let len = 2 * KV_PAGE + 5;
+        for config in [ModelConfig::tiny_opt(), ModelConfig::tiny_llama()] {
+            let model = Model::new(config);
+            let tokens: Vec<u32> = (0..len as u32).map(|i| (i * 7 + 3) % 90).collect();
+            let mut cache = KvCache::new(model.config());
+            let hidden = model.forward_step(&tokens, 0, 0, &mut cache, &mut TapList::new());
+
+            for head in [len, KV_PAGE - 3] {
+                let mut arena = KvArena::new(model.config().blocks, model.config().hidden);
+                let mut hole = KvSeq::new();
+                for _ in 0..3 * KV_PAGE {
+                    hole.push(&mut arena);
+                }
+                hole.release(&mut arena);
+                let mut seq = KvSeq::new();
+                let mut scratch = BatchScratch::new();
+                prefill(
+                    &model,
+                    &mut arena,
+                    &mut seq,
+                    &tokens[..head],
+                    0,
+                    None,
+                    &mut scratch,
+                );
+                if head < len {
+                    prefill(
+                        &model,
+                        &mut arena,
+                        &mut seq,
+                        &tokens[head..],
+                        head,
+                        None,
+                        &mut scratch,
+                    );
+                }
+                assert_eq!(seq.len(), len);
+                assert_ne!(seq.pages(), [0, 1, 2], "pages should be out of order");
+                for j in 0..len {
+                    let row = seq.row_of(j);
+                    for b in 0..cache.num_blocks() {
+                        assert_eq!(
+                            arena.k_row(b, row),
+                            cache.block(b).k.row(j),
+                            "K row {j} block {b}"
+                        );
+                        assert_eq!(
+                            arena.v_row(b, row),
+                            cache.block(b).v.row(j),
+                            "V row {j} block {b}"
+                        );
+                    }
+                }
+                let rows = scratch.walk.hidden.rows();
+                assert_eq!(
+                    scratch.walk.hidden.row(rows - 1),
+                    hidden.row(len - 1),
+                    "last hidden row"
+                );
+            }
+        }
     }
 
     #[test]
@@ -451,8 +331,16 @@ mod tests {
                 for j in 0..seqs[i].len() {
                     let row = seqs[i].row_of(j);
                     for b in 0..cache.num_blocks() {
-                        assert_eq!(arena.k_row(b, row), cache.block(b).k.row(j), "K row {j} block {b}");
-                        assert_eq!(arena.v_row(b, row), cache.block(b).v.row(j), "V row {j} block {b}");
+                        assert_eq!(
+                            arena.k_row(b, row),
+                            cache.block(b).k.row(j),
+                            "K row {j} block {b}"
+                        );
+                        assert_eq!(
+                            arena.v_row(b, row),
+                            cache.block(b).v.row(j),
+                            "V row {j} block {b}"
+                        );
                     }
                 }
             }

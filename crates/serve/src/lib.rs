@@ -12,10 +12,12 @@
 //!   [`arena::KvSeq`] maps a request's positions onto its pages, and
 //!   [`arena::KvGuard`] carries per-position CRC seals for the repair
 //!   rung. Requests allocate, roll back, and free pages independently.
-//! * [`engine`] — the batched decode step: [`engine::batch_step`] advances
-//!   every lane one token, bit-identical per lane to the single-sequence
-//!   engine (batched linears via the panel-major batch GEMM, lane-major
-//!   attention over the paged cache, per-lane taps in engine order).
+//! * [`engine`] — the serving passes of the layer walk
+//!   ([`ft2_model::walk`]): [`engine::batch_step`] advances every lane one
+//!   token and [`engine::prefill`] writes a prompt straight into a
+//!   request's arena pages — the engine's own code over the paged store
+//!   (batched linears via the panel-major batch GEMM, rows attending in
+//!   parallel, per-lane taps), so bit-identity per lane is by construction.
 //! * [`scheduler`] — the continuous-batching scheduler and per-request
 //!   recovery ladder: a storming lane rolls back and re-decodes its own
 //!   token while batchmates keep advancing; the repair rung sweeps the
@@ -53,8 +55,8 @@ pub mod server;
 pub mod storm;
 pub mod web;
 
-pub use arena::{KvArena, KvGuard, KvSeq, KV_PAGE};
-pub use engine::{batch_step, BatchLane, BatchScratch};
+pub use arena::{KvArena, KvGuard, KvSeq, KvSlab, KV_PAGE};
+pub use engine::{batch_step, prefill, BatchLane, BatchScratch};
 pub use event::{EventSink, ServeEvent};
 pub use replica::{
     HealthTracker, ReplicaCompletion, ReplicaConfig, ReplicaHealth, ReplicaSet, ReplicaSetStats,

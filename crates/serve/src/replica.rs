@@ -39,11 +39,12 @@
 //! the decode step and recovery ladder accept it, so a panic mid-step
 //! leaves every in-flight request with its exact accepted-token prefix.
 //! Failover re-admits that prefix on a survivor via
-//! [`Scheduler::try_resume`], which rebuilds KV by the same replay shape
-//! that produced the rows originally (joint prompt prefill plus one
-//! single-token step per accepted token) — so the continuation is
-//! **bit-identical** to the request's solo generation. No accepted token is
-//! ever lost or re-derived differently.
+//! [`Scheduler::try_resume`], which recomputes its KV in one tap-less
+//! prefill pass of the layer walk over prompt plus accepted tokens — rows
+//! bit-identical to the ones the dead replica held, however they were first
+//! produced — so the continuation is **bit-identical** to the request's
+//! solo generation. No accepted token is ever lost or re-derived
+//! differently.
 //!
 //! **Retry policy.** Failovers are typed and budgeted: each re-route burns
 //! one unit of the per-request [`RetryPolicy`] budget and waits out a

@@ -19,9 +19,10 @@
 //!    the single-sequence engine.
 //! 2. **Repair** — once the retry budget is exhausted, a policy with
 //!    `repair` set takes one repair rung: the lane's [`KvGuard`] seals are
-//!    swept, corrupted KV positions are rebuilt by a joint replay of the
-//!    lane's known tokens (bit-identical to the incremental rows, so clean
-//!    positions are untouched), and one extra re-decode is granted.
+//!    swept, the KV positions from the first broken seal on are recomputed
+//!    from the lane's known tokens in one prefill pass over the intact
+//!    prefix (bit-identical to the rows first written, whatever shape they
+//!    were written in), and one extra re-decode is granted.
 //! 3. **Evict** — a lane still storming after rollback and repair is
 //!    evicted with [`EvictReason::RetriesExhausted`]: its pages return to
 //!    the arena and its [`Completion`] reports the typed outcome. Eviction
@@ -35,10 +36,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::arena::{KvArena, KvGuard, KvSeq};
-use crate::engine::{batch_step, BatchLane, BatchScratch};
+use crate::engine::{batch_step, prefill, BatchLane, BatchScratch};
 use crate::event::{EventSink, ServeEvent};
-use ft2_model::engine::KvCache;
-use ft2_model::hooks::{AnomalyVerdict, LayerTap, TapList};
+use ft2_model::hooks::{AnomalyVerdict, LayerTap, StepReport};
 use ft2_model::{Model, RecoveryPolicy};
 use ft2_parallel::WorkStealingPool;
 use ft2_tensor::argmax;
@@ -338,10 +338,10 @@ impl Scheduler {
     }
 
     /// Admit a handed-off request: `accepted` tokens it was already
-    /// granted elsewhere are kept verbatim, and admission rebuilds its KV
-    /// by the exact replay shape the repair rung uses, so the continuation
-    /// is bit-identical to the request's solo generation. A request whose
-    /// prefix already covers `gen_tokens` completes immediately.
+    /// granted elsewhere are kept verbatim, and admission recomputes its KV
+    /// from them, so the continuation is bit-identical to the request's
+    /// solo generation. A request whose prefix already covers `gen_tokens`
+    /// completes immediately.
     pub fn try_resume(&mut self, req: Request, accepted: Vec<u32>) -> Result<(), SubmitError> {
         if req.prompt.is_empty() {
             return Err(SubmitError::EmptyPrompt);
@@ -428,20 +428,18 @@ impl Scheduler {
         std::mem::take(&mut self.completions)
     }
 
-    /// Prefill one queued request into a lane: run the prompt through the
-    /// single-sequence path (so its taps see the exact prefill the engine
-    /// would fire), copy the KV rows into the arena, and record the first
-    /// token. Prefill is never rolled back (engine parity) — a storm is
-    /// counted and the token accepted.
+    /// Prefill one queued request into a lane: one pass of the layer walk
+    /// over the prompt, straight into the lane's arena pages, with the
+    /// request's tap riding along (so it sees the exact prefill the engine
+    /// would fire), then the first token. Prefill is never rolled back
+    /// (engine parity) — a storm is counted and the token accepted.
     ///
-    /// A resumed request (non-empty handoff prefix) replays tap-less
-    /// instead: the joint prompt prefill plus one single-token step per
-    /// accepted token — exactly the [`Scheduler::rebuild_kv`] shape, and
-    /// exactly how the accepted rows were first produced — so the KV it
-    /// rebuilds is bit-identical to the failed replica's accepted state
-    /// and the continuation matches solo generation. The tap's own state
-    /// (rollback escalation etc.) travelled with the request and is not
-    /// re-fired for steps it already saw.
+    /// A resumed request (non-empty handoff prefix) instead prefills the
+    /// prompt plus its accepted tokens tap-less: the rows equal the failed
+    /// replica's accepted state bit for bit whatever mix of prefill and
+    /// decode steps first produced them, so the continuation matches solo
+    /// generation. The tap's own state (rollback escalation etc.) travelled
+    /// with the request and is not re-fired for steps it already saw.
     fn admit(&mut self, q: Queued) {
         let Queued { req, resume } = q;
         let admitted_at = Instant::now();
@@ -452,7 +450,7 @@ impl Scheduler {
             tap: req.tap,
             seq: KvSeq::new(),
             guard: self.config.kv_guard.then(KvGuard::new),
-            tokens: Vec::new(),
+            tokens: resume,
             token_ns: Vec::new(),
             admitted_at,
             redecodes: 0,
@@ -462,52 +460,29 @@ impl Scheduler {
             kv_repairs: 0,
             repair_retries: 0,
         };
-        let resuming = !resume.is_empty();
-        let mut cache = KvCache::new(self.model.config());
-        let mut taps = TapList::new();
-        if !resuming {
-            if let Some(tap) = ar.tap.as_deref_mut() {
-                taps.push(tap);
-            }
-        }
-        let hidden = self
-            .model
-            .forward_step(&ar.prompt, 0, 0, &mut cache, &mut taps);
-        let report = taps.end_step(0);
-        drop(taps);
-        if !resuming && report.verdict == AnomalyVerdict::Storm {
+        let resuming = !ar.tokens.is_empty();
+        // Every accepted token but the last gets its KV row here; the last
+        // is the next lane input, so its row is written by the coming batch
+        // step, preserving the invariant
+        // `seq.len() == prompt.len() + tokens.len() - 1`.
+        let replay;
+        let (known, tap): (&[u32], _) = if resuming {
+            replay = [&ar.prompt[..], &ar.tokens[..ar.tokens.len() - 1]].concat();
+            (&replay, None)
+        } else {
+            let tap = ar.tap.as_deref_mut().map(|tap| tap as &mut dyn LayerTap);
+            (&ar.prompt, tap)
+        };
+        prefill(&self.model, &mut self.arena, &mut ar.seq, known, 0, tap, &mut self.scratch);
+        let report = match ar.tap.as_deref_mut() {
+            Some(tap) if !resuming => tap.end_step(0),
+            _ => StepReport::default(),
+        };
+        if report.verdict == AnomalyVerdict::Storm {
             ar.storms += 1;
         }
-        if resuming {
-            // Replay each accepted token but the last as a single-token
-            // step; the last accepted token is the next lane input, so
-            // its KV row is written by the coming batch step, preserving
-            // the invariant `seq.len() == prompt.len() + tokens.len() - 1`.
-            ar.tokens = resume;
-            let plen = ar.prompt.len();
-            let mut replay_taps = TapList::new();
-            for j in 0..ar.tokens.len() - 1 {
-                let _ = self.model.forward_step(
-                    &[ar.tokens[j]],
-                    plen + j,
-                    j + 1,
-                    &mut cache,
-                    &mut replay_taps,
-                );
-            }
-        }
-        let kv_rows = ar.prompt.len() + ar.tokens.len().saturating_sub(1);
-        for j in 0..kv_rows {
-            let row = ar.seq.push(&mut self.arena);
-            for b in 0..cache.num_blocks() {
-                self.arena
-                    .k_row_mut(b, row)
-                    .copy_from_slice(cache.block(b).k.row(j));
-                self.arena
-                    .v_row_mut(b, row)
-                    .copy_from_slice(cache.block(b).v.row(j));
-            }
-            if let Some(guard) = &mut ar.guard {
+        if let Some(guard) = &mut ar.guard {
+            for j in 0..ar.seq.len() {
                 guard.seal(&self.arena, &ar.seq, j);
             }
         }
@@ -515,13 +490,14 @@ impl Scheduler {
             sink.emit(ServeEvent::Admitted {
                 replica: sink.replica(),
                 id: ar.id,
-                resumed: if resuming { ar.tokens.len() } else { 0 },
+                resumed: ar.tokens.len(),
             });
         }
         if resuming {
             let now = admitted_at.elapsed().as_nanos() as u64;
             ar.token_ns.resize(ar.tokens.len(), now);
         } else {
+            let hidden = &self.scratch.walk.hidden;
             let last = hidden.slice_rows(hidden.rows() - 1, hidden.rows());
             let first = argmax(&self.model.logits(&last)) as u32;
             ar.tokens.push(first);
@@ -547,37 +523,26 @@ impl Scheduler {
         }
     }
 
-    /// Rebuild this lane's KV positions `from..seq.len()` by replaying its
-    /// known tokens (prompt plus accepted tokens) exactly as the rows were
-    /// first produced — a joint prefill for the prompt, single-token steps
-    /// for decode positions. The kernel path depends on row count, so only
-    /// this replay shape is bit-identical to the rows it replaces (a joint
-    /// replay of everything would perturb clean positions in the last
-    /// bits and break the token-identity contract). Returns positions
-    /// rebuilt.
-    fn rebuild_kv(model: &Model, arena: &mut KvArena, ar: &mut ActiveRequest, from: usize) -> usize {
+    /// Rebuild this lane's KV positions `from..seq.len()` from its known
+    /// tokens (prompt plus accepted tokens): one tap-less prefill pass over
+    /// those positions, attending to the prefix below `from` (whose seals
+    /// held) and overwriting the suspect rows in place. On a tap-less
+    /// request the rebuilt rows are bit-identical to the ones first written
+    /// — by a joint prefill, by single-token decode steps, or by any mix
+    /// (`rebuild_restores_rows_bit_for_bit`). Returns positions rebuilt.
+    fn rebuild_kv(
+        model: &Model,
+        arena: &mut KvArena,
+        scratch: &mut BatchScratch,
+        ar: &mut ActiveRequest,
+        from: usize,
+    ) -> usize {
         let len = ar.seq.len();
         if from >= len {
             return 0;
         }
-        let plen = ar.prompt.len().min(len);
-        let mut cache = KvCache::new(model.config());
-        let mut taps = TapList::new();
-        let _ = model.forward_step(&ar.prompt[..plen], 0, 0, &mut cache, &mut taps);
-        for j in plen..len {
-            let _ = model.forward_step(&[ar.token_at(j)], j, j - plen + 1, &mut cache, &mut taps);
-        }
-        for j in from..len {
-            let row = ar.seq.row_of(j);
-            for b in 0..cache.num_blocks() {
-                arena
-                    .k_row_mut(b, row)
-                    .copy_from_slice(cache.block(b).k.row(j));
-                arena
-                    .v_row_mut(b, row)
-                    .copy_from_slice(cache.block(b).v.row(j));
-            }
-        }
+        let known: Vec<u32> = (from..len).map(|j| ar.token_at(j)).collect();
+        prefill(model, arena, &mut ar.seq, &known, from, None, scratch);
         if let Some(guard) = &mut ar.guard {
             for j in from..len {
                 guard.reseal(arena, &ar.seq, j);
@@ -667,7 +632,13 @@ impl Scheduler {
                         .and_then(|g| g.verify(&self.arena, &ar.seq));
                     let mut rebuilt = 0;
                     if let Some(bad) = bad {
-                        rebuilt = Self::rebuild_kv(&self.model, &mut self.arena, ar, bad);
+                        rebuilt = Self::rebuild_kv(
+                            &self.model,
+                            &mut self.arena,
+                            &mut self.scratch,
+                            ar,
+                            bad,
+                        );
                         ar.kv_repairs += rebuilt;
                     }
                     ar.repair_retries += 1;
@@ -751,5 +722,78 @@ impl Scheduler {
     pub fn run(&mut self, pool: &WorkStealingPool) -> Vec<Completion> {
         while self.step(pool) {}
         self.drain_completions()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ft2_model::ModelConfig;
+
+    /// Identity (iii) of the layer walk: on a tap-less request,
+    /// `rebuild_kv` from a mid-sequence position restores rows
+    /// bit-identical to the ones it replaces — rows first written by a
+    /// joint prefill (the prompt) and by two-lane batched decode steps (the
+    /// rest) come back from one prefill pass over the suffix. The
+    /// batchmate's rows and every seal are untouched. `scripts/verify.sh`
+    /// runs this once more with `FT2_NO_SIMD=1`.
+    #[test]
+    fn rebuild_restores_rows_bit_for_bit() {
+        let pool = WorkStealingPool::new(2);
+        for config in [ModelConfig::tiny_opt(), ModelConfig::tiny_llama()] {
+            let blocks = config.blocks;
+            let mut sched = Scheduler::new(Arc::new(Model::new(config)), ServeConfig::default());
+            for (id, plen) in [(0u64, 20u32), (1, 9)] {
+                let prompt = (0..plen).map(|i| (i * 5 + id as u32) % 90).collect();
+                let req = Request {
+                    id,
+                    prompt,
+                    gen_tokens: 30,
+                    tap: None,
+                };
+                sched.try_submit(req).unwrap();
+            }
+            for _ in 0..15 {
+                assert!(sched.step(&pool));
+            }
+            let rows_of = |sched: &Scheduler, lane: usize| -> Vec<Vec<f32>> {
+                let seq = &sched.active[lane].seq;
+                (0..seq.len())
+                    .flat_map(|j| (0..blocks).map(move |b| (seq.row_of(j), b)))
+                    .flat_map(|(row, b)| [sched.arena.k_row(b, row), sched.arena.v_row(b, row)])
+                    .map(<[f32]>::to_vec)
+                    .collect()
+            };
+            let (clean, mate) = (rows_of(&sched, 0), rows_of(&sched, 1));
+            let len = sched.active[0].seq.len();
+            assert_eq!(len, 20 + 15, "prompt rows plus one row per decode step");
+
+            // From inside the prompt, its last row, the first decode row, a
+            // later one, and the tail.
+            for from in [0, 7, 19, 20, 28, len - 1] {
+                for j in from..len {
+                    let row = sched.active[0].seq.row_of(j);
+                    for b in 0..blocks {
+                        sched.arena.k_row_mut(b, row)[j % 8] += 3.0;
+                        sched.arena.v_row_mut(b, row).fill(f32::NAN);
+                    }
+                }
+                let Scheduler {
+                    model,
+                    arena,
+                    scratch,
+                    active,
+                    ..
+                } = &mut sched;
+                let rebuilt = Scheduler::rebuild_kv(model, arena, scratch, &mut active[0], from);
+                assert_eq!(rebuilt, len - from);
+                assert_eq!(rows_of(&sched, 0), clean, "rebuild from {from}");
+                assert_eq!(rows_of(&sched, 1), mate, "batchmate after rebuild from {from}");
+                for ar in &sched.active {
+                    let guard = ar.guard.as_ref().expect("the default config seals");
+                    assert_eq!(guard.verify(&sched.arena, &ar.seq), None);
+                }
+            }
+        }
     }
 }

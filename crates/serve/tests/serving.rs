@@ -236,11 +236,6 @@ fn server_serves_concurrent_submissions_end_to_end() {
     assert_eq!(server.submit(vec![], 4, None), Err(SubmitError::EmptyPrompt));
 }
 
-/// Threads currently alive in this process (Linux: /proc/self/task).
-fn live_threads() -> usize {
-    std::fs::read_dir("/proc/self/task").map_or(0, |d| d.count())
-}
-
 #[test]
 fn shutdown_gracefully_drains_every_submitted_request() {
     let model = model();
@@ -307,28 +302,4 @@ fn idle_shutdown_joins_cleanly() {
     let model = model();
     let server = Server::spawn(Arc::clone(&model), ServeConfig::default(), 2);
     assert!(server.shutdown().is_empty());
-}
-
-#[test]
-fn repeated_start_stop_cycles_leak_no_threads() {
-    let model = model();
-    // Warm up once so lazily-spawned process-wide threads don't skew the
-    // baseline.
-    drop(Server::spawn(Arc::clone(&model), ServeConfig::default(), 2));
-    let baseline = live_threads();
-    for cycle in 0..8 {
-        let server = Server::spawn(Arc::clone(&model), ServeConfig::default(), 2);
-        let id = server.submit(PROMPTS[0].to_vec(), 3, None).unwrap();
-        let done = server.shutdown();
-        assert!(
-            done.iter().any(|c| c.id == id),
-            "cycle {cycle}: request accounted for"
-        );
-    }
-    // Worker + pool threads must all be joined each cycle.
-    let after = live_threads();
-    assert!(
-        after <= baseline,
-        "start/stop cycles leaked threads: {baseline} -> {after}"
-    );
 }

@@ -34,5 +34,5 @@ pub use matrix::{DType, Matrix};
 pub use seam::{matmul_transb_cols_f64, reduce_seam_into};
 pub use ops::{
     add_bias_inplace, add_inplace, argmax, gelu_inplace, layer_norm, relu_inplace, rms_norm,
-    scale_inplace, silu_inplace, softmax_rows,
+    scale_inplace, silu_inplace, softmax_inplace, softmax_rows,
 };

@@ -181,6 +181,13 @@ impl Matrix {
         self.rows += other.rows;
     }
 
+    /// Append one row (`cols` elements) to this matrix.
+    pub fn push_row(&mut self, row: &[f32]) {
+        assert_eq!(self.cols, row.len(), "column mismatch in push_row");
+        self.data.extend_from_slice(row);
+        self.rows += 1;
+    }
+
     /// Drop all rows past `rows`, keeping the leading prefix — the inverse
     /// of [`Matrix::append_rows`] (KV-cache rollback restores a snapshot by
     /// truncating back to the snapshotted length).

@@ -8,26 +8,32 @@
 
 use crate::matrix::Matrix;
 
-/// Numerically-stable row-wise softmax, in place.
+/// Numerically-stable softmax of one row, in place: max-subtract, exp,
+/// single-pass sum, multiply by the reciprocal. The one softmax in the
+/// workspace — [`softmax_rows`] and the attention core both call it, so a
+/// row's weights do not depend on which of them computed it.
+pub fn softmax_inplace(row: &mut [f32]) {
+    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0f32;
+    for v in row.iter_mut() {
+        *v = (*v - max).exp();
+        sum += *v;
+    }
+    // A zero/NaN sum (all -inf, or NaN contamination) yields NaN weights,
+    // matching real softmax behaviour under corruption.
+    let inv = 1.0 / sum;
+    for v in row.iter_mut() {
+        *v *= inv;
+    }
+}
+
+/// [`softmax_inplace`] over every row of `m`.
 pub fn softmax_rows(m: &mut Matrix) {
-    let cols = m.cols();
-    if cols == 0 {
+    if m.cols() == 0 {
         return;
     }
     for r in 0..m.rows() {
-        let row = m.row_mut(r);
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0f32;
-        for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
-        }
-        // A zero/NaN sum (all -inf, or NaN contamination) yields NaN weights,
-        // matching real softmax behaviour under corruption.
-        let inv = 1.0 / sum;
-        for v in row.iter_mut() {
-            *v *= inv;
-        }
+        softmax_inplace(m.row_mut(r));
     }
 }
 

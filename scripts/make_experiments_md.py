@@ -256,11 +256,13 @@ catch at 48-64 hidden dimensions. The per-cell grid is in
     out.append(
         """\n## Test and benchmark artifacts
 
-`test_output.txt` (full `cargo test --workspace`) and `bench_output.txt`
-(`cargo bench --workspace`: GEMM throughput, generation latency split,
-protection overhead per scheme, campaign throughput vs thread count, and
-offline-profiling cost vs FT2's free online bounds) are recorded at the
-repository root.\n"""
+`cargo test --workspace` runs every suite; `benchmark/run.sh` prints the
+measured counterparts of the paper's cost figures — GEMM throughput
+(`tensor.gemm.*`), the generation latency split (`model.prefill.*`,
+`model.decode.*`), FT2's overhead (`core.protect.overhead_pct`,
+`core.protect.profile_overhead_pct`) and campaign throughput (`trials_s`,
+`fault.trial_us_*`). Neither output is committed: both are reproduced by
+the one command.\n"""
     )
     sys.stdout.write("".join(out))
 

@@ -15,6 +15,50 @@ cargo clippy --workspace --all-targets --offline --locked -- -D warnings
 echo "== cargo test (offline, locked) =="
 cargo test -q --workspace --offline --locked
 
+echo "== layer-walk identity tests under the portable kernel (FT2_NO_SIMD=1) =="
+# The run above exercised the identity tests that carry the one-walk design
+# under the kernel this CPU selects (AVX2+FMA where present). The claim is
+# about both kernels, so run them once more in child processes with the
+# SIMD path disabled — and make sure the filters still match: `cargo test`
+# passes on zero tests.
+identity_no_simd() {
+    want="$1"
+    shift
+    out="$(FT2_NO_SIMD=1 cargo test -q --offline --locked "$@" 2>&1)" || {
+        echo "$out" >&2
+        exit 1
+    }
+    echo "$out" | grep -q "test result: ok. $want passed" || {
+        echo "verify: expected $want identity tests to run under FT2_NO_SIMD=1" >&2
+        echo "$out" >&2
+        exit 1
+    }
+}
+identity_no_simd 1 -p ft2-model --test engine_invariants \
+    joint_prefill_equals_incremental_prefill_bit_for_bit
+identity_no_simd 3 -p ft2-serve --lib -- \
+    prefill_into_arena_pages_equals_the_engine_cache \
+    rebuild_restores_rows_bit_for_bit \
+    batched_decode_is_bit_identical_to_the_engine
+
+echo "== benchmark (its own tests, then all six workloads with the checker on) =="
+# benchmark/ is a standalone package outside the workspace, so nothing above
+# notices when a crate change breaks its build or its per-operation checker.
+# The smoke run is ~10 s after the build; every workload must report a
+# correct run with no failed operation.
+bash benchmark/run.sh --test
+SMOKE_TMP="$(mktemp)"
+bash benchmark/run.sh --smoke > "$SMOKE_TMP"
+for pat in '"correct": true' '| attempted [0-9]* failed 0 |'; do
+    n="$(grep -c "$pat" "$SMOKE_TMP" || true)"
+    [ "$n" -eq 6 ] || {
+        echo "verify: benchmark smoke: $n of 6 workloads match '$pat'" >&2
+        cat "$SMOKE_TMP" >&2
+        exit 1
+    }
+done
+rm -f "$SMOKE_TMP"
+
 echo "== static analysis (source + concurrency lints + coverage + shutdown proofs) =="
 # The in-tree analyser must pass on the real tree: zero lint findings, zero
 # unprotected critical layers across all seven zoo configs, every outcome

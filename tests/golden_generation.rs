@@ -4,7 +4,7 @@
 //! the scratch-reuse/SIMD kernels and must never drift: any kernel or engine
 //! change that alters a fault-free token stream silently invalidates every
 //! campaign's reference outputs (and with them all SDC/DUE rates). The
-//! prompts are the `ft2-bench` fixtures — `generate_prompts(Squad, 2,
+//! prompts are the `ft2-repro bench` fixtures — `generate_prompts(Squad, 2,
 //! 0xBE7C4)` — with 16 generated tokens, so the pinned shapes are exactly
 //! the benchmarked ones.
 
