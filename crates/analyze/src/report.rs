@@ -1,8 +1,7 @@
 //! Finding types and the machine-readable analysis report.
 //!
-//! The JSON document is schema-stable in the same sense as
-//! `BENCH_decode.json`: `scripts/verify.sh` greps its keys, so renaming or
-//! dropping one is a CI-visible change, not a silent one.
+//! The JSON document is schema-stable: `scripts/verify.sh` greps its keys,
+//! so renaming or dropping one is a CI-visible change, not a silent one.
 
 use crate::concurrency::ConcurrencyReport;
 use crate::coverage::CoverageReport;

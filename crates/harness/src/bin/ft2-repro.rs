@@ -15,48 +15,42 @@
 //!   events. Crashed trials are listed by campaigns as seed/input/trial
 //!   pointers for exactly this command.
 //!
-//! ft2-repro bench [--json] [--out PATH]
-//!   measures prefill tok/s, decode tok/s and unprotected campaign trials/s
-//!   on fixed fixtures; --json writes the schema-stable
-//!   BENCH_decode.json baseline CI gates perf regressions against.
-//!   Sizing: FT2_BENCH_REPS, FT2_BENCH_GEN, FT2_BENCH_TRIALS, FT2_QUICK=1.
-//!
-//! ft2-repro shards [--json] [--out PATH] [--smoke]
-//!   sharded-execution sweep: for each swept zoo config and shard count,
-//!   proves fault-free N-shard decode is token-identical to 1-shard,
+//! ft2-repro shards [--smoke]
+//!   sharded-execution gate: for each swept zoo config and shard count,
+//!   checks that fault-free N-shard decode is token-identical to 1-shard,
 //!   shard-level repair clears a persistent shard fault cheaper than a
 //!   full restart, and a one-shard crash with degrade keeps serving
-//!   (reported Outcome::Degraded, never silent). --json writes the
-//!   schema-stable BENCH_shards.json baseline. Knobs: FT2_SHARDS,
-//!   FT2_SHARD_DEGRADE=1, FT2_SHARD_HEARTBEAT_MS, FT2_QUICK=1.
+//!   (reported Outcome::Degraded, never silent). Knobs: FT2_SHARDS,
+//!   FT2_SHARD_DEGRADE=1, FT2_SHARD_HEARTBEAT_MS.
 //!
-//! ft2-repro serve [--json] [--out PATH] [--smoke] [--web]
-//!   continuous-batching serving gate: requests/s, accepted tok/s, TTFT
-//!   and decode-only p50/p99 token latency for batch sizes {1, 4, 8},
-//!   batch-N vs solo token identity on fault-free traffic, and a
-//!   per-request fault storm (one lane of a batch-4 run) that must heal
-//!   by rollback while every clean request stays token-identical —
-//!   clean-request p99 inflation is reported. --json writes the
-//!   schema-stable BENCH_serve.json baseline. --web instead serves
+//! ft2-repro serve [--smoke] [--web]
+//!   continuous-batching serving gate: batch-N vs solo token identity on
+//!   fault-free traffic for batch sizes {1, 4, 8}, and a per-request
+//!   fault storm (one lane of a batch-4 run) that must heal by rollback
+//!   while every request stays token-identical. --web instead serves
 //!   continuous live traffic behind a zero-dependency HTTP/SSE endpoint:
 //!   GET / is an embedded viewer (verdict-colored tokens, per-block
 //!   heatmap, recovery markers, replica health), GET /events streams the
 //!   scheduler's decisions as Server-Sent Events, and POST /inject takes
 //!   live fault specs (kind=flip&block=2, kind=crash&replica=0, ...).
-//!   Knobs: FT2_SERVE_MAX_BATCH, FT2_SERVE_QUEUE_DEPTH, FT2_BENCH_GEN,
-//!   FT2_WEB_ADDR, FT2_WEB_MAX_CLIENTS, FT2_QUICK=1.
+//!   Knobs: FT2_SERVE_MAX_BATCH, FT2_SERVE_QUEUE_DEPTH, FT2_WEB_ADDR,
+//!   FT2_WEB_MAX_CLIENTS, FT2_QUICK=1.
 //!
-//! ft2-repro replicas [--json] [--out PATH] [--smoke]
+//! ft2-repro replicas [--smoke]
 //!   cross-replica failover gate: a replica crash mid-batch hands its
 //!   in-flight requests over with zero accepted-token loss and
 //!   bit-identical continuations (typed FailedOver outcomes), a
 //!   persistent one-replica activation storm trips the breaker into
-//!   quarantine while clean requests stay identical (clean-replica p99
-//!   inflation reported), and the quarantined replica rebuilds its
-//!   weights live from the golden copy and rejoins faster than a full
-//!   restart. --json writes the schema-stable BENCH_replicas.json
-//!   baseline. Knobs: FT2_REPLICAS, FT2_REPLICA_RETRY_BUDGET,
-//!   FT2_REPLICA_BACKOFF_MS, FT2_REPLICA_QUARANTINE_ERRS, FT2_QUICK=1.
+//!   quarantine while every request stays identical, and the quarantined
+//!   replica rebuilds its weights live from the golden copy and rejoins
+//!   faster than a full restart. Knobs: FT2_REPLICAS,
+//!   FT2_REPLICA_RETRY_BUDGET, FT2_REPLICA_BACKOFF_MS,
+//!   FT2_REPLICA_QUARANTINE_ERRS, FT2_QUICK=1.
+//!
+//!   The three gates print one pass/FAIL row per guarantee and exit
+//!   non-zero if any fails. They time nothing beyond the two
+//!   repair-vs-restart comparisons: throughput and latency are measured
+//!   by `bash benchmark/run.sh` (metric names in BENCHMARK.json).
 //!
 //! ft2-repro lint [--json] [--root PATH]
 //!   static analysis: the repo-specific source lints (unsafe-safety,
@@ -81,11 +75,7 @@
 
 use ft2_harness::experiments::replay::ReplaySpec;
 use ft2_harness::experiments::{self, ExperimentCtx};
-use ft2_harness::{
-    bench, lint, replicas, serve, shards, webserve, BENCH_BASELINE_PATH,
-    REPLICAS_BASELINE_PATH, SERVE_BASELINE_PATH, SHARDS_BASELINE_PATH,
-};
-use std::path::PathBuf;
+use ft2_harness::{gate_passes, gate_table, lint, webserve, Gate, GATES};
 use std::time::Instant;
 
 const EXPERIMENTS: &[&str] = &[
@@ -177,81 +167,23 @@ fn run_replay(args: &[String]) -> Result<(), String> {
     experiments::replay::run(&ctx, &spec)
 }
 
-fn run_bench(args: &[String]) -> Result<(), String> {
-    let mut json = false;
-    let mut out = PathBuf::from(BENCH_BASELINE_PATH);
-    let mut rest = args.iter();
-    while let Some(key) = rest.next() {
-        match key.as_str() {
-            "--json" => json = true,
-            "--out" => {
-                out = PathBuf::from(
-                    rest.next().ok_or("option --out needs a value")?,
-                );
-            }
-            other => return Err(format!("unknown bench option {other}")),
+/// Parse a gate's options into `(smoke, web)`: `--smoke` on every gate,
+/// `--web` on `serve` only. Anything else is a usage error (exit 2).
+fn parse_gate_args(gate: &str, args: &[String]) -> Result<(bool, bool), String> {
+    let (mut smoke, mut web) = (false, false);
+    for arg in args {
+        match arg.as_str() {
+            "--smoke" => smoke = true,
+            "--web" if gate == "serve" => web = true,
+            other => return Err(format!("unknown {gate} option {other}")),
         }
     }
-    let pool = ft2_parallel::WorkStealingPool::with_default_threads();
-    let t0 = Instant::now();
-    let report = bench::run(&pool);
-    eprintln!("### bench done in {:.1?}", t0.elapsed());
-    println!("{}", report.summary());
-    if json {
-        bench::write_json(&report, &out)?;
-        println!("wrote {}", out.display());
-    }
-    Ok(())
+    Ok((smoke, web))
 }
 
-fn run_shards(args: &[String]) -> Result<bool, String> {
-    let mut json = false;
-    let mut smoke = false;
-    let mut out = PathBuf::from(SHARDS_BASELINE_PATH);
-    let mut rest = args.iter();
-    while let Some(key) = rest.next() {
-        match key.as_str() {
-            "--json" => json = true,
-            "--smoke" => smoke = true,
-            "--out" => {
-                out = PathBuf::from(
-                    rest.next().ok_or("option --out needs a value")?,
-                );
-            }
-            other => return Err(format!("unknown shards option {other}")),
-        }
-    }
-    let pool = ft2_parallel::WorkStealingPool::with_default_threads();
-    let t0 = Instant::now();
-    let report = shards::run(&pool, smoke);
-    eprintln!("### shards done in {:.1?}", t0.elapsed());
-    println!("{}", report.summary());
-    if json {
-        shards::write_json(&report, &out)?;
-        println!("wrote {}", out.display());
-    }
-    Ok(report.ok())
-}
-
-fn run_serve(args: &[String]) -> Result<bool, String> {
-    let mut json = false;
-    let mut smoke = false;
-    let mut web = false;
-    let mut out = PathBuf::from(SERVE_BASELINE_PATH);
-    let mut rest = args.iter();
-    while let Some(key) = rest.next() {
-        match key.as_str() {
-            "--json" => json = true,
-            "--smoke" => smoke = true,
-            "--web" => web = true,
-            "--out" => {
-                out = PathBuf::from(
-                    rest.next().ok_or("option --out needs a value")?,
-                );
-            }
-            other => return Err(format!("unknown serve option {other}")),
-        }
-    }
+/// Run one gate; `Ok(false)` when a guarantee failed.
+fn run_gate(gate: &str, run: Gate, args: &[String]) -> Result<bool, String> {
+    let (smoke, web) = parse_gate_args(gate, args)?;
     let pool = ft2_parallel::WorkStealingPool::with_default_threads();
     if web {
         let config = webserve::WebServeConfig::from_env();
@@ -270,44 +202,9 @@ fn run_serve(args: &[String]) -> Result<bool, String> {
         );
         return Ok(stats.identity_ok);
     }
-    let t0 = Instant::now();
-    let report = serve::run(&pool, smoke);
-    eprintln!("### serve done in {:.1?}", t0.elapsed());
-    println!("{}", report.summary());
-    if json {
-        serve::write_json(&report, &out)?;
-        println!("wrote {}", out.display());
-    }
-    Ok(report.ok())
-}
-
-fn run_replicas(args: &[String]) -> Result<bool, String> {
-    let mut json = false;
-    let mut smoke = false;
-    let mut out = PathBuf::from(REPLICAS_BASELINE_PATH);
-    let mut rest = args.iter();
-    while let Some(key) = rest.next() {
-        match key.as_str() {
-            "--json" => json = true,
-            "--smoke" => smoke = true,
-            "--out" => {
-                out = PathBuf::from(
-                    rest.next().ok_or("option --out needs a value")?,
-                );
-            }
-            other => return Err(format!("unknown replicas option {other}")),
-        }
-    }
-    let pool = ft2_parallel::WorkStealingPool::with_default_threads();
-    let t0 = Instant::now();
-    let report = replicas::run(&pool, smoke);
-    eprintln!("### replicas done in {:.1?}", t0.elapsed());
-    println!("{}", report.summary());
-    if json {
-        replicas::write_json(&report, &out)?;
-        println!("wrote {}", out.display());
-    }
-    Ok(report.ok())
+    let checks = run(&pool, smoke);
+    gate_table(&format!("{gate} gate"), &checks).print();
+    Ok(gate_passes(&checks))
 }
 
 fn main() {
@@ -319,33 +216,28 @@ fn main() {
         println!("         source lints + the protection-coverage proof; non-zero exit");
         println!("         on any finding, unprotected critical layer, unpriced outcome");
         println!("         or mishandled checkpoint version");
-        println!("       ft2-repro bench [--json] [--out PATH]");
-        println!("         measures prefill/decode tok/s and campaign trials/s on the");
-        println!("         fixed fixtures; --json writes a schema-stable baseline");
-        println!("         ({BENCH_BASELINE_PATH} by default) for perf-regression gating;");
-        println!("         sizing via FT2_BENCH_REPS, FT2_BENCH_GEN, FT2_BENCH_TRIALS, FT2_QUICK=1");
-        println!("       ft2-repro shards [--json] [--out PATH] [--smoke]");
-        println!("         sharded-execution sweep: N-shard token identity, shard-level");
-        println!("         repair vs full restart, crash + degraded-mode serving; --json");
-        println!("         writes the schema-stable {SHARDS_BASELINE_PATH} baseline;");
+        println!("       ft2-repro shards [--smoke]");
+        println!("         sharded-execution gate: N-shard token identity, shard-level");
+        println!("         repair vs full restart, crash + degraded-mode serving;");
         println!("         knobs: FT2_SHARDS, FT2_SHARD_DEGRADE=1, FT2_SHARD_HEARTBEAT_MS");
-        println!("       ft2-repro serve [--json] [--out PATH] [--smoke] [--web]");
-        println!("         continuous-batching serving gate: requests/s, TTFT and decode-only");
-        println!("         p50/p99 token latency for batch sizes {{1, 4, 8}}, batch-vs-solo");
-        println!("         token identity, and clean-request p99 inflation under a");
-        println!("         per-request fault storm; --json writes the schema-stable");
-        println!("         {SERVE_BASELINE_PATH} baseline; --web serves live traffic behind");
-        println!("         an HTTP/SSE endpoint (embedded viewer on GET /, event stream on");
-        println!("         GET /events, live fault injection on POST /inject);");
-        println!("         knobs: FT2_SERVE_MAX_BATCH, FT2_SERVE_QUEUE_DEPTH, FT2_BENCH_GEN,");
-        println!("         FT2_WEB_ADDR, FT2_WEB_MAX_CLIENTS");
-        println!("       ft2-repro replicas [--json] [--out PATH] [--smoke]");
+        println!("       ft2-repro serve [--smoke] [--web]");
+        println!("         continuous-batching serving gate: batch-vs-solo token identity");
+        println!("         for batch sizes {{1, 4, 8}} and a per-request fault storm that");
+        println!("         must heal by rollback with every request still identical;");
+        println!("         --web serves live traffic behind an HTTP/SSE endpoint (embedded");
+        println!("         viewer on GET /, event stream on GET /events, live fault");
+        println!("         injection on POST /inject);");
+        println!("         knobs: FT2_SERVE_MAX_BATCH, FT2_SERVE_QUEUE_DEPTH, FT2_WEB_ADDR,");
+        println!("         FT2_WEB_MAX_CLIENTS");
+        println!("       ft2-repro replicas [--smoke]");
         println!("         cross-replica failover gate: zero-token-loss bit-identical");
         println!("         crash handoff, breaker-driven quarantine under a one-replica");
         println!("         storm, and live golden-copy rebuild that beats a full restart;");
-        println!("         --json writes the schema-stable {REPLICAS_BASELINE_PATH} baseline;");
         println!("         knobs: FT2_REPLICAS, FT2_REPLICA_RETRY_BUDGET,");
         println!("         FT2_REPLICA_BACKOFF_MS, FT2_REPLICA_QUARANTINE_ERRS");
+        println!("       the three gates print one pass/FAIL row per guarantee and exit");
+        println!("       non-zero if any fails; throughput and latency are measured by");
+        println!("       `bash benchmark/run.sh` (metric names in BENCHMARK.json)");
         println!("experiments: {}", EXPERIMENTS.join(" "));
         println!("sizing via env: FT2_INPUTS, FT2_TRIALS, FT2_SEED, FT2_QUICK=1");
         println!("resilience: --resume (or FT2_RESUME=1) resumes interrupted campaigns;");
@@ -364,51 +256,15 @@ fn main() {
         return;
     }
 
-    if args[0] == "bench" {
-        if let Err(e) = run_bench(&args[1..]) {
-            eprintln!("bench failed: {e}");
-            std::process::exit(2);
-        }
-        return;
-    }
-
-    if args[0] == "shards" {
-        match run_shards(&args[1..]) {
+    if let Some((gate, run)) = GATES.iter().find(|(name, _)| *name == args[0]) {
+        match run_gate(gate, *run, &args[1..]) {
             Ok(true) => return,
             Ok(false) => {
-                eprintln!("shards sweep failed a guarantee — see the summary above");
+                eprintln!("{gate} gate failed a guarantee — see the FAIL rows above");
                 std::process::exit(1);
             }
             Err(e) => {
-                eprintln!("shards failed: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    if args[0] == "serve" {
-        match run_serve(&args[1..]) {
-            Ok(true) => return,
-            Ok(false) => {
-                eprintln!("serving gate failed a guarantee — see the summary above");
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("serve failed: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    if args[0] == "replicas" {
-        match run_replicas(&args[1..]) {
-            Ok(true) => return,
-            Ok(false) => {
-                eprintln!("replicas gate failed a guarantee — see the summary above");
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("replicas failed: {e}");
+                eprintln!("{gate} failed: {e}");
                 std::process::exit(2);
             }
         }
@@ -456,4 +312,35 @@ fn main() {
         }
     }
     eprintln!("all requested experiments finished in {:.1?}", t0.elapsed());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn gates_take_smoke_and_reject_everything_else() {
+        for (gate, _) in GATES {
+            assert_eq!(parse_gate_args(gate, &[]), Ok((false, false)));
+            assert_eq!(parse_gate_args(gate, &args(&["--smoke"])), Ok((true, false)));
+            for bad in [&["--json"][..], &["--out", "x"], &["--smoke", "--frobnicate"]] {
+                let err = parse_gate_args(gate, &args(bad)).expect_err("must be rejected");
+                let flag = bad.iter().find(|a| **a != "--smoke").unwrap();
+                assert_eq!(err, format!("unknown {gate} option {flag}"));
+            }
+        }
+        assert_eq!(parse_gate_args("serve", &args(&["--web"])), Ok((false, true)));
+        assert!(parse_gate_args("shards", &args(&["--web"])).is_err());
+        assert!(parse_gate_args("replicas", &args(&["--web"])).is_err());
+    }
+
+    #[test]
+    fn bench_is_an_unknown_experiment() {
+        assert!(GATES.iter().all(|(name, _)| *name != "bench"));
+        assert!(!run_one(&ExperimentCtx::new(), "bench"));
+    }
 }

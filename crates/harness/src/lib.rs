@@ -5,15 +5,15 @@
 //! evaluation, shared experiment plumbing, and plain-text/CSV report
 //! writers. The `ft2-repro` binary (in `src/bin`) exposes each driver as a
 //! subcommand; `ft2-repro all` regenerates everything and writes CSV
-//! artifacts under `results/`.
+//! artifacts under `results/`. The `serve`, `shards` and `replicas`
+//! subcommands are correctness gates ([`GATES`]); they measure nothing —
+//! that is `benchmark/`'s job.
 //!
 //! Experiment sizes default to a few minutes of CPU time and scale up via
 //! `FT2_INPUTS` / `FT2_TRIALS` (see [`Settings`]). All campaigns are
 //! deterministic in `FT2_SEED`.
 
-pub mod bench;
 pub mod experiments;
-pub mod latency;
 pub mod lint;
 pub mod replicas;
 pub mod report;
@@ -22,9 +22,16 @@ pub mod settings;
 pub mod shards;
 pub mod webserve;
 
-pub use bench::{BenchReport, BENCH_BASELINE_PATH, BENCH_SCHEMA_VERSION};
-pub use replicas::{ReplicasReport, REPLICAS_BASELINE_PATH, REPLICAS_SCHEMA_VERSION};
-pub use serve::{ServeBatchPoint, ServeReport, SERVE_BASELINE_PATH, SERVE_SCHEMA_VERSION};
-pub use shards::{ShardsEntry, ShardsReport, SHARDS_BASELINE_PATH, SHARDS_SCHEMA_VERSION};
-pub use report::{format_pct, Csv, Table};
+pub use report::{format_pct, gate_passes, gate_table, Check, Csv, Table};
+
+/// A correctness gate: runs its drills on the pool (CI-sized when the flag
+/// is set) and returns one [`Check`] per guarantee.
+pub type Gate = fn(&ft2_parallel::WorkStealingPool, bool) -> Vec<Check>;
+
+/// The gates behind `ft2-repro serve|shards|replicas`, by subcommand name.
+pub const GATES: [(&str, Gate); 3] = [
+    ("serve", serve::run),
+    ("shards", shards::run),
+    ("replicas", replicas::run),
+];
 pub use settings::{knob_names, EvalPair, KnobKind, KnobSpec, Resilience, Settings, KNOB_REGISTRY};

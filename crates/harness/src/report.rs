@@ -109,6 +109,45 @@ impl Table {
     }
 }
 
+/// One guarantee of a correctness gate (`ft2-repro serve|shards|replicas`):
+/// what was checked, whether it held, and the outcome or counts behind the
+/// verdict.
+#[derive(Clone, Debug)]
+pub struct Check {
+    /// Short name of the guarantee.
+    pub name: String,
+    /// Whether it held.
+    pub pass: bool,
+    /// The observed outcome, counts or compared durations.
+    pub detail: String,
+}
+
+impl Check {
+    /// A check row.
+    pub fn new(name: impl Into<String>, pass: bool, detail: impl Into<String>) -> Check {
+        Check {
+            name: name.into(),
+            pass,
+            detail: detail.into(),
+        }
+    }
+}
+
+/// A gate passes when it ran at least one check and every check held.
+pub fn gate_passes(checks: &[Check]) -> bool {
+    !checks.is_empty() && checks.iter().all(|c| c.pass)
+}
+
+/// One row per check: name, `pass` / `FAIL`, detail.
+pub fn gate_table(title: &str, checks: &[Check]) -> Table {
+    let mut table = Table::new(title, &["check", "result", "detail"]);
+    for c in checks {
+        let result = if c.pass { "pass" } else { "FAIL" };
+        table.row(vec![c.name.clone(), result.to_string(), c.detail.clone()]);
+    }
+    table
+}
+
 /// CSV artifact writer rooted at `results/`.
 #[derive(Clone, Debug)]
 pub struct Csv {
@@ -140,6 +179,31 @@ impl Csv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ft2_parallel::WorkStealingPool;
+
+    #[test]
+    fn any_single_failed_check_fails_its_gate_and_is_named() {
+        let pool = WorkStealingPool::new(3);
+        for (gate, run) in crate::GATES {
+            let checks = run(&pool, true);
+            assert!(gate_passes(&checks), "{gate}: {checks:#?}");
+            for i in 0..checks.len() {
+                let mut flipped = checks.clone();
+                flipped[i].pass = false;
+                let name = &checks[i].name;
+                assert!(!gate_passes(&flipped), "{gate}: `{name}` does not gate");
+                let table = gate_table(gate, &flipped);
+                let failed: Vec<&str> = table
+                    .rows()
+                    .iter()
+                    .filter(|row| row[1] == "FAIL")
+                    .map(|row| row[0].as_str())
+                    .collect();
+                assert_eq!(failed, [name.as_str()], "{gate}:\n{}", table.render());
+            }
+        }
+        assert!(!gate_passes(&[]), "a gate that checked nothing must not pass");
+    }
 
     #[test]
     fn pct_formatting() {

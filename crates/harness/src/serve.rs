@@ -1,32 +1,24 @@
 //! The serving-runtime gate behind `ft2-repro serve`.
 //!
-//! Exercises the `ft2-serve` continuous-batching scheduler end to end on
-//! the bench fixtures (OPT-6.7B stand-in, deterministic SQuAD-style
-//! prompts) and reports:
+//! Drives the `ft2-serve` continuous-batching scheduler end to end on fixed
+//! fixtures (OPT-6.7B stand-in, deterministic SQuAD-style prompts) and
+//! checks, one [`Check`] per guarantee:
 //!
-//! * **throughput** — requests/s and accepted tokens/s for batch sizes
-//!   {1, 4, 8} (capped by `FT2_SERVE_MAX_BATCH`), with median
-//!   time-to-first-token (`ttft_ms`: queue wait + prefill) and p50/p99
-//!   per-token latency over **decode gaps only** (see [`crate::latency`]);
-//! * **identity** — every request served at batch size N emits tokens
+//! * **identity** — at every swept batch size {1, 4, 8} (capped by
+//!   `FT2_SERVE_MAX_BATCH`) every request completes with tokens
 //!   bit-identical to its single-sequence [`ft2_model::Model::generate`]
-//!   (the core serving guarantee; a batch must never change anyone's
-//!   answer);
-//! * **fault isolation** — a transient fault storm confined to one
-//!   request of a batch-4 run: the storming request rolls back and
-//!   re-decodes alone, every clean request still matches its solo
-//!   generation, and the clean requests' p99 token latency is reported as
-//!   an inflation ratio over the fault-free batch-4 run (tail-latency
-//!   isolation, informational).
+//!   (a batch must never change anyone's answer);
+//! * **fault isolation** — a transient fault storm confined to one request
+//!   of a batch-4 run: the storming request rolls back, re-decodes alone
+//!   and completes, and every request of that run — clean batchmates and
+//!   the stormer — still matches its solo generation.
 //!
-//! With `--json` the report is written as the schema-stable
-//! `BENCH_serve.json` (committed as a baseline; CI greps its keys), in
-//! the same hand-rolled one-key-per-line format as the other baselines.
-//! `ok` gates correctness only (identity and storm outcome); timings are
-//! informational. Sizing: `FT2_BENCH_GEN`, `FT2_QUICK=1` / `--smoke`;
-//! `FT2_SERVE_MAX_BATCH` and `FT2_SERVE_QUEUE_DEPTH` shape the scheduler.
+//! The gate times nothing: serving throughput and latency are the
+//! `serve_decode` / `serve_storm` workloads of `benchmark/`. Sizing:
+//! `--smoke` / `FT2_QUICK=1`; `FT2_SERVE_MAX_BATCH` and
+//! `FT2_SERVE_QUEUE_DEPTH` shape the scheduler.
 
-use crate::latency::{inflation_ratio, percentile_ms, split_all};
+use crate::report::Check;
 use crate::settings::{env_usize, quick_mode};
 use ft2_model::{Model, RecoveryPolicy, TapList, ZooModel};
 use ft2_parallel::WorkStealingPool;
@@ -34,158 +26,7 @@ use ft2_serve::scheduler::{Completion, Outcome, Request, Scheduler, ServeConfig}
 use ft2_serve::StormTap;
 use ft2_tasks::datasets::generate_prompts;
 use ft2_tasks::DatasetId;
-use std::fmt::Write as _;
-use std::path::Path;
 use std::sync::Arc;
-use std::time::Instant;
-
-/// Version of the JSON report schema. Bump when a key changes meaning.
-pub const SERVE_SCHEMA_VERSION: u64 = 2;
-
-/// Default output path for the JSON report.
-pub const SERVE_BASELINE_PATH: &str = "BENCH_serve.json";
-
-/// One batch-size point of the fault-free throughput sweep.
-#[derive(Clone, Debug)]
-pub struct ServeBatchPoint {
-    /// Concurrent lanes of this point.
-    pub batch: usize,
-    /// Requests served.
-    pub requests: usize,
-    /// Completed requests per second.
-    pub requests_s: f64,
-    /// Accepted tokens per second across the batch.
-    pub tok_s: f64,
-    /// Median time-to-first-token (queue wait + prefill), milliseconds.
-    pub ttft_ms: f64,
-    /// Median per-token decode latency (gap between consecutive accepts,
-    /// TTFT excluded), milliseconds.
-    pub p50_token_ms: f64,
-    /// 99th-percentile per-token decode latency, milliseconds.
-    pub p99_token_ms: f64,
-    /// Every request matched its single-sequence generation bit-for-bit.
-    pub identity_ok: bool,
-}
-
-/// The full serving report.
-#[derive(Clone, Debug)]
-pub struct ServeReport {
-    /// Benchmarked model name.
-    pub model: String,
-    /// Decode-pool worker threads.
-    pub threads: usize,
-    /// Tokens generated per request.
-    pub gen_tokens: usize,
-    /// `FT2_SERVE_MAX_BATCH` in effect (caps the sweep).
-    pub max_batch: usize,
-    /// `FT2_SERVE_QUEUE_DEPTH` in effect.
-    pub queue_depth: usize,
-    /// Fault-free throughput/identity points.
-    pub batches: Vec<ServeBatchPoint>,
-    /// Outcome of the storming request in the fault drill.
-    pub storm_outcome: &'static str,
-    /// Rollbacks the storming request took.
-    pub storm_rollbacks: u32,
-    /// Clean requests' p99 decode-gap latency under the storm, ms.
-    pub storm_clean_p99_ms: f64,
-    /// Fault-free batch-4 p99 decode-gap latency, milliseconds (the
-    /// baseline the storm tail is compared against).
-    pub clean_p99_ms: f64,
-    /// Tail-latency inflation the storm imposed on its batchmates,
-    /// via [`inflation_ratio`] (floored baseline, capped; informational).
-    pub clean_p99_inflation: f64,
-    /// Every request of the storm drill — clean batchmates *and* the
-    /// rolled-back storming request — matched its solo generation.
-    pub storm_identity_ok: bool,
-}
-
-impl ServeReport {
-    /// Correctness gate: identity at every batch size, and the storm drill
-    /// healed with every request token-identical. Timings are
-    /// informational and never gate.
-    pub fn ok(&self) -> bool {
-        !self.batches.is_empty()
-            && self.batches.iter().all(|b| b.identity_ok)
-            && self.storm_outcome == "Completed"
-            && self.storm_identity_ok
-    }
-
-    /// Serialise as the schema-stable JSON document (one key per line,
-    /// points one per line).
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"schema\": {SERVE_SCHEMA_VERSION},");
-        let _ = writeln!(s, "  \"model\": \"{}\",", self.model);
-        let _ = writeln!(s, "  \"threads\": {},", self.threads);
-        let _ = writeln!(s, "  \"gen_tokens\": {},", self.gen_tokens);
-        let _ = writeln!(s, "  \"max_batch\": {},", self.max_batch);
-        let _ = writeln!(s, "  \"queue_depth\": {},", self.queue_depth);
-        s.push_str("  \"batches\": [");
-        for (i, b) in self.batches.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "\n    {{\"batch\": {}, \"requests\": {}, \"requests_s\": {:.3}, \
-                 \"tok_s\": {:.3}, \"ttft_ms\": {:.3}, \"p50_token_ms\": {:.3}, \
-                 \"p99_token_ms\": {:.3}, \"identity_ok\": {}}}",
-                b.batch, b.requests, b.requests_s, b.tok_s, b.ttft_ms, b.p50_token_ms,
-                b.p99_token_ms, b.identity_ok
-            );
-        }
-        s.push_str("\n  ],\n");
-        let _ = writeln!(s, "  \"storm_outcome\": \"{}\",", self.storm_outcome);
-        let _ = writeln!(s, "  \"storm_rollbacks\": {},", self.storm_rollbacks);
-        let _ = writeln!(s, "  \"storm_clean_p99_ms\": {:.3},", self.storm_clean_p99_ms);
-        let _ = writeln!(s, "  \"clean_p99_ms\": {:.3},", self.clean_p99_ms);
-        let _ = writeln!(s, "  \"clean_p99_inflation\": {:.3},", self.clean_p99_inflation);
-        let _ = writeln!(s, "  \"storm_identity_ok\": {},", self.storm_identity_ok);
-        let _ = writeln!(s, "  \"ok\": {}", self.ok());
-        s.push('}');
-        s.push('\n');
-        s
-    }
-
-    /// Human-readable multi-line summary.
-    pub fn summary(&self) -> String {
-        let mut s = format!(
-            "serving runtime | model {} | threads {} | {} tokens/request | max batch {}\n",
-            self.model, self.threads, self.gen_tokens, self.max_batch
-        );
-        for b in &self.batches {
-            let _ = writeln!(
-                s,
-                "batch {:>2}  {:>8.2} req/s  {:>9.1} tok/s  ttft {:>7.3} ms  p50 {:>7.3} ms  p99 {:>7.3} ms  identity {}",
-                b.batch,
-                b.requests_s,
-                b.tok_s,
-                b.ttft_ms,
-                b.p50_token_ms,
-                b.p99_token_ms,
-                if b.identity_ok { "ok" } else { "DRIFT" }
-            );
-        }
-        let _ = writeln!(
-            s,
-            "fault storm (1 of 4 lanes): outcome {} ({} rollbacks), clean p99 {:.3} ms \
-             = {:.2}x fault-free, identity {}",
-            self.storm_outcome,
-            self.storm_rollbacks,
-            self.storm_clean_p99_ms,
-            self.clean_p99_inflation,
-            if self.storm_identity_ok { "ok" } else { "DRIFT" }
-        );
-        let _ = write!(s, "overall: {}", if self.ok() { "ok" } else { "FAIL" });
-        s
-    }
-}
-
-struct RunStats {
-    completions: Vec<Completion>,
-    wall_s: f64,
-}
 
 /// Serve `requests` clean requests (prompt i, cycling) at one batch size.
 #[allow(clippy::too_many_arguments)]
@@ -198,7 +39,7 @@ fn serve_wave(
     queue_depth: usize,
     requests: usize,
     storm_first: bool,
-) -> RunStats {
+) -> Vec<Completion> {
     let config = ServeConfig {
         max_batch: batch,
         queue_depth: queue_depth.max(requests),
@@ -216,22 +57,18 @@ fn serve_wave(
                 gen_tokens,
                 tap,
             })
-            .expect("bench request rejected at admission");
+            .expect("gate request rejected at admission");
     }
-    let t0 = Instant::now();
     let mut completions = sched.run(pool);
-    let wall_s = t0.elapsed().as_secs_f64();
     completions.sort_by_key(|c| c.id);
-    RunStats { completions, wall_s }
+    completions
 }
 
 /// Run the serving gate. `smoke` (or `FT2_QUICK=1`) shrinks request
 /// counts and generation length for CI.
-pub fn run(pool: &WorkStealingPool, smoke: bool) -> ServeReport {
+pub fn run(pool: &WorkStealingPool, smoke: bool) -> Vec<Check> {
     let quick = smoke || quick_mode();
-    let gen_tokens = env_usize("FT2_BENCH_GEN")
-        .unwrap_or(if quick { 8 } else { 16 })
-        .max(8);
+    let gen_tokens = if quick { 8 } else { 16 };
     let max_batch = env_usize("FT2_SERVE_MAX_BATCH").unwrap_or(8).max(1);
     let queue_depth = env_usize("FT2_SERVE_QUEUE_DEPTH").unwrap_or(64).max(1);
     let waves = if quick { 1 } else { 2 };
@@ -256,190 +93,64 @@ pub fn run(pool: &WorkStealingPool, smoke: bool) -> ServeReport {
     let matches_solo = |c: &Completion| c.tokens == solo[c.id as usize % prompts.len()];
 
     // Fault-free sweep.
-    let mut batches = Vec::new();
-    let mut clean_p99_ms = 0.0f64;
+    let mut checks = Vec::new();
     for &batch in &batch_sizes {
         let requests = batch * waves;
-        let stats = serve_wave(
+        let done = serve_wave(
             &model, pool, &prompts, gen_tokens, batch, queue_depth, requests, false,
         );
-        let identity_ok = stats.completions.len() == requests
-            && stats
-                .completions
-                .iter()
-                .all(|c| c.outcome == Outcome::Completed && matches_solo(c));
-        let (ttfts, decode_ns) =
-            split_all(stats.completions.iter().map(|c| c.token_ns.as_slice()));
-        let total_tokens: usize = stats.completions.iter().map(|c| c.tokens.len()).sum();
-        let point = ServeBatchPoint {
-            batch,
-            requests,
-            requests_s: requests as f64 / stats.wall_s.max(1e-9),
-            tok_s: total_tokens as f64 / stats.wall_s.max(1e-9),
-            ttft_ms: percentile_ms(ttfts, 50.0),
-            p50_token_ms: percentile_ms(decode_ns.clone(), 50.0),
-            p99_token_ms: percentile_ms(decode_ns, 99.0),
-            identity_ok,
-        };
-        if batch == 4 {
-            clean_p99_ms = point.p99_token_ms;
-        }
-        batches.push(point);
-    }
-    if clean_p99_ms == 0.0 {
-        clean_p99_ms = batches.last().map(|b| b.p99_token_ms).unwrap_or(0.0);
+        let identical = done
+            .iter()
+            .filter(|c| c.outcome == Outcome::Completed && matches_solo(c))
+            .count();
+        checks.push(Check::new(
+            format!("batch {batch} identity"),
+            done.len() == requests && identical == requests,
+            format!("{identical} of {requests} requests completed identical to solo"),
+        ));
     }
 
     // Fault drill: one transient storm confined to request 0 of a batch-4
     // run; batchmates keep stepping while it rolls back.
     let storm_batch = 4usize.min(max_batch);
-    let stats = serve_wave(
-        &model,
-        pool,
-        &prompts,
-        gen_tokens,
-        storm_batch,
-        queue_depth,
-        storm_batch * waves,
-        true,
+    let requests = storm_batch * waves;
+    let done = serve_wave(
+        &model, pool, &prompts, gen_tokens, storm_batch, queue_depth, requests, true,
     );
-    let stormer = stats.completions.iter().find(|c| c.id == 0);
-    let storm_outcome = match stormer.map(|c| c.outcome) {
-        Some(Outcome::Completed) => "Completed",
-        Some(Outcome::Evicted(_)) => "Evicted",
-        Some(Outcome::Rejected(_)) => "Rejected",
-        None => "Missing",
-    };
-    let storm_rollbacks = stormer.map(|c| c.rollbacks).unwrap_or(0);
-    let (_, clean_decode_ns) = split_all(
-        stats
-            .completions
-            .iter()
-            .filter(|c| c.id != 0)
-            .map(|c| c.token_ns.as_slice()),
-    );
-    let storm_clean_p99_ms = percentile_ms(clean_decode_ns, 99.0);
-    let storm_identity_ok = stats.completions.iter().all(matches_solo);
-
-    ServeReport {
-        model: model.config().name.to_string(),
-        threads: pool.threads(),
-        gen_tokens,
-        max_batch,
-        queue_depth,
-        batches,
-        storm_outcome,
-        storm_rollbacks,
-        storm_clean_p99_ms,
-        clean_p99_ms,
-        clean_p99_inflation: inflation_ratio(storm_clean_p99_ms, clean_p99_ms),
-        storm_identity_ok,
-    }
-}
-
-/// Write the JSON report atomically (temp file + rename), like the other
-/// baselines.
-pub fn write_json(report: &ServeReport, path: &Path) -> Result<(), String> {
-    let tmp = path.with_extension("json.tmp");
-    std::fs::write(&tmp, report.to_json())
-        .map_err(|e| format!("writing {}: {e}", tmp.display()))?;
-    std::fs::rename(&tmp, path).map_err(|e| format!("renaming to {}: {e}", path.display()))
+    let stormer = done.iter().find(|c| c.id == 0);
+    let rollbacks = stormer.map_or(0, |c| c.rollbacks);
+    checks.push(Check::new(
+        "storm heals by rollback",
+        stormer.is_some_and(|c| c.outcome == Outcome::Completed) && rollbacks >= 1,
+        format!(
+            "outcome {}, {rollbacks} rollback(s)",
+            stormer.map_or("Missing", |c| c.outcome.label())
+        ),
+    ));
+    let identical = done.iter().filter(|c| matches_solo(c)).count();
+    checks.push(Check::new(
+        "storm identity",
+        done.len() == requests && identical == requests,
+        format!("{identical} of {requests} requests (stormer included) identical to solo"),
+    ));
+    checks
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample() -> ServeReport {
-        ServeReport {
-            model: "OPT-6.7B".to_string(),
-            threads: 4,
-            gen_tokens: 16,
-            max_batch: 8,
-            queue_depth: 64,
-            batches: vec![ServeBatchPoint {
-                batch: 4,
-                requests: 8,
-                requests_s: 12.345,
-                tok_s: 197.52,
-                ttft_ms: 4.25,
-                p50_token_ms: 0.85,
-                p99_token_ms: 2.125,
-                identity_ok: true,
-            }],
-            storm_outcome: "Completed",
-            storm_rollbacks: 1,
-            storm_clean_p99_ms: 2.5,
-            clean_p99_ms: 2.125,
-            clean_p99_inflation: 1.176,
-            storm_identity_ok: true,
-        }
-    }
-
-    #[test]
-    fn json_schema_is_stable() {
-        let json = sample().to_json();
-        for key in [
-            "\"schema\": 2",
-            "\"model\": \"OPT-6.7B\"",
-            "\"gen_tokens\": 16",
-            "\"max_batch\": 8",
-            "\"queue_depth\": 64",
-            "\"batch\": 4",
-            "\"requests_s\": 12.345",
-            "\"tok_s\": 197.520",
-            "\"ttft_ms\": 4.250",
-            "\"p50_token_ms\": 0.850",
-            "\"p99_token_ms\": 2.125",
-            "\"identity_ok\": true",
-            "\"storm_outcome\": \"Completed\"",
-            "\"storm_clean_p99_ms\": 2.500",
-            "\"clean_p99_inflation\": 1.176",
-            "\"storm_identity_ok\": true",
-            "\"ok\": true",
-        ] {
-            assert!(json.contains(key), "missing {key} in:\n{json}");
-        }
-        assert!(json.starts_with("{\n") && json.ends_with("}\n"), "{json}");
-    }
-
-    #[test]
-    fn ok_gates_identity_and_storm_outcome_only() {
-        let report = sample();
-        assert!(report.ok());
-        let mut drift = report.clone();
-        drift.batches[0].identity_ok = false;
-        assert!(!drift.ok(), "batch identity drift must fail the gate");
-        let mut evicted = report.clone();
-        evicted.storm_outcome = "Evicted";
-        assert!(!evicted.ok(), "a transient storm must heal, not evict");
-        let mut slow = report;
-        slow.clean_p99_inflation = 50.0;
-        assert!(slow.ok(), "timing is informational, never a gate");
-    }
+    use crate::report::gate_passes;
 
     #[test]
     fn smoke_run_upholds_identity_and_isolation() {
         let pool = WorkStealingPool::new(3);
-        let report = run(&pool, true);
-        assert!(report.ok(), "serving gate failed:\n{}", report.summary());
-        assert!(report.batches.iter().any(|b| b.batch == 1));
-        assert!(report.batches.iter().any(|b| b.batch >= 4));
-        assert_eq!(report.storm_outcome, "Completed");
-        assert!(report.storm_rollbacks >= 1, "the storm must have struck");
-        // The accounting fix: TTFT (queue + prefill) is its own field and
-        // must dominate any single decode gap, so the decode p99 can no
-        // longer be a disguised prefill measurement.
-        for b in &report.batches {
-            assert!(b.ttft_ms > 0.0, "batch {} lost its TTFT", b.batch);
-            assert!(
-                b.ttft_ms >= b.p50_token_ms,
-                "batch {}: TTFT {:.3} ms below median decode gap {:.3} ms",
-                b.batch,
-                b.ttft_ms,
-                b.p50_token_ms
-            );
-        }
-        assert!(report.clean_p99_inflation <= crate::latency::INFLATION_CAP);
+        let checks = run(&pool, true);
+        assert!(gate_passes(&checks), "serving gate failed: {checks:#?}");
+        let named = |prefix: &str| checks.iter().find(|c| c.name.starts_with(prefix));
+        assert!(named("batch 1 ").is_some());
+        assert!(named("batch 4 ").is_some() || named("batch 8 ").is_some());
+        let heals = named("storm heals").expect("storm drill ran");
+        assert!(heals.detail.contains("Completed"), "{heals:?}");
+        assert!(heals.pass, "the storm must have struck and healed: {heals:?}");
     }
 }

@@ -50,27 +50,6 @@ pub struct KnobSpec {
 /// without a row here fails `ft2-repro lint` (and `cargo test`).
 pub const KNOB_REGISTRY: &[KnobSpec] = &[
     KnobSpec {
-        name: "FT2_BENCH_GEN",
-        kind: KnobKind::Integer,
-        default: "16",
-        doc: "tokens generated per decode measurement in `ft2-repro bench`",
-        site: "ft2-harness",
-    },
-    KnobSpec {
-        name: "FT2_BENCH_REPS",
-        kind: KnobKind::Integer,
-        default: "3 (1 quick)",
-        doc: "best-of repetitions per bench measurement",
-        site: "ft2-harness",
-    },
-    KnobSpec {
-        name: "FT2_BENCH_TRIALS",
-        kind: KnobKind::Integer,
-        default: "10 (3 quick)",
-        doc: "campaign trials per input in the bench throughput probe",
-        site: "ft2-harness",
-    },
-    KnobSpec {
         name: "FT2_CHECKPOINT_DIR",
         kind: KnobKind::Path,
         default: "results/checkpoints",

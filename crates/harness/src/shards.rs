@@ -1,29 +1,28 @@
-//! The sharded-execution sweep behind `ft2-repro shards`.
+//! The sharded-execution gate behind `ft2-repro shards`.
 //!
-//! For each swept zoo config and shard count the sweep demonstrates the
-//! three guarantees of the fault-isolation design, end to end through the
-//! real sharded executor ([`ft2_model::ShardedModel`]):
+//! For each swept zoo config and shard count the gate checks the three
+//! guarantees of the fault-isolation design, end to end through the real
+//! sharded executor ([`ft2_model::ShardedModel`]), one [`Check`] each:
 //!
 //! * **identity** — a fault-free N-shard decode emits tokens bit-identical
 //!   to the 1-shard golden run (the f64-exact reduce seam);
 //! * **repair** — a *persistent* shard-scoped weight fault
 //!   ([`ft2_fault::ShardFault::TileCorrupt`]) is survived through the
 //!   shard-level repair rung ([`ft2_core::ShardScrubber`] golden-copy
-//!   restore), with each repair rung strictly cheaper than a full restart
-//!   (re-running the whole generation) — the per-incident comparison;
+//!   restore), and one repair rung costs less than a full restart
+//!   (re-running the whole generation) — the per-incident comparison, and
+//!   the one measured duration this gate prints;
 //! * **degrade** — crashing one shard with degraded-mode serving enabled
 //!   still emits every requested token and reports
 //!   [`ft2_fault::Outcome::Degraded`] — availability is preserved, and the
 //!   shard loss is never silent.
 //!
-//! With `--json` the results are written to a schema-stable
-//! `BENCH_shards.json` (committed as a baseline; CI greps its keys), in
-//! the same hand-rolled one-key-per-line format as `BENCH_decode.json`.
-//!
-//! Sizing: `FT2_QUICK=1` (or `--smoke`) sweeps N=2 only with a short
-//! generation; `FT2_SHARDS` overrides the swept shard counts with a single
-//! value; `FT2_SHARD_HEARTBEAT_MS` sets the hang-isolation heartbeat.
+//! Sizing: `--smoke` sweeps N=2 only with a short generation; `FT2_SHARDS`
+//! overrides the swept shard counts with a single value;
+//! `FT2_SHARD_HEARTBEAT_MS` sets the hang-isolation heartbeat. Sharded
+//! decode speed is the `sharded_decode` workload of `benchmark/`.
 
+use crate::report::Check;
 use crate::settings::Settings;
 use ft2_core::ShardScrubber;
 use ft2_fault::model::FaultDuration;
@@ -33,167 +32,11 @@ use ft2_model::{
     Model, RecoveryPolicy, ShardTapList, ShardedGeneration, ShardedModel, ZooModel,
 };
 use ft2_parallel::WorkStealingPool;
-use std::fmt::Write as _;
-use std::path::Path;
 use std::time::Duration;
-
-/// Version of the JSON report schema. Bump when a key changes meaning.
-pub const SHARDS_SCHEMA_VERSION: u64 = 1;
-
-/// Default output path for the JSON report.
-pub const SHARDS_BASELINE_PATH: &str = "BENCH_shards.json";
 
 /// Deterministic prompt for the sweep (token ids valid for every zoo
 /// config: all vocabularies exceed 32).
 const PROMPT: [u32; 6] = [3, 14, 15, 9, 26, 5];
-
-/// One (model, shard-count) cell of the sweep.
-#[derive(Clone, Debug)]
-pub struct ShardsEntry {
-    /// Model display name.
-    pub model: String,
-    /// Shard count of this cell.
-    pub shards: usize,
-    /// Fault-free N-shard tokens == 1-shard golden tokens.
-    pub token_identical: bool,
-    /// Outcome of the persistent-TileCorrupt repair scenario.
-    pub repair_outcome: &'static str,
-    /// Shard-repair rungs taken in the repair scenario.
-    pub repair_rungs: u32,
-    /// Weight tiles restored from the golden copy.
-    pub tiles_repaired: u64,
-    /// Nanoseconds spent inside repair sweeps, across all rungs.
-    pub repair_ns: u64,
-    /// Full-restart cost: wall time of re-running the whole generation.
-    pub restart_ns: u64,
-    /// One repair rung costs less than one full restart — per incident,
-    /// the repair rung is the cheaper recovery (`repair_ns / repair_rungs
-    /// < restart_ns`). A restart would not even clear a persistent fault;
-    /// this shows repair also wins on pure time.
-    pub repair_beats_restart: bool,
-    /// Outcome of the crash-with-degrade scenario.
-    pub degrade_outcome: &'static str,
-    /// Tokens served in the degrade scenario (must equal `gen_tokens`).
-    pub degrade_tokens_served: usize,
-    /// Shards lost (evicted) in the degrade scenario.
-    pub degrade_shards_lost: u32,
-}
-
-impl ShardsEntry {
-    /// All three guarantees hold for this cell.
-    pub fn ok(&self, gen_tokens: usize) -> bool {
-        self.token_identical
-            && self.repair_outcome == "Repaired"
-            && self.repair_beats_restart
-            && self.degrade_outcome == "Degraded"
-            && self.degrade_tokens_served == gen_tokens
-            && self.degrade_shards_lost >= 1
-    }
-}
-
-/// The full sweep result.
-#[derive(Clone, Debug)]
-pub struct ShardsReport {
-    /// Tokens generated per scenario run.
-    pub gen_tokens: usize,
-    /// Heartbeat timeout used for hang isolation, milliseconds.
-    pub heartbeat_ms: u64,
-    /// One entry per (model, shard-count) cell.
-    pub entries: Vec<ShardsEntry>,
-}
-
-impl ShardsReport {
-    /// Every cell upheld all three guarantees.
-    pub fn ok(&self) -> bool {
-        !self.entries.is_empty() && self.entries.iter().all(|e| e.ok(self.gen_tokens))
-    }
-
-    /// Serialise as the schema-stable JSON document (one key per line).
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"schema\": {SHARDS_SCHEMA_VERSION},");
-        let _ = writeln!(s, "  \"gen_tokens\": {},", self.gen_tokens);
-        let _ = writeln!(s, "  \"heartbeat_ms\": {},", self.heartbeat_ms);
-        s.push_str("  \"entries\": [");
-        for (i, e) in self.entries.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "\n    {{\"model\": \"{}\", \"shards\": {}, \"token_identical\": {}, \
-                 \"repair_outcome\": \"{}\", \"repair_rungs\": {}, \"tiles_repaired\": {}, \
-                 \"repair_ns\": {}, \"restart_ns\": {}, \"repair_beats_restart\": {}, \
-                 \"degrade_outcome\": \"{}\", \"degrade_tokens_served\": {}, \
-                 \"degrade_shards_lost\": {}, \"ok\": {}}}",
-                e.model,
-                e.shards,
-                e.token_identical,
-                e.repair_outcome,
-                e.repair_rungs,
-                e.tiles_repaired,
-                e.repair_ns,
-                e.restart_ns,
-                e.repair_beats_restart,
-                e.degrade_outcome,
-                e.degrade_tokens_served,
-                e.degrade_shards_lost,
-                e.ok(self.gen_tokens)
-            );
-        }
-        s.push_str("\n  ],\n");
-        let _ = writeln!(s, "  \"ok\": {}", self.ok());
-        s.push('}');
-        s.push('\n');
-        s
-    }
-
-    /// Human-readable multi-line summary.
-    pub fn summary(&self) -> String {
-        let mut s = format!(
-            "sharded execution sweep | {} tokens | heartbeat {} ms\n",
-            self.gen_tokens, self.heartbeat_ms
-        );
-        for e in &self.entries {
-            let _ = writeln!(
-                s,
-                "{:<12} N={}  identity {}  repair {} ({} rungs, {} tiles, \
-                 {:.2} ms vs restart {:.2} ms)  degrade {} ({} tokens, {} lost)  [{}]",
-                e.model,
-                e.shards,
-                if e.token_identical { "ok" } else { "DRIFT" },
-                e.repair_outcome,
-                e.repair_rungs,
-                e.tiles_repaired,
-                e.repair_ns as f64 / 1e6,
-                e.restart_ns as f64 / 1e6,
-                e.degrade_outcome,
-                e.degrade_tokens_served,
-                e.degrade_shards_lost,
-                if e.ok(self.gen_tokens) { "ok" } else { "FAIL" }
-            );
-        }
-        let _ = write!(s, "overall: {}", if self.ok() { "ok" } else { "FAIL" });
-        s
-    }
-}
-
-/// Stable label for an [`Outcome`] in the JSON report.
-fn outcome_label(o: &Outcome) -> &'static str {
-    match o {
-        Outcome::MaskedIdentical => "MaskedIdentical",
-        Outcome::MaskedSemantic => "MaskedSemantic",
-        Outcome::Sdc => "Sdc",
-        Outcome::Crash { .. } => "Crash",
-        Outcome::Hang => "Hang",
-        Outcome::Recovered { .. } => "Recovered",
-        Outcome::Repaired { .. } => "Repaired",
-        Outcome::RecoveryFailed { .. } => "RecoveryFailed",
-        Outcome::Degraded { .. } => "Degraded",
-        Outcome::FailedOver { .. } => "FailedOver",
-    }
-}
 
 fn generate(
     model: &Model,
@@ -215,7 +58,7 @@ fn probe_cell(
     n: usize,
     gen_tokens: usize,
     heartbeat: Duration,
-) -> ShardsEntry {
+) -> [Check; 4] {
     // Golden: 1-shard, fault-free.
     let golden = generate(
         model,
@@ -265,7 +108,7 @@ fn probe_cell(
             heartbeat,
         )
     };
-    let repair_outcome = outcome_label(&classify_sharded(&golden.tokens, &repair, &ExactJudge));
+    let repair_outcome = classify_sharded(&golden.tokens, &repair, &ExactJudge);
 
     // (c) degrade: crash one shard mid-generation; keep serving.
     let degrade = {
@@ -288,33 +131,59 @@ fn probe_cell(
             heartbeat,
         )
     };
-    let degrade_outcome = outcome_label(&classify_sharded(&golden.tokens, &degrade, &ExactJudge));
+    let degrade_outcome = classify_sharded(&golden.tokens, &degrade, &ExactJudge);
 
-    ShardsEntry {
-        model: spec_name.to_string(),
-        shards: n,
-        token_identical,
-        repair_outcome,
-        repair_rungs: repair.repair_rungs,
-        tiles_repaired: repair.tiles_repaired,
-        repair_ns: repair.repair_ns,
-        restart_ns,
-        repair_beats_restart: repair.repair_ns / u64::from(repair.repair_rungs.max(1))
-            < restart_ns,
-        degrade_outcome,
-        degrade_tokens_served: degrade.tokens.len(),
-        degrade_shards_lost: degrade.shards_lost,
-    }
+    // A restart would not even clear a persistent fault; this shows one
+    // repair rung also wins on pure time.
+    let rung_ns = repair.repair_ns / u64::from(repair.repair_rungs.max(1));
+    let cell = format!("{spec_name} N={n}");
+    [
+        Check::new(
+            format!("{cell} identity"),
+            token_identical,
+            format!(
+                "{} of {gen_tokens} tokens generated, compared with the 1-shard run",
+                clean.tokens.len()
+            ),
+        ),
+        Check::new(
+            format!("{cell} repair"),
+            matches!(repair_outcome, Outcome::Repaired { .. }),
+            format!(
+                "{repair_outcome:?}: {} rung(s), {} tile(s) restored",
+                repair.repair_rungs, repair.tiles_repaired
+            ),
+        ),
+        Check::new(
+            format!("{cell} repair beats restart"),
+            rung_ns < restart_ns,
+            format!(
+                "{:.3} ms per repair rung vs {:.3} ms full restart",
+                rung_ns as f64 / 1e6,
+                restart_ns as f64 / 1e6
+            ),
+        ),
+        Check::new(
+            format!("{cell} degrade"),
+            matches!(degrade_outcome, Outcome::Degraded { .. })
+                && degrade.tokens.len() == gen_tokens
+                && degrade.shards_lost >= 1,
+            format!(
+                "{degrade_outcome:?}: {} of {gen_tokens} tokens served, {} shard(s) lost",
+                degrade.tokens.len(),
+                degrade.shards_lost
+            ),
+        ),
+    ]
 }
 
-/// Run the sweep: two zoo configs (one OPT-style, one Llama-style with a
+/// Run the gate: two zoo configs (one OPT-style, one Llama-style with a
 /// shard-count-indivisible head count) at N=2 and N=4, or N=2 only in
 /// smoke mode. `FT2_SHARDS` (when > 1) narrows the sweep to that count.
-pub fn run(pool: &WorkStealingPool, smoke: bool) -> ShardsReport {
+pub fn run(pool: &WorkStealingPool, smoke: bool) -> Vec<Check> {
     let settings = Settings::from_env();
     let gen_tokens = if smoke { 8 } else { 12 };
-    let heartbeat_ms = settings.shard_heartbeat_ms.max(1);
-    let heartbeat = Duration::from_millis(heartbeat_ms);
+    let heartbeat = Duration::from_millis(settings.shard_heartbeat_ms.max(1));
     let counts: Vec<usize> = if settings.shards > 1 {
         vec![settings.shards]
     } else if smoke {
@@ -323,110 +192,31 @@ pub fn run(pool: &WorkStealingPool, smoke: bool) -> ShardsReport {
         vec![2, 4]
     };
 
-    let mut entries = Vec::new();
+    let mut checks = Vec::new();
     for zoo in [ZooModel::Opt6_7B, ZooModel::Qwen2_1_5B] {
         let spec = zoo.spec();
         let model = spec.build();
         for &n in &counts {
-            entries.push(probe_cell(
-                spec.name(),
-                &model,
-                pool,
-                n,
-                gen_tokens,
-                heartbeat,
-            ));
+            checks.extend(probe_cell(spec.name(), &model, pool, n, gen_tokens, heartbeat));
         }
     }
-    ShardsReport {
-        gen_tokens,
-        heartbeat_ms,
-        entries,
-    }
-}
-
-/// Write the JSON report atomically (temp file + rename), like the decode
-/// bench baseline.
-pub fn write_json(report: &ShardsReport, path: &Path) -> Result<(), String> {
-    let tmp = path.with_extension("json.tmp");
-    std::fs::write(&tmp, report.to_json())
-        .map_err(|e| format!("writing {}: {e}", tmp.display()))?;
-    std::fs::rename(&tmp, path).map_err(|e| format!("renaming to {}: {e}", path.display()))
+    checks
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample() -> ShardsReport {
-        ShardsReport {
-            gen_tokens: 12,
-            heartbeat_ms: 50,
-            entries: vec![ShardsEntry {
-                model: "OPT-6.7B".to_string(),
-                shards: 2,
-                token_identical: true,
-                repair_outcome: "Repaired",
-                repair_rungs: 11,
-                tiles_repaired: 11,
-                repair_ns: 120_000,
-                restart_ns: 9_000_000,
-                repair_beats_restart: true,
-                degrade_outcome: "Degraded",
-                degrade_tokens_served: 12,
-                degrade_shards_lost: 1,
-            }],
-        }
-    }
-
-    #[test]
-    fn json_schema_is_stable() {
-        let json = sample().to_json();
-        for key in [
-            "\"schema\": 1",
-            "\"gen_tokens\": 12",
-            "\"heartbeat_ms\": 50",
-            "\"model\": \"OPT-6.7B\"",
-            "\"shards\": 2",
-            "\"token_identical\": true",
-            "\"repair_outcome\": \"Repaired\"",
-            "\"repair_beats_restart\": true",
-            "\"degrade_outcome\": \"Degraded\"",
-            "\"degrade_tokens_served\": 12",
-            "\"degrade_shards_lost\": 1",
-            "\"ok\": true",
-        ] {
-            assert!(json.contains(key), "missing {key} in:\n{json}");
-        }
-        assert!(json.starts_with("{\n") && json.ends_with("}\n"), "{json}");
-    }
-
-    #[test]
-    fn entry_ok_requires_all_three_guarantees() {
-        let report = sample();
-        assert!(report.ok());
-        let mut drifted = report.clone();
-        drifted.entries[0].token_identical = false;
-        assert!(!drifted.ok());
-        let mut silent = report.clone();
-        silent.entries[0].degrade_outcome = "MaskedIdentical";
-        assert!(!silent.ok(), "a silent shard loss must fail the sweep");
-        let mut slow = report;
-        slow.entries[0].repair_beats_restart = false;
-        assert!(!slow.ok());
-    }
+    use crate::report::gate_passes;
 
     #[test]
     fn smoke_sweep_upholds_all_guarantees() {
         let pool = WorkStealingPool::new(3);
-        let report = run(&pool, true);
-        // Two configs x N=2 in smoke mode.
-        assert_eq!(report.entries.len(), 2);
-        for e in &report.entries {
-            assert!(e.ok(report.gen_tokens), "cell failed: {e:?}");
+        let checks = run(&pool, true);
+        // Two configs x N=2 in smoke mode, four checks per cell.
+        assert_eq!(checks.len(), 8, "{checks:#?}");
+        for c in &checks {
+            assert!(c.pass, "check failed: {c:?}");
         }
-        assert!(report.ok());
-        let json = report.to_json();
-        assert!(json.contains("\"ok\": true"));
+        assert!(gate_passes(&checks));
     }
 }

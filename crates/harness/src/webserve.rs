@@ -18,9 +18,9 @@
 //! injection of recoverable faults) never changes an answer.
 //!
 //! Knobs: `FT2_WEB_ADDR` (bind address, port 0 = ephemeral),
-//! `FT2_WEB_MAX_CLIENTS`, plus the usual `FT2_REPLICAS` / `FT2_BENCH_GEN`
-//! sizing. The driver prints `listening on http://ADDR` once bound and
-//! serves until the process is stopped.
+//! `FT2_WEB_MAX_CLIENTS`, plus `FT2_REPLICAS`; requests generate 16 tokens
+//! (8 under `FT2_QUICK=1`). The driver prints `listening on http://ADDR`
+//! once bound and serves until the process is stopped.
 
 use std::collections::VecDeque;
 use std::net::SocketAddr;
@@ -47,7 +47,7 @@ pub struct WebServeConfig {
     pub max_clients: usize,
     /// Replicas in the serving set (`FT2_REPLICAS`).
     pub replicas: usize,
-    /// Tokens generated per request (`FT2_BENCH_GEN`).
+    /// Tokens generated per request.
     pub gen_tokens: usize,
     /// Requests kept in flight by the traffic loop.
     pub inflight: usize,
@@ -59,14 +59,11 @@ pub struct WebServeConfig {
 impl WebServeConfig {
     /// Defaults with the env knobs applied.
     pub fn from_env() -> WebServeConfig {
-        let quick = quick_mode();
         WebServeConfig {
             addr: env_string("FT2_WEB_ADDR").unwrap_or_else(|| "127.0.0.1:8472".to_string()),
             max_clients: env_usize("FT2_WEB_MAX_CLIENTS").unwrap_or(16).max(1),
             replicas: env_usize("FT2_REPLICAS").unwrap_or(2).max(2),
-            gen_tokens: env_usize("FT2_BENCH_GEN")
-                .unwrap_or(if quick { 8 } else { 16 })
-                .max(4),
+            gen_tokens: if quick_mode() { 8 } else { 16 },
             inflight: 2,
             max_requests: None,
         }

@@ -39,8 +39,8 @@ pub struct RecoveryPolicy {
     /// [`GenerationOutput::recovery_failed`]. `0` disables rollback: storm
     /// verdicts are recorded but the token is accepted as-is.
     pub max_retries: u32,
-    /// After the retry budget is exhausted, take one
-    /// [`RecoveryAction::RepairAndRetry`] rung: run the registered state
+    /// After the retry budget is exhausted, take one repair-and-retry
+    /// rung: run the registered state
     /// taps' full repair sweep (weights restored from the golden copy,
     /// poisoned KV pages invalidated and re-decoded) and grant one extra
     /// re-decode. Meaningless without state taps.
@@ -105,23 +105,6 @@ impl RecoveryPolicy {
     }
 }
 
-/// The rung of the recovery ladder the engine takes after a storming
-/// decode step (reported for tracing; the ladder escalates top to bottom).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RecoveryAction {
-    /// Accept the step: verdict was clean/corrected, or rollback disabled.
-    Accept,
-    /// Roll back the token and re-decode with escalated protection — the
-    /// transient-fault rung: a once-only fault is gone on re-decode.
-    EscalateAndRetry,
-    /// Retry budget exhausted and still storming: repair stored state
-    /// (weights from golden, poisoned KV invalidated) and re-decode once
-    /// more — the persistent-fault rung, above escalate-and-retry.
-    RepairAndRetry,
-    /// Nothing left to try: the generation is marked recovery-failed.
-    Fail,
-}
-
 /// What happened at one generation step (the finally-accepted execution).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StepRecord {
@@ -161,7 +144,7 @@ pub struct GenerationOutput {
     /// KV-cache positions invalidated and rebuilt after a guard flagged
     /// them corrupted.
     pub kv_repairs: u64,
-    /// [`RecoveryAction::RepairAndRetry`] rungs taken.
+    /// Repair-and-retry rungs taken.
     pub repair_retries: u32,
 }
 
@@ -457,8 +440,8 @@ impl Model {
     /// re-decodes the affected token range from the known token sequence —
     /// the same rollback machinery as storm recovery. When the retry budget
     /// is exhausted and `policy.repair` is set, the engine takes one
-    /// [`RecoveryAction::RepairAndRetry`] rung: a full state-repair sweep
-    /// followed by one extra re-decode.
+    /// repair-and-retry rung: a full state-repair sweep followed by one
+    /// extra re-decode.
     ///
     /// With an empty `state` list this is byte-identical to
     /// [`Model::generate_with_recovery`]: no weight clone, no state passes.
@@ -614,7 +597,8 @@ impl Model {
                 if report.verdict == AnomalyVerdict::Storm {
                     storms += 1;
                     if redecodes < policy.max_retries {
-                        // RecoveryAction::EscalateAndRetry.
+                        // Escalate and retry: roll the token back and
+                        // re-decode under escalated protection.
                         cache.truncate(snapshot);
                         state.notify_truncate(snapshot);
                         taps.notify_rollback(step, redecodes);
@@ -624,10 +608,10 @@ impl Model {
                         continue;
                     }
                     if policy.enabled() && policy.repair && has_state && !repaired_this_step {
-                        // RecoveryAction::RepairAndRetry: a still-storming
-                        // step after escalated re-decodes points at
-                        // persistent stored-state corruption — sweep and
-                        // repair everything, then re-decode once more.
+                        // Repair and retry: a still-storming step after
+                        // escalated re-decodes points at persistent
+                        // stored-state corruption — sweep and repair
+                        // everything, then re-decode once more.
                         cache.truncate(snapshot);
                         state.notify_truncate(snapshot);
                         taps.notify_rollback(step, redecodes);

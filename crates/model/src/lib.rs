@@ -53,7 +53,7 @@ pub use config::{Activation, ArchStyle, LayerKind, ModelConfig, NormKind, RopeTa
 pub use ft2_tensor::KernelPolicy;
 pub use scratch::{AttnScratch, BlockScratch, DecodeScratch, MlpScratch};
 pub use engine::{
-    GenerationOutput, KvCache, Model, RecoveryAction, RecoveryPolicy, StepRecord,
+    GenerationOutput, KvCache, Model, RecoveryPolicy, StepRecord,
 };
 pub use graph::{ArchGraph, OpClass};
 pub use hooks::{

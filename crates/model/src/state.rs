@@ -71,8 +71,8 @@ pub trait StateTap {
     /// seals the freshly appended cache rows here.
     fn on_step_end(&mut self, _ctx: &mut StateCtx<'_>) {}
 
-    /// Full verification/repair sweep — the engine's
-    /// [`crate::engine::RecoveryAction::RepairAndRetry`] rung. Scrubbers
+    /// Full verification/repair sweep — the engine's repair-and-retry
+    /// rung (see [`crate::engine::RecoveryPolicy::repair`]). Scrubbers
     /// verify every tile (not just the per-step budget) and restore
     /// mismatches from the golden copy; guards re-verify every sealed row.
     fn on_repair(&mut self, _ctx: &mut StateCtx<'_>) -> StateReport {

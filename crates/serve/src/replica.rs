@@ -620,7 +620,6 @@ impl ReplicaSet {
                 storms: 0,
                 kv_repairs: 0,
                 repair_retries: 0,
-                token_ns: Vec::new(),
             },
         );
     }

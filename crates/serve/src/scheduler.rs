@@ -176,8 +176,6 @@ pub struct Completion {
     pub kv_repairs: usize,
     /// Repair rungs taken.
     pub repair_retries: u32,
-    /// Nanoseconds from admission to each accepted token.
-    pub token_ns: Vec<u64>,
 }
 
 /// A request occupying a batch lane.
@@ -189,7 +187,6 @@ struct ActiveRequest {
     seq: KvSeq,
     guard: Option<KvGuard>,
     tokens: Vec<u32>,
-    token_ns: Vec<u64>,
     admitted_at: Instant,
     redecodes: u32,
     repaired_this_step: bool,
@@ -219,7 +216,6 @@ impl ActiveRequest {
             storms: self.storms,
             kv_repairs: self.kv_repairs,
             repair_retries: self.repair_retries,
-            token_ns: self.token_ns,
         }
     }
 }
@@ -363,7 +359,6 @@ impl Scheduler {
                 storms: 0,
                 kv_repairs: 0,
                 repair_retries: 0,
-                token_ns: Vec::new(),
             });
             return Ok(());
         }
@@ -391,7 +386,6 @@ impl Scheduler {
                 storms: 0,
                 kv_repairs: 0,
                 repair_retries: 0,
-                token_ns: Vec::new(),
             });
         }
         n
@@ -451,7 +445,6 @@ impl Scheduler {
             seq: KvSeq::new(),
             guard: self.config.kv_guard.then(KvGuard::new),
             tokens: resume,
-            token_ns: Vec::new(),
             admitted_at,
             redecodes: 0,
             repaired_this_step: false,
@@ -493,16 +486,11 @@ impl Scheduler {
                 resumed: ar.tokens.len(),
             });
         }
-        if resuming {
-            let now = admitted_at.elapsed().as_nanos() as u64;
-            ar.token_ns.resize(ar.tokens.len(), now);
-        } else {
+        if !resuming {
             let hidden = &self.scratch.walk.hidden;
             let last = hidden.slice_rows(hidden.rows() - 1, hidden.rows());
             let first = argmax(&self.model.logits(&last)) as u32;
             ar.tokens.push(first);
-            let t_ns = admitted_at.elapsed().as_nanos() as u64;
-            ar.token_ns.push(t_ns);
             if let Some(sink) = &self.sink {
                 sink.emit(ServeEvent::Token {
                     replica: sink.replica(),
@@ -510,7 +498,7 @@ impl Scheduler {
                     step: 0,
                     token: first,
                     report,
-                    t_ns,
+                    t_ns: admitted_at.elapsed().as_nanos() as u64,
                 });
             }
         }
@@ -684,7 +672,6 @@ impl Scheduler {
             // Accept.
             ar.tokens.push(next[i]);
             let t_ns = ar.admitted_at.elapsed().as_nanos() as u64;
-            ar.token_ns.push(t_ns);
             ar.redecodes = 0;
             ar.repaired_this_step = false;
             if let Some(guard) = &mut ar.guard {

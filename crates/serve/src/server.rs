@@ -54,7 +54,6 @@ fn rejection(req: Request) -> Completion {
         storms: 0,
         kv_repairs: 0,
         repair_retries: 0,
-        token_ns: Vec::new(),
     }
 }
 

@@ -1,8 +1,8 @@
 //! The zero-dependency HTTP/SSE observability front end.
 //!
 //! [`WebServer`] is a std-only (`TcpListener` + threads, no HTTP crate)
-//! window onto the serving runtime, built for the live demo + streaming
-//! latency harness (`ft2-repro serve --web`):
+//! window onto the serving runtime, built for the live demo
+//! (`ft2-repro serve --web`):
 //!
 //! * `GET /` — an embedded single-page viewer (one static HTML/JS string,
 //!   no npm, no build step): tokens animate in colored by their step's
@@ -234,38 +234,51 @@ impl Drop for WebServer {
     }
 }
 
-/// Read the request head (+ body for POST), route, respond. Errors just
-/// drop the connection — this is a demo surface, not a hardened proxy.
+/// Read the request head (+ body for POST), route, respond. I/O errors
+/// just drop the connection; an oversized or malformed head gets a typed
+/// `431`/`400` and the connection is closed without reading the rest.
 fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
     stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
+    // The whole head (request line + headers) is read through one
+    // `MAX_HEAD`-byte `Take`, so no line — terminated or not — can make the
+    // server buffer more than that.
+    let mut reader = BufReader::new(stream.try_clone()?.take(MAX_HEAD as u64));
+    let mut stream = stream;
 
     let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("").to_string();
-    let path = parts.next().unwrap_or("").to_string();
-
-    // Drain headers, keeping only Content-Length.
     let mut content_length = 0usize;
-    let mut head_bytes = request_line.len();
+    let mut line = String::new();
     loop {
-        let mut line = String::new();
-        let n = reader.read_line(&mut line)?;
-        head_bytes += n;
-        if n == 0 || line.trim().is_empty() || head_bytes > MAX_HEAD {
-            break;
+        line.clear();
+        match reader.read_line(&mut line) {
+            Ok(_) => {}
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                return refuse(&mut stream, 400, "request head is not UTF-8");
+            }
+            Err(e) => return Err(e),
         }
-        if let Some((k, v)) = line.split_once(':') {
+        if !line.ends_with('\n') && reader.get_ref().limit() == 0 {
+            return refuse(&mut stream, 431, "request head too large");
+        }
+        if line.trim().is_empty() {
+            break; // blank line, or the client stopped sending
+        }
+        if request_line.is_empty() {
+            request_line = std::mem::take(&mut line);
+        } else if let Some((k, v)) = line.split_once(':') {
+            // Of the headers only Content-Length matters.
             if k.trim().eq_ignore_ascii_case("content-length") {
                 content_length = v.trim().parse().unwrap_or(0);
             }
         }
     }
+    let mut parts = request_line.split_whitespace();
+    let (Some(method), Some(path)) = (parts.next(), parts.next()) else {
+        return refuse(&mut stream, 400, "malformed request line");
+    };
 
-    let mut stream = stream;
-    match (method.as_str(), path.as_str()) {
+    match (method, path) {
         ("GET", "/") | ("GET", "/index.html") => {
             respond(&mut stream, 200, "text/html; charset=utf-8", VIEWER_HTML)
         }
@@ -275,12 +288,7 @@ fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
             let mut clients = lock_clean(&shared.clients);
             if clients.len() >= shared.max_clients {
                 drop(clients);
-                return respond(
-                    &mut stream,
-                    503,
-                    "application/json",
-                    r#"{"ok":false,"error":"client slots full"}"#,
-                );
+                return refuse(&mut stream, 503, "client slots full");
             }
             stream.write_all(
                 b"HTTP/1.1 200 OK\r\n\
@@ -296,6 +304,9 @@ fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
         ("POST", "/inject") => {
             let n = content_length.min(MAX_BODY);
             let mut body = vec![0u8; n];
+            // The head is done; the limit now bounds the body instead
+            // (bytes the `BufReader` already holds are served first).
+            reader.get_mut().set_limit(n as u64);
             reader.read_exact(&mut body)?;
             let body = String::from_utf8_lossy(&body);
             match LiveFault::parse(&body) {
@@ -309,29 +320,20 @@ fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
                             &format!(r#"{{"ok":true,"what":"{what}"}}"#),
                         )
                     } else {
-                        respond(
-                            &mut stream,
-                            503,
-                            "application/json",
-                            r#"{"ok":false,"error":"injector gone"}"#,
-                        )
+                        refuse(&mut stream, 503, "injector gone")
                     }
                 }
-                Err(e) => respond(
-                    &mut stream,
-                    400,
-                    "application/json",
-                    &format!(r#"{{"ok":false,"error":"{e}"}}"#),
-                ),
+                Err(e) => refuse(&mut stream, 400, &e),
             }
         }
-        _ => respond(
-            &mut stream,
-            404,
-            "application/json",
-            r#"{"ok":false,"error":"not found"}"#,
-        ),
+        _ => refuse(&mut stream, 404, "not found"),
     }
+}
+
+/// A typed JSON refusal: `{"ok":false,"error":"<error>"}` under `status`.
+fn refuse(stream: &mut TcpStream, status: u16, error: &str) -> io::Result<()> {
+    let body = format!(r#"{{"ok":false,"error":"{error}"}}"#);
+    respond(stream, status, "application/json", &body)
 }
 
 fn respond(stream: &mut TcpStream, status: u16, ctype: &str, body: &str) -> io::Result<()> {
@@ -339,6 +341,7 @@ fn respond(stream: &mut TcpStream, status: u16, ctype: &str, body: &str) -> io::
         200 => "OK",
         400 => "Bad Request",
         404 => "Not Found",
+        431 => "Request Header Fields Too Large",
         503 => "Service Unavailable",
         _ => "",
     };
@@ -610,6 +613,42 @@ mod tests {
         .unwrap();
         let resp = read_until(&mut s, "}", Duration::from_secs(5));
         assert!(resp.starts_with("HTTP/1.1 400"), "got {resp:?}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn oversized_and_malformed_heads_get_a_typed_reply_without_being_drained() {
+        let (server, _sink, _inj) = start_test_server(2);
+        let addr = server.addr();
+        let pad = "a".repeat(1 << 20);
+        for (head, status) in [
+            (format!("GET /{pad}"), "HTTP/1.1 431"), // newline-free request line
+            (format!("GET / HTTP/1.1\r\nX-Pad: {pad}\r\n\r\n"), "HTTP/1.1 431"),
+            ("nonsense\r\n\r\n".to_string(), "HTTP/1.1 400"),
+        ] {
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            s.set_write_timeout(Some(Duration::from_secs(5))).unwrap();
+            let start = Instant::now();
+            // The server answers after MAX_HEAD bytes and closes, so the
+            // tail of the megabyte may fail to send; only the reply counts.
+            let _ = s.write_all(head.as_bytes());
+            let resp = read_until(&mut s, "}", Duration::from_secs(5));
+            assert!(
+                resp.starts_with(status),
+                "want {status} for a {}-byte head, got {resp:?}",
+                head.len()
+            );
+            assert!(
+                start.elapsed() < IO_TIMEOUT,
+                "reply took {:?}: the server kept reading past MAX_HEAD",
+                start.elapsed()
+            );
+        }
+
+        let mut page = http_get(addr, "/");
+        let html = read_until(&mut page, "</html>", Duration::from_secs(5));
+        assert!(html.starts_with("HTTP/1.1 200"), "got {html:?}");
         server.shutdown();
     }
 

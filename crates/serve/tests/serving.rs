@@ -50,7 +50,7 @@ fn fault_free_batch_matches_single_sequence_generation() {
         assert_eq!(c.outcome, Outcome::Completed);
         assert_eq!(c.tokens, solo_tokens(&model, PROMPTS[i], GEN), "request {i}");
         assert_eq!(c.rollbacks, 0);
-        assert_eq!(c.token_ns.len(), GEN);
+        assert_eq!(c.tokens.len(), GEN);
     }
     assert_eq!(sched.arena_mut().pages_in_use(), 0, "all pages returned");
 }

@@ -6,10 +6,6 @@
 //!
 //! * [`matmul_naive`] — the obviously-correct triple loop, used as the test
 //!   oracle.
-//! * [`matmul`] — an ikj-ordered, row-parallel kernel: for each row of A,
-//!   accumulate `A[i][k] * B[k][:]` into the output row. Streaming both B
-//!   rows and C rows sequentially autovectorises well and avoids the
-//!   column-stride pathology of the naive ijk order.
 //! * [`matmul_transb`] — `A × Bᵀ` with B given as `[n, k]` (the natural
 //!   layout for weight matrices), built on a B-panel-blocked micro-kernel:
 //!   four rows of Bᵀ are streamed against one row of A at a time so each
@@ -37,9 +33,9 @@
 //!   *reference* generations may use Fast while every fault-injection
 //!   trial must run Strict.
 //!
-//! [`matmul_transb`] never had a zero-skip: both policies are the same
-//! IEEE-faithful kernel there, and the policy parameter exists for API
-//! symmetry only.
+//! No GEMM in this module has a zero-skip: [`matmul_transb`] and its batch
+//! variant are IEEE-faithful under either policy. The one `Fast` shortcut
+//! left is the attention value sum in `ft2-model`'s layer walk.
 
 use crate::matrix::Matrix;
 use ft2_parallel::parallel_ranges;
@@ -80,56 +76,6 @@ pub fn matmul_naive(a: &Matrix, b: &Matrix) -> Matrix {
                 acc += a.get(i, p) * b.get(p, j);
             }
             c.set(i, j, acc);
-        }
-    }
-    c
-}
-
-#[inline]
-fn row_accumulate(out_row: &mut [f32], a_row: &[f32], b: &Matrix, policy: KernelPolicy) {
-    for (p, &aval) in a_row.iter().enumerate() {
-        // Fault-free-only shortcut: `0.0 * b` contributes `±0.0` to a sum
-        // started at `+0.0` — unobservable on finite data, but it would
-        // mask a NaN/Inf in B. Strict mode therefore never skips.
-        if policy == KernelPolicy::Fast && aval == 0.0 {
-            continue;
-        }
-        let b_row = b.row(p);
-        for (o, &bval) in out_row.iter_mut().zip(b_row) {
-            *o += aval * bval;
-        }
-    }
-}
-
-/// Cache-friendly GEMM: `A[m,k] × B[k,n] -> C[m,n]`, parallel over rows of A
-/// when the output is large enough. Strict policy — see [`matmul_with`].
-pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
-    matmul_with(a, b, KernelPolicy::Strict)
-}
-
-/// [`matmul`] with an explicit [`KernelPolicy`].
-pub fn matmul_with(a: &Matrix, b: &Matrix, policy: KernelPolicy) -> Matrix {
-    assert_eq!(a.cols(), b.rows(), "matmul shape mismatch");
-    let (m, n) = (a.rows(), b.cols());
-    let mut c = Matrix::zeros(m, n);
-    if m * n * a.cols() >= PARALLEL_THRESHOLD && m > 1 {
-        let c_ptr = SendMutPtr(c.as_mut_slice().as_mut_ptr());
-        parallel_ranges(m, |_, rows| {
-            for i in rows {
-                // SAFETY: ranges are disjoint; each task touches only its
-                // own rows of C.
-                let out_row =
-                    unsafe { std::slice::from_raw_parts_mut(c_ptr.get().add(i * n), n) };
-                row_accumulate(out_row, a.row(i), b, policy);
-            }
-        });
-    } else {
-        for i in 0..m {
-            let row = unsafe {
-                // SAFETY: sequential unique access.
-                std::slice::from_raw_parts_mut(c.as_mut_slice().as_mut_ptr().add(i * n), n)
-            };
-            row_accumulate(row, a.row(i), b, policy);
         }
     }
     c
@@ -418,34 +364,7 @@ mod tests {
     fn known_product() {
         let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let b = Matrix::from_vec(3, 2, vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0]);
-        let c = matmul(&a, &b);
-        assert_eq!(c.as_slice(), &[58.0, 64.0, 139.0, 154.0]);
-        assert_eq!(matmul_naive(&a, &b), c);
-    }
-
-    #[test]
-    fn matmul_matches_naive_random() {
-        let mut rng = Xoshiro256StarStar::new(17);
-        for &(m, k, n) in &[(1usize, 8usize, 5usize), (7, 16, 9), (33, 64, 17)] {
-            let a = random_matrix(&mut rng, m, k);
-            let b = random_matrix(&mut rng, k, n);
-            let slow = matmul_naive(&a, &b);
-            for policy in [KernelPolicy::Strict, KernelPolicy::Fast] {
-                let fast = matmul_with(&a, &b, policy);
-                assert!(fast.max_abs_diff(&slow) < 1e-4, "mismatch {m}x{k}x{n}");
-            }
-        }
-    }
-
-    #[test]
-    fn matmul_parallel_path_matches_naive() {
-        let mut rng = Xoshiro256StarStar::new(18);
-        // Big enough to cross PARALLEL_THRESHOLD.
-        let a = random_matrix(&mut rng, 192, 160, );
-        let b = random_matrix(&mut rng, 160, 160);
-        let fast = matmul(&a, &b);
-        let slow = matmul_naive(&a, &b);
-        assert!(fast.max_abs_diff(&slow) < 1e-3);
+        assert_eq!(matmul_naive(&a, &b).as_slice(), &[58.0, 64.0, 139.0, 154.0]);
     }
 
     #[test]
@@ -552,15 +471,6 @@ mod tests {
     }
 
     #[test]
-    fn identity_is_neutral() {
-        let mut rng = Xoshiro256StarStar::new(20);
-        let a = random_matrix(&mut rng, 5, 5);
-        let id = Matrix::from_fn(5, 5, |r, c| if r == c { 1.0 } else { 0.0 });
-        assert!(matmul(&a, &id).max_abs_diff(&a) < 1e-6);
-        assert!(matmul(&id, &a).max_abs_diff(&a) < 1e-6);
-    }
-
-    #[test]
     fn dot_unrolled_matches_fold() {
         let a: Vec<f32> = (0..13).map(|i| i as f32 * 0.5).collect();
         let b: Vec<f32> = (0..13).map(|i| (13 - i) as f32).collect();
@@ -603,49 +513,6 @@ mod tests {
         }
     }
 
-    /// The satellite regression: non-finite values in B must propagate
-    /// through `matmul` exactly as through the naive oracle — on the
-    /// serial path, the parallel path, and through `matmul_transb`.
-    #[test]
-    fn strict_matmul_propagates_nonfinite_like_naive() {
-        let mut rng = Xoshiro256StarStar::new(41);
-        // Serial (small) and parallel (crosses PARALLEL_THRESHOLD) shapes.
-        for &(m, k, n) in &[(4usize, 16usize, 8usize), (192, 160, 160)] {
-            // A with planted zeros so the old zero-skip would trigger.
-            let a = Matrix::from_fn(m, k, |_, c| {
-                if c % 3 == 0 {
-                    0.0
-                } else {
-                    rng.normal() as f32
-                }
-            });
-            let mut b = random_matrix(&mut rng, k, n);
-            // Non-finite B entries *only* in rows multiplied by zero.
-            b.set(0, 1, f32::NAN);
-            b.set(0, n - 1, f32::INFINITY);
-            b.set(3 % k, 0, f32::NEG_INFINITY);
-            let strict = matmul_with(&a, &b, KernelPolicy::Strict);
-            let oracle = matmul_naive(&a, &b);
-            for i in 0..m {
-                for j in 0..n {
-                    let (s, o) = (strict.get(i, j), oracle.get(i, j));
-                    assert_eq!(
-                        s.is_nan(),
-                        o.is_nan(),
-                        "NaN placement diverges at ({i},{j}): strict={s} oracle={o} ({m}x{k}x{n})"
-                    );
-                    assert_eq!(s.is_finite(), o.is_finite(), "finiteness diverges at ({i},{j})");
-                }
-            }
-            // The fast path masks them — the documented divergence.
-            let fast = matmul_with(&a, &b, KernelPolicy::Fast);
-            assert!(
-                !fast.row(0).iter().any(|v| v.is_nan()),
-                "fast path unexpectedly propagated a zero-multiplied NaN"
-            );
-        }
-    }
-
     #[test]
     fn transb_propagates_nonfinite_like_naive() {
         let mut rng = Xoshiro256StarStar::new(42);
@@ -666,28 +533,10 @@ mod tests {
     }
 
     #[test]
-    fn fast_equals_strict_on_finite_data() {
-        // The contract that lets references run Fast: on fault-free
-        // tensors the two policies are bit-identical.
-        let mut rng = Xoshiro256StarStar::new(43);
-        let a = Matrix::from_fn(6, 24, |_, c| {
-            if c % 4 == 0 {
-                0.0
-            } else {
-                rng.normal() as f32
-            }
-        });
-        let b = random_matrix(&mut rng, 24, 10);
-        let strict = matmul_with(&a, &b, KernelPolicy::Strict);
-        let fast = matmul_with(&a, &b, KernelPolicy::Fast);
-        assert_eq!(strict, fast);
-    }
-
-    #[test]
     #[should_panic]
     fn shape_mismatch_panics() {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(4, 2);
-        matmul(&a, &b);
+        matmul_naive(&a, &b);
     }
 }

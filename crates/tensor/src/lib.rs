@@ -19,16 +19,14 @@
 //!   threshold; below it they run sequentially to keep single-token decode
 //!   latency low.
 
-pub mod abft;
 pub mod gemm;
 pub mod matrix;
 pub mod ops;
 pub mod seam;
 
-pub use abft::{checked_matmul_transb, AbftOutcome, CheckedProduct};
 pub use gemm::{
-    dot, matmul, matmul_naive, matmul_transb, matmul_transb_batch, matmul_transb_batch_into,
-    matmul_transb_into, matmul_with, KernelPolicy,
+    dot, matmul_naive, matmul_transb, matmul_transb_batch, matmul_transb_batch_into,
+    matmul_transb_into, KernelPolicy,
 };
 pub use matrix::{DType, Matrix};
 pub use seam::{matmul_transb_cols_f64, reduce_seam_into};

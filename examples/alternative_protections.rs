@@ -1,44 +1,22 @@
-//! The related-work alternatives the paper positions FT2 against:
-//! algorithm-based fault tolerance (ABFT checksums) and dual modular
-//! redundancy (DMR).
+//! The related-work alternative the paper positions FT2 against: dual
+//! modular redundancy (DMR).
 //!
 //! ```sh
 //! cargo run --release --example alternative_protections
 //! ```
 //!
-//! Shows (1) an ABFT-checksummed GEMM detecting, locating and correcting
-//! an injected exponent flip; (2) a DMR campaign reaching 0% SDC at ~2x
-//! execution cost; and (3) FT2 reaching a comparable rate at a few percent
-//! overhead — the trade-off that motivates the paper.
+//! Shows a DMR campaign reaching 0% SDC at ~2x execution cost beside FT2
+//! reaching a comparable rate at a few percent overhead — the trade-off
+//! that motivates the paper.
 
 use ft2::core::{Scheme, SchemeFactory};
 use ft2::fault::{run_dmr_campaign, Campaign, CampaignConfig, FaultModel};
 use ft2::model::ZooModel;
-use ft2::numeric::bits::flip_bit_f32;
-use ft2::numeric::{Rng, Xoshiro256StarStar};
 use ft2::parallel::WorkStealingPool;
 use ft2::tasks::datasets::generate_prompts;
 use ft2::tasks::{DatasetId, TaskSpec, TaskType};
-use ft2::tensor::{checked_matmul_transb, AbftOutcome, Matrix};
 
 fn main() {
-    // --- 1. ABFT on one GEMM -------------------------------------------
-    let mut rng = Xoshiro256StarStar::new(99);
-    let a = Matrix::from_fn(8, 32, |_, _| rng.normal() as f32 * 0.5);
-    let w = Matrix::from_fn(16, 32, |_, _| rng.normal() as f32 * 0.3);
-    let mut product = checked_matmul_transb(&a, &w);
-    let before = product.c.get(5, 11);
-    product.c.set(5, 11, flip_bit_f32(before, 30)); // exponent flip
-    match product.verify_and_correct(&a, &w) {
-        AbftOutcome::Corrupted { columns, corrected } => println!(
-            "ABFT: detected corruption in column(s) {columns:?}, recomputed {corrected} element(s)"
-        ),
-        AbftOutcome::Clean => unreachable!("the fault must be detected"),
-    }
-    assert_eq!(product.verify(), AbftOutcome::Clean);
-    println!("ABFT: product verified clean after correction\n");
-
-    // --- 2 & 3. DMR vs FT2 on a fault campaign -------------------------
     let model = ZooModel::Vicuna7B.spec().build();
     let pool = WorkStealingPool::with_default_threads();
     let prompts = generate_prompts(DatasetId::Squad, 8, 4711);

@@ -185,9 +185,11 @@ clamp-to-bound choice.""",
 fused clamp+nan pass at 2.4-7.7% of generation time with the worst cases
 on the smallest models — the paper's exact picture (average ~3.7%, worst
 on the small checkpoints). The simulator's wall-clock column is noisy
-(millisecond-scale generations timed on one contended core; see
-`bench_output.txt`'s protection_overhead group for the steadier Criterion
-measurement). Bound memory is exactly 2 FP16 values per protected layer:
+(millisecond-scale generations timed on one contended core; the steadier
+measurement is the benchmark's `core.protect.overhead_pct`, with its
+quartiles `_q1`/`_q3`, on the `solo_decode` workload — interleaved
+protected/bare twins of 128-token generations; 4.2 % (2.1 / 6.0) on the
+reference box when the benchmark landed). Bound memory is exactly 2 FP16 values per protected layer:
 336-512 B, matching the paper's 288-512 B.""",
     ),
     (
@@ -215,9 +217,14 @@ out clamping — zeroing a corrupted propagation is cheap when hidden states
 are only 64-dim — whereas the paper's Take-away #8 argument is about
 *legitimate* outliers under tight bounds; the element-level behaviour
 (clamp preserves a truncated outlier, zero destroys it) is pinned by unit
-test `offline_bounds_shrink_with_clip_to_zero_on_outliers`, though the
-end-to-end fault-free difference is below our resolution
-(`ablation_takeaway8_fault_free`). (2) Full Protection reaches the lowest
+test `offline_bounds_shrink_with_clip_to_zero_on_outliers`. End to end the
+fault-free ablation (`ablation_takeaway8_fault_free`) shows no difference
+between the two policies — and shows both at 91.67 % fault-free
+correctness, not 100 %: one prompt in twelve changes its answer under
+protection with no fault injected, and the benchmark counts
+`core.protect.false_clamps` in the thousands per `solo_decode` run. FT2 as
+deployed here (scale 2, 12–20-token prompts) is not transparent on
+fault-free runs; ROADMAP item 2 owns that gap. (2) Full Protection reaches the lowest
 SDC, at the near-2x cost the paper cites. (3) Step weighting: a
 computation-uniform fault model multiplies the first-token fault share
 ~12x and stresses FT2's unprotected prefill window — why the time-uniform

@@ -65,8 +65,7 @@ echo "== static analysis (source + concurrency lints + coverage + shutdown proof
 # priced, every checkpoint version handled, no cycle in the
 # lock-acquisition graph, and the no-execution shutdown proof intact
 # (checked — the vacuous unchecked verdict must not slip through). Grep
-# the schema keys like the bench smoke does so the JSON contract cannot
-# silently drift.
+# the schema keys so the JSON contract cannot silently drift.
 LINT_TMP="$(mktemp)"
 ./target/release/ft2-repro lint --json > "$LINT_TMP"
 for key in '"schema": 1' '"ok": true' '"finding_count": 0' \
@@ -94,91 +93,13 @@ echo "== persistent-fault smoke campaign =="
 # end-to-end exactly as a user would invoke them.
 FT2_INPUTS=2 FT2_TRIALS=3 ./target/release/ft2-repro persistent
 
-echo "== bench smoke (schema-stable JSON baseline) =="
-# Quick-sized run of the perf baseline emitter: the subcommand must work
-# end-to-end and the JSON schema the perf gate greps must not drift.
-BENCH_TMP="$(mktemp -d)/BENCH_decode.json"
-FT2_QUICK=1 ./target/release/ft2-repro bench --json --out "$BENCH_TMP"
-for key in '"schema": 1' '"prefill_tok_s"' '"decode_tok_s"' '"campaign_trials_s"'; do
-    grep -q "$key" "$BENCH_TMP" || {
-        echo "verify: bench JSON is missing $key" >&2
-        exit 1
-    }
-done
-# Decode-throughput non-regression: the fresh quick run must stay within
-# 2x of the committed BENCH_decode.json baseline. Quick sizing is noisy
-# (historically ~90% of the full run on the same box), so the 50% floor
-# only bites on a genuine hot-path regression, not jitter.
-awk -F': ' '
-    /"decode_tok_s"/ { gsub(/,/, ""); v[n++] = $2 }
-    END {
-        if (n != 2) { print "verify: could not read decode_tok_s" > "/dev/stderr"; exit 1 }
-        if (v[1] * 2 < v[0]) {
-            printf "verify: decode throughput regressed: %s tok/s vs committed baseline %s\n", v[1], v[0] > "/dev/stderr"
-            exit 1
-        }
-    }' BENCH_decode.json "$BENCH_TMP"
-rm -f "$BENCH_TMP"
-
-echo "== shards smoke (fault-isolation guarantees + JSON baseline) =="
-# 2-shard smoke sweep through the release binary: proves N-shard token
-# identity, repair-beats-restart, and crash + degraded-mode serving, and
-# pins the BENCH_shards.json schema the availability gate greps. The
-# subcommand itself exits non-zero if any guarantee fails.
-SHARDS_TMP="$(mktemp -d)/BENCH_shards.json"
-FT2_QUICK=1 ./target/release/ft2-repro shards --smoke --json --out "$SHARDS_TMP"
-for key in '"schema": 1' '"token_identical": true' '"repair_outcome": "Repaired"' \
-           '"repair_beats_restart": true' '"degrade_outcome": "Degraded"' \
-           '"ok": true'; do
-    grep -q "$key" "$SHARDS_TMP" || {
-        echo "verify: shards JSON is missing $key" >&2
-        cat "$SHARDS_TMP" >&2
-        exit 1
-    }
-done
-rm -f "$SHARDS_TMP"
-
-echo "== serve smoke (per-request fault isolation + JSON baseline) =="
-# CI-sized pass through the continuous-batching serving gate: batch-vs-solo
-# token identity at every swept batch size, and a transient storm confined
-# to one lane of a batch-4 run that must heal by rollback with every
-# request still token-identical. Pins the BENCH_serve.json schema. The
-# subcommand itself exits non-zero if any guarantee fails.
-SERVE_TMP="$(mktemp -d)/BENCH_serve.json"
-./target/release/ft2-repro serve --smoke --json --out "$SERVE_TMP"
-for key in '"schema": 2' '"requests_s"' '"ttft_ms"' '"p50_token_ms"' '"p99_token_ms"' \
-           '"identity_ok": true' '"storm_outcome": "Completed"' \
-           '"clean_p99_inflation"' '"storm_identity_ok": true' '"ok": true'; do
-    grep -q "$key" "$SERVE_TMP" || {
-        echo "verify: serve JSON is missing $key" >&2
-        cat "$SERVE_TMP" >&2
-        exit 1
-    }
-done
-rm -f "$SERVE_TMP"
-
-echo "== replicas smoke (cross-replica failover + JSON baseline) =="
-# CI-sized pass through the replication gate: a replica crash mid-batch
-# must hand its requests over with zero accepted-token loss and
-# bit-identical continuations, a persistent one-replica storm must trip
-# the breaker into quarantine with clean requests unaffected, and the
-# quarantined replica must rebuild from the golden copy and rejoin faster
-# than a full restart. Pins the BENCH_replicas.json schema. The
-# subcommand itself exits non-zero if any guarantee fails.
-REPLICAS_TMP="$(mktemp -d)/BENCH_replicas.json"
-./target/release/ft2-repro replicas --smoke --json --out "$REPLICAS_TMP"
-for key in '"schema": 2' '"crash_identity_ok": true' '"handoff_tokens"' \
-           '"crash_failed_over"' '"storm_quarantined": true' \
-           '"storm_identity_ok": true' '"ttft_ms"' '"clean_p99_inflation"' \
-           '"rebuild_beats_restart": true' '"rejoin_ok": true' \
-           '"ok": true'; do
-    grep -q "$key" "$REPLICAS_TMP" || {
-        echo "verify: replicas JSON is missing $key" >&2
-        cat "$REPLICAS_TMP" >&2
-        exit 1
-    }
-done
-rm -f "$REPLICAS_TMP"
+echo "== correctness gates (shards, serve, replicas) =="
+# Each gate runs its drills through the release binary, prints one
+# pass/FAIL row per guarantee and exits non-zero if any fails — the exit
+# status is the check. They time nothing; the benchmark above does.
+./target/release/ft2-repro shards --smoke
+./target/release/ft2-repro serve --smoke
+./target/release/ft2-repro replicas --smoke
 
 echo "== serve --web smoke (live SSE observability + injection) =="
 # Boot the live-observability endpoint headless on an ephemeral port:
