@@ -249,6 +249,11 @@ pub fn prove_shutdown(
                     POOL,
                     Present("state.shutdown.load"),
                 ),
+                (
+                    "a spinning worker re-reads the shutdown flag (a pool dropped mid-spin)",
+                    POOL,
+                    Ordered("state.shutdown.load", "spin_until(news)"),
+                ),
             ],
             findings,
         ),
@@ -267,9 +272,14 @@ pub fn prove_shutdown(
                     Present("shutdown.load"),
                 ),
                 (
-                    "monitor sleeps are bounded (poll tick, never parked)",
+                    "the monitor's wait is bounded (park_timeout, never an untimed park)",
                     HEARTBEAT,
-                    Present("thread::sleep"),
+                    Present("thread::park_timeout(poll)"),
+                ),
+                (
+                    "the dropper unparks the monitor before the join",
+                    HEARTBEAT,
+                    Ordered("unpark()", "h.join()"),
                 ),
             ],
             findings,

@@ -52,7 +52,7 @@ use ft2_tensor::{
     argmax, matmul_transb_cols_f64, matmul_transb_into, reduce_seam_into, DType, KernelPolicy,
     Matrix,
 };
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// A partial whose magnitude exceeds this (or is non-finite) is flagged
@@ -147,6 +147,17 @@ impl ShardPlan {
         }
     }
 
+    /// The feature span shard `s` owns for `layer`: output rows under
+    /// column sharding, input columns under row sharding.
+    fn span(&self, s: usize, layer: LayerKind) -> Span {
+        match layer {
+            LayerKind::KProj | LayerKind::QProj | LayerKind::VProj | LayerKind::OutProj => {
+                self.col_span(s)
+            }
+            _ => self.ffn_spans[s],
+        }
+    }
+
     /// Slice a full weight set into per-shard weights (deterministic,
     /// bit-preserving copies).
     pub fn partition(&self, config: &ModelConfig, weights: &ModelWeights) -> Vec<ShardWeights> {
@@ -189,6 +200,40 @@ impl ShardPlan {
             .collect()
     }
 
+    /// Overwrite `shards` — a partition this plan made of a weight set of
+    /// the same shape — with what [`ShardPlan::partition`] would make of
+    /// `weights` now, in the buffers they already have.
+    fn refresh(&self, config: &ModelConfig, weights: &ModelWeights, shards: &mut [ShardWeights]) {
+        assert_eq!(shards.len(), self.shards, "shard count mismatch");
+        for (s, sw) in shards.iter_mut().enumerate() {
+            for (bw, sb) in weights.blocks.iter().zip(&mut sw.blocks) {
+                for &kind in config.block_layers() {
+                    let lin = bw.layer(kind).expect("block layer of this architecture");
+                    let slice = sb.layer_mut(kind).expect("sharded layer of this architecture");
+                    let span = self.span(s, kind);
+                    match seam_mode(kind) {
+                        SeamMode::Col => {
+                            let cols = lin.weight.cols();
+                            slice.weight.as_mut_slice().copy_from_slice(
+                                &lin.weight.as_slice()[span.start * cols..span.end * cols],
+                            );
+                            if let (Some(dst), Some(b)) = (slice.bias.as_mut(), lin.bias.as_ref()) {
+                                dst.copy_from_slice(&b[span.start..span.end]);
+                            }
+                        }
+                        SeamMode::Row => {
+                            copy_cols(&lin.weight, span, &mut slice.weight);
+                            // Only shard 0 keeps a row-sharded bias.
+                            if let (Some(dst), Some(b)) = (slice.bias.as_mut(), lin.bias.as_ref()) {
+                                dst.copy_from_slice(b);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// Write the sharded block linears back into `target` — the inverse of
     /// [`ShardPlan::partition`]. Only block linears are touched (norms,
     /// embeddings and the LM head are replicated on the driver and never
@@ -224,9 +269,7 @@ impl ShardPlan {
 /// features `span` with their bias entries.
 fn rows_slice(lin: &Linear, span: Span) -> Linear {
     Linear {
-        weight: Matrix::from_fn(span.len(), lin.weight.cols(), |r, c| {
-            lin.weight.get(span.start + r, c)
-        }),
+        weight: lin.weight.slice_rows(span.start, span.end),
         bias: lin
             .bias
             .as_ref()
@@ -238,11 +281,20 @@ fn rows_slice(lin: &Linear, span: Span) -> Linear {
 /// features `span`; the bias is applied once after the reduce seam, so
 /// only shard 0 keeps it.
 fn cols_slice(lin: &Linear, span: Span, keep_bias: bool) -> Linear {
+    let mut weight = Matrix::zeros(lin.weight.rows(), span.len());
+    copy_cols(&lin.weight, span, &mut weight);
     Linear {
-        weight: Matrix::from_fn(lin.weight.rows(), span.len(), |r, c| {
-            lin.weight.get(r, span.start + c)
-        }),
+        weight,
         bias: if keep_bias { lin.bias.clone() } else { None },
+    }
+}
+
+/// Copy columns `span` of `full` over `slice` (`[full.rows(), span.len()]`).
+fn copy_cols(full: &Matrix, span: Span, slice: &mut Matrix) {
+    for r in 0..full.rows() {
+        slice
+            .row_mut(r)
+            .copy_from_slice(&full.row(r)[span.start..span.end]);
     }
 }
 
@@ -260,9 +312,7 @@ fn write_rows(target: &mut Linear, shard: &Linear, span: Span) {
 
 fn write_cols(target: &mut Linear, shard: &Linear, span: Span, restore_bias: bool) {
     for r in 0..target.weight.rows() {
-        for c in 0..span.len() {
-            target.weight.set(r, span.start + c, shard.weight.get(r, c));
-        }
+        target.weight.row_mut(r)[span.start..span.end].copy_from_slice(shard.weight.row(r));
     }
     if restore_bias {
         if let (Some(tb), Some(sb)) = (target.bias.as_mut(), shard.bias.as_ref()) {
@@ -272,7 +322,7 @@ fn write_cols(target: &mut Linear, shard: &Linear, span: Span, restore_bias: boo
 }
 
 /// One decoder block's weight slices on one shard.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ShardBlockWeights {
     /// Key-projection output-row slice.
     pub k_proj: Linear,
@@ -322,7 +372,7 @@ impl ShardBlockWeights {
 }
 
 /// One shard's complete weight slices.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ShardWeights {
     /// Shard index under the current partition.
     pub shard: usize,
@@ -673,6 +723,21 @@ struct ShardBuf {
     partial: Mutex<Vec<f64>>,
 }
 
+/// The lists one linear's fan-out works through, kept between linears so
+/// the fault-free path allocates nothing.
+#[derive(Default)]
+struct FanoutScratch {
+    /// Shards whose partial is still to be computed by the next dispatch.
+    pending: Vec<usize>,
+    /// The taps' directive for each pending shard.
+    directives: Vec<TaskDirective>,
+    /// First input column of each pending shard's slice (row sharding).
+    col_los: Vec<usize>,
+    /// The row-sharded partials, in shard order, while the seam reduces
+    /// them.
+    parts: Vec<Vec<f64>>,
+}
+
 /// A model partitioned across `N` logical shards, executable on a worker
 /// pool with shard-granular fault isolation and recovery.
 pub struct ShardedModel<'m> {
@@ -681,6 +746,7 @@ pub struct ShardedModel<'m> {
     plan: ShardPlan,
     weights: Vec<ShardWeights>,
     bufs: Vec<ShardBuf>,
+    scratch: FanoutScratch,
 }
 
 impl<'m> ShardedModel<'m> {
@@ -696,6 +762,7 @@ impl<'m> ShardedModel<'m> {
             plan,
             weights,
             bufs,
+            scratch: FanoutScratch::default(),
         }
     }
 
@@ -722,10 +789,17 @@ impl<'m> ShardedModel<'m> {
 
     /// Restore the initial partition from the golden checkpoint (also run
     /// at the start of every generation, so injected weight corruption
-    /// never leaks across generations).
+    /// never leaks across generations). Unless a degrade changed the plan,
+    /// the shards' buffers are overwritten where they are: a copy, with no
+    /// allocation and no second partition alive beside the first.
     pub fn reset(&mut self) {
-        self.plan = ShardPlan::new(self.model.config(), self.initial_shards);
-        self.repartition();
+        let (config, golden) = (self.model.config(), self.model.weights());
+        if self.plan.shards == self.initial_shards {
+            self.plan.refresh(config, golden, &mut self.weights);
+        } else {
+            self.plan = ShardPlan::new(config, self.initial_shards);
+            self.repartition();
+        }
     }
 
     fn repartition(&mut self) {
@@ -739,35 +813,29 @@ impl<'m> ShardedModel<'m> {
         self.repartition();
     }
 
-    /// The feature span shard `s` owns for `layer`: output rows under
-    /// column sharding, input columns under row sharding.
-    fn feature_span(&self, s: usize, layer: LayerKind) -> Span {
-        match layer {
-            LayerKind::KProj | LayerKind::QProj | LayerKind::VProj | LayerKind::OutProj => {
-                self.plan.col_span(s)
-            }
-            _ => self.plan.ffn_spans[s],
-        }
-    }
-
-    /// Dispatch the partial GEMMs of `ids` for one linear and return the
-    /// shards that failed (crash or hang), in discovery order.
-    #[allow(clippy::too_many_arguments)]
+    /// Dispatch the partial GEMMs of the pending shards for one linear,
+    /// each under its directive, and return the shards that failed (crash
+    /// or hang), in discovery order.
     fn exec(
-        &self,
+        &mut self,
         pool: &WorkStealingPool,
         hb: &ShardHeartbeat,
-        ids: &[usize],
-        directives: &[TaskDirective],
         block: usize,
         layer: LayerKind,
         x: &Matrix,
     ) -> Vec<(usize, ShardIncidentKind)> {
         let mode = seam_mode(layer);
-        let col_los: Vec<usize> = ids
-            .iter()
-            .map(|&s| self.feature_span(s, layer).start)
-            .collect();
+        let (plan, scratch) = (&self.plan, &mut self.scratch);
+        scratch.col_los.clear();
+        scratch
+            .col_los
+            .extend(scratch.pending.iter().map(|&s| plan.span(s, layer).start));
+        let FanoutScratch {
+            pending: ids,
+            directives,
+            col_los,
+            ..
+        } = &self.scratch;
         let weights = &self.weights;
         let bufs = &self.bufs;
         let panics = pool.try_run(ids.len(), 1, |j| {
@@ -841,14 +909,14 @@ impl<'m> ShardedModel<'m> {
     /// column-sharded slices are concatenated, row-sharded partials go
     /// through the f64 reduce seam; the bias is added and the result
     /// quantised exactly as the unsharded [`Linear::forward_into`] does.
-    fn gather(&self, block: usize, layer: LayerKind, n_rows: usize, out: &mut Matrix) {
+    fn gather(&mut self, block: usize, layer: LayerKind, n_rows: usize, out: &mut Matrix) {
         let config = self.model.config();
         let out_features = config.out_features(layer);
         match seam_mode(layer) {
             SeamMode::Col => {
                 out.reset(n_rows, out_features);
                 for (s, sw) in self.weights.iter().enumerate() {
-                    let span = self.feature_span(s, layer);
+                    let span = self.plan.span(s, layer);
                     if span.is_empty() {
                         continue;
                     }
@@ -868,11 +936,16 @@ impl<'m> ShardedModel<'m> {
                 }
             }
             SeamMode::Row => {
-                let guards: Vec<MutexGuard<'_, Vec<f64>>> =
-                    self.bufs.iter().map(|b| lock_clean(&b.partial)).collect();
-                let parts: Vec<&[f64]> = guards.iter().map(|g| g.as_slice()).collect();
-                reduce_seam_into(&parts, n_rows, out_features, out);
-                drop(guards);
+                // Each shard's buffer trades places with the one reduced a
+                // linear ago, which its next partial then overwrites: the
+                // seam gets the partials as one list without holding a
+                // guard per shard or copying an element.
+                let parts = &mut self.scratch.parts;
+                parts.resize_with(self.bufs.len(), Vec::new);
+                for (part, buf) in parts.iter_mut().zip(&self.bufs) {
+                    std::mem::swap(part, &mut *lock_clean(&buf.partial));
+                }
+                reduce_seam_into(parts, n_rows, out_features, out);
                 // The bias lives on shard 0 and is applied once, after the
                 // reduce — the Megatron row-parallel convention.
                 if let Some(b) = self.weights[0].blocks[block]
@@ -1087,18 +1160,26 @@ impl Exec for Fanout<'_, '_, '_> {
             stats,
         } = self;
         let step = *step;
-        let n = sharded.weights.len();
-        let mut pending: Vec<usize> = (0..n).collect();
+        sharded.scratch.pending.clear();
+        sharded.scratch.pending.extend(0..sharded.weights.len());
         let mut reexecs_left = policy.shard_reexec;
         let mut repaired = false;
         loop {
-            let directives: Vec<TaskDirective> = pending
-                .iter()
-                .map(|&s| taps.directive(step, block, layer, s))
-                .collect();
-            let mut bad = sharded.exec(pool, hb, &pending, &directives, block, layer, x);
-            let crashed: Vec<usize> = bad.iter().map(|&(s, _)| s).collect();
-            for &s in pending.iter().filter(|s| !crashed.contains(s)) {
+            let FanoutScratch {
+                pending,
+                directives,
+                ..
+            } = &mut sharded.scratch;
+            directives.clear();
+            directives.extend(pending.iter().map(|&s| taps.directive(step, block, layer, s)));
+            let mut bad = sharded.exec(pool, hb, block, layer, x);
+            // Crashed and hung shards left no partial to look at; the
+            // anomalies found below are appended behind them.
+            let crashed = bad.len();
+            for &s in &sharded.scratch.pending {
+                if bad[..crashed].iter().any(|&(b, _)| b == s) {
+                    continue;
+                }
                 let ctx = ShardPartialCtx {
                     step,
                     block,
@@ -1128,7 +1209,7 @@ impl Exec for Fanout<'_, '_, '_> {
             if reexecs_left > 0 {
                 reexecs_left -= 1;
                 stats.shard_retries += bad.len() as u32;
-                pending = bad.iter().map(|&(s, _)| s).collect();
+                retry(&mut sharded.scratch.pending, &bad);
                 continue;
             }
             // Rung 2: repair sweep over the suspect shards (persistent
@@ -1138,9 +1219,9 @@ impl Exec for Fanout<'_, '_, '_> {
             // restart.
             if policy.repair && !repaired && !taps.is_empty() {
                 repaired = true;
-                let suspects: Vec<usize> = bad.iter().map(|&(s, _)| s).collect();
+                retry(&mut sharded.scratch.pending, &bad);
                 let scope = RepairScope {
-                    suspects: &suspects,
+                    suspects: &sharded.scratch.pending,
                     block,
                     layer,
                 };
@@ -1151,7 +1232,6 @@ impl Exec for Fanout<'_, '_, '_> {
                 stats.tiles_repaired += rep.repaired_tiles;
                 stats.repair_rungs += 1;
                 stats.shard_retries += bad.len() as u32;
-                pending = bad.iter().map(|&(s, _)| s).collect();
                 continue;
             }
             // Ladder exhausted. Crash/hang failures (listed first) have no
@@ -1168,6 +1248,12 @@ impl Exec for Fanout<'_, '_, '_> {
         sharded.gather(block, layer, x.rows(), out);
         Ok(())
     }
+}
+
+/// Make the failed shards the next dispatch's pending list.
+fn retry(pending: &mut Vec<usize>, bad: &[(usize, ShardIncidentKind)]) {
+    pending.clear();
+    pending.extend(bad.iter().map(|&(s, _)| s));
 }
 
 #[cfg(test)]
@@ -1224,6 +1310,49 @@ mod tests {
                     "{}: partition/reassemble not an involution at n={n}",
                     config.name
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn reset_in_place_equals_a_fresh_partition() {
+        /// Overwrite every weight and bias element of every shard tile.
+        fn corrupt(config: &ModelConfig, shards: &mut [ShardWeights]) {
+            for sb in shards.iter_mut().flat_map(|sw| &mut sw.blocks) {
+                for &kind in config.block_layers() {
+                    let lin = sb.layer_mut(kind).unwrap();
+                    lin.weight.as_mut_slice().fill(f32::NAN);
+                    if let Some(b) = lin.bias.as_mut() {
+                        b.fill(-7.75);
+                    }
+                }
+            }
+        }
+        for config in [ModelConfig::tiny_opt(), ModelConfig::tiny_llama()] {
+            let model = Model::new(config);
+            let config = model.config();
+            for n in [1usize, 2, 3, 5] {
+                let mut sharded = ShardedModel::new(&model, n);
+                let fresh = sharded.plan.partition(config, model.weights());
+                let tile = |m: &ShardedModel<'_>| m.weights[n - 1].blocks[0].out_proj.weight.as_slice().as_ptr();
+                let before = tile(&sharded);
+                corrupt(config, &mut sharded.weights);
+                assert_ne!(sharded.weights, fresh);
+                sharded.reset();
+                assert_eq!(sharded.weights, fresh, "{} n={n}", config.name);
+                assert_eq!(tile(&sharded), before, "reset must reuse the shard buffers");
+                if n == 1 {
+                    continue;
+                }
+                // A degrade changes the plan; reset must then re-partition
+                // back onto the initial shard count.
+                sharded.degrade();
+                assert_eq!(sharded.alive(), n - 1);
+                corrupt(config, &mut sharded.weights);
+                sharded.reset();
+                assert_eq!(sharded.alive(), n);
+                assert_eq!(sharded.plan().shards, n);
+                assert_eq!(sharded.weights, fresh, "{} n={n} after a degrade", config.name);
             }
         }
     }

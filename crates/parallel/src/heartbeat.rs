@@ -142,7 +142,8 @@ impl ShardHeartbeat {
 }
 
 /// Owns the monitor thread that converts stale beats into cancellations.
-/// Dropping the monitor shuts the thread down.
+/// Dropping the monitor shuts the thread down without waiting out its
+/// poll tick.
 pub struct HeartbeatMonitor {
     state: Arc<ShardHeartbeat>,
     handle: Option<JoinHandle<()>>,
@@ -152,7 +153,10 @@ impl HeartbeatMonitor {
     /// Spawn a monitor for `shards` shards with the given stale-beat
     /// timeout. The monitor polls at a quarter of the timeout (at least
     /// every millisecond), so a hung shard is cancelled within roughly
-    /// `timeout` to `1.25 × timeout`.
+    /// `timeout` to `1.25 × timeout`. Between polls it is parked with
+    /// `park_timeout`, which `Drop` cuts short with an `unpark`; any other
+    /// unpark only makes it poll early, and a poll compares beats against
+    /// the clock, so an early one can neither miss nor invent a stale beat.
     ///
     /// A **zero timeout disables the watchdog**: a warning is printed and
     /// no monitor thread is spawned (the old behaviour — clamping to 1 ms —
@@ -189,7 +193,7 @@ impl HeartbeatMonitor {
                         watcher.cancel[i].store(true, Ordering::SeqCst);
                     }
                 }
-                std::thread::sleep(poll);
+                std::thread::park_timeout(poll);
             })
             .expect("spawn heartbeat monitor");
         HeartbeatMonitor {
@@ -214,6 +218,7 @@ impl Drop for HeartbeatMonitor {
     fn drop(&mut self) {
         self.state.shutdown.store(true, Ordering::SeqCst);
         if let Some(h) = self.handle.take() {
+            h.thread().unpark();
             let _ = h.join();
         }
     }
@@ -250,6 +255,24 @@ mod tests {
         }
         assert!(!hb.is_cancelled(0));
         assert!(!hb.is_cancelled(2));
+    }
+
+    #[test]
+    fn dropping_a_long_timeout_monitor_returns_promptly() {
+        // The poll tick is a quarter of the timeout — 2.5 s here.
+        let mon = HeartbeatMonitor::spawn(2, Duration::from_secs(10));
+        let hb = mon.state();
+        hb.begin(0);
+        hb.end(0);
+        // Let the monitor finish its first poll and park.
+        std::thread::sleep(Duration::from_millis(20));
+        let t0 = Instant::now();
+        drop(mon);
+        let took = t0.elapsed();
+        assert!(
+            took < Duration::from_millis(50),
+            "drop waited {took:?} for the monitor's poll tick"
+        );
     }
 
     #[test]

@@ -133,15 +133,16 @@ pub const LOCK_REGISTRY: &[LockSpec] = &[
         kind: LockKind::Mutex,
         rank: 6,
         site: "crates/parallel/src/pool.rs",
-        doc: "batch-generation counter; paired with work_cv to park workers \
-              between batches",
+        doc: "sleeper registration for the published batch generation; paired \
+              with work_cv to park workers whose spin budget is spent",
     },
     LockSpec {
         name: "done_mx",
         kind: LockKind::Mutex,
         rank: 7,
         site: "crates/parallel/src/pool.rs",
-        doc: "batch-completion barrier; paired with done_cv",
+        doc: "batch-completion barrier; paired with done_cv to park a caller \
+              whose spin budget is spent",
     },
     LockSpec {
         name: "cells",
@@ -164,8 +165,8 @@ pub const LOCK_REGISTRY: &[LockSpec] = &[
         kind: LockKind::Mutex,
         rank: 10,
         site: "crates/model/src/shard.rs",
-        doc: "per-shard row-parallel f64 partial buffer; the reduce seam \
-              takes all siblings at equal rank in shard-index order",
+        doc: "per-shard row-parallel f64 partial buffer; the gather swaps \
+              the siblings out one at a time in shard-index order",
     },
 ];
 

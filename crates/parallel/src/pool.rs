@@ -10,8 +10,33 @@
 //!
 //! The pool executes *batches*: [`WorkStealingPool::run`] blocks until every
 //! task of the batch has completed, writing results by task index so output
-//! is deterministic. Workers park between batches, so a pool can be reused
-//! across an entire campaign without re-spawning threads.
+//! is deterministic. The threads are spawned once and reused across an
+//! entire campaign.
+//!
+//! **Waiting.** A thread with nothing to do first watches the atomic it is
+//! waiting on for `SPIN_BUDGET` (50 µs) — a worker the published `generation`, the
+//! caller `remaining` and then `active` — and parks on a condvar only once
+//! that is spent. Back-to-back microsecond batches (sharded decode issues
+//! one per linear) are therefore handed over in user space; a pool left
+//! alone for longer than the budget costs no CPU. Whoever makes the awaited
+//! change takes the lock and notifies only if a sleeper has registered, so
+//! the handoff between two running threads makes no system call. Each of
+//! the two sleep/wake pairs is a Dekker handshake on `SeqCst` atomics:
+//!
+//! * **work:** the publisher bumps `generation`, then reads `sleepers`; a
+//!   worker registers in `sleepers` under `work_mx`, then re-reads
+//!   `generation` before it waits on `work_cv`.
+//! * **done:** a finisher decrements `remaining` (or `active`), then reads
+//!   `caller_waiting`; the caller sets `caller_waiting` under `done_mx`,
+//!   then re-reads the counter before it waits on `done_cv`.
+//!
+//! In either pair one side is certain to see the other's write, so no
+//! thread parks with its wake-up already spent; every schedule of both
+//! pairs, and of each with its registration or re-read removed, is
+//! enumerated in `tests/pool_handoff_stress.rs`. This is only *how* threads
+//! wait. *Who* may hold the batch closure is the join-under-the-`job`-lock,
+//! retire-then-wait-for-`active` protocol described in `try_run`, which the
+//! waiting scheme neither uses nor weakens.
 //!
 //! **Panic isolation.** Every task runs under [`crate::panics::catch_quiet`].
 //! A panicking task can therefore never deadlock the batch barrier, poison a
@@ -30,6 +55,29 @@ use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+/// How long an idle thread watches an atomic before it parks. Long enough
+/// to span the driver-side work between two dispatches of a sharded decode
+/// step (tens of microseconds), short enough that an idle pool is asleep
+/// before anyone could measure it. A time, not a round count: one `PAUSE`
+/// is 40–140 cycles depending on the core.
+const SPIN_BUDGET: Duration = Duration::from_micros(50);
+
+/// Poll `ready` until it holds or [`SPIN_BUDGET`] is spent; `true` if it
+/// held.
+fn spin_until(ready: impl Fn() -> bool) -> bool {
+    let t0 = Instant::now();
+    loop {
+        if ready() {
+            return true;
+        }
+        if t0.elapsed() >= SPIN_BUDGET {
+            return false;
+        }
+        std::hint::spin_loop();
+    }
+}
 
 /// Type-erased batch task: `run(task_index)`.
 type BatchFn = Arc<dyn Fn(usize) + Send + Sync>;
@@ -66,13 +114,23 @@ struct BatchState {
     active: AtomicUsize,
     /// Panics caught during the current batch, in discovery order.
     panics: Mutex<Vec<TaskPanic>>,
-    /// Latest published batch generation; guarded by `work_mx`.
-    work_mx: Mutex<usize>,
-    /// Signalled when a new batch is published or shutdown requested.
+    /// Latest published batch generation; bumped only by `try_run`.
+    generation: AtomicUsize,
+    /// Workers parked on `work_cv` or committed to parking. Changed only
+    /// under `work_mx`.
+    sleepers: AtomicUsize,
+    /// Guards the workers' wait for a new generation.
+    work_mx: Mutex<()>,
+    /// Signalled when a new batch is published while a worker sleeps, or
+    /// shutdown is requested.
     work_cv: Condvar,
+    /// The caller is parked on `done_cv` or committed to parking. Changed
+    /// only under `done_mx`.
+    caller_waiting: AtomicBool,
     /// Guards the batch-completion wait.
     done_mx: Mutex<()>,
-    /// Signalled when `remaining` reaches zero or a worker goes inactive.
+    /// Signalled when `remaining` reaches zero or a worker goes inactive
+    /// while the caller sleeps.
     done_cv: Condvar,
     shutdown: AtomicBool,
 }
@@ -106,6 +164,42 @@ impl BatchState {
             }
         }
         if self.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
+            self.signal_done();
+        }
+    }
+
+    /// Publish the batch already placed in `job` and `queues`. The bump
+    /// comes before the read of `sleepers`: a worker that registered too
+    /// late to be seen here re-reads `generation` after registering and
+    /// finds the bump.
+    fn publish(&self) {
+        self.generation.fetch_add(1, Ordering::SeqCst);
+        if self.sleepers.load(Ordering::SeqCst) != 0 {
+            let _g = lock_clean(&self.work_mx);
+            self.work_cv.notify_all();
+        }
+    }
+
+    /// Caller side of the done pair: wait until `counter` (`remaining` or
+    /// `active`) is zero.
+    fn wait_zero(&self, counter: &AtomicUsize) {
+        let zero = || counter.load(Ordering::SeqCst) == 0;
+        if spin_until(zero) {
+            return;
+        }
+        let mut guard = lock_clean(&self.done_mx);
+        self.caller_waiting.store(true, Ordering::SeqCst);
+        while !zero() {
+            guard = wait_clean(&self.done_cv, guard);
+        }
+        self.caller_waiting.store(false, Ordering::SeqCst);
+    }
+
+    /// Finisher side of the done pair, called after the decrement of
+    /// `remaining` or `active`: a caller that registered too late to be
+    /// seen here re-reads the counter after registering.
+    fn signal_done(&self) {
+        if self.caller_waiting.load(Ordering::SeqCst) {
             let _g = lock_clean(&self.done_mx);
             self.done_cv.notify_all();
         }
@@ -131,8 +225,11 @@ impl WorkStealingPool {
             remaining: AtomicUsize::new(0),
             active: AtomicUsize::new(0),
             panics: Mutex::new(Vec::new()),
-            work_mx: Mutex::new(0),
+            generation: AtomicUsize::new(0),
+            sleepers: AtomicUsize::new(0),
+            work_mx: Mutex::new(()),
             work_cv: Condvar::new(),
+            caller_waiting: AtomicBool::new(false),
             done_mx: Mutex::new(()),
             done_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -209,12 +306,7 @@ impl WorkStealingPool {
             lo = hi;
         }
 
-        // Publish the new generation and wake everyone.
-        {
-            let mut g = lock_clean(&self.state.work_mx);
-            *g += 1;
-            self.state.work_cv.notify_all();
-        }
+        self.state.publish();
 
         // Help out from the calling thread (its deque is slot `threads`).
         while let Some((lo, hi)) = self.state.take_block(self.threads) {
@@ -226,17 +318,9 @@ impl WorkStealingPool {
         // worker can count itself in, then wait until every worker that did
         // has dropped its clone of the batch closure (so borrows of the
         // caller's stack cannot outlive this call).
-        let mut guard = lock_clean(&self.state.done_mx);
-        while self.state.remaining.load(Ordering::SeqCst) != 0 {
-            guard = wait_clean(&self.state.done_cv, guard);
-        }
-        drop(guard);
+        self.state.wait_zero(&self.state.remaining);
         *lock_clean(&self.state.job) = None;
-        let mut guard = lock_clean(&self.state.done_mx);
-        while self.state.active.load(Ordering::SeqCst) != 0 {
-            guard = wait_clean(&self.state.done_cv, guard);
-        }
-        drop(guard);
+        self.state.wait_zero(&self.state.active);
         std::mem::take(&mut *lock_clean(&self.state.panics))
     }
 
@@ -307,17 +391,26 @@ impl Drop for WorkStealingPool {
 fn worker_loop(wid: usize, state: Arc<BatchState>) {
     let mut seen_gen = 0usize;
     loop {
-        // Wait for a new batch (or shutdown).
-        {
+        // Wait for a new batch (or shutdown): hot for the spin budget, then
+        // parked. Registering in `sleepers` comes before the re-read of
+        // `generation` that the `while` starts with, so a publisher that
+        // read `sleepers == 0` has already made its bump visible here.
+        let news = || {
+            state.generation.load(Ordering::SeqCst) != seen_gen
+                || state.shutdown.load(Ordering::SeqCst)
+        };
+        if !spin_until(news) {
             let mut g = lock_clean(&state.work_mx);
-            while *g <= seen_gen && !state.shutdown.load(Ordering::SeqCst) {
+            state.sleepers.fetch_add(1, Ordering::SeqCst);
+            while !news() {
                 g = wait_clean(&state.work_cv, g);
             }
-            seen_gen = *g;
+            state.sleepers.fetch_sub(1, Ordering::SeqCst);
         }
         if state.shutdown.load(Ordering::SeqCst) {
             return;
         }
+        seen_gen = state.generation.load(Ordering::SeqCst);
         // Join the batch under the `job` lock: `try_run` retires the job
         // under the same lock before its final `active == 0` wait, so a
         // worker is either counted before that wait or finds `None` here.
@@ -336,10 +429,7 @@ fn worker_loop(wid: usize, state: Arc<BatchState>) {
         // Drop the closure clone *before* signalling inactivity.
         drop(job);
         state.active.fetch_sub(1, Ordering::SeqCst);
-        {
-            let _g = lock_clean(&state.done_mx);
-            state.done_cv.notify_all();
-        }
+        state.signal_done();
     }
 }
 

@@ -24,6 +24,28 @@
 
 use crate::matrix::Matrix;
 
+/// Output elements whose accumulation chains run side by side in
+/// [`matmul_transb_cols_f64`]. One chain is a dependent `f64` add per
+/// term; eight independent ones are bound by the `f32 → f64` conversions
+/// instead of the adder's latency (four measured 15 % slower, sixteen no
+/// faster).
+const INTERLEAVE: usize = 8;
+
+/// Output elements `j..j + W` of one partial row: each is `0.0` plus its
+/// terms `a_row[k] × b_t[j + l][k]` in ascending `k`, the `W` chains
+/// advancing together.
+fn chains<const W: usize>(a_row: &[f32], b_t: &Matrix, j: usize, out: &mut [f64]) {
+    let b_rows: [&[f32]; W] = std::array::from_fn(|l| &b_t.row(j + l)[..a_row.len()]);
+    let mut acc = [0.0f64; W];
+    for (k, &av) in a_row.iter().enumerate() {
+        let av = f64::from(av);
+        for (acc, b_row) in acc.iter_mut().zip(&b_rows) {
+            *acc += av * f64::from(b_row[k]);
+        }
+    }
+    out.copy_from_slice(&acc);
+}
+
 /// Partial `A × Bᵀ` over an input-column slice, accumulated in `f64`.
 ///
 /// `a` is `[n, k_full]`; `b_t` is the shard's weight slice
@@ -32,6 +54,11 @@ use crate::matrix::Matrix;
 /// into `out` (resized to `n * out`). Every term is accumulated — no
 /// zero-skip — so injected NaN/Inf in either operand poisons the partial
 /// exactly as on a strict kernel.
+///
+/// Each output element is the sum of its terms in ascending column order,
+/// starting from `0.0` — one fixed chain per element, whatever `out` or
+/// the slice layout. Speed comes only from advancing several elements'
+/// chains together, which leaves every chain's own order alone.
 pub fn matmul_transb_cols_f64(a: &Matrix, b_t: &Matrix, col_lo: usize, out: &mut Vec<f64>) {
     let n = a.rows();
     let out_f = b_t.rows();
@@ -45,19 +72,27 @@ pub fn matmul_transb_cols_f64(a: &Matrix, b_t: &Matrix, col_lo: usize, out: &mut
     );
     out.clear();
     out.resize(n * out_f, 0.0);
-    for i in 0..n {
+    if out_f == 0 {
+        return;
+    }
+    for (i, o_row) in out.chunks_exact_mut(out_f).enumerate() {
         let a_row = &a.row(i)[col_lo..col_lo + k_slice];
-        let o_row = &mut out[i * out_f..(i + 1) * out_f];
-        for (j, o) in o_row.iter_mut().enumerate() {
-            let b_row = b_t.row(j);
-            let mut acc = 0.0f64;
-            for (&av, &bv) in a_row.iter().zip(b_row) {
-                acc += f64::from(av) * f64::from(bv);
-            }
-            *o = acc;
+        let mut groups = o_row.chunks_exact_mut(INTERLEAVE);
+        let mut j = 0;
+        for group in &mut groups {
+            chains::<INTERLEAVE>(a_row, b_t, j, group);
+            j += INTERLEAVE;
+        }
+        for o in groups.into_remainder().chunks_exact_mut(1) {
+            chains::<1>(a_row, b_t, j, o);
+            j += 1;
         }
     }
 }
+
+/// Elements reduced together in [`reduce_seam_into`]: the accumulators of
+/// one chunk live on the stack.
+const REDUCE_CHUNK: usize = 8;
 
 /// The all-reduce seam: sum per-shard `f64` partials in fixed shard
 /// order, then round once to `f32` into `out` (`[rows, cols]`).
@@ -65,24 +100,29 @@ pub fn matmul_transb_cols_f64(a: &Matrix, b_t: &Matrix, col_lo: usize, out: &mut
 /// Partials must all have length `rows * cols`; an empty shard may pass
 /// an empty slice (skipped). The summation order is the caller's slice
 /// order, so reduces are deterministic for a fixed shard layout.
-pub fn reduce_seam_into(partials: &[&[f64]], rows: usize, cols: usize, out: &mut Matrix) {
+pub fn reduce_seam_into<P: AsRef<[f64]>>(partials: &[P], rows: usize, cols: usize, out: &mut Matrix) {
     out.reset(rows, cols);
-    let flat = out.as_mut_slice();
     let len = rows * cols;
-    // First pass initialises, later passes accumulate — in f64 so the
-    // final rounding to f32 happens exactly once per element.
-    let mut acc = vec![0.0f64; len];
     for part in partials {
-        if part.is_empty() {
-            continue;
-        }
-        assert_eq!(part.len(), len, "partial shape mismatch in reduce seam");
-        for (a, &p) in acc.iter_mut().zip(part.iter()) {
-            *a += p;
-        }
+        let part = part.as_ref();
+        assert!(
+            part.is_empty() || part.len() == len,
+            "partial shape mismatch in reduce seam"
+        );
     }
-    for (o, &a) in flat.iter_mut().zip(acc.iter()) {
-        *o = a as f32;
+    // Each element is `0.0 + p₀ + p₁ + …` in f64, so the rounding to f32
+    // happens exactly once per element.
+    for (c, o_chunk) in out.as_mut_slice().chunks_mut(REDUCE_CHUNK).enumerate() {
+        let lo = c * REDUCE_CHUNK;
+        let mut acc = [0.0f64; REDUCE_CHUNK];
+        for part in partials.iter().map(AsRef::as_ref).filter(|p| !p.is_empty()) {
+            for (a, &p) in acc.iter_mut().zip(&part[lo..lo + o_chunk.len()]) {
+                *a += p;
+            }
+        }
+        for (o, &a) in o_chunk.iter_mut().zip(&acc) {
+            *o = a as f32;
+        }
     }
 }
 
@@ -99,6 +139,86 @@ mod tests {
                 .wrapping_add(seed);
             ((h % 2000) as f32 - 1000.0) * 1e-3
         })
+    }
+
+    /// The kernel as it was before the chains were interleaved: one output
+    /// element at a time, terms in ascending column order.
+    fn sequential_reference(a: &Matrix, b_t: &Matrix, col_lo: usize) -> Vec<f64> {
+        let mut out = Vec::with_capacity(a.rows() * b_t.rows());
+        for i in 0..a.rows() {
+            let a_row = &a.row(i)[col_lo..col_lo + b_t.cols()];
+            for j in 0..b_t.rows() {
+                let mut acc = 0.0f64;
+                for (&av, &bv) in a_row.iter().zip(b_t.row(j)) {
+                    acc += f64::from(av) * f64::from(bv);
+                }
+                out.push(acc);
+            }
+        }
+        out
+    }
+
+    /// Bit-equal, except that any NaN matches any NaN (which payload an
+    /// add of two NaNs keeps is the compiler's choice of operand order).
+    fn assert_same_bits(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                (g.is_nan() && w.is_nan()) || g.to_bits() == w.to_bits(),
+                "{what}: element {i} is {g:e}, reference {w:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn interleaved_kernel_is_bit_identical_to_the_sequential_one_on_ragged_shapes() {
+        let mut part = Vec::new();
+        for n in [1usize, 5, 112] {
+            for out_f in [0usize, 1, INTERLEAVE - 1, INTERLEAVE, INTERLEAVE + 3, 3 * INTERLEAVE + 1] {
+                for (k_full, col_lo, k_slice) in [(9usize, 0usize, 9usize), (40, 7, 21), (33, 32, 1), (16, 4, 0)] {
+                    let a = demo(n, k_full, (n + out_f) as u32);
+                    let w = demo(out_f, k_slice, (k_slice + 31 * out_f) as u32);
+                    matmul_transb_cols_f64(&a, &w, col_lo, &mut part);
+                    assert_same_bits(
+                        &part,
+                        &sequential_reference(&a, &w, col_lo),
+                        &format!("n={n} out={out_f} k={col_lo}+{k_slice}/{k_full}"),
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_values_poison_the_same_elements_as_the_sequential_kernel() {
+        let (n, out_f, k) = (3, INTERLEAVE + 2, 11);
+        let mut part = Vec::new();
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            // In the activations: row 1 of the partial is poisoned, in the
+            // interleaved groups and in the tail alike.
+            let mut a = demo(n, k, 21);
+            a.set(1, 4, bad);
+            let w = demo(out_f, k, 22);
+            matmul_transb_cols_f64(&a, &w, 0, &mut part);
+            assert_same_bits(&part, &sequential_reference(&a, &w, 0), "bad activation");
+            assert!(part[out_f..2 * out_f].iter().all(|v| !v.is_finite()));
+            assert!(part[..out_f].iter().all(|v| v.is_finite()));
+            // In the weights, against a zero activation: 0 × Inf is NaN, so
+            // a kernel that skipped zero terms would come out finite.
+            let mut a = demo(n, k, 23);
+            for r in 0..n {
+                a.set(r, 6, 0.0);
+            }
+            let mut w = demo(out_f, k, 24);
+            w.set(2, 6, bad);
+            w.set(out_f - 1, 6, bad);
+            matmul_transb_cols_f64(&a, &w, 0, &mut part);
+            assert_same_bits(&part, &sequential_reference(&a, &w, 0), "bad weight");
+            for (i, v) in part.iter().enumerate() {
+                let poisoned = i % out_f == 2 || i % out_f == out_f - 1;
+                assert_eq!(v.is_nan(), poisoned, "element {i} is {v:e}");
+            }
+        }
     }
 
     #[test]
@@ -162,5 +282,26 @@ mod tests {
         let mut without = Matrix::zeros(0, 0);
         reduce_seam_into(&[&part], 1, 3, &mut without);
         assert_eq!(with_empty, without);
+    }
+
+    #[test]
+    fn an_empty_partial_in_the_middle_is_skipped() {
+        // Longer than one reduce chunk, and not a multiple of it.
+        let (rows, cols) = (3, REDUCE_CHUNK + 3);
+        let parts: Vec<Vec<f64>> = (0..3)
+            .map(|s| {
+                let values = demo(1, rows * cols, s);
+                values.as_slice().iter().map(|&v| f64::from(v) * 1e-3 + 1.0).collect()
+            })
+            .collect();
+        let empty: Vec<f64> = Vec::new();
+        let mut got = Matrix::zeros(0, 0);
+        reduce_seam_into(&[&parts[0], &empty, &parts[1], &parts[2]], rows, cols, &mut got);
+        // Shard order, f64 throughout, one rounding.
+        let want = Matrix::from_fn(rows, cols, |r, c| {
+            let i = r * cols + c;
+            (0.0 + parts[0][i] + parts[1][i] + parts[2][i]) as f32
+        });
+        assert_eq!(got, want);
     }
 }

@@ -41,6 +41,25 @@ identity_no_simd 3 -p ft2-serve --lib -- \
     rebuild_restores_rows_bit_for_bit \
     batched_decode_is_bit_identical_to_the_engine
 
+echo "== ft2-parallel integration tests, optimised build =="
+# The run above built them unoptimised. What the pool's handoff tests race
+# against (a spin budget of tens of microseconds, a two-instruction window)
+# is optimisation-dependent, and the benchmark and every gate below run the
+# optimised pool — so run the three files once more with --release, and
+# count, because `cargo test` passes on zero tests.
+out="$(cargo test -q --release --offline --locked -p ft2-parallel \
+    --test cancel_stress --test pool_handoff_stress --test properties 2>&1)" || {
+    echo "$out" >&2
+    exit 1
+}
+for want in 2 6 5; do
+    echo "$out" | grep -q "test result: ok. $want passed" || {
+        echo "verify: expected a ft2-parallel integration file with $want tests under --release" >&2
+        echo "$out" >&2
+        exit 1
+    }
+done
+
 echo "== benchmark (its own tests, then all six workloads with the checker on) =="
 # benchmark/ is a standalone package outside the workspace, so nothing above
 # notices when a crate change breaks its build or its per-operation checker.
