@@ -26,13 +26,12 @@
 //!   once any batchmate panicked inside the critical section; use
 //!   `ft2_parallel::lock_clean`/`wait_clean` or justify with
 //!   `// ft2: poison-fatal (<why>)`.
-//! * **nondeterminism** — unordered `HashMap`/`HashSet` iteration,
-//!   wall-clock (`SystemTime::now`) logic, and unordered float reduction
-//!   (`parallel_reduce`) are banned in decode/campaign/replay modules
-//!   ([`DETERMINISM_MODULES`]): bit-identity is a detection primitive
-//!   here, so iteration order is correctness, not style. `Instant::now`
-//!   (monotonic, metrics-only) is allowed. Escape hatch:
-//!   `// ft2: det-ok (<why>)`.
+//! * **nondeterminism** — unordered `HashMap`/`HashSet` iteration and
+//!   wall-clock (`SystemTime::now`) logic are banned in
+//!   decode/campaign/replay modules ([`DETERMINISM_MODULES`]):
+//!   bit-identity is a detection primitive here, so iteration order is
+//!   correctness, not style. `Instant::now` (monotonic, metrics-only) is
+//!   allowed. Escape hatch: `// ft2: det-ok (<why>)`.
 
 use crate::lexer::Line;
 use crate::lints::LintConfig;
@@ -215,7 +214,7 @@ const POISON_PATTERNS: &[&str] = &[
 /// Nondeterminism sources banned in [`DETERMINISM_MODULES`]. Checked as
 /// whole words except the call forms.
 const NONDET_WORDS: &[&str] = &["HashMap", "HashSet"];
-const NONDET_CALLS: &[&str] = &["SystemTime::now", "parallel_reduce("];
+const NONDET_CALLS: &[&str] = &["SystemTime::now"];
 
 /// Run all five lints plus the shutdown proof over the scanned tree.
 pub fn run_concurrency(tree: &ScannedTree, cfg: &LintConfig) -> (Vec<Finding>, ConcurrencyReport) {

@@ -11,8 +11,8 @@
 //!    detection-critical modules require a `// ft2: nan-ok` audit note;
 //!    every `FT2_*` env-knob literal must resolve to the central registry
 //!    in `ft2-harness::settings` and be documented in README; zero-skip
-//!    guards (`== 0.0` around multiply-accumulates) are banned outside
-//!    `KernelPolicy::Fast`-gated code.
+//!    guards (`== 0.0` around multiply-accumulates) are banned in kernel
+//!    code unless annotated `// ft2: zero-ok`.
 //! 2. **Protection-coverage proof** ([`coverage`]) — builds all seven zoo
 //!    configs' layer graphs *without executing them*, runs the Fig. 1a/1b
 //!    critical-layer classifier, and probes the real FT2 tap wiring so

@@ -22,7 +22,8 @@ pub enum LintKind {
     /// `FT2_*` string literal missing from the central knob registry, or a
     /// registered knob missing from README / never read.
     EnvKnob,
-    /// `== 0.0` zero-skip guard outside `KernelPolicy::Fast`-gated code.
+    /// `== 0.0` zero-skip guard in kernel code without a `// ft2: zero-ok`
+    /// audit note.
     ZeroSkip,
     /// Nested lock acquisition violating the `LOCK_REGISTRY` rank order,
     /// an unregistered lock in a nested acquisition, or a cycle in the

@@ -1,5 +1,5 @@
-// Seeded violation: a zero-skip sparsity guard in kernel code that is not
-// gated on `KernelPolicy::Fast` — it would mask a NaN/Inf in `b`.
+// Seeded violation: a zero-skip sparsity guard in kernel code with no
+// `ft2: zero-ok` audit note — it would mask a NaN/Inf in `b`.
 
 pub fn dot_skipping_zeros(a: &[f32], b: &[f32]) -> f32 {
     let mut s = 0.0;

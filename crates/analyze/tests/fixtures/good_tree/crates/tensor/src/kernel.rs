@@ -1,13 +1,14 @@
-// Annotated twin of bad_tree/crates/tensor/src/kernel.rs: the zero-skip
-// guard is gated on the explicitly-unfaithful fast kernel policy.
+// Annotated twin of bad_tree/crates/tensor/src/kernel.rs: the zero guard
+// carries the audit note, and earns it — it counts zeros and skips no term.
 
-pub fn dot_skipping_zeros(a: &[f32], b: &[f32], policy: KernelPolicy) -> f32 {
-    let mut s = 0.0;
+pub fn dot_counting_zeros(a: &[f32], b: &[f32]) -> (f32, usize) {
+    let (mut s, mut zeros) = (0.0, 0);
     for i in 0..a.len() {
-        if policy == KernelPolicy::Fast && a[i] == 0.0 {
-            continue;
+        // ft2: zero-ok (counts sparsity; the term below still accumulates)
+        if a[i] == 0.0 {
+            zeros += 1;
         }
         s += a[i] * b[i];
     }
-    s
+    (s, zeros)
 }

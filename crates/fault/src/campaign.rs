@@ -362,15 +362,8 @@ impl<'a> Campaign<'a> {
     ) -> Campaign<'a> {
         assert!(!inputs.is_empty(), "campaign needs at least one input");
         let gen_tokens = config.gen_tokens;
-        // References are fault-free by construction, so the zero-skip fast
-        // kernels are valid here (bit-identical to strict on finite data).
-        // Every injection trial below runs strict — the non-finite values
-        // it plants must propagate with IEEE fidelity.
         let references = pool.map(inputs, 1, |_, prompt| {
-            let mut taps = TapList::new();
-            model
-                .generate_with_policy(prompt, gen_tokens, &mut taps, ft2_model::KernelPolicy::Fast)
-                .tokens
+            model.generate(prompt, gen_tokens, &mut TapList::new()).tokens
         });
         Campaign {
             model,

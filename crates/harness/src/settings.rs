@@ -207,7 +207,7 @@ pub const KNOB_REGISTRY: &[KnobSpec] = &[
         name: "FT2_THREADS",
         kind: KnobKind::Integer,
         default: "hardware parallelism",
-        doc: "worker threads of the work-stealing pool and fork-join helpers",
+        doc: "worker threads of the work-stealing pool",
         site: "ft2-parallel",
     },
     KnobSpec {

@@ -35,10 +35,9 @@ mod tests {
     use crate::scratch::BlockScratch;
     use crate::walk::{self, Lane};
     use crate::weights::{BlockWeights, ModelWeights};
-    use ft2_tensor::KernelPolicy;
 
     /// [`walk::block`] as block 0 at position 0, step 0: one lane on the
-    /// dense executor, strict, over a contiguous cache.
+    /// dense executor over a contiguous cache.
     fn run_block(
         config: &ModelConfig,
         weights: &BlockWeights,
@@ -54,7 +53,7 @@ mod tests {
             seq: &(),
             tap: Some(taps),
         };
-        walk::dense_pass(config, Some(&rope), KernelPolicy::Strict, lane, |pass| {
+        walk::dense_pass(config, Some(&rope), lane, |pass| {
             walk::block(pass, weights, 0, x, cache, &mut BlockScratch::default())
         });
     }

@@ -4,11 +4,12 @@
 use crate::attention::KvCacheBlock;
 use crate::config::{ArchStyle, ModelConfig, RopeTable};
 use crate::hooks::{AnomalyVerdict, StepReport, TapList};
+use crate::ladder::{Ladder, Rung};
 use crate::scratch::DecodeScratch;
-use crate::state::{StateCtx, StateTapList};
+use crate::state::{StateCtx, StateReport, StateTapList};
 use crate::walk::{self, Lane};
 use crate::weights::ModelWeights;
-use ft2_tensor::{argmax, KernelPolicy, Matrix};
+use ft2_tensor::{argmax, Matrix};
 use std::time::Instant;
 
 /// A model instance: configuration plus its synthetic checkpoint.
@@ -45,11 +46,6 @@ pub struct RecoveryPolicy {
     /// poisoned KV pages invalidated and re-decoded) and grant one extra
     /// re-decode. Meaningless without state taps.
     pub repair: bool,
-    /// Sharded execution only: how many times one shard's partial GEMM is
-    /// re-executed after a shard-scoped failure (crash, hang, anomalous
-    /// partial) before escalating to the repair rung. The unsharded
-    /// engine ignores this field.
-    pub shard_reexec: u32,
     /// Sharded execution only: when a shard failure survives re-execution
     /// and repair, evict the shard, re-partition onto the survivors, and
     /// keep generating (reported as degraded) instead of failing the
@@ -63,19 +59,18 @@ impl RecoveryPolicy {
         RecoveryPolicy {
             max_retries: 0,
             repair: false,
-            shard_reexec: 0,
             shard_degrade: false,
         }
     }
 
     /// Roll back and re-decode a storming token up to `n` times. Sharded
-    /// runs get one shard re-execution by default, matching the
-    /// transient-fault assumption of the rollback rung.
+    /// runs re-execute a failed partial once whenever the policy is
+    /// enabled, matching the transient-fault assumption of the rollback
+    /// rung.
     pub fn retries(n: u32) -> RecoveryPolicy {
         RecoveryPolicy {
             max_retries: n,
             repair: false,
-            shard_reexec: 1,
             shard_degrade: false,
         }
     }
@@ -83,12 +78,6 @@ impl RecoveryPolicy {
     /// Enable the repair-and-retry rung above the retry budget.
     pub fn with_repair(mut self) -> RecoveryPolicy {
         self.repair = true;
-        self
-    }
-
-    /// Set the per-linear shard re-execution budget (sharded runs).
-    pub fn with_shard_reexec(mut self, n: u32) -> RecoveryPolicy {
-        self.shard_reexec = n;
         self
     }
 
@@ -273,7 +262,6 @@ impl Model {
         step: usize,
         cache: &mut KvCache,
         taps: &mut TapList<'_>,
-        kernel: KernelPolicy,
         scratch: &mut DecodeScratch,
     ) {
         let lane = Lane {
@@ -283,7 +271,7 @@ impl Model {
             seq: &(),
             tap: Some(taps),
         };
-        walk::dense_pass(&self.config, self.rope.as_ref(), kernel, lane, |pass| {
+        walk::dense_pass(&self.config, self.rope.as_ref(), lane, |pass| {
             walk::walk(pass, weights, tokens, &mut cache.blocks, scratch)
         });
     }
@@ -299,16 +287,7 @@ impl Model {
         taps: &mut TapList<'_>,
     ) -> Matrix {
         let mut scratch = DecodeScratch::new();
-        self.forward_with(
-            &self.weights,
-            tokens,
-            start_pos,
-            step,
-            cache,
-            taps,
-            KernelPolicy::Strict,
-            &mut scratch,
-        );
+        self.forward_with(&self.weights, tokens, start_pos, step, cache, taps, &mut scratch);
         scratch.hidden
     }
 
@@ -325,51 +304,6 @@ impl Model {
         l.row(0).to_vec()
     }
 
-    /// Rebuild cache positions `from..target` from the known token sequence
-    /// (prompt plus already-accepted generated tokens): truncate the
-    /// poisoned suffix and re-run the forward pass over it with no taps.
-    /// Returns the number of positions rebuilt.
-    #[allow(clippy::too_many_arguments)]
-    fn rebuild_cache_range(
-        &self,
-        weights: &ModelWeights,
-        prompt: &[u32],
-        generated: &[u32],
-        from: usize,
-        target: usize,
-        step: usize,
-        cache: &mut KvCache,
-        state: &mut StateTapList<'_>,
-    ) -> u64 {
-        debug_assert!(from < target);
-        cache.truncate(from);
-        state.notify_truncate(from);
-        let seq: Vec<u32> = (from..target)
-            .map(|i| {
-                if i < prompt.len() {
-                    prompt[i]
-                } else {
-                    generated[i - prompt.len()]
-                }
-            })
-            .collect();
-        let mut no_taps = TapList::new();
-        // Cold path (runs only on fault recovery): fresh scratch is fine,
-        // and repairs always run strict.
-        let mut scratch = DecodeScratch::new();
-        self.forward_with(
-            weights,
-            &seq,
-            from,
-            step,
-            cache,
-            &mut no_taps,
-            KernelPolicy::Strict,
-            &mut scratch,
-        );
-        (target - from) as u64
-    }
-
     /// Greedy generation: prefill on `prompt`, then decode `gen_tokens`
     /// tokens, firing `taps` at every linear-layer output.
     ///
@@ -383,32 +317,6 @@ impl Model {
         taps: &mut TapList<'_>,
     ) -> GenerationOutput {
         self.generate_with_recovery(prompt, gen_tokens, taps, RecoveryPolicy::disabled())
-    }
-
-    /// [`Model::generate`] with an explicit [`KernelPolicy`].
-    ///
-    /// [`KernelPolicy::Fast`] enables the zero-skip shortcuts, which are
-    /// bit-identical to strict on finite tensors but mask NaN/Inf behind
-    /// exact zeros — valid **only** for generations known fault-free, such
-    /// as the reference outputs a campaign compares its trials against.
-    /// Every fault-injection trial must run strict (the default
-    /// everywhere else).
-    pub fn generate_with_policy(
-        &self,
-        prompt: &[u32],
-        gen_tokens: usize,
-        taps: &mut TapList<'_>,
-        kernel: KernelPolicy,
-    ) -> GenerationOutput {
-        let mut state = StateTapList::new();
-        self.generate_internal(
-            prompt,
-            gen_tokens,
-            taps,
-            &mut state,
-            RecoveryPolicy::disabled(),
-            kernel,
-        )
     }
 
     /// [`Model::generate`] with KV-snapshot token rollback: when the merged
@@ -453,21 +361,6 @@ impl Model {
         state: &mut StateTapList<'_>,
         policy: RecoveryPolicy,
     ) -> GenerationOutput {
-        // Fault campaigns run through this path: the kernel policy is
-        // pinned strict so injected NaN/Inf propagate with IEEE fidelity.
-        self.generate_internal(prompt, gen_tokens, taps, state, policy, KernelPolicy::Strict)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn generate_internal(
-        &self,
-        prompt: &[u32],
-        gen_tokens: usize,
-        taps: &mut TapList<'_>,
-        state: &mut StateTapList<'_>,
-        policy: RecoveryPolicy,
-        kernel: KernelPolicy,
-    ) -> GenerationOutput {
         assert!(!prompt.is_empty(), "empty prompt");
         assert!(
             prompt.len() + gen_tokens <= self.config.max_seq,
@@ -479,12 +372,14 @@ impl Model {
         // Stored-state corruption needs a mutable working copy of the
         // weights; without state taps the checkpoint is read directly and
         // the clone is skipped entirely.
-        let has_state = !state.is_empty();
-        let mut owned: Option<ModelWeights> = if has_state {
-            Some(self.weights.clone())
-        } else {
-            None
-        };
+        let mut stored = (!state.is_empty()).then(|| StoredState {
+            model: self,
+            prompt,
+            weights: self.weights.clone(),
+            scrubbed_tiles: 0,
+            weight_repairs: 0,
+            kv_repairs: 0,
+        });
         let mut cache = KvCache::new(&self.config);
         let mut scratch = DecodeScratch::new();
         let mut tokens: Vec<u32> = Vec::with_capacity(gen_tokens);
@@ -492,42 +387,22 @@ impl Model {
         let mut rollbacks = 0u32;
         let mut storms = 0u32;
         let mut recovery_failed = false;
-        let mut scrubbed_tiles = 0u64;
-        let mut weight_repairs = 0u64;
-        let mut kv_repairs = 0u64;
         let mut repair_retries = 0u32;
 
         // Prefill == first-token generation (step 0).
         let t0 = Instant::now();
         let mut prefill_repairs = 0u32;
-        if let Some(w) = owned.as_mut() {
-            let rep = state.on_step_state(&mut StateCtx {
-                step: 0,
-                prompt_len: prompt.len(),
-                weights: w,
-                cache: &mut cache,
-                golden: &self.weights,
-                dtype: self.config.dtype,
-            });
-            scrubbed_tiles += rep.scrubbed_tiles;
-            weight_repairs += rep.weight_repairs;
-            prefill_repairs += rep.weight_repairs as u32;
+        if let Some(s) = stored.as_mut() {
+            let rep = state.on_step_state(&mut s.ctx(0, &mut cache));
             // The cache is empty before the prefill, so there is nothing a
-            // guard could have flagged yet.
-            debug_assert!(rep.kv_invalid_from.is_none());
+            // guard could have flagged yet: nothing below position 0.
+            prefill_repairs += s.absorb(rep, state, 0, &tokens, 0, &mut cache);
         }
-        let wref = owned.as_ref().unwrap_or(&self.weights);
-        self.forward_with(wref, prompt, 0, 0, &mut cache, taps, kernel, &mut scratch);
+        let wref = stored.as_ref().map_or(&self.weights, |s| &s.weights);
+        self.forward_with(wref, prompt, 0, 0, &mut cache, taps, &mut scratch);
         let report0 = taps.end_step(0);
-        if let Some(w) = owned.as_mut() {
-            state.on_step_end(&mut StateCtx {
-                step: 0,
-                prompt_len: prompt.len(),
-                weights: w,
-                cache: &mut cache,
-                golden: &self.weights,
-                dtype: self.config.dtype,
-            });
+        if let Some(s) = stored.as_mut() {
+            state.on_step_end(&mut s.ctx(0, &mut cache));
         }
         if report0.verdict == AnomalyVerdict::Storm {
             storms += 1;
@@ -541,7 +416,7 @@ impl Model {
         let last = scratch
             .hidden
             .slice_rows(scratch.hidden.rows() - 1, scratch.hidden.rows());
-        let wref = owned.as_ref().unwrap_or(&self.weights);
+        let wref = stored.as_ref().map_or(&self.weights, |s| &s.weights);
         self.logits_into(wref, &last, &mut scratch.logits);
         let mut next = argmax(scratch.logits.row(0)) as u32;
         let prefill_ns = t0.elapsed().as_nanos() as u64;
@@ -552,120 +427,69 @@ impl Model {
         for step in 1..gen_tokens {
             let pos = prompt.len() + step - 1;
             let snapshot = cache.len();
-            let mut redecodes = 0u32;
+            // The repair rung exists only where something could repair.
+            let mut ladder = Ladder::new(
+                policy.max_retries,
+                policy.enabled() && policy.repair && stored.is_some(),
+            );
             let mut step_repairs = 0u32;
-            let mut repaired_this_step = false;
-            loop {
+            let report = loop {
                 // Pre-forward state pass: injectors strike, scrubbers and
                 // guards verify — corruption is caught before this step's
                 // forward pass reads it.
-                if let Some(w) = owned.as_mut() {
-                    let rep = state.on_step_state(&mut StateCtx {
-                        step,
-                        prompt_len: prompt.len(),
-                        weights: w,
-                        cache: &mut cache,
-                        golden: &self.weights,
-                        dtype: self.config.dtype,
-                    });
-                    scrubbed_tiles += rep.scrubbed_tiles;
-                    weight_repairs += rep.weight_repairs;
-                    step_repairs += rep.weight_repairs as u32;
-                    if let Some(p) = rep.kv_invalid_from {
-                        let rebuilt = self.rebuild_cache_range(
-                            w, prompt, &tokens, p, snapshot, step, &mut cache, state,
-                        );
-                        kv_repairs += rebuilt;
-                        step_repairs += rebuilt as u32;
-                    }
+                if let Some(s) = stored.as_mut() {
+                    let rep = state.on_step_state(&mut s.ctx(step, &mut cache));
+                    step_repairs += s.absorb(rep, state, step, &tokens, snapshot, &mut cache);
                 }
-                let wref = owned.as_ref().unwrap_or(&self.weights);
-                self.forward_with(
-                    wref, &[next], pos, step, &mut cache, taps, kernel, &mut scratch,
-                );
+                let wref = stored.as_ref().map_or(&self.weights, |s| &s.weights);
+                self.forward_with(wref, &[next], pos, step, &mut cache, taps, &mut scratch);
                 let report = taps.end_step(step);
-                if let Some(w) = owned.as_mut() {
-                    state.on_step_end(&mut StateCtx {
-                        step,
-                        prompt_len: prompt.len(),
-                        weights: w,
-                        cache: &mut cache,
-                        golden: &self.weights,
-                        dtype: self.config.dtype,
-                    });
+                if let Some(s) = stored.as_mut() {
+                    state.on_step_end(&mut s.ctx(step, &mut cache));
                 }
-                if report.verdict == AnomalyVerdict::Storm {
-                    storms += 1;
-                    if redecodes < policy.max_retries {
-                        // Escalate and retry: roll the token back and
-                        // re-decode under escalated protection.
-                        cache.truncate(snapshot);
-                        state.notify_truncate(snapshot);
-                        taps.notify_rollback(step, redecodes);
-                        state.notify_rollback(step, redecodes);
-                        rollbacks += 1;
-                        redecodes += 1;
-                        continue;
-                    }
-                    if policy.enabled() && policy.repair && has_state && !repaired_this_step {
-                        // Repair and retry: a still-storming step after
-                        // escalated re-decodes points at persistent
-                        // stored-state corruption — sweep and repair
-                        // everything, then re-decode once more.
-                        cache.truncate(snapshot);
-                        state.notify_truncate(snapshot);
-                        taps.notify_rollback(step, redecodes);
-                        state.notify_rollback(step, redecodes);
-                        if let Some(w) = owned.as_mut() {
-                            let rep = state.on_repair(&mut StateCtx {
-                                step,
-                                prompt_len: prompt.len(),
-                                weights: w,
-                                cache: &mut cache,
-                                golden: &self.weights,
-                                dtype: self.config.dtype,
-                            });
-                            scrubbed_tiles += rep.scrubbed_tiles;
-                            weight_repairs += rep.weight_repairs;
-                            step_repairs += rep.weight_repairs as u32;
-                            if let Some(p) = rep.kv_invalid_from {
-                                let p = p.min(snapshot);
-                                if p < snapshot {
-                                    let rebuilt = self.rebuild_cache_range(
-                                        w, prompt, &tokens, p, snapshot, step, &mut cache,
-                                        state,
-                                    );
-                                    kv_repairs += rebuilt;
-                                    step_repairs += rebuilt as u32;
-                                }
-                            }
-                        }
-                        repair_retries += 1;
-                        repaired_this_step = true;
-                        rollbacks += 1;
-                        redecodes += 1;
-                        continue;
-                    }
-                    if policy.enabled() {
-                        // Retry budget exhausted and the step still storms.
-                        recovery_failed = true;
-                    }
+                if report.verdict != AnomalyVerdict::Storm {
+                    break report;
                 }
-                let wref = owned.as_ref().unwrap_or(&self.weights);
-                self.logits_into(wref, &scratch.hidden, &mut scratch.logits);
-                next = argmax(scratch.logits.row(0)) as u32;
-                steps.push(StepRecord {
-                    step,
-                    report,
-                    redecodes,
-                    repairs: step_repairs,
-                });
-                break;
-            }
+                storms += 1;
+                let rung = ladder.fail();
+                let (Rung::Retry { attempt } | Rung::Repair { attempt }) = rung else {
+                    // Giving up here means accepting the storming token; a
+                    // disabled policy never promised more, an enabled one
+                    // flags the generation.
+                    recovery_failed |= policy.enabled();
+                    break report;
+                };
+                // Roll the token back; the taps escalate on `attempt` and
+                // the step is re-decoded.
+                cache.truncate(snapshot);
+                state.notify_truncate(snapshot);
+                taps.notify_rollback(step, attempt);
+                state.notify_rollback(step, attempt);
+                rollbacks += 1;
+                if let (Rung::Repair { .. }, Some(s)) = (rung, stored.as_mut()) {
+                    // A step still storming after escalated re-decodes
+                    // points at persistent stored-state corruption: sweep
+                    // and repair everything before the last re-decode.
+                    let rep = state.on_repair(&mut s.ctx(step, &mut cache));
+                    step_repairs += s.absorb(rep, state, step, &tokens, snapshot, &mut cache);
+                    repair_retries += 1;
+                }
+            };
+            let wref = stored.as_ref().map_or(&self.weights, |s| &s.weights);
+            self.logits_into(wref, &scratch.hidden, &mut scratch.logits);
+            next = argmax(scratch.logits.row(0)) as u32;
+            steps.push(StepRecord {
+                step,
+                report,
+                redecodes: ladder.spent(),
+                repairs: step_repairs,
+            });
             tokens.push(next);
         }
         let decode_ns = t1.elapsed().as_nanos() as u64;
 
+        let (scrubbed_tiles, weight_repairs, kv_repairs) = stored
+            .map_or((0, 0, 0), |s| (s.scrubbed_tiles, s.weight_repairs, s.kv_repairs));
         GenerationOutput {
             tokens,
             prefill_ns,
@@ -679,6 +503,73 @@ impl Model {
             kv_repairs,
             repair_retries,
         }
+    }
+}
+
+/// The stored-state side of one generation, present only when state taps
+/// are registered: the trial-owned working copy of the weights they corrupt
+/// and repair, and the totals of what their sweeps did.
+struct StoredState<'a> {
+    model: &'a Model,
+    prompt: &'a [u32],
+    weights: ModelWeights,
+    scrubbed_tiles: u64,
+    weight_repairs: u64,
+    kv_repairs: u64,
+}
+
+impl StoredState<'_> {
+    /// What the state taps are handed at `step`.
+    fn ctx<'c>(&'c mut self, step: usize, cache: &'c mut KvCache) -> StateCtx<'c> {
+        StateCtx {
+            step,
+            prompt_len: self.prompt.len(),
+            weights: &mut self.weights,
+            cache,
+            golden: &self.model.weights,
+            dtype: self.model.config.dtype,
+        }
+    }
+
+    /// Act on a sweep's report: its counts join the totals, and when it
+    /// flagged cache positions below `target` (the length the cache should
+    /// have), positions `from..target` are rebuilt from the known tokens —
+    /// the prompt, then `generated` — by truncating the poisoned suffix and
+    /// re-running the forward pass over it with no taps. Returns the
+    /// repairs made: tiles restored plus positions rebuilt.
+    fn absorb(
+        &mut self,
+        rep: StateReport,
+        state: &mut StateTapList<'_>,
+        step: usize,
+        generated: &[u32],
+        target: usize,
+        cache: &mut KvCache,
+    ) -> u32 {
+        self.scrubbed_tiles += rep.scrubbed_tiles;
+        self.weight_repairs += rep.weight_repairs;
+        let mut repairs = rep.weight_repairs as u32;
+        if let Some(from) = rep.kv_invalid_from.filter(|&from| from < target) {
+            cache.truncate(from);
+            state.notify_truncate(from);
+            let known: Vec<u32> = self
+                .prompt
+                .iter()
+                .chain(generated)
+                .copied()
+                .skip(from)
+                .take(target - from)
+                .collect();
+            // Cold path (runs only on fault recovery): fresh scratch is fine.
+            let mut scratch = DecodeScratch::new();
+            let mut no_taps = TapList::new();
+            self.model
+                .forward_with(&self.weights, &known, from, step, cache, &mut no_taps, &mut scratch);
+            let rebuilt = (target - from) as u64;
+            self.kv_repairs += rebuilt;
+            repairs += rebuilt as u32;
+        }
+        repairs
     }
 }
 

@@ -41,6 +41,7 @@ pub mod config;
 pub mod engine;
 pub mod graph;
 pub mod hooks;
+pub mod ladder;
 pub mod mlp;
 pub mod scratch;
 pub mod shard;
@@ -60,6 +61,7 @@ pub use hooks::{
     AnomalyVerdict, HookKind, LayerTap, NoTaps, RecordingTap, StepReport, TapCtx, TapList,
     TapPoint, MAX_BLOCK_HITS,
 };
+pub use ladder::{Ladder, Rung};
 pub use shard::{
     balanced_spans, DegradeEvent, PartialMut, RepairScope, ShardBlockWeights, ShardFailure,
     ShardIncidentKind, ShardPartialCtx, ShardPlan, ShardStateReport, ShardTap, ShardTapList,

@@ -5,7 +5,7 @@ use crate::hooks::TapList;
 use crate::scratch::MlpScratch;
 use crate::walk::{self, Lane};
 use crate::weights::BlockWeights;
-use ft2_tensor::{KernelPolicy, Matrix};
+use ft2_tensor::Matrix;
 
 /// Run the block's MLP on `x` (`[n, hidden] -> [n, hidden]`), firing taps
 /// after every linear layer; the result lands in `scratch.out`.
@@ -30,8 +30,8 @@ pub fn mlp_forward_into(
         seq: &(),
         tap: Some(taps),
     };
-    // The MLP neither rotates nor attends: no table, and the policy is moot.
-    walk::dense_pass(config, None, KernelPolicy::Strict, lane, |pass| {
+    // The MLP neither rotates nor attends: no table.
+    walk::dense_pass(config, None, lane, |pass| {
         walk::mlp(pass, weights, block_idx, x, scratch)
     });
 }

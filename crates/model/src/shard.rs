@@ -22,14 +22,15 @@
 //! in three shapes — a worker panic (crash), a stale heartbeat (hang,
 //! cancelled by [`HeartbeatMonitor`] within the heartbeat interval rather
 //! than the trial deadline), or an anomalous partial (weight/activation
-//! corruption) — and are handled by a shard-granular recovery ladder:
+//! corruption) — and are handled by a shard-granular recovery ladder. Its
+//! first two rungs are one [`Ladder`] per linear (the unit is one linear's
+//! fan-out); the third belongs to the step loop:
 //!
-//! 1. **Re-execute** the failed shard's partial GEMM
-//!    ([`RecoveryPolicy::shard_reexec`] attempts): transient faults are
-//!    gone on retry.
-//! 2. **Repair**: run the registered [`ShardTap`] repair sweep (a
-//!    scrubber restores corrupted weight tiles from its golden copy), then
-//!    re-execute — the persistent-fault rung.
+//! 1. **Re-execute** the failed shards' partial GEMMs, once whenever the
+//!    policy is enabled: transient faults are gone on retry.
+//! 2. **Repair** ([`RecoveryPolicy::repair`]): run the registered
+//!    [`ShardTap`] repair sweep (a scrubber restores corrupted weight tiles
+//!    from its golden copy), then re-execute — the persistent-fault rung.
 //! 3. **Degrade** ([`RecoveryPolicy::shard_degrade`]): evict the dead
 //!    shard, re-partition the checkpoint onto the survivors, roll the step
 //!    back, and keep generating. Availability is preserved at the cost of
@@ -44,13 +45,13 @@
 use crate::config::{LayerKind, ModelConfig};
 use crate::engine::{KvCache, Model, RecoveryPolicy};
 use crate::hooks::TapPoint;
+use crate::ladder::{Ladder, Rung};
 use crate::scratch::DecodeScratch;
 use crate::walk::{self, Exec, Lane, Pass};
 use crate::weights::{Linear, ModelWeights};
 use ft2_parallel::{lock_clean, HeartbeatMonitor, ShardHeartbeat, WorkStealingPool};
 use ft2_tensor::{
-    argmax, matmul_transb_cols_f64, matmul_transb_into, reduce_seam_into, DType, KernelPolicy,
-    Matrix,
+    argmax, matmul_transb_cols_f64, matmul_transb_into, reduce_seam_into, DType, Matrix,
 };
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -60,6 +61,11 @@ use std::time::{Duration, Instant};
 /// simulator's checkpoints stay below ~1e3; injected corruption scales
 /// values by ≥1e6, so the two populations are cleanly separable.
 const PARTIAL_ANOMALY_ABS: f64 = 1e8;
+
+/// Re-executions of a linear's failed partials under an enabled policy,
+/// before the repair rung: one, the transient-fault assumption of the
+/// rollback rung.
+const SHARD_REEXECS: u32 = 1;
 
 /// Fallback timeout for an injected hang: if the heartbeat monitor never
 /// cancels the shard (it always should), the spinning task aborts itself
@@ -1017,9 +1023,8 @@ impl<'m> ShardedModel<'m> {
                 stats.tiles_repaired += rep.repaired_tiles;
                 // One tap-less lane of the layer walk, every linear routed
                 // through the fan-out; what a real TP rank replicates
-                // (embedding, norms, RoPE, the attention core under strict
-                // kernel semantics) runs here on the driver from the golden
-                // weights.
+                // (embedding, norms, RoPE, the attention core) runs here on
+                // the driver from the golden weights.
                 let mut lanes = [Lane {
                     rows: step_tokens.len(),
                     start_pos: pos,
@@ -1039,7 +1044,6 @@ impl<'m> ShardedModel<'m> {
                 let mut pass = Pass::new(
                     config,
                     model.rope_table(),
-                    KernelPolicy::Strict,
                     &mut exec,
                     &mut lanes,
                     &mut stage,
@@ -1162,8 +1166,10 @@ impl Exec for Fanout<'_, '_, '_> {
         let step = *step;
         sharded.scratch.pending.clear();
         sharded.scratch.pending.extend(0..sharded.weights.len());
-        let mut reexecs_left = policy.shard_reexec;
-        let mut repaired = false;
+        let mut ladder = Ladder::new(
+            if policy.enabled() { SHARD_REEXECS } else { 0 },
+            policy.repair && !taps.is_empty(),
+        );
         loop {
             let FanoutScratch {
                 pending,
@@ -1204,22 +1210,29 @@ impl Exec for Fanout<'_, '_, '_> {
             if bad.is_empty() {
                 break;
             }
-            // Rung 1: re-execute the failed partials (transient faults are
-            // gone on retry).
-            if reexecs_left > 0 {
-                reexecs_left -= 1;
-                stats.shard_retries += bad.len() as u32;
-                retry(&mut sharded.scratch.pending, &bad);
-                continue;
+            let rung = ladder.fail();
+            if rung == Rung::GiveUp {
+                // Crash/hang failures (listed first) have no data and must
+                // escalate to the step loop's degrade-or-fail; a
+                // still-anomalous partial without the degrade rung is
+                // accepted as-is — the detected-but-uncorrected path that
+                // shows up as SDC, mirroring the unsharded engine's storm
+                // acceptance.
+                let (shard, kind) = bad[0];
+                if kind == ShardIncidentKind::Anomaly && !policy.shard_degrade {
+                    break;
+                }
+                return Err(ShardIncident { shard, kind });
             }
-            // Rung 2: repair sweep over the suspect shards (persistent
-            // weight corruption is restored from the scrubber's golden
-            // copy), then one more re-execution. Timed: this is the
-            // "shard repair" cost the harness compares against a full
-            // restart.
-            if policy.repair && !repaired && !taps.is_empty() {
-                repaired = true;
-                retry(&mut sharded.scratch.pending, &bad);
+            // Re-execute the failed partials: transient faults are gone on
+            // retry.
+            stats.shard_retries += bad.len() as u32;
+            retry(&mut sharded.scratch.pending, &bad);
+            if let Rung::Repair { .. } = rung {
+                // First a repair sweep over the suspect shards: persistent
+                // weight corruption is restored from the scrubber's golden
+                // copy. Timed: this is the "shard repair" cost the harness
+                // compares against a full restart.
                 let scope = RepairScope {
                     suspects: &sharded.scratch.pending,
                     block,
@@ -1231,19 +1244,7 @@ impl Exec for Fanout<'_, '_, '_> {
                 stats.scrubbed_tiles += rep.scrubbed_tiles;
                 stats.tiles_repaired += rep.repaired_tiles;
                 stats.repair_rungs += 1;
-                stats.shard_retries += bad.len() as u32;
-                continue;
             }
-            // Ladder exhausted. Crash/hang failures (listed first) have no
-            // data and must escalate; a still-anomalous partial without the
-            // degrade rung is accepted as-is — the detected-but-uncorrected
-            // path that shows up as SDC, mirroring the unsharded engine's
-            // storm acceptance.
-            let (shard, kind) = bad[0];
-            if kind == ShardIncidentKind::Anomaly && !policy.shard_degrade {
-                break;
-            }
-            return Err(ShardIncident { shard, kind });
         }
         sharded.gather(block, layer, x.rows(), out);
         Ok(())

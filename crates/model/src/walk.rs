@@ -33,8 +33,7 @@ use crate::scratch::{AttnScratch, BlockScratch, DecodeScratch, MlpScratch};
 use crate::weights::{BlockWeights, Linear, ModelWeights, NormParams};
 use ft2_tensor::ops::mul_inplace;
 use ft2_tensor::{
-    add_inplace, dot, gelu_inplace, relu_inplace, silu_inplace, softmax_inplace, DType,
-    KernelPolicy, Matrix,
+    add_inplace, dot, gelu_inplace, relu_inplace, silu_inplace, softmax_inplace, DType, Matrix,
 };
 use std::convert::Infallible;
 
@@ -101,13 +100,12 @@ impl Exec for Dense {
 pub fn dense_pass<Q>(
     config: &ModelConfig,
     rope: Option<&RopeTable>,
-    policy: KernelPolicy,
     lane: Lane<'_, Q>,
     run: impl FnOnce(&mut Pass<'_, '_, Dense, Q>) -> Result<(), Infallible>,
 ) {
     // The stage is never used: the one lane covers every row.
     let (mut exec, mut lanes, mut stage) = (Dense, [lane], Matrix::default());
-    let mut pass = Pass::new(config, rope, policy, &mut exec, &mut lanes, &mut stage);
+    let mut pass = Pass::new(config, rope, &mut exec, &mut lanes, &mut stage);
     let Ok(()) = run(&mut pass);
 }
 
@@ -132,7 +130,6 @@ pub trait KvStore: Sync {
 pub struct Pass<'a, 'l, E, Q> {
     config: &'a ModelConfig,
     rope: Option<&'a RopeTable>,
-    policy: KernelPolicy,
     exec: &'a mut E,
     lanes: &'a mut [Lane<'l, Q>],
     /// Every row's absolute position and sequence, in row order — all the
@@ -149,7 +146,6 @@ impl<'a, 'l, E: Exec, Q> Pass<'a, 'l, E, Q> {
     pub fn new(
         config: &'a ModelConfig,
         rope: Option<&'a RopeTable>,
-        policy: KernelPolicy,
         exec: &'a mut E,
         lanes: &'a mut [Lane<'l, Q>],
         stage: &'a mut Matrix,
@@ -161,7 +157,6 @@ impl<'a, 'l, E: Exec, Q> Pass<'a, 'l, E, Q> {
         Pass {
             config,
             rope,
-            policy,
             exec,
             lanes,
             rows,
@@ -284,11 +279,9 @@ unsafe impl Sync for RowSlab {}
 /// A row at position `pos` scores positions `0..=pos` only — like a
 /// fused attention kernel, which never reads K/V rows of causally-masked
 /// future positions — softmaxes that slice, and sums values over the same
-/// range. Under [`KernelPolicy::Strict`] every term accumulates, so a NaN
-/// in a cached V row poisons the output even when its softmax weight
-/// underflowed to exactly `0.0` (IEEE: `0 × NaN = NaN`);
-/// [`KernelPolicy::Fast`] may skip those zero-weight terms, which is
-/// unobservable on finite caches only.
+/// range. Every term accumulates, so a NaN in a cached V row poisons the
+/// output even when its softmax weight underflowed to exactly `0.0` (IEEE:
+/// `0 × NaN = NaN`) — a zero-weight skip would mask it.
 pub fn attend<E: Exec, S: KvStore>(
     pass: &mut Pass<'_, '_, E, S::Seq>,
     bw: &BlockWeights,
@@ -321,7 +314,7 @@ pub fn attend<E: Exec, S: KvStore>(
     {
         let scores = RowSlab::of(&mut s.scores);
         let ctx = RowSlab::of(&mut s.ctx);
-        let (q, kv, rows, policy) = (&s.q, &*kv, &pass.rows, pass.policy);
+        let (q, kv, rows) = (&s.q, &*kv, &pass.rows);
         pass.exec.each_row(rows.len(), |r| {
             let (pos, seq) = rows[r];
             // SAFETY: row `r` of each slab belongs to this task alone (see
@@ -337,13 +330,6 @@ pub fn attend<E: Exec, S: KvStore>(
                 softmax_inplace(weights);
                 let oh = &mut out[head.clone()];
                 for (j, &w) in weights.iter().enumerate() {
-                    // Fault-free-only shortcut: on a finite cache a zero
-                    // weight contributes nothing, but it would mask a
-                    // NaN/Inf in the cached V row (0 × NaN = NaN on real
-                    // hardware).
-                    if policy == KernelPolicy::Fast && w == 0.0 {
-                        continue;
-                    }
                     let vh = &kv.v_row(seq, j)[head.clone()];
                     for (o, &vv) in oh.iter_mut().zip(vh) {
                         *o += w * vv;

@@ -6,41 +6,34 @@
 //! Fault-injection campaigns are embarrassingly parallel (millions of
 //! independent inference trials) but individual trials vary wildly in cost —
 //! a fault that derails generation early can finish in a fraction of the
-//! time of a full 180-token decode. We therefore provide two layers:
+//! time of a full 180-token decode. There is one parallel runtime:
 //!
-//! * [`scope`] — structured, deterministic fork–join helpers built on
-//!   `std::thread::scope`: static chunking ([`parallel_map`],
-//!   [`parallel_for`]) for regular work such as GEMM row blocks, and
-//!   atomic-counter self-scheduling ([`parallel_for_dynamic`]) for mildly
-//!   irregular loops.
 //! * [`pool`] — a persistent work-stealing thread pool
-//!   ([`pool::WorkStealingPool`]) built purely on `std::sync`, used by the
-//!   campaign engine so that worker threads are spawned once per campaign
-//!   rather than once per batch. Every pool task runs under panic
-//!   isolation: a panicking trial is recorded as a [`pool::TaskPanic`]
-//!   instead of deadlocking the batch or killing a worker (see [`panics`]).
+//!   ([`pool::WorkStealingPool`]) built purely on `std::sync`: campaigns,
+//!   the sharded executor's fan-out and the serving batch step all
+//!   dispatch on it, so worker threads are spawned once rather than once
+//!   per batch. Every pool task runs under panic isolation: a panicking
+//!   trial is recorded as a [`pool::TaskPanic`] instead of deadlocking the
+//!   batch or killing a worker (see [`panics`]).
+//! * [`heartbeat`] — per-shard liveness slots and the monitor thread that
+//!   cancels a shard whose heartbeat went stale.
 //! * [`mod@lock_clean`] — poison-recovering lock helpers ([`lock_clean()`],
 //!   [`wait_clean()`]) and the central [`LOCK_REGISTRY`] declaring the
 //!   global lock-acquisition order that the `lock-order` lint in
 //!   `crates/analyze` enforces statically.
 //!
-//! Determinism contract: all combinators write results by *task index*, so
-//! the output of a parallel run is identical to the sequential run
-//! regardless of thread count or scheduling. Randomised workloads must
-//! derive their RNG stream from the task index (see `ft2_numeric::rng`),
-//! never from thread identity.
+//! Determinism contract: the pool writes results by *task index*, so the
+//! output of a parallel run is identical to the sequential run regardless
+//! of thread count or scheduling. Randomised workloads must derive their
+//! RNG stream from the task index (see `ft2_numeric::rng`), never from
+//! thread identity.
 
 pub mod heartbeat;
 pub mod lock_clean;
 pub mod panics;
 pub mod pool;
-pub mod scope;
 
 pub use heartbeat::{HeartbeatMonitor, ShardHeartbeat};
 pub use lock_clean::{lock_clean, lock_spec, wait_clean, LockKind, LockSpec, LOCK_REGISTRY};
 pub use panics::{catch_quiet, CaughtPanic};
 pub use pool::{TaskPanic, WorkStealingPool};
-pub use scope::{
-    num_threads, parallel_chunks_mut, parallel_for, parallel_for_dynamic, parallel_map,
-    parallel_ranges, parallel_reduce,
-};

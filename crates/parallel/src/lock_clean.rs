@@ -145,17 +145,9 @@ pub const LOCK_REGISTRY: &[LockSpec] = &[
               whose spin budget is spent",
     },
     LockSpec {
-        name: "cells",
-        kind: LockKind::Mutex,
-        rank: 8,
-        site: "crates/parallel/src/scope.rs",
-        doc: "per-chunk hand-off cells of parallel_chunks_mut; each cell is \
-              taken exactly once by its owning task",
-    },
-    LockSpec {
         name: "dense",
         kind: LockKind::Mutex,
-        rank: 9,
+        rank: 8,
         site: "crates/model/src/shard.rs",
         doc: "per-shard column-parallel output buffer; overwritten by every \
               dispatch before it is read",
@@ -163,7 +155,7 @@ pub const LOCK_REGISTRY: &[LockSpec] = &[
     LockSpec {
         name: "partial",
         kind: LockKind::Mutex,
-        rank: 10,
+        rank: 9,
         site: "crates/model/src/shard.rs",
         doc: "per-shard row-parallel f64 partial buffer; the gather swaps \
               the siblings out one at a time in shard-index order",

@@ -252,9 +252,16 @@ impl WorkStealingPool {
         }
     }
 
-    /// Pool with one worker per available core.
+    /// Pool with `FT2_THREADS` workers if that is set to a number ≥ 1,
+    /// otherwise one per available core (and always at least one).
     pub fn with_default_threads() -> Self {
-        Self::new(crate::scope::num_threads())
+        let threads = std::env::var("FT2_THREADS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .filter(|&n| n >= 1)
+            .or_else(|| std::thread::available_parallelism().ok().map(|n| n.get()))
+            .unwrap_or(1);
+        Self::new(threads)
     }
 
     /// Number of worker threads.

@@ -1,51 +1,10 @@
 //! Property-based tests for the parallel substrate.
 
-use ft2_parallel::{
-    parallel_map, parallel_reduce, scope::split_ranges, WorkStealingPool,
-};
+use ft2_parallel::WorkStealingPool;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 proptest! {
-    /// split_ranges always partitions [0, n) exactly, with balanced pieces.
-    #[test]
-    fn split_ranges_partitions(n in 0usize..5000, w in 1usize..64) {
-        let ranges = split_ranges(n, w);
-        let mut cursor = 0usize;
-        for (lo, hi) in &ranges {
-            prop_assert_eq!(*lo, cursor);
-            prop_assert!(hi > lo);
-            cursor = *hi;
-        }
-        prop_assert_eq!(cursor, n);
-        if let (Some(min), Some(max)) = (
-            ranges.iter().map(|(a, b)| b - a).min(),
-            ranges.iter().map(|(a, b)| b - a).max(),
-        ) {
-            prop_assert!(max - min <= 1);
-        }
-    }
-
-    /// parallel_map equals the sequential map for arbitrary data.
-    #[test]
-    fn map_matches_sequential(xs in prop::collection::vec(any::<u32>(), 0..500)) {
-        let par = parallel_map(&xs, |i, &x| (x as u64).wrapping_mul(31) ^ i as u64);
-        let seq: Vec<u64> = xs
-            .iter()
-            .enumerate()
-            .map(|(i, &x)| (x as u64).wrapping_mul(31) ^ i as u64)
-            .collect();
-        prop_assert_eq!(par, seq);
-    }
-
-    /// parallel_reduce with a commutative monoid equals the sequential fold.
-    #[test]
-    fn reduce_matches_fold(n in 0usize..2000, mult in 1u64..100) {
-        let par = parallel_reduce(n, 0u64, |i| i as u64 * mult, |a, b| a.wrapping_add(b));
-        let seq: u64 = (0..n as u64).map(|i| i * mult).fold(0, u64::wrapping_add);
-        prop_assert_eq!(par, seq);
-    }
-
     /// The pool visits every index exactly once for any (n, grain, threads).
     #[test]
     fn pool_visits_exactly_once(

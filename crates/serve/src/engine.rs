@@ -25,7 +25,7 @@ use crate::arena::{KvArena, KvSeq};
 use ft2_model::hooks::{LayerTap, TapPoint};
 use ft2_model::walk::{self, Exec, Lane, Pass};
 use ft2_model::weights::Linear;
-use ft2_model::{DecodeScratch, KernelPolicy, Model};
+use ft2_model::{DecodeScratch, Model};
 use ft2_parallel::WorkStealingPool;
 use ft2_tensor::{argmax, DType, Matrix};
 use std::convert::Infallible;
@@ -129,7 +129,6 @@ pub fn batch_step(
     let mut pass = Pass::new(
         config,
         model.rope_table(),
-        KernelPolicy::Strict,
         &mut exec,
         &mut rows,
         &mut scratch.stage,
@@ -177,8 +176,7 @@ pub fn prefill<'a>(
         seq: &*seq,
         tap,
     };
-    let strict = KernelPolicy::Strict;
-    walk::dense_pass(model.config(), model.rope_table(), strict, lane, |pass| {
+    walk::dense_pass(model.config(), model.rope_table(), lane, |pass| {
         let slabs = arena.slabs_mut();
         walk::walk(pass, model.weights(), tokens, slabs, &mut scratch.walk)
     });

@@ -8,8 +8,9 @@
 //! restart (continuous batching rather than static batching).
 //!
 //! Fault tolerance is *per request*. Each lane carries its own tap (the
-//! detector/injector), its own redecode budget, and its own KV pages, so
-//! the engine's recovery ladder replays per lane:
+//! detector/injector), its own [`Ladder`] — the state machine the engine
+//! climbs, whose unit here is one lane's decode step — and its own KV
+//! pages, so the engine's recovery ladder replays per lane:
 //!
 //! 1. **Rollback** — a lane whose step verdict is
 //!    [`AnomalyVerdict::Storm`] truncates its own [`KvSeq`] back one
@@ -18,18 +19,20 @@
 //!    until it fades (the tap's `on_rollback` escalation), exactly as in
 //!    the single-sequence engine.
 //! 2. **Repair** — once the retry budget is exhausted, a policy with
-//!    `repair` set takes one repair rung: the lane's [`KvGuard`] seals are
-//!    swept, the KV positions from the first broken seal on are recomputed
-//!    from the lane's known tokens in one prefill pass over the intact
-//!    prefix (bit-identical to the rows first written, whatever shape they
-//!    were written in), and one extra re-decode is granted.
+//!    `repair` set takes one repair rung on a lane that has a [`KvGuard`]
+//!    (the engine's rule: the rung exists only where something could
+//!    repair): the lane's seals are swept, the KV positions from the first
+//!    broken seal on are recomputed from the lane's known tokens in one
+//!    prefill pass over the intact prefix (bit-identical to the rows first
+//!    written, whatever shape they were written in), and one extra
+//!    re-decode is granted.
 //! 3. **Evict** — a lane still storming after rollback and repair is
 //!    evicted with [`EvictReason::RetriesExhausted`]: its pages return to
 //!    the arena and its [`Completion`] reports the typed outcome. Eviction
 //!    never stalls batchmates — the freed lane is refilled from the queue.
 //!
-//! A disabled [`RecoveryPolicy`] accepts storming tokens as-is (engine
-//! parity), and prefill (step 0) is never rolled back.
+//! A disabled [`RecoveryPolicy`] accepts storming tokens as-is, like the
+//! engine, and prefill (step 0) is never rolled back.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -39,7 +42,7 @@ use crate::arena::{KvArena, KvGuard, KvSeq};
 use crate::engine::{batch_step, prefill, BatchLane, BatchScratch};
 use crate::event::{EventSink, ServeEvent};
 use ft2_model::hooks::{AnomalyVerdict, LayerTap, StepReport};
-use ft2_model::{Model, RecoveryPolicy};
+use ft2_model::{Ladder, Model, RecoveryPolicy, Rung};
 use ft2_parallel::WorkStealingPool;
 use ft2_tensor::argmax;
 
@@ -188,8 +191,8 @@ struct ActiveRequest {
     guard: Option<KvGuard>,
     tokens: Vec<u32>,
     admitted_at: Instant,
-    redecodes: u32,
-    repaired_this_step: bool,
+    /// Where the lane's current decode step stands on the recovery ladder.
+    ladder: Ladder,
     rollbacks: u32,
     storms: u32,
     kv_repairs: usize,
@@ -425,8 +428,8 @@ impl Scheduler {
     /// Prefill one queued request into a lane: one pass of the layer walk
     /// over the prompt, straight into the lane's arena pages, with the
     /// request's tap riding along (so it sees the exact prefill the engine
-    /// would fire), then the first token. Prefill is never rolled back
-    /// (engine parity) — a storm is counted and the token accepted.
+    /// would fire), then the first token. Prefill is never rolled back, in
+    /// the engine or here — a storm is counted and the token accepted.
     ///
     /// A resumed request (non-empty handoff prefix) instead prefills the
     /// prompt plus its accepted tokens tap-less: the rows equal the failed
@@ -437,17 +440,22 @@ impl Scheduler {
     fn admit(&mut self, q: Queued) {
         let Queued { req, resume } = q;
         let admitted_at = Instant::now();
+        let policy = self.config.recovery;
+        let guard = self.config.kv_guard.then(KvGuard::new);
         let mut ar = ActiveRequest {
             id: req.id,
             prompt: req.prompt,
             gen_tokens: req.gen_tokens,
             tap: req.tap,
             seq: KvSeq::new(),
-            guard: self.config.kv_guard.then(KvGuard::new),
+            // The repair rung exists only where something could repair.
+            ladder: Ladder::new(
+                policy.max_retries,
+                policy.enabled() && policy.repair && guard.is_some(),
+            ),
+            guard,
             tokens: resume,
             admitted_at,
-            redecodes: 0,
-            repaired_this_step: false,
             rollbacks: 0,
             storms: 0,
             kv_repairs: 0,
@@ -586,20 +594,18 @@ impl Scheduler {
             };
             if report.verdict == AnomalyVerdict::Storm {
                 ar.storms += 1;
-                let rollback = |ar: &mut ActiveRequest, arena: &mut KvArena| {
-                    ar.seq.truncate(pos, arena);
+                let rung = ar.ladder.fail();
+                if let Rung::Retry { attempt } | Rung::Repair { attempt } = rung {
+                    // Roll the token back; the lane re-decodes it on the
+                    // next scheduler step while its batchmates advance.
+                    ar.seq.truncate(pos, &mut self.arena);
                     if let Some(guard) = &mut ar.guard {
                         guard.truncate(pos);
                     }
                     if let Some(tap) = ar.tap.as_deref_mut() {
-                        tap.on_rollback(step, ar.redecodes);
+                        tap.on_rollback(step, attempt);
                     }
                     ar.rollbacks += 1;
-                    ar.redecodes += 1;
-                };
-                if ar.redecodes < policy.max_retries {
-                    let attempt = ar.redecodes;
-                    rollback(ar, &mut self.arena);
                     if let Some(sink) = &self.sink {
                         sink.emit(ServeEvent::Rollback {
                             replica: sink.replica(),
@@ -609,71 +615,53 @@ impl Scheduler {
                             report,
                         });
                     }
-                    continue;
-                }
-                if policy.enabled() && policy.repair && !ar.repaired_this_step {
-                    let attempt = ar.redecodes;
-                    rollback(ar, &mut self.arena);
-                    let bad = ar
-                        .guard
-                        .as_ref()
-                        .and_then(|g| g.verify(&self.arena, &ar.seq));
-                    let mut rebuilt = 0;
-                    if let Some(bad) = bad {
-                        rebuilt = Self::rebuild_kv(
-                            &self.model,
-                            &mut self.arena,
-                            &mut self.scratch,
-                            ar,
-                            bad,
-                        );
+                    if let Rung::Repair { .. } = rung {
+                        // Sweep the lane's seals and recompute everything
+                        // from the first broken one on.
+                        let bad = ar
+                            .guard
+                            .as_ref()
+                            .and_then(|g| g.verify(&self.arena, &ar.seq));
+                        let rebuilt = bad.map_or(0, |bad| {
+                            Self::rebuild_kv(&self.model, &mut self.arena, &mut self.scratch, ar, bad)
+                        });
                         ar.kv_repairs += rebuilt;
-                    }
-                    ar.repair_retries += 1;
-                    ar.repaired_this_step = true;
-                    if let Some(sink) = &self.sink {
-                        sink.emit(ServeEvent::Rollback {
-                            replica: sink.replica(),
-                            id: ar.id,
-                            step,
-                            attempt,
-                            report,
-                        });
-                        sink.emit(ServeEvent::Repair {
-                            replica: sink.replica(),
-                            id: ar.id,
-                            step,
-                            positions: rebuilt,
-                        });
+                        ar.repair_retries += 1;
+                        if let Some(sink) = &self.sink {
+                            sink.emit(ServeEvent::Repair {
+                                replica: sink.replica(),
+                                id: ar.id,
+                                step,
+                                positions: rebuilt,
+                            });
+                        }
                     }
                     continue;
                 }
                 if policy.enabled() {
+                    // Giving up here means eviction.
+                    let redecodes = ar.ladder.spent();
                     finished.push((
                         i,
-                        Outcome::Evicted(EvictReason::RetriesExhausted {
-                            step,
-                            redecodes: ar.redecodes,
-                        }),
+                        Outcome::Evicted(EvictReason::RetriesExhausted { step, redecodes }),
                     ));
                     if let Some(sink) = &self.sink {
                         sink.emit(ServeEvent::Evicted {
                             replica: sink.replica(),
                             id: ar.id,
                             step,
-                            redecodes: ar.redecodes,
+                            redecodes,
                         });
                     }
                     continue;
                 }
                 // Disabled policy: fall through and accept the storming
-                // token (engine parity).
+                // token, as the engine does.
             }
             // Accept.
             ar.tokens.push(next[i]);
             let t_ns = ar.admitted_at.elapsed().as_nanos() as u64;
-            ar.redecodes = 0;
-            ar.repaired_this_step = false;
+            ar.ladder.pass();
             if let Some(guard) = &mut ar.guard {
                 guard.seal(&self.arena, &ar.seq, pos);
             }

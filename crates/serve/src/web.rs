@@ -331,8 +331,18 @@ fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
 }
 
 /// A typed JSON refusal: `{"ok":false,"error":"<error>"}` under `status`.
+/// `error` may quote bytes of the request, so it is escaped as a JSON
+/// string here — the one place a refusal is built.
 fn refuse(stream: &mut TcpStream, status: u16, error: &str) -> io::Result<()> {
-    let body = format!(r#"{{"ok":false,"error":"{error}"}}"#);
+    let mut body = String::from(r#"{"ok":false,"error":""#);
+    for c in error.chars() {
+        match c {
+            '"' | '\\' => body.extend(['\\', c]),
+            c if c.is_control() => body.push_str(&format!("\\u{:04x}", c as u32)),
+            c => body.push(c),
+        }
+    }
+    body.push_str("\"}");
     respond(stream, status, "application/json", &body)
 }
 
@@ -601,18 +611,26 @@ mod tests {
             LiveFault::Flip { block: 2 }
         );
 
-        // Garbage is a 400, not a silent default.
-        let body = "kind=meteor";
-        let mut s = TcpStream::connect(addr).unwrap();
-        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        write!(
-            s,
-            "POST /inject HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        )
-        .unwrap();
-        let resp = read_until(&mut s, "}", Duration::from_secs(5));
-        assert!(resp.starts_with("HTTP/1.1 400"), "got {resp:?}");
+        // Garbage is a 400, not a silent default — and the refusal is a
+        // JSON document the viewer can parse, whatever request bytes the
+        // error text quotes.
+        for (body, refusal) in [
+            ("kind=meteor", r#"{"ok":false,"error":"unknown fault kind \"meteor\""}"#),
+            ("kind=flip&block=\"", r#"{"ok":false,"error":"bad block \"\\\"\""}"#),
+        ] {
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            write!(
+                s,
+                "POST /inject HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            )
+            .unwrap();
+            let resp = read_until(&mut s, "\"}", Duration::from_secs(5));
+            assert!(resp.starts_with("HTTP/1.1 400"), "got {resp:?}");
+            let (_, got) = resp.split_once("\r\n\r\n").expect("a head, then a body");
+            assert_eq!(got, refusal, "refusal for {body:?}");
+        }
         server.shutdown();
     }
 

@@ -3,7 +3,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use ft2_model::{Model, ModelConfig, RecoveryPolicy, TapList};
+use ft2_model::{Model, ModelConfig, RecoveryPolicy, StateTapList, TapList};
 use ft2_parallel::WorkStealingPool;
 use ft2_serve::scheduler::{EvictReason, Outcome, Request, Scheduler, ServeConfig, SubmitError};
 use ft2_serve::{Server, StormTap};
@@ -118,6 +118,71 @@ fn persistent_storm_is_evicted_without_stalling_batchmates() {
         assert_eq!(c.tokens, solo_tokens(&model, PROMPTS[i], GEN), "batchmate {i}");
     }
     assert_eq!(sched.arena_mut().pages_in_use(), 0, "evicted pages returned");
+}
+
+/// The engine and the scheduler climb the same ladder: one storm script —
+/// step 3 struck until `heal_after` rollbacks — through
+/// `generate_resilient` and through a one-lane scheduler spends the same
+/// rungs in both, up to and including giving up. `guarded` is whether
+/// anything could repair (a `KvGuard` state tap there, `kv_guard` here):
+/// without it neither host has a repair rung to take.
+#[test]
+fn engine_and_scheduler_climb_the_same_ladder() {
+    let model = model();
+    let pool = WorkStealingPool::new(2);
+    let policy = RecoveryPolicy::retries(2).with_repair();
+    for guarded in [true, false] {
+        // Re-decodes the ladder grants one step: two retries, plus the
+        // repair where the rung exists.
+        let granted = if guarded { 3 } else { 2 };
+        for heal_after in 0..=4u32 {
+            let case = format!("guarded {guarded}, heal_after {heal_after}");
+
+            let mut storm = StormTap::transient(3, heal_after);
+            let mut taps = TapList::new();
+            taps.push(&mut storm);
+            let mut guard = ft2_core::KvGuard::new();
+            let mut state = StateTapList::new();
+            if guarded {
+                state.push(&mut guard);
+            }
+            let solo = model.generate_resilient(PROMPTS[0], GEN, &mut taps, &mut state, policy);
+
+            let config = ServeConfig {
+                max_batch: 1,
+                recovery: policy,
+                kv_guard: guarded,
+                ..ServeConfig::default()
+            };
+            let mut sched = Scheduler::new(model.clone(), config);
+            let tap = Box::new(StormTap::transient(3, heal_after));
+            sched.try_submit(request(0, Some(tap))).unwrap();
+            let served = sched.run(&pool).pop().expect("one completion");
+
+            assert_eq!(served.rollbacks, solo.rollbacks, "{case}");
+            assert_eq!(served.rollbacks, heal_after.min(granted), "{case}");
+            assert_eq!(served.storms, solo.storms, "{case}");
+            assert_eq!(served.repair_retries, solo.repair_retries, "{case}");
+            assert_eq!(served.repair_retries, u32::from(guarded && heal_after >= 3), "{case}");
+            // Giving up means different things — the engine accepts the
+            // token and flags the run, the scheduler evicts — but it
+            // happens on the same failure of the same step.
+            let evicted = Outcome::Evicted(EvictReason::RetriesExhausted {
+                step: 3,
+                redecodes: granted,
+            });
+            assert_eq!(solo.recovery_failed, heal_after > granted, "{case}");
+            assert_eq!(solo.recovery_failed, served.outcome == evicted, "{case}");
+            if solo.recovery_failed {
+                assert_eq!(solo.steps[3].redecodes, granted, "{case}");
+                assert_eq!(served.tokens, solo.tokens[..3], "{case}: tokens before step 3");
+            } else {
+                assert_eq!(served.outcome, Outcome::Completed, "{case}");
+                assert_eq!(served.tokens, solo.tokens, "{case}");
+                assert_eq!(served.tokens, solo_tokens(&model, PROMPTS[0], GEN), "{case}");
+            }
+        }
+    }
 }
 
 #[test]

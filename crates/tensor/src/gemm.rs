@@ -13,55 +13,39 @@
 //!   panel kernel runs on 256-bit fused multiply-adds (runtime-detected);
 //!   everywhere else an 8-lane portable kernel autovectorises.
 //!
-//! # Kernel policy: IEEE fidelity vs fault-free speed
+//! # One kernel semantics: every term accumulates
 //!
 //! The repo's premise is that injected faults propagate exactly as they
 //! would through a GPU kernel: `0 × NaN = NaN`, `0 × Inf = NaN`, and a
 //! non-finite term anywhere in a dot product poisons the sum. A zero-skip
 //! ("`if a == 0.0 { continue; }`") breaks that contract — it masks a
 //! NaN/Inf sitting in the other operand, silently deflating SDC/DUE rates.
+//! No kernel in this workspace has one: non-finite values land in the
+//! output exactly where the [`matmul_naive`] oracle puts them, in
+//! reference generations and fault-injection trials alike (the `zero-skip`
+//! lint in `crates/analyze` keeps it so).
 //!
-//! [`KernelPolicy`] makes the trade-off explicit and per-call:
-//!
-//! * [`KernelPolicy::Strict`] (the **default**) accumulates every term.
-//!   Non-finite values land in the output exactly where the
-//!   [`matmul_naive`] oracle puts them.
-//! * [`KernelPolicy::Fast`] may skip terms whose multiplier is exactly
-//!   `0.0`. On finite data this is unobservable (adding `±0.0` to a sum
-//!   started at `+0.0` changes nothing), so Fast and Strict agree
-//!   bit-for-bit on any fault-free tensor — which is why fault-free
-//!   *reference* generations may use Fast while every fault-injection
-//!   trial must run Strict.
-//!
-//! No GEMM in this module has a zero-skip: [`matmul_transb`] and its batch
-//! variant are IEEE-faithful under either policy. The one `Fast` shortcut
-//! left is the attention value sum in `ft2-model`'s layer walk.
+//! Every GEMM here runs on the calling thread. The largest product any zoo
+//! model, workload or probe forms is 160 × 256 × 64 = 2.6 M
+//! multiply-accumulates — tens of microseconds on the SIMD panel kernel —
+//! and the parallelism is above this layer: across campaign trials, shards
+//! and batch lanes, all on the `ft2-parallel` pool. A future large-GEMM
+//! path belongs on that pool too, not on per-call thread spawns.
 
 use crate::matrix::Matrix;
-use ft2_parallel::parallel_ranges;
 
-/// Minimum `m × n × k` multiply-accumulate count before a kernel goes
-/// parallel. Two considerations set it this high: (a) single-token decode
-/// steps on the simulator's small models must stay on one thread — the
-/// parallelism there is across campaign trials; (b) `ft2-parallel` spawns
-/// scoped threads per call (no persistent pool at this layer), which costs
-/// tens of microseconds — about the time the SIMD panel kernel needs for
-/// four million MACs single-threaded.
-const PARALLEL_THRESHOLD: usize = 4 * 1024 * 1024;
-
-/// Per-call choice between IEEE-faithful accumulation and fault-free-only
-/// shortcuts. See the module docs for the contract.
+/// What is left of a per-call choice between IEEE-faithful accumulation
+/// and a zero-skipping fault-free shortcut: the shortcut (`Fast`) paid for
+/// nothing measurable and is gone, so the enum selects nothing. It keeps
+/// its one variant only because `benchmark/src/probes.rs` names it and a
+/// crate PR may not edit the benchmark; a `benchmark`-archetype PR can drop
+/// the enum together with `attention_forward_into`'s ignored argument.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum KernelPolicy {
     /// Accumulate every term: non-finite inputs propagate exactly as in
-    /// [`matmul_naive`] (`0 × NaN = NaN`). The default, and mandatory
-    /// inside fault-injection trials.
+    /// [`matmul_naive`] (`0 × NaN = NaN`).
     #[default]
     Strict,
-    /// Zero-multiplier terms may be skipped. Bit-identical to `Strict` on
-    /// finite data; masks NaN/Inf behind exact zeros. Only valid for
-    /// tensors known fault-free (e.g. reference generations).
-    Fast,
 }
 
 /// Reference triple-loop GEMM: `A[m,k] × B[k,n] -> C[m,n]`.
@@ -250,11 +234,10 @@ fn transb_row(a_row: &[f32], b_t: &Matrix, out_row: &mut [f32]) {
 }
 
 /// `A[m,k] × Bᵀ` with `B` stored as `[n, k]` (row per output feature):
-/// `C[i][j] = dot(A.row(i), B.row(j))`. Parallel over rows of A.
+/// `C[i][j] = dot(A.row(i), B.row(j))`, one row of A at a time.
 ///
 /// This kernel has no zero-skip: every term of every dot product
-/// participates under both policies, so NaN/Inf placement always matches
-/// [`matmul_naive`].
+/// participates, so NaN/Inf placement always matches [`matmul_naive`].
 pub fn matmul_transb(a: &Matrix, b_t: &Matrix) -> Matrix {
     let mut c = Matrix::zeros(0, 0);
     matmul_transb_into(a, b_t, &mut c);
@@ -268,24 +251,8 @@ pub fn matmul_transb_into(a: &Matrix, b_t: &Matrix, c: &mut Matrix) {
     assert_eq!(a.cols(), b_t.cols(), "matmul_transb shape mismatch");
     let (m, n) = (a.rows(), b_t.rows());
     c.reset(m, n);
-    if m * n * a.cols() >= PARALLEL_THRESHOLD && m > 1 {
-        let c_ptr = SendMutPtr(c.as_mut_slice().as_mut_ptr());
-        parallel_ranges(m, |_, rows| {
-            for i in rows {
-                // SAFETY: ranges are disjoint; row-disjoint writes.
-                let out_row =
-                    unsafe { std::slice::from_raw_parts_mut(c_ptr.get().add(i * n), n) };
-                transb_row(a.row(i), b_t, out_row);
-            }
-        });
-    } else {
-        for i in 0..m {
-            let row = unsafe {
-                // SAFETY: sequential unique access.
-                std::slice::from_raw_parts_mut(c.as_mut_slice().as_mut_ptr().add(i * n), n)
-            };
-            transb_row(a.row(i), b_t, row);
-        }
+    for i in 0..m {
+        transb_row(a.row(i), b_t, c.row_mut(i));
     }
 }
 
@@ -302,8 +269,8 @@ pub fn matmul_transb_into(a: &Matrix, b_t: &Matrix, c: &mut Matrix) {
 /// The AVX2+FMA [`dot4`] micro-kernel is reused unchanged, so the SIMD
 /// path gets the same amortisation.
 ///
-/// Single-row inputs and products big enough for the row-parallel schedule
-/// delegate to [`matmul_transb_into`] (bit-identical either way).
+/// Single-row inputs delegate to [`matmul_transb_into`] (bit-identical
+/// either way).
 pub fn matmul_transb_batch(a: &Matrix, b_t: &Matrix) -> Matrix {
     let mut c = Matrix::zeros(0, 0);
     matmul_transb_batch_into(a, b_t, &mut c);
@@ -314,7 +281,7 @@ pub fn matmul_transb_batch(a: &Matrix, b_t: &Matrix) -> Matrix {
 pub fn matmul_transb_batch_into(a: &Matrix, b_t: &Matrix, c: &mut Matrix) {
     assert_eq!(a.cols(), b_t.cols(), "matmul_transb shape mismatch");
     let (m, n) = (a.rows(), b_t.rows());
-    if m <= 1 || m * n * a.cols() >= PARALLEL_THRESHOLD {
+    if m <= 1 {
         matmul_transb_into(a, b_t, c);
         return;
     }
@@ -338,19 +305,6 @@ pub fn matmul_transb_batch_into(a: &Matrix, b_t: &Matrix, c: &mut Matrix) {
     }
 }
 
-struct SendMutPtr(*mut f32);
-// SAFETY: the wrapper moves a raw pointer into pool tasks that each write a
-// distinct row range of C; no element is touched by two tasks.
-unsafe impl Send for SendMutPtr {}
-// SAFETY: shared access only reads the pointer value; row-disjoint writes
-// as above.
-unsafe impl Sync for SendMutPtr {}
-impl SendMutPtr {
-    fn get(&self) -> *mut f32 {
-        self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,10 +324,13 @@ mod tests {
     #[test]
     fn transb_matches_explicit_transpose() {
         let mut rng = Xoshiro256StarStar::new(19);
-        for &(m, k, n) in &[(3usize, 10usize, 4usize), (64, 96, 64), (1, 64, 512), (5, 13, 7)] {
+        // The last two are empty on one side: no output columns, no rows.
+        let shapes = [(3usize, 10usize, 4usize), (64, 96, 64), (1, 64, 512), (5, 13, 7), (3, 4, 0), (0, 4, 3)];
+        for &(m, k, n) in &shapes {
             let a = random_matrix(&mut rng, m, k);
             let bt = random_matrix(&mut rng, n, k);
             let direct = matmul_transb(&a, &bt);
+            assert_eq!((direct.rows(), direct.cols()), (m, n));
             let via_transpose = matmul_naive(&a, &bt.transpose());
             assert!(
                 direct.max_abs_diff(&via_transpose) < 1e-3,
@@ -382,6 +339,8 @@ mod tests {
         }
     }
 
+    /// 192 × 160 × 160: once the row-parallel path's shape, now simply the
+    /// largest product tested against the oracle.
     #[test]
     fn transb_parallel_path_matches_naive() {
         let mut rng = Xoshiro256StarStar::new(21);
@@ -435,7 +394,8 @@ mod tests {
         let a1 = random_matrix(&mut rng, 1, 48);
         let bt1 = random_matrix(&mut rng, 19, 48);
         assert_eq!(matmul_transb_batch(&a1, &bt1), matmul_transb(&a1, &bt1));
-        // Crosses PARALLEL_THRESHOLD: delegates to the row-parallel kernel.
+        // A large product stays on the panel kernel, and stays
+        // bit-identical to the row-major one.
         let a2 = random_matrix(&mut rng, 192, 160);
         let bt2 = random_matrix(&mut rng, 160, 160);
         assert_eq!(matmul_transb_batch(&a2, &bt2), matmul_transb(&a2, &bt2));

@@ -1,8 +1,8 @@
 #![warn(missing_docs)]
 //! # ft2-tensor
 //!
-//! A small, CPU-parallel tensor library purpose-built for the FT2
-//! reproduction's transformer inference engine.
+//! A small CPU tensor library purpose-built for the FT2 reproduction's
+//! transformer inference engine.
 //!
 //! Design choices:
 //!
@@ -15,9 +15,9 @@
 //! * Matrices are dense row-major [`Matrix`]; weights are stored
 //!   `[out_features, in_features]` so GEMM reads both operands
 //!   sequentially ([`gemm::matmul_transb`]).
-//! * Kernels parallelise over rows with `ft2-parallel` above a size
-//!   threshold; below it they run sequentially to keep single-token decode
-//!   latency low.
+//! * Kernels run on the calling thread: the products this workspace forms
+//!   are microseconds long, and the parallelism is above this layer (across
+//!   trials, shards and batch lanes, on the `ft2-parallel` pool).
 
 pub mod gemm;
 pub mod matrix;

@@ -52,13 +52,13 @@ out="$(cargo test -q --release --offline --locked -p ft2-parallel \
     echo "$out" >&2
     exit 1
 }
-for want in 2 6 5; do
-    echo "$out" | grep -q "test result: ok. $want passed" || {
-        echo "verify: expected a ft2-parallel integration file with $want tests under --release" >&2
-        echo "$out" >&2
-        exit 1
-    }
-done
+# cancel_stress has 2 tests, pool_handoff_stress 6, properties 2.
+counts="$(echo "$out" | sed -n 's/^test result: ok\. \([0-9]*\) passed.*/\1/p' | sort -n | tr '\n' ' ')"
+[ "$counts" = "2 2 6 " ] || {
+    echo "verify: expected the ft2-parallel integration files to run 2, 2 and 6 tests under --release, saw: $counts" >&2
+    echo "$out" >&2
+    exit 1
+}
 
 echo "== benchmark (its own tests, then all six workloads with the checker on) =="
 # benchmark/ is a standalone package outside the workspace, so nothing above
@@ -170,5 +170,8 @@ done
 kill "$WEB_PID" 2>/dev/null || true
 wait "$WEB_PID" 2>/dev/null || true
 rm -f "$WEB_LOG" "$SSE_TMP"
+
+echo "== code lines per crate (informational; the count CHANGES.md quotes) =="
+sh scripts/loc.sh
 
 echo "verify: OK"
