@@ -297,7 +297,7 @@ impl Json {
     fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing content at byte {pos}"));
@@ -355,7 +355,15 @@ fn peek(b: &[u8], pos: &mut usize) -> Option<u8> {
     b.get(*pos).copied()
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Containers a checkpoint document may nest. The writer nests three deep;
+/// the bound is what keeps a hostile file of 10⁵ brackets a typed error
+/// instead of a stack overflow in this recursive parser.
+const MAX_DEPTH: usize = 8;
+
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+    if depth > MAX_DEPTH {
+        return Err(format!("nested deeper than {MAX_DEPTH} at byte {pos}"));
+    }
     match peek(b, pos) {
         Some(b'{') => {
             *pos += 1;
@@ -368,7 +376,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 skip_ws(b, pos);
                 let key = parse_string(b, pos)?;
                 expect(b, pos, b':')?;
-                entries.push((key, parse_value(b, pos)?));
+                entries.push((key, parse_value(b, pos, depth + 1)?));
                 match peek(b, pos) {
                     Some(b',') => *pos += 1,
                     Some(b'}') => {
@@ -387,7 +395,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 match peek(b, pos) {
                     Some(b',') => *pos += 1,
                     Some(b']') => {
@@ -652,6 +660,33 @@ mod tests {
         assert_eq!(cp.result.counts.failed_over, 0);
         assert_eq!(cp.result.failovers, 0);
         assert_eq!(cp.result.replica_rebuilds, 0);
+    }
+
+    #[test]
+    fn hostile_files_load_as_typed_errors() {
+        // `run_checkpointed` turns an `Err` from `load` into "checkpoint
+        // unusable … rerunning from scratch"; a panic or a stack overflow
+        // would take the whole campaign down instead. The two nesting bombs
+        // abort the test binary without the parser's depth bound.
+        let dir = std::env::temp_dir().join("ft2-checkpoint-hostile-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let cut_mid_string = sample_checkpoint().to_json();
+        let cut_mid_string = &cut_mid_string[..cut_mid_string.rfind('"').unwrap()];
+        let cases: [(&str, Vec<u8>, &str); 4] = [
+            ("arrays", "[".repeat(100_000).into_bytes(), "nested deeper than"),
+            ("objects", "{\"a\":".repeat(100_000).into_bytes(), "nested deeper than"),
+            ("cut", cut_mid_string.as_bytes().to_vec(), "unterminated string"),
+            ("bytes", vec![b'{', b'"', 0xff, 0xfe, b'"', b':', b'1', b'}'], "read "),
+        ];
+        for (name, bytes, expected) in cases {
+            let path = dir.join(format!("{name}.json"));
+            std::fs::write(&path, bytes).unwrap();
+            let err = CampaignCheckpoint::load(&path).unwrap_err();
+            assert!(err.contains(expected), "{name}: {err}");
+        }
+        // The writer's own nesting stays well inside the bound.
+        assert!(CampaignCheckpoint::from_json(&sample_checkpoint().to_json()).is_ok());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!   shard-level repair clears a persistent shard fault cheaper than a
 //!   full restart, and a one-shard crash with degrade keeps serving
 //!   (reported Outcome::Degraded, never silent). Knobs: FT2_SHARDS,
-//!   FT2_SHARD_DEGRADE=1, FT2_SHARD_HEARTBEAT_MS.
+//!   FT2_SHARD_HEARTBEAT_MS.
 //!
 //! ft2-repro serve [--smoke] [--web]
 //!   continuous-batching serving gate: batch-N vs solo token identity on
@@ -219,7 +219,7 @@ fn main() {
         println!("       ft2-repro shards [--smoke]");
         println!("         sharded-execution gate: N-shard token identity, shard-level");
         println!("         repair vs full restart, crash + degraded-mode serving;");
-        println!("         knobs: FT2_SHARDS, FT2_SHARD_DEGRADE=1, FT2_SHARD_HEARTBEAT_MS");
+        println!("         knobs: FT2_SHARDS, FT2_SHARD_HEARTBEAT_MS");
         println!("       ft2-repro serve [--smoke] [--web]");
         println!("         continuous-batching serving gate: batch-vs-solo token identity");
         println!("         for batch sizes {{1, 4, 8}} and a per-request fault storm that");
@@ -244,7 +244,7 @@ fn main() {
         println!("  FT2_CHECKPOINT_EVERY, FT2_CHECKPOINT_DIR control checkpointing;");
         println!("  FT2_TRIAL_DEADLINE_MS, FT2_TRIAL_TOKEN_BUDGET arm the trial watchdog;");
         println!("  FT2_RECOVERY_RETRIES arms token-rollback recovery (FT2_STORM_THRESHOLD tunes it);");
-        println!("  FT2_SCRUB_TILES_PER_STEP, FT2_KV_GUARD=1, FT2_RECOVERY_REPAIR=1 arm the integrity layer");
+        println!("  FT2_SCRUB_TILES_PER_STEP, FT2_RECOVERY_REPAIR=1 arm the integrity layer");
         return;
     }
 

@@ -270,10 +270,8 @@ pub(crate) mod tests {
                 recovery_retries: 0,
                 storm_threshold: None,
                 scrub_tiles_per_step: 0,
-                kv_guard: false,
                 recovery_repair: false,
                 shards: 1,
-                shard_degrade: false,
                 shard_heartbeat_ms: 50,
             },
             resilience: Resilience {

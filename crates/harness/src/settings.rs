@@ -71,13 +71,6 @@ pub const KNOB_REGISTRY: &[KnobSpec] = &[
         site: "ft2-harness",
     },
     KnobSpec {
-        name: "FT2_KV_GUARD",
-        kind: KnobKind::Flag,
-        default: "off",
-        doc: "CRC-seal appended KV-cache rows; rebuild positions whose seal fails",
-        site: "ft2-harness",
-    },
-    KnobSpec {
         name: "FT2_NO_SIMD",
         kind: KnobKind::Flag,
         default: "off",
@@ -183,13 +176,6 @@ pub const KNOB_REGISTRY: &[KnobSpec] = &[
         site: "ft2-harness",
     },
     KnobSpec {
-        name: "FT2_SHARD_DEGRADE",
-        kind: KnobKind::Flag,
-        default: "off",
-        doc: "evict a dead shard and keep generating on the survivors (degraded mode)",
-        site: "ft2-harness",
-    },
-    KnobSpec {
         name: "FT2_SHARD_HEARTBEAT_MS",
         kind: KnobKind::Integer,
         default: "50",
@@ -285,12 +271,10 @@ pub fn knob_spec(name: &str) -> &'static KnobSpec {
 ///   an anomaly verdict to a storm (default: library default);
 /// * `FT2_SCRUB_TILES_PER_STEP` — weight tiles the integrity scrubber
 ///   re-verifies per decode step (default 0 = scrubbing off);
-/// * `FT2_KV_GUARD=1`          — enable the KV-cache CRC guard;
 /// * `FT2_RECOVERY_REPAIR=1`   — take a repair-and-retry rung after the
 ///   rollback retry budget is exhausted;
 /// * `FT2_SHARDS`              — fault-isolation shards for the sharded
 ///   sweep (default 1 = unsharded);
-/// * `FT2_SHARD_DEGRADE=1`     — evict a dead shard and keep generating;
 /// * `FT2_SHARD_HEARTBEAT_MS`  — per-shard heartbeat timeout (default 50;
 ///   0 or negative disables the watchdog with a warning).
 ///
@@ -335,15 +319,11 @@ pub struct Settings {
     /// Weight tiles the integrity scrubber re-verifies per decode step
     /// (0 = scrubbing off).
     pub scrub_tiles_per_step: usize,
-    /// Enable the KV-cache CRC guard.
-    pub kv_guard: bool,
     /// Take a repair-and-retry rung after rollback exhaustion.
     pub recovery_repair: bool,
     /// Fault-isolation shards for the sharded-execution sweep (1 =
     /// unsharded).
     pub shards: usize,
-    /// Degraded-mode serving: evict a dead shard and keep generating.
-    pub shard_degrade: bool,
     /// Per-shard heartbeat timeout in milliseconds.
     pub shard_heartbeat_ms: u64,
 }
@@ -435,10 +415,8 @@ impl Settings {
             recovery_retries: env_knob("FT2_RECOVERY_RETRIES").unwrap_or(0),
             storm_threshold: env_knob("FT2_STORM_THRESHOLD"),
             scrub_tiles_per_step: env_usize("FT2_SCRUB_TILES_PER_STEP").unwrap_or(0),
-            kv_guard: env_flag("FT2_KV_GUARD"),
             recovery_repair: env_flag("FT2_RECOVERY_REPAIR"),
             shards: env_usize("FT2_SHARDS").unwrap_or(1).max(1),
-            shard_degrade: env_flag("FT2_SHARD_DEGRADE"),
             // Parsed as i64 so that an explicit negative value reads as
             // "disable the watchdog" (0) rather than tripping the malformed
             // warning and silently re-enabling the 50 ms default.
@@ -608,10 +586,8 @@ mod tests {
             recovery_retries: 0,
             storm_threshold: None,
             scrub_tiles_per_step: 0,
-            kv_guard: false,
             recovery_repair: false,
             shards: 1,
-            shard_degrade: false,
             shard_heartbeat_ms: 50,
         };
         assert_eq!(s.gen_tokens(TaskType::Qa), 16);
@@ -634,10 +610,8 @@ mod tests {
             recovery_retries: 3,
             storm_threshold: Some(8),
             scrub_tiles_per_step: 8,
-            kv_guard: true,
             recovery_repair: true,
             shards: 2,
-            shard_degrade: true,
             shard_heartbeat_ms: 25,
         };
         let cfg = s.campaign(DatasetId::Squad, FaultModel::ExponentBit);

@@ -1,6 +1,6 @@
 //! The sharded-execution gate behind `ft2-repro shards`.
 //!
-//! For each swept zoo config and shard count the gate checks the three
+//! For each swept zoo config and shard count the gate checks the four
 //! guarantees of the fault-isolation design, end to end through the real
 //! sharded executor ([`ft2_model::ShardedModel`]), one [`Check`] each:
 //!
@@ -15,7 +15,11 @@
 //! * **degrade** — crashing one shard with degraded-mode serving enabled
 //!   still emits every requested token and reports
 //!   [`ft2_fault::Outcome::Degraded`] — availability is preserved, and the
-//!   shard loss is never silent.
+//!   shard loss is never silent;
+//! * **FT2 on the seam** — a shard's wrong-but-finite partial, far under
+//!   the executor's fixed anomaly threshold, is invisible to a tap-less
+//!   run and clamped by an FT2 [`ft2_core::Protector`] on the lane, whose
+//!   profiled bounds see the gathered output after the seam.
 //!
 //! Sizing: `--smoke` sweeps N=2 only with a short generation; `FT2_SHARDS`
 //! overrides the swept shard counts with a single value;
@@ -24,12 +28,14 @@
 
 use crate::report::Check;
 use crate::settings::Settings;
-use ft2_core::ShardScrubber;
+use ft2_core::{Scheme, SchemeFactory, ShardScrubber};
 use ft2_fault::model::FaultDuration;
 use ft2_fault::shard::{classify_sharded, ShardFault, ShardFaultInjector, ShardFaultSpec};
-use ft2_fault::{ExactJudge, Outcome};
+use ft2_fault::{ExactJudge, Outcome, ProtectionFactory};
+use ft2_model::shard::{PartialMut, ShardPartialCtx, ShardTap};
 use ft2_model::{
-    Model, RecoveryPolicy, ShardTapList, ShardedGeneration, ShardedModel, ZooModel,
+    LayerKind, Model, RecoveryPolicy, ShardTapList, ShardedGeneration, ShardedModel, TapList,
+    ZooModel,
 };
 use ft2_parallel::WorkStealingPool;
 use std::time::Duration;
@@ -50,7 +56,25 @@ fn generate(
     ShardedModel::new(model, n).generate_with(pool, &PROMPT, gen_tokens, taps, policy, heartbeat)
 }
 
-/// Run the three scenarios for one (model, shard-count) cell.
+/// The step [`SeamFault`] strikes.
+const SEAM_FAULT_STEP: usize = 2;
+
+/// Scales shard 0's block-0 V_PROJ partial (an FT2-critical layer) by 10³
+/// at one step: finite and five orders of magnitude under the executor's
+/// fixed anomaly threshold, so only profiled bounds can see it.
+struct SeamFault;
+
+impl ShardTap for SeamFault {
+    fn on_partial(&mut self, ctx: &ShardPartialCtx, data: PartialMut<'_>) {
+        // V_PROJ is column-sharded: its partial is the f32 kind.
+        let PartialMut::F32(m) = data else { return };
+        if (ctx.step, ctx.block, ctx.layer, ctx.shard) == (SEAM_FAULT_STEP, 0, LayerKind::VProj, 0) {
+            m.as_mut_slice().iter_mut().for_each(|v| *v *= 1e3);
+        }
+    }
+}
+
+/// Run the four scenarios for one (model, shard-count) cell.
 fn probe_cell(
     spec_name: &str,
     model: &Model,
@@ -58,7 +82,7 @@ fn probe_cell(
     n: usize,
     gen_tokens: usize,
     heartbeat: Duration,
-) -> [Check; 4] {
+) -> [Check; 5] {
     // Golden: 1-shard, fault-free.
     let golden = generate(
         model,
@@ -133,6 +157,27 @@ fn probe_cell(
     };
     let degrade_outcome = classify_sharded(&golden.tokens, &degrade, &ExactJudge);
 
+    // (d) FT2 on the seam: the same wrong-but-finite partial without and
+    // with an FT2 protector on the lane, and the protector alone.
+    let on_seam = |seam_fault: bool, scheme: Scheme| {
+        let mut fault = SeamFault;
+        let mut taps = ShardTapList::new();
+        if seam_fault {
+            taps.push(&mut fault);
+        }
+        let mut protectors = SchemeFactory::new(scheme, model.config(), None).make();
+        let mut lane_taps = TapList::new();
+        for p in &mut protectors {
+            lane_taps.push(p.as_mut());
+        }
+        let policy = RecoveryPolicy::disabled();
+        ShardedModel::new(model, n)
+            .generate_tapped(pool, &PROMPT, gen_tokens, &mut lane_taps, &mut taps, policy, heartbeat)
+    };
+    let unseen = on_seam(true, Scheme::NoProtection);
+    let clamped = on_seam(true, Scheme::Ft2).steps[SEAM_FAULT_STEP].report.clamps;
+    let false_clamps: u64 = on_seam(false, Scheme::Ft2).steps.iter().map(|s| s.report.clamps).sum();
+
     // A restart would not even clear a persistent fault; this shows one
     // repair rung also wins on pure time.
     let rung_ns = repair.repair_ns / u64::from(repair.repair_rungs.max(1));
@@ -174,6 +219,15 @@ fn probe_cell(
                 degrade.shards_lost
             ),
         ),
+        Check::new(
+            format!("{cell} FT2 on the seam"),
+            unseen.completed() && unseen.storms == 0 && clamped >= 1,
+            format!(
+                "partial x1000 at step {SEAM_FAULT_STEP}: {} anomalies seen tap-less, {clamped} value(s) \
+                 clamped under FT2; {false_clamps} clamp(s) in the fault-free protected run",
+                unseen.storms
+            ),
+        ),
     ]
 }
 
@@ -212,8 +266,8 @@ mod tests {
     fn smoke_sweep_upholds_all_guarantees() {
         let pool = WorkStealingPool::new(3);
         let checks = run(&pool, true);
-        // Two configs x N=2 in smoke mode, four checks per cell.
-        assert_eq!(checks.len(), 8, "{checks:#?}");
+        // Two configs x N=2 in smoke mode, five checks per cell.
+        assert_eq!(checks.len(), 10, "{checks:#?}");
         for c in &checks {
             assert!(c.pass, "check failed: {c:?}");
         }

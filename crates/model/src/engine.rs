@@ -1,5 +1,14 @@
 //! The inference engine: embedding, decoder stack, LM head, and greedy
 //! autoregressive generation with a KV cache.
+//!
+//! Generation is one loop, `Model::generate_over`: every step — the prefill
+//! is step 0 — snapshots the cache, runs one pass of the layer walk, lets
+//! the taps judge it and climbs the [`Ladder`] on a storm. It is generic
+//! over a `Host`, the walk's [`Exec`] plus what that executor does before
+//! and after a pass and about a pass that itself failed: [`Dense`] for
+//! [`Model::generate_resilient`] (no hooks, cannot fail), the shard fan-out
+//! for [`crate::shard::ShardedModel::generate_tapped`] (shard taps around
+//! the pass; degrade or fail).
 
 use crate::attention::KvCacheBlock;
 use crate::config::{ArchStyle, ModelConfig, RopeTable};
@@ -7,9 +16,10 @@ use crate::hooks::{AnomalyVerdict, StepReport, TapList};
 use crate::ladder::{Ladder, Rung};
 use crate::scratch::DecodeScratch;
 use crate::state::{StateCtx, StateReport, StateTapList};
-use crate::walk::{self, Lane};
+use crate::walk::{self, Dense, Exec, Lane};
 use crate::weights::ModelWeights;
 use ft2_tensor::{argmax, Matrix};
+use std::convert::Infallible;
 use std::time::Instant;
 
 /// A model instance: configuration plus its synthetic checkpoint.
@@ -248,14 +258,15 @@ impl Model {
         self.rope.as_ref()
     }
 
-    /// Run the decoder stack — one lane of the layer walk on the dense
-    /// executor — with an explicit weight set (the checkpoint weights
+    /// Run the decoder stack — one lane of the layer walk, its linears on
+    /// `exec` — with an explicit weight set (the checkpoint weights
     /// normally; a trial-owned working copy when state taps are registered
     /// and stored-state corruption is possible). The final hidden states
     /// land in `scratch.hidden`.
     #[allow(clippy::too_many_arguments)]
-    fn forward_with(
+    fn forward_with<E: Exec>(
         &self,
+        exec: &mut E,
         weights: &ModelWeights,
         tokens: &[u32],
         start_pos: usize,
@@ -263,7 +274,7 @@ impl Model {
         cache: &mut KvCache,
         taps: &mut TapList<'_>,
         scratch: &mut DecodeScratch,
-    ) {
+    ) -> Result<(), E::Error> {
         let lane = Lane {
             rows: tokens.len(),
             start_pos,
@@ -271,9 +282,9 @@ impl Model {
             seq: &(),
             tap: Some(taps),
         };
-        walk::dense_pass(&self.config, self.rope.as_ref(), lane, |pass| {
+        walk::lane_pass(&self.config, self.rope.as_ref(), exec, lane, |pass| {
             walk::walk(pass, weights, tokens, &mut cache.blocks, scratch)
-        });
+        })
     }
 
     /// Run the decoder stack for `tokens` at positions `start_pos..`,
@@ -287,7 +298,8 @@ impl Model {
         taps: &mut TapList<'_>,
     ) -> Matrix {
         let mut scratch = DecodeScratch::new();
-        self.forward_with(&self.weights, tokens, start_pos, step, cache, taps, &mut scratch);
+        let Ok(()) =
+            self.forward_with(&mut Dense, &self.weights, tokens, start_pos, step, cache, taps, &mut scratch);
         scratch.hidden
     }
 
@@ -361,6 +373,25 @@ impl Model {
         state: &mut StateTapList<'_>,
         policy: RecoveryPolicy,
     ) -> GenerationOutput {
+        self.generate_over(&mut Dense, prompt, gen_tokens, taps, state, policy)
+    }
+
+    /// The generation loop — the only one: every step (the prefill is step
+    /// 0) snapshots the cache, runs one pass of the layer walk with its
+    /// linears on `host`, lets the taps judge it, and either accepts the
+    /// token or rolls the step back and climbs the [`Ladder`]. A pass that
+    /// itself fails (only a fallible `host` has those) is rolled back the
+    /// same way and handed to [`Host::pass_failed`]; when that ends the
+    /// generation, the output holds the tokens accepted so far.
+    pub(crate) fn generate_over<H: Host>(
+        &self,
+        host: &mut H,
+        prompt: &[u32],
+        gen_tokens: usize,
+        taps: &mut TapList<'_>,
+        state: &mut StateTapList<'_>,
+        policy: RecoveryPolicy,
+    ) -> GenerationOutput {
         assert!(!prompt.is_empty(), "empty prompt");
         assert!(
             prompt.len() + gen_tokens <= self.config.max_seq,
@@ -388,50 +419,23 @@ impl Model {
         let mut storms = 0u32;
         let mut recovery_failed = false;
         let mut repair_retries = 0u32;
-
-        // Prefill == first-token generation (step 0).
         let t0 = Instant::now();
-        let mut prefill_repairs = 0u32;
-        if let Some(s) = stored.as_mut() {
-            let rep = state.on_step_state(&mut s.ctx(0, &mut cache));
-            // The cache is empty before the prefill, so there is nothing a
-            // guard could have flagged yet: nothing below position 0.
-            prefill_repairs += s.absorb(rep, state, 0, &tokens, 0, &mut cache);
-        }
-        let wref = stored.as_ref().map_or(&self.weights, |s| &s.weights);
-        self.forward_with(wref, prompt, 0, 0, &mut cache, taps, &mut scratch);
-        let report0 = taps.end_step(0);
-        if let Some(s) = stored.as_mut() {
-            state.on_step_end(&mut s.ctx(0, &mut cache));
-        }
-        if report0.verdict == AnomalyVerdict::Storm {
-            storms += 1;
-        }
-        steps.push(StepRecord {
-            step: 0,
-            report: report0,
-            redecodes: 0,
-            repairs: prefill_repairs,
-        });
-        let last = scratch
-            .hidden
-            .slice_rows(scratch.hidden.rows() - 1, scratch.hidden.rows());
-        let wref = stored.as_ref().map_or(&self.weights, |s| &s.weights);
-        self.logits_into(wref, &last, &mut scratch.logits);
-        let mut next = argmax(scratch.logits.row(0)) as u32;
-        let prefill_ns = t0.elapsed().as_nanos() as u64;
-        tokens.push(next);
+        let mut first_token_at = None;
 
-        // Decode steps 1..gen_tokens.
-        let t1 = Instant::now();
-        for step in 1..gen_tokens {
-            let pos = prompt.len() + step - 1;
+        'steps: for step in 0..gen_tokens {
+            // Prefill == first-token generation (step 0): the whole prompt
+            // from position 0. Every later step feeds the token before it.
+            let (input, pos) = match tokens.last() {
+                None => (prompt, 0),
+                Some(last) => (std::slice::from_ref(last), prompt.len() + step - 1),
+            };
             let snapshot = cache.len();
+            // The prefill is never rolled back — it *is* the profiling
+            // pass, there are no bounds yet to re-decode under — so its
+            // ladder has nothing to grant.
+            let retries = if step == 0 { 0 } else { policy.max_retries };
             // The repair rung exists only where something could repair.
-            let mut ladder = Ladder::new(
-                policy.max_retries,
-                policy.enabled() && policy.repair && stored.is_some(),
-            );
+            let mut ladder = Ladder::new(retries, retries > 0 && policy.repair && stored.is_some());
             let mut step_repairs = 0u32;
             let report = loop {
                 // Pre-forward state pass: injectors strike, scrubbers and
@@ -441,28 +445,50 @@ impl Model {
                     let rep = state.on_step_state(&mut s.ctx(step, &mut cache));
                     step_repairs += s.absorb(rep, state, step, &tokens, snapshot, &mut cache);
                 }
+                host.before_pass(step);
                 let wref = stored.as_ref().map_or(&self.weights, |s| &s.weights);
-                self.forward_with(wref, &[next], pos, step, &mut cache, taps, &mut scratch);
+                let passed =
+                    self.forward_with(host, wref, input, pos, step, &mut cache, taps, &mut scratch);
+                host.after_pass(step);
+                // Closes the pass for the taps whether or not it ran to its
+                // end: an aborted pass's report is dropped with the pass.
                 let report = taps.end_step(step);
                 if let Some(s) = stored.as_mut() {
                     state.on_step_end(&mut s.ctx(step, &mut cache));
                 }
-                if report.verdict != AnomalyVerdict::Storm {
-                    break report;
-                }
-                storms += 1;
-                let rung = ladder.fail();
-                let (Rung::Retry { attempt } | Rung::Repair { attempt }) = rung else {
-                    // Giving up here means accepting the storming token; a
-                    // disabled policy never promised more, an enabled one
-                    // flags the generation.
-                    recovery_failed |= policy.enabled();
-                    break report;
+                let failed = match passed {
+                    Err(error) => Err(error),
+                    Ok(()) if report.verdict != AnomalyVerdict::Storm => break report,
+                    Ok(()) => {
+                        storms += 1;
+                        let rung = ladder.fail();
+                        let (Rung::Retry { attempt } | Rung::Repair { attempt }) = rung else {
+                            // Giving up here means accepting the storming
+                            // token. A step that spent the re-decodes it
+                            // was granted flags the generation; one that
+                            // was granted none (a disabled policy, the
+                            // prefill) never promised more.
+                            recovery_failed |= retries > 0;
+                            break report;
+                        };
+                        Ok((attempt, rung))
+                    }
                 };
-                // Roll the token back; the taps escalate on `attempt` and
-                // the step is re-decoded.
+                // A failed unit of either kind goes back to its snapshot
+                // (a pass aborted mid-block may have appended K/V rows in
+                // the blocks before it).
                 cache.truncate(snapshot);
                 state.notify_truncate(snapshot);
+                let (attempt, rung) = match failed {
+                    Ok(granted) => granted,
+                    Err(error) => {
+                        if host.pass_failed(step, error) {
+                            continue;
+                        }
+                        break 'steps;
+                    }
+                };
+                // The taps escalate on `attempt` and the step is re-decoded.
                 taps.notify_rollback(step, attempt);
                 state.notify_rollback(step, attempt);
                 rollbacks += 1;
@@ -475,9 +501,14 @@ impl Model {
                     repair_retries += 1;
                 }
             };
+            // The LM head reads the pass's last row (the prefill has one
+            // per prompt token).
+            let rows = scratch.hidden.rows();
+            let last = scratch.hidden.slice_rows(rows - 1, rows);
             let wref = stored.as_ref().map_or(&self.weights, |s| &s.weights);
-            self.logits_into(wref, &scratch.hidden, &mut scratch.logits);
-            next = argmax(scratch.logits.row(0)) as u32;
+            self.logits_into(wref, &last, &mut scratch.logits);
+            let next = argmax(scratch.logits.row(0)) as u32;
+            first_token_at.get_or_insert_with(Instant::now);
             steps.push(StepRecord {
                 step,
                 report,
@@ -486,14 +517,17 @@ impl Model {
             });
             tokens.push(next);
         }
-        let decode_ns = t1.elapsed().as_nanos() as u64;
+        // A generation that ended before its first token spent all its
+        // time in the prefill.
+        let end = Instant::now();
+        let first = first_token_at.unwrap_or(end);
 
         let (scrubbed_tiles, weight_repairs, kv_repairs) = stored
             .map_or((0, 0, 0), |s| (s.scrubbed_tiles, s.weight_repairs, s.kv_repairs));
         GenerationOutput {
             tokens,
-            prefill_ns,
-            decode_ns,
+            prefill_ns: (first - t0).as_nanos() as u64,
+            decode_ns: (end - first).as_nanos() as u64,
             steps,
             rollbacks,
             storms,
@@ -503,6 +537,28 @@ impl Model {
             kv_repairs,
             repair_retries,
         }
+    }
+}
+
+/// What runs a generation's linears, and what it does around the passes of
+/// [`Model::generate_over`]. Statically dispatched; for [`Dense`] every hook
+/// is a no-op and a pass cannot fail.
+pub(crate) trait Host: Exec {
+    /// Before every run of `step`'s pass, re-runs included.
+    fn before_pass(&mut self, _step: usize) {}
+
+    /// After every run of `step`'s pass, accepted or aborted.
+    fn after_pass(&mut self, _step: usize) {}
+
+    /// `step`'s pass returned `error` and the cache is back at the step's
+    /// snapshot. `true`: the host changed something, run the step again;
+    /// `false`: the generation ends here.
+    fn pass_failed(&mut self, step: usize, error: Self::Error) -> bool;
+}
+
+impl Host for Dense {
+    fn pass_failed(&mut self, _step: usize, error: Infallible) -> bool {
+        match error {}
     }
 }
 
@@ -563,8 +619,16 @@ impl StoredState<'_> {
             // Cold path (runs only on fault recovery): fresh scratch is fine.
             let mut scratch = DecodeScratch::new();
             let mut no_taps = TapList::new();
-            self.model
-                .forward_with(&self.weights, &known, from, step, cache, &mut no_taps, &mut scratch);
+            let Ok(()) = self.model.forward_with(
+                &mut Dense,
+                &self.weights,
+                &known,
+                from,
+                step,
+                cache,
+                &mut no_taps,
+                &mut scratch,
+            );
             let rebuilt = (target - from) as u64;
             self.kv_repairs += rebuilt;
             repairs += rebuilt as u32;

@@ -1,9 +1,10 @@
 //! The recovery ladder: retry → repair → give up, decided in one place.
 //!
-//! Three hosts climb it, each over its own *unit* of work — the engine
-//! over one decode step ([`crate::engine::Model::generate_resilient`]), the
-//! sharded executor over one linear's fan-out ([`crate::shard`]), the
-//! serving scheduler over one lane's decode step (`ft2-serve`). A unit that
+//! Three hosts climb it, each over its own *unit* of work — the generation
+//! loop over one step ([`crate::engine::Model::generate_resilient`], dense
+//! or sharded), the sharded executor over one linear's fan-out
+//! ([`crate::shard`]), the serving scheduler over one lane's decode step
+//! (`ft2-serve`). A unit that
 //! fails its check (a storm verdict, a crashed / hung / anomalous partial)
 //! asks its [`Ladder`] what to do next, and the answer depends on nothing
 //! but how often the unit has failed in a row:
@@ -23,7 +24,7 @@
 //! sweeping stored state and re-running stay with the host, and so does
 //! what giving up *means*, because that differs for a reason: the engine
 //! accepts the token and flags the generation, the scheduler evicts the
-//! lane, the fan-out escalates to its step loop.
+//! lane, the fan-out aborts the pass and degrades or fails the generation.
 
 /// What a host does about a failed unit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

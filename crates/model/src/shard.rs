@@ -24,7 +24,8 @@
 //! than the trial deadline), or an anomalous partial (weight/activation
 //! corruption) — and are handled by a shard-granular recovery ladder. Its
 //! first two rungs are one [`Ladder`] per linear (the unit is one linear's
-//! fan-out); the third belongs to the step loop:
+//! fan-out); the third is what the fan-out, as the [`Host`] of the engine's
+//! generation loop, does about a pass that failed:
 //!
 //! 1. **Re-execute** the failed shards' partial GEMMs, once whenever the
 //!    policy is enabled: transient faults are gone on retry.
@@ -41,18 +42,22 @@
 //! Without the degrade rung, an unrecoverable shard failure ends the
 //! generation with [`ShardedGeneration::failed`] set — a detected,
 //! shard-scoped DUE.
+//!
+//! There is no sharded generation loop: [`ShardedModel::generate_tapped`]
+//! runs the engine's (`Model::generate_over`) with the fan-out as its host,
+//! so the lane carries the caller's [`TapList`] — FT2's bounds are profiled
+//! and clamped on each linear's gathered, quantised output after the seam —
+//! and the Storm → rollback ladder and [`StepRecord`]s are the engine's.
 
 use crate::config::{LayerKind, ModelConfig};
-use crate::engine::{KvCache, Model, RecoveryPolicy};
-use crate::hooks::TapPoint;
+use crate::engine::{Host, Model, RecoveryPolicy, StepRecord};
+use crate::hooks::{TapList, TapPoint};
 use crate::ladder::{Ladder, Rung};
-use crate::scratch::DecodeScratch;
-use crate::walk::{self, Exec, Lane, Pass};
+use crate::state::StateTapList;
+use crate::walk::Exec;
 use crate::weights::{Linear, ModelWeights};
 use ft2_parallel::{lock_clean, HeartbeatMonitor, ShardHeartbeat, WorkStealingPool};
-use ft2_tensor::{
-    argmax, matmul_transb_cols_f64, matmul_transb_into, reduce_seam_into, DType, Matrix,
-};
+use ft2_tensor::{matmul_transb_cols_f64, matmul_transb_into, reduce_seam_into, DType, Matrix};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -645,11 +650,20 @@ pub struct ShardFailure {
 }
 
 /// Result of one sharded generation.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ShardedGeneration {
     /// Generated tokens (all `gen_tokens` of them unless
     /// [`ShardedGeneration::failed`] is set).
     pub tokens: Vec<u32>,
+    /// What the lane taps reported per accepted step, as
+    /// [`crate::engine::GenerationOutput::steps`].
+    pub steps: Vec<StepRecord>,
+    /// Token rollbacks the lane taps' storm verdicts caused.
+    pub rollbacks: u32,
+    /// Storm verdicts of the lane taps, including ones a rollback cleared.
+    pub tap_storms: u32,
+    /// A step exhausted its retry budget while its lane taps still stormed.
+    pub recovery_failed: bool,
     /// Shards alive at the end of the generation.
     pub shards: usize,
     /// Shards evicted by the degrade rung.
@@ -685,18 +699,6 @@ impl ShardedGeneration {
     pub fn completed(&self) -> bool {
         self.failed.is_none()
     }
-}
-
-#[derive(Default)]
-struct RunStats {
-    shard_retries: u32,
-    storms: u32,
-    repair_rungs: u32,
-    scrubbed_tiles: u64,
-    tiles_repaired: u64,
-    repair_ns: u64,
-    shards_lost: u32,
-    degrade_events: Vec<DegradeEvent>,
 }
 
 /// Which side of the partition a layer lives on.
@@ -965,15 +967,9 @@ impl<'m> ShardedModel<'m> {
         out.quantize(config.dtype);
     }
 
-    /// Greedy sharded generation with shard-granular fault isolation.
-    ///
-    /// Step numbering matches the unsharded engine: step 0 (the prefill)
-    /// produces the first token; steps `1..gen_tokens` decode the rest.
-    /// Each step snapshots the KV length; a shard failure that escalates
-    /// past the per-linear ladder rolls the step back and either degrades
-    /// (evict + re-partition + retry, when [`RecoveryPolicy::shard_degrade`]
-    /// is set and survivors remain) or ends the generation with
-    /// [`ShardedGeneration::failed`] set.
+    /// Greedy sharded generation with shard-granular fault isolation and
+    /// no lane taps: [`ShardedModel::generate_tapped`] with an empty
+    /// [`TapList`].
     pub fn generate_with(
         &mut self,
         pool: &WorkStealingPool,
@@ -983,164 +979,116 @@ impl<'m> ShardedModel<'m> {
         policy: RecoveryPolicy,
         heartbeat: Duration,
     ) -> ShardedGeneration {
-        let model = self.model;
-        let config = model.config();
-        assert!(!prompt.is_empty(), "empty prompt");
+        let lane_taps = &mut TapList::new();
+        self.generate_tapped(pool, prompt, gen_tokens, lane_taps, taps, policy, heartbeat)
+    }
+
+    /// Greedy sharded generation: the engine's generation loop
+    /// ([`Model::generate_resilient`]'s — steps, snapshots, the Storm →
+    /// rollback ladder, [`StepRecord`]s) with every linear routed through
+    /// the fan-out. `lane_taps` see what the dense engine's taps see — each
+    /// linear's gathered, bias-added, quantised output, never a partial —
+    /// so an FT2 protector profiles and clamps after the seam.
+    ///
+    /// A shard failure that escalates past the per-linear ladder rolls the
+    /// step back and either degrades (evict + re-partition + re-run, when
+    /// [`RecoveryPolicy::shard_degrade`] is set and survivors remain) or
+    /// ends the generation with [`ShardedGeneration::failed`] set.
+    #[allow(clippy::too_many_arguments)]
+    pub fn generate_tapped(
+        &mut self,
+        pool: &WorkStealingPool,
+        prompt: &[u32],
+        gen_tokens: usize,
+        lane_taps: &mut TapList<'_>,
+        taps: &mut ShardTapList<'_>,
+        policy: RecoveryPolicy,
+        heartbeat: Duration,
+    ) -> ShardedGeneration {
         assert!(gen_tokens >= 1, "gen_tokens must be at least 1");
-        assert!(
-            prompt.len() + gen_tokens <= config.max_seq,
-            "sequence exceeds max_seq ({} + {} > {})",
-            prompt.len(),
-            gen_tokens,
-            config.max_seq
-        );
         self.reset();
         let monitor = HeartbeatMonitor::spawn(self.plan.shards, heartbeat);
         let hb = monitor.state();
-
-        let mut cache = KvCache::new(config);
-        let mut scratch = DecodeScratch::new();
-        // Never staged through: the one lane covers every row.
-        let mut stage = Matrix::default();
-        let mut stats = RunStats::default();
-        let mut tokens: Vec<u32> = Vec::with_capacity(gen_tokens);
-        let mut failed: Option<ShardFailure> = None;
-        let t0 = Instant::now();
-        let mut prefill_ns = 0u64;
-        let mut t_decode = Instant::now();
-
-        'steps: for step in 0..gen_tokens {
-            let step_tokens: Vec<u32> = if step == 0 {
-                prompt.to_vec()
-            } else {
-                vec![*tokens.last().expect("step > 0 has a prior token")]
-            };
-            let pos = if step == 0 { 0 } else { prompt.len() + step - 1 };
-            let snapshot = cache.len();
-            loop {
-                let rep = taps.on_step_start(step, &mut self.weights);
-                stats.scrubbed_tiles += rep.scrubbed_tiles;
-                stats.tiles_repaired += rep.repaired_tiles;
-                // One tap-less lane of the layer walk, every linear routed
-                // through the fan-out; what a real TP rank replicates
-                // (embedding, norms, RoPE, the attention core) runs here on
-                // the driver from the golden weights.
-                let mut lanes = [Lane {
-                    rows: step_tokens.len(),
-                    start_pos: pos,
-                    step,
-                    seq: &(),
-                    tap: None,
-                }];
-                let mut exec = Fanout {
-                    sharded: &mut *self,
-                    pool,
-                    hb: &hb,
-                    step,
-                    taps: &mut *taps,
-                    policy,
-                    stats: &mut stats,
-                };
-                let mut pass = Pass::new(
-                    config,
-                    model.rope_table(),
-                    &mut exec,
-                    &mut lanes,
-                    &mut stage,
-                );
-                let golden = model.weights();
-                let result =
-                    walk::walk(&mut pass, golden, &step_tokens, &mut cache.blocks, &mut scratch);
-                taps.on_step_end(step);
-                match result {
-                    Ok(()) => break,
-                    Err(inc) => {
-                        // A mid-block abort may have appended partial K/V
-                        // rows; the snapshot truncate restores the exact
-                        // pre-step cache.
-                        cache.truncate(snapshot);
-                        if policy.shard_degrade && self.weights.len() > 1 {
-                            stats.degrade_events.push(DegradeEvent {
-                                step,
-                                shard: inc.shard,
-                                kind: inc.kind,
-                            });
-                            stats.shards_lost += 1;
-                            self.degrade();
-                            taps.on_repartition(&self.weights);
-                            // Survivor slots are reset for the repartitioned
-                            // plan; slots beyond it are *evicted* so a
-                            // monitor polling after the eviction can never
-                            // report the dead shard as hung again.
-                            let live = self.weights.len();
-                            for i in 0..hb.shards() {
-                                if i < live {
-                                    hb.reset(i);
-                                } else {
-                                    hb.evict(i);
-                                }
-                            }
-                            continue;
-                        }
-                        failed = Some(ShardFailure {
-                            step,
-                            shard: inc.shard,
-                            kind: inc.kind,
-                        });
-                        break 'steps;
-                    }
-                }
-            }
-            let rows = scratch.hidden.rows();
-            let last = scratch.hidden.slice_rows(rows - 1, rows);
-            self.model
-                .logits_into(self.model.weights(), &last, &mut scratch.logits);
-            tokens.push(argmax(scratch.logits.row(0)) as u32);
-            if step == 0 {
-                prefill_ns = t0.elapsed().as_nanos() as u64;
-                t_decode = Instant::now();
-            }
-        }
-        if prefill_ns == 0 {
-            // Failed during the prefill: attribute the elapsed time there.
-            prefill_ns = t0.elapsed().as_nanos() as u64;
-        }
-        let decode_ns = if tokens.is_empty() {
-            0
-        } else {
-            t_decode.elapsed().as_nanos() as u64
+        let model = self.model;
+        let mut host = Fanout {
+            sharded: self,
+            pool,
+            hb: &hb,
+            step: 0,
+            taps,
+            policy,
+            stats: ShardedGeneration::default(),
         };
-
+        let state = &mut StateTapList::new();
+        let out = model.generate_over(&mut host, prompt, gen_tokens, lane_taps, state, policy);
+        let Fanout { sharded, stats, .. } = host;
         ShardedGeneration {
-            tokens,
-            shards: self.weights.len(),
-            shards_lost: stats.shards_lost,
-            degrade_events: stats.degrade_events,
-            shard_retries: stats.shard_retries,
-            storms: stats.storms,
-            repair_rungs: stats.repair_rungs,
-            scrubbed_tiles: stats.scrubbed_tiles,
-            tiles_repaired: stats.tiles_repaired,
-            repair_ns: stats.repair_ns,
-            failed,
-            prefill_ns,
-            decode_ns,
+            tokens: out.tokens,
+            steps: out.steps,
+            rollbacks: out.rollbacks,
+            tap_storms: out.storms,
+            recovery_failed: out.recovery_failed,
+            prefill_ns: out.prefill_ns,
+            decode_ns: out.decode_ns,
+            shards: sharded.weights.len(),
+            ..stats
         }
     }
 }
 
-/// The sharded [`Exec`] of the layer walk: each linear is one trip through
-/// the fan-out, the per-linear recovery ladder and the gather. `Err` means
-/// a shard failure survived every per-linear rung; it aborts the pass
-/// mid-block and must be handled by the step loop (degrade or fail).
+/// The sharded host of the generation loop. As the walk's [`Exec`], each
+/// linear is one trip through the fan-out, the per-linear recovery ladder
+/// and the gather; `Err` means a shard failure survived every per-linear
+/// rung and aborts the pass mid-block. As the loop's [`Host`], the shard
+/// taps' step hooks run around every pass, and giving up on a pass means
+/// degrade or fail.
 struct Fanout<'a, 'm, 't> {
     sharded: &'a mut ShardedModel<'m>,
     pool: &'a WorkStealingPool,
     hb: &'a ShardHeartbeat,
+    /// The step whose pass is running.
     step: usize,
     taps: &'a mut ShardTapList<'t>,
     policy: RecoveryPolicy,
-    stats: &'a mut RunStats,
+    /// Filled as the generation runs; the loop's own output joins it at
+    /// the end.
+    stats: ShardedGeneration,
+}
+
+impl Host for Fanout<'_, '_, '_> {
+    fn before_pass(&mut self, step: usize) {
+        self.step = step;
+        let rep = self.taps.on_step_start(step, &mut self.sharded.weights);
+        self.stats.scrubbed_tiles += rep.scrubbed_tiles;
+        self.stats.tiles_repaired += rep.repaired_tiles;
+    }
+
+    fn after_pass(&mut self, step: usize) {
+        self.taps.on_step_end(step);
+    }
+
+    fn pass_failed(&mut self, step: usize, ShardIncident { shard, kind }: ShardIncident) -> bool {
+        if !(self.policy.shard_degrade && self.sharded.weights.len() > 1) {
+            self.stats.failed = Some(ShardFailure { step, shard, kind });
+            return false;
+        }
+        self.stats.degrade_events.push(DegradeEvent { step, shard, kind });
+        self.stats.shards_lost += 1;
+        self.sharded.degrade();
+        self.taps.on_repartition(&self.sharded.weights);
+        // Survivor slots are reset for the repartitioned plan; slots beyond
+        // it are *evicted* so a monitor polling after the eviction can
+        // never report the dead shard as hung again.
+        let live = self.sharded.weights.len();
+        for i in 0..self.hb.shards() {
+            if i < live {
+                self.hb.reset(i);
+            } else {
+                self.hb.evict(i);
+            }
+        }
+        true
+    }
 }
 
 impl Exec for Fanout<'_, '_, '_> {
@@ -1586,6 +1534,110 @@ mod tests {
         assert_eq!(out.tokens, clean.tokens, "re-execution must clear the storm");
         assert!(out.storms >= 1);
         assert!(out.shard_retries >= 1);
+    }
+
+    #[test]
+    fn a_shard_crash_and_a_tap_storm_recover_in_one_generation() {
+        use crate::hooks::{AnomalyVerdict, LayerTap, StepReport, TapCtx};
+        use crate::state::{StateCtx, StateReport, StateTap};
+
+        /// Shard 1 crashes in block 1 — block 0 has appended its K/V row
+        /// by then — from step 2 until it is evicted.
+        struct CrashUntilEvicted(bool);
+        impl ShardTap for CrashUntilEvicted {
+            fn directive(&mut self, step: usize, block: usize, _: LayerKind, shard: usize) -> TaskDirective {
+                if !self.0 && step >= 2 && block == 1 && shard == 1 {
+                    return TaskDirective::Crash;
+                }
+                TaskDirective::Proceed
+            }
+            fn on_repartition(&mut self, _shards: &[ShardWeights]) {
+                self.0 = true;
+            }
+        }
+        /// Storms at step 4 until rolled back once.
+        struct StormOnce {
+            healed: bool,
+            stormed: bool,
+        }
+        impl LayerTap for StormOnce {
+            fn on_output(&mut self, ctx: &TapCtx, _data: &mut Matrix) {
+                self.stormed |= ctx.step == 4 && !self.healed;
+            }
+            fn end_step(&mut self, _step: usize) -> StepReport {
+                let verdict = if std::mem::take(&mut self.stormed) {
+                    AnomalyVerdict::Storm
+                } else {
+                    AnomalyVerdict::Clean
+                };
+                StepReport { verdict, ..StepReport::default() }
+            }
+            fn on_rollback(&mut self, _step: usize, _attempt: u32) {
+                self.healed = true;
+            }
+        }
+        /// `(step, cache length before the pass, after it)`, every pass.
+        struct KvLens(Vec<(usize, usize, usize)>);
+        impl StateTap for KvLens {
+            fn on_step_state(&mut self, ctx: &mut StateCtx<'_>) -> StateReport {
+                self.0.push((ctx.step, ctx.cache.len(), 0));
+                StateReport::default()
+            }
+            fn on_step_end(&mut self, ctx: &mut StateCtx<'_>) {
+                self.0.last_mut().unwrap().2 = ctx.cache.len();
+            }
+        }
+
+        let pool = WorkStealingPool::new(3);
+        let model = Model::new(ModelConfig::tiny_opt());
+        let prompt = [3u32, 14, 15, 9];
+        let policy = RecoveryPolicy::retries(2).with_shard_degrade();
+        let (mut crash, mut storm, mut lens) = (
+            CrashUntilEvicted(false),
+            StormOnce { healed: false, stormed: false },
+            KvLens(Vec::new()),
+        );
+        let (mut taps, mut lane_taps, mut state) =
+            (ShardTapList::new(), TapList::new(), StateTapList::new());
+        taps.push(&mut crash);
+        lane_taps.push(&mut storm);
+        state.push(&mut lens);
+        // `generate_tapped` with a state tap riding along to watch the cache.
+        let mut sharded = ShardedModel::new(&model, 3);
+        let monitor = HeartbeatMonitor::spawn(3, HEARTBEAT);
+        let mut host = Fanout {
+            sharded: &mut sharded,
+            pool: &pool,
+            hb: &monitor.state(),
+            step: 0,
+            taps: &mut taps,
+            policy,
+            stats: ShardedGeneration::default(),
+        };
+        let out = model.generate_over(&mut host, &prompt, 8, &mut lane_taps, &mut state, policy);
+        let stats = host.stats;
+        drop((lane_taps, state));
+
+        assert_eq!(out.tokens.len(), 8, "both failures are recovered from");
+        assert!(stats.failed.is_none() && !out.recovery_failed);
+        assert_eq!(stats.shards_lost, 1);
+        assert_eq!(stats.degrade_events[0].step, 2);
+        assert_eq!((out.rollbacks, out.storms), (1, 1));
+        assert_eq!(out.steps[4].redecodes, 1);
+        assert_eq!(out.steps[2].redecodes, 0, "a degrade is not a re-decode");
+        // Every pass of a step — the aborted one, the stormed one, their
+        // re-runs — starts from the step's snapshot, and the accepted one
+        // leaves exactly one more row.
+        let passes = |step| lens.0.iter().filter(move |p| p.0 == step);
+        for step in 0..8 {
+            let snapshot = if step == 0 { 0 } else { prompt.len() + step - 1 };
+            assert!(passes(step).all(|p| p.1 == snapshot), "step {step}: {:?}", lens.0);
+            let rows = if step == 0 { prompt.len() } else { 1 };
+            assert_eq!(passes(step).next_back().unwrap().2, snapshot + rows, "step {step}");
+            assert_eq!(passes(step).count(), if step == 2 || step == 4 { 2 } else { 1 });
+        }
+        // The aborted pass had appended block 0's row before it died.
+        assert_eq!(passes(2).next().unwrap().2, prompt.len() + 2);
     }
 
     #[test]

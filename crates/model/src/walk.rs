@@ -95,18 +95,29 @@ impl Exec for Dense {
     }
 }
 
-/// Hand `run` a pass of the one `lane` on the [`Dense`] executor — the
-/// single-sequence engine's pass, and serving prefill's.
+/// Hand `run` a pass of the one `lane` on `exec` — the generation loop's
+/// pass, whatever runs its linears.
+pub fn lane_pass<E: Exec, Q>(
+    config: &ModelConfig,
+    rope: Option<&RopeTable>,
+    exec: &mut E,
+    lane: Lane<'_, Q>,
+    run: impl FnOnce(&mut Pass<'_, '_, E, Q>) -> Result<(), E::Error>,
+) -> Result<(), E::Error> {
+    // The stage is never used: the one lane covers every row.
+    let (mut lanes, mut stage) = ([lane], Matrix::default());
+    run(&mut Pass::new(config, rope, exec, &mut lanes, &mut stage))
+}
+
+/// [`lane_pass`] on the [`Dense`] executor, which cannot fail — serving
+/// prefill's pass, and the single-block entry points'.
 pub fn dense_pass<Q>(
     config: &ModelConfig,
     rope: Option<&RopeTable>,
     lane: Lane<'_, Q>,
     run: impl FnOnce(&mut Pass<'_, '_, Dense, Q>) -> Result<(), Infallible>,
 ) {
-    // The stage is never used: the one lane covers every row.
-    let (mut exec, mut lanes, mut stage) = (Dense, [lane], Matrix::default());
-    let mut pass = Pass::new(config, rope, &mut exec, &mut lanes, &mut stage);
-    let Ok(()) = run(&mut pass);
+    let Ok(()) = lane_pass(config, rope, &mut Dense, lane, run);
 }
 
 /// Where one block's K/V rows live. Rows are handed out as slices, so the

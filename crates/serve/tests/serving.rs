@@ -2,8 +2,11 @@
 //! fault isolation, eviction, backpressure, and KV repair.
 
 use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
-use ft2_model::{Model, ModelConfig, RecoveryPolicy, StateTapList, TapList};
+use ft2_model::{
+    Model, ModelConfig, RecoveryPolicy, ShardTapList, ShardedModel, StateTapList, TapList,
+};
 use ft2_parallel::WorkStealingPool;
 use ft2_serve::scheduler::{EvictReason, Outcome, Request, Scheduler, ServeConfig, SubmitError};
 use ft2_serve::{Server, StormTap};
@@ -120,10 +123,11 @@ fn persistent_storm_is_evicted_without_stalling_batchmates() {
     assert_eq!(sched.arena_mut().pages_in_use(), 0, "evicted pages returned");
 }
 
-/// The engine and the scheduler climb the same ladder: one storm script —
-/// step 3 struck until `heal_after` rollbacks — through
-/// `generate_resilient` and through a one-lane scheduler spends the same
-/// rungs in both, up to and including giving up. `guarded` is whether
+/// The engine, the scheduler and the sharded executor climb the same
+/// ladder: one storm script — step 3 struck until `heal_after` rollbacks —
+/// through `generate_resilient`, through a one-lane scheduler and (where
+/// nothing could repair) through `generate_tapped` on two shards spends the
+/// same rungs in each, up to and including giving up. `guarded` is whether
 /// anything could repair (a `KvGuard` state tap there, `kv_guard` here):
 /// without it neither host has a repair rung to take.
 #[test]
@@ -181,6 +185,30 @@ fn engine_and_scheduler_climb_the_same_ladder() {
                 assert_eq!(served.tokens, solo.tokens, "{case}");
                 assert_eq!(served.tokens, solo_tokens(&model, PROMPTS[0], GEN), "{case}");
             }
+            if guarded {
+                continue;
+            }
+            // The third host: the same loop over the 2-shard fan-out
+            // (no state taps, so no repair rung) spends the same rungs on
+            // the same rows, and gives up the way the engine does.
+            let mut storm = StormTap::transient(3, heal_after);
+            let mut taps = TapList::new();
+            taps.push(&mut storm);
+            let sharded = ShardedModel::new(&model, 2).generate_tapped(
+                &pool,
+                PROMPTS[0],
+                GEN,
+                &mut taps,
+                &mut ShardTapList::new(),
+                policy,
+                Duration::from_millis(100),
+            );
+            assert!(sharded.completed(), "{case}");
+            assert_eq!(sharded.rollbacks, solo.rollbacks, "{case}, sharded");
+            assert_eq!(sharded.tap_storms, solo.storms, "{case}, sharded");
+            assert_eq!(sharded.recovery_failed, solo.recovery_failed, "{case}, sharded");
+            assert_eq!(sharded.steps[3].redecodes, solo.steps[3].redecodes, "{case}, sharded");
+            assert_eq!((sharded.storms, sharded.shard_retries), (0, 0), "{case}, sharded");
         }
     }
 }

@@ -40,6 +40,10 @@ identity_no_simd 3 -p ft2-serve --lib -- \
     prefill_into_arena_pages_equals_the_engine_cache \
     rebuild_restores_rows_bit_for_bit \
     batched_decode_is_bit_identical_to_the_engine
+# FT2 across the fan-out: protected tokens, stats and step reports equal at
+# 1, 2 and 4 shards (the root package's test, where ft2-core is in reach).
+identity_no_simd 1 -p ft2 --test shard_recovery \
+    protected_generation_is_shard_count_invariant
 
 echo "== ft2-parallel integration tests, optimised build =="
 # The run above built them unoptimised. What the pool's handoff tests race

@@ -4,14 +4,15 @@
 //! shard fault in place, and a shard crash under the degrade policy keeps
 //! serving while reporting [`Outcome::Degraded`] — never silently.
 
-use ft2::core::ShardScrubber;
+use ft2::core::schemes::FT2_DEFAULT_SCALE;
+use ft2::core::{Protector, Scheme, ShardScrubber};
 use ft2::fault::{
     classify_sharded, ExactJudge, FaultDuration, Outcome, ShardFault, ShardFaultInjector,
     ShardFaultSpec,
 };
 use ft2::model::engine::RecoveryPolicy;
 use ft2::model::shard::{ShardStateReport, ShardTap, ShardWeights};
-use ft2::model::{Model, ShardTapList, ShardedGeneration, ShardedModel, ZooModel};
+use ft2::model::{Model, ShardTapList, ShardedGeneration, ShardedModel, TapList, ZooModel};
 use ft2::parallel::WorkStealingPool;
 use std::time::Duration;
 
@@ -254,5 +255,55 @@ fn crash_with_degrade_keeps_serving_and_reports_degraded() {
     match classify_sharded(&golden.tokens, &due, &ExactJudge) {
         Outcome::Crash { site, .. } => assert_eq!(site, "shard2"),
         other => panic!("expected a shard-scoped DUE, got {other:?}"),
+    }
+}
+
+#[test]
+fn protected_generation_is_shard_count_invariant() {
+    // FT2 rides the sharded lane: its protector profiles and clamps each
+    // linear's gathered, quantised output after the seam, which is
+    // bit-identical for every shard count — so the protected run is too,
+    // down to every step's report. (Bit-equality with the *dense*
+    // protected run is not claimed: the seam rounds an f64 sum where the
+    // dense kernel rounds f32 partials.)
+    let pool = WorkStealingPool::new(3);
+    // The deployed scale, and one with no headroom over the six-token
+    // profile so that clamps certainly edit the stream being compared.
+    for (zoo, scale) in [ZooModel::Opt6_7B, ZooModel::Llama2_7B]
+        .into_iter()
+        .flat_map(|zoo| [(zoo, FT2_DEFAULT_SCALE), (zoo, 1.0)])
+    {
+        let model = zoo.spec().build();
+        let style = model.config().style;
+        let runs = [1usize, 2, 4].map(|n| {
+            let mut protector = Protector::ft2_online(Scheme::Ft2.coverage(style), scale);
+            let mut lane_taps = TapList::new();
+            lane_taps.push(&mut protector);
+            let out = ShardedModel::new(&model, n).generate_tapped(
+                &pool,
+                &[250, 31, 7, 190, 64, 128],
+                24,
+                &mut lane_taps,
+                &mut ShardTapList::new(),
+                RecoveryPolicy::disabled(),
+                HEARTBEAT,
+            );
+            drop(lane_taps);
+            assert!(out.completed());
+            assert_eq!((out.storms, out.steps.len()), (0, 24));
+            (out.tokens, protector.stats, out.steps)
+        });
+        let (tokens, stats, steps) = &runs[0];
+        let case = format!("{zoo:?} at scale {scale}");
+        // The protector was on the lane: it saw every covered linear of
+        // every step, and the reports are its own.
+        assert!(stats.invocations as usize >= 24 * model.config().blocks, "{case}: {stats:?}");
+        assert_eq!(steps.iter().map(|s| s.report.clamps).sum::<u64>(), stats.clipped, "{case}");
+        assert!(scale != 1.0 || stats.clipped > 0, "{case}: {stats:?}");
+        for (n, run) in [2, 4].into_iter().zip(&runs[1..]) {
+            assert_eq!(&run.0, tokens, "{case}: tokens differ at N={n}");
+            assert_eq!(&run.1, stats, "{case}: ProtectionStats differ at N={n}");
+            assert_eq!(&run.2, steps, "{case}: step reports differ at N={n}");
+        }
     }
 }
