@@ -388,7 +388,7 @@ impl<'a> Campaign<'a> {
     /// derivation every campaign run uses, so a site can be inspected (or a
     /// trial replayed) without running anything else.
     pub fn sample_site(&self, input_id: usize, trial_id: usize) -> (FaultSite, &'static str) {
-        let format = self.model.config().dtype.format();
+        let format = self.model.config().dtype;
         let prompt = &self.inputs[input_id];
         let mut rng = Xoshiro256StarStar::for_stream(
             self.config.seed,
@@ -404,11 +404,7 @@ impl<'a> Campaign<'a> {
             sampler = sampler.with_layer_filter(kinds.clone());
         }
         let site = sampler.sample(&mut rng, self.config.fault_model, format);
-        let bit_class = ft2_numeric::BitLocation {
-            format,
-            bit: site.bits[0],
-        }
-        .class();
+        let bit_class = format.bit_class(site.bits[0]);
         (site, bit_class)
     }
 

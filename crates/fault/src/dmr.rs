@@ -76,7 +76,7 @@ pub fn run_dmr_campaign(
     });
 
     let total = inputs.len() * config.trials_per_input;
-    let format = model.config().dtype.format();
+    let format = model.config().dtype;
     let per_trial: Vec<(bool, bool, u64, bool)> = pool.map(
         &(0..total).collect::<Vec<usize>>(),
         4,

@@ -23,17 +23,7 @@
 use crate::model::{FaultDuration, FaultTarget};
 use crate::site::FaultSite;
 use ft2_model::{HookKind, LayerKind, LayerTap, StateCtx, StateReport, StateTap, TapCtx};
-use ft2_numeric::bits::flip_bit_in_format;
-use ft2_numeric::FloatFormat;
 use ft2_tensor::Matrix;
-
-fn flip_site_bits(v: f32, bits: &[u32], format: FloatFormat) -> f32 {
-    let mut v = v;
-    for &bit in bits {
-        v = flip_bit_in_format(v, format, bit);
-    }
-    v
-}
 
 /// Corrupts one element of one layer's computed output, on the schedule the
 /// site's [`FaultDuration`] dictates.
@@ -110,9 +100,8 @@ impl LayerTap for FaultInjector {
         // with a modulo so a mismatched prompt length cannot go out of
         // bounds.
         let idx = self.site.element % data.len();
-        let format = ctx.dtype.format();
         let before = data.as_slice()[idx];
-        let v = flip_site_bits(before, &self.site.bits, format);
+        let v = ctx.dtype.flip(before, &self.site.bits);
         data.as_mut_slice()[idx] = v;
         if !self.fired {
             self.original = Some(before);
@@ -218,7 +207,7 @@ impl StateTap for StateFaultInjector {
         if !self.due(ctx.step) {
             return StateReport::default();
         }
-        let format = ctx.dtype.format();
+        let dtype = ctx.dtype;
         let bits = self.site.bits.clone();
         let element = self.site.element;
         let duration = self.site.duration;
@@ -228,7 +217,7 @@ impl StateTap for StateFaultInjector {
         }
         let idx = element % data.len();
         let before = data[idx];
-        let v = flip_site_bits(before, &bits, format);
+        let v = dtype.flip(before, &bits);
         data[idx] = v;
         if !self.fired {
             self.original = Some(before);

@@ -100,6 +100,7 @@ impl LiveFault {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_the_flip_a_bit_in_block_2_form() {
@@ -145,5 +146,45 @@ mod tests {
             "persistent storm block 0"
         );
         assert_eq!(LiveFault::Crash { replica: 1 }.describe(), "crash replica 1");
+    }
+
+    #[test]
+    fn hostile_bodies_return_ok_or_a_typed_error() {
+        let huge_block = format!("kind=flip&block={}", "9".repeat(100_000));
+        for body in [
+            huge_block.as_str(),
+            "kind=crash&replica=18446744073709551616",
+            "kind=flip&block=0x",
+            "///",
+            "kind=flip\0&block=2",
+            "kind=flip&block=\0",
+            "kind=flip&block=2é",
+            "kind=flip&block=é2",
+            "ékind=flip",
+            "kind=flip/é",
+        ] {
+            let result = LiveFault::parse(body);
+            assert!(result.as_ref().is_err_and(|e| !e.is_empty()), "{result:?}");
+        }
+        // Multi-byte characters on either side of `&` and `=` in keys the
+        // parser ignores leave the known keys intact.
+        for body in ["é&kind=flip&é", "kind=flip&é=ü", "kind=flip&€=&=€", "ü=é&kind=flip"] {
+            assert_eq!(LiveFault::parse(body), Ok(LiveFault::Flip { block: 0 }), "{body}");
+        }
+    }
+
+    proptest! {
+        /// Arbitrary bytes, bare or behind a valid prefix, parse to `Ok` or
+        /// an error — never a panic.
+        #[test]
+        fn arbitrary_bodies_parse_without_panicking(bytes in prop::collection::vec(any::<u8>(), 0..4096)) {
+            let raw = String::from_utf8_lossy(&bytes);
+            for body in [raw.to_string(), format!("kind={raw}"), format!("kind=flip&block={raw}")] {
+                match LiveFault::parse(&body) {
+                    Ok(fault) => prop_assert!(!fault.describe().is_empty()),
+                    Err(err) => prop_assert!(!err.is_empty()),
+                }
+            }
+        }
     }
 }

@@ -2,8 +2,7 @@
 //! dimensions that extend the paper's transient activation faults to
 //! persistent stored-state corruption (weights, KV-cache).
 
-use ft2_numeric::bits::FloatFormat;
-use ft2_numeric::Rng;
+use ft2_numeric::{DType, Rng};
 
 /// Which bits of a stored value a fault corrupts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -46,7 +45,7 @@ impl FaultModel {
     }
 
     /// Sample the bit positions to flip for a value stored in `format`.
-    pub fn sample_bits(self, rng: &mut impl Rng, format: FloatFormat) -> Vec<u32> {
+    pub fn sample_bits(self, rng: &mut impl Rng, format: DType) -> Vec<u32> {
         let total = format.total_bits() as u64;
         match self {
             FaultModel::SingleBit => vec![rng.below(total) as u32],
@@ -258,7 +257,7 @@ mod tests {
         let mut rng = Xoshiro256StarStar::new(1);
         let mut seen = [false; 16];
         for _ in 0..2000 {
-            let bits = FaultModel::SingleBit.sample_bits(&mut rng, FloatFormat::F16);
+            let bits = FaultModel::SingleBit.sample_bits(&mut rng, DType::F16);
             assert_eq!(bits.len(), 1);
             assert!(bits[0] < 16);
             seen[bits[0] as usize] = true;
@@ -270,7 +269,7 @@ mod tests {
     fn double_bit_gives_distinct_bits() {
         let mut rng = Xoshiro256StarStar::new(2);
         for _ in 0..2000 {
-            let bits = FaultModel::DoubleBit.sample_bits(&mut rng, FloatFormat::F16);
+            let bits = FaultModel::DoubleBit.sample_bits(&mut rng, DType::F16);
             assert_eq!(bits.len(), 2);
             assert_ne!(bits[0], bits[1]);
             assert!(bits.iter().all(|&b| b < 16));
@@ -282,7 +281,7 @@ mod tests {
         let mut rng = Xoshiro256StarStar::new(3);
         let mut seen = std::collections::BTreeSet::new();
         for _ in 0..2000 {
-            let bits = FaultModel::ExponentBit.sample_bits(&mut rng, FloatFormat::F16);
+            let bits = FaultModel::ExponentBit.sample_bits(&mut rng, DType::F16);
             assert_eq!(bits.len(), 1);
             assert!((10..=14).contains(&bits[0]), "bit {}", bits[0]);
             seen.insert(bits[0]);
@@ -290,7 +289,7 @@ mod tests {
         assert_eq!(seen.len(), 5);
         // f32 exponent range.
         for _ in 0..200 {
-            let bits = FaultModel::ExponentBit.sample_bits(&mut rng, FloatFormat::F32);
+            let bits = FaultModel::ExponentBit.sample_bits(&mut rng, DType::F32);
             assert!((23..=30).contains(&bits[0]));
         }
     }

@@ -179,7 +179,7 @@ impl SiteSampler {
 
     /// Sample a site. Uniform over `(step, layer, element)` computations
     /// within the allowed steps/layers.
-    pub fn sample(&self, rng: &mut impl Rng, fault_model: FaultModel, format: ft2_numeric::FloatFormat) -> FaultSite {
+    pub fn sample(&self, rng: &mut impl Rng, fault_model: FaultModel, format: ft2_numeric::DType) -> FaultSite {
         let layers = self.eligible_layers();
         assert!(!layers.is_empty(), "no eligible layers to sample");
         // Per-layer sampling weight: activation and KV faults land
@@ -271,7 +271,7 @@ impl SiteSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ft2_numeric::{FloatFormat, Xoshiro256StarStar};
+    use ft2_numeric::{DType, Xoshiro256StarStar};
 
     fn sampler() -> SiteSampler {
         let config = ft2_model::ModelConfig::tiny_opt();
@@ -284,7 +284,7 @@ mod tests {
         let s = sampler();
         let mut rng = Xoshiro256StarStar::new(7);
         for _ in 0..5000 {
-            let site = s.sample(&mut rng, FaultModel::SingleBit, FloatFormat::F16);
+            let site = s.sample(&mut rng, FaultModel::SingleBit, DType::F16);
             assert!(site.step < 10);
             assert!(site.point.block < config.blocks);
             assert!(config.block_layers().contains(&site.point.layer));
@@ -302,7 +302,7 @@ mod tests {
         let n = 20_000;
         let step0 = (0..n)
             .filter(|_| {
-                s.sample(&mut rng, FaultModel::SingleBit, FloatFormat::F16).step == 0
+                s.sample(&mut rng, FaultModel::SingleBit, DType::F16).step == 0
             })
             .count();
         let frac = step0 as f64 / n as f64;
@@ -318,7 +318,7 @@ mod tests {
         let n = 20_000;
         let step0 = (0..n)
             .filter(|_| {
-                s.sample(&mut rng, FaultModel::SingleBit, FloatFormat::F16).step == 0
+                s.sample(&mut rng, FaultModel::SingleBit, DType::F16).step == 0
             })
             .count();
         let frac = step0 as f64 / n as f64;
@@ -335,7 +335,7 @@ mod tests {
         let mut fc1 = 0;
         let mut k = 0;
         for _ in 0..n {
-            let site = s.sample(&mut rng, FaultModel::SingleBit, FloatFormat::F16);
+            let site = s.sample(&mut rng, FaultModel::SingleBit, DType::F16);
             match site.point.layer {
                 LayerKind::Fc1 => fc1 += 1,
                 LayerKind::KProj => k += 1,
@@ -351,11 +351,11 @@ mod tests {
         let mut rng = Xoshiro256StarStar::new(10);
         let first = sampler().with_step_filter(StepFilter::FirstTokenOnly);
         for _ in 0..100 {
-            assert_eq!(first.sample(&mut rng, FaultModel::SingleBit, FloatFormat::F16).step, 0);
+            assert_eq!(first.sample(&mut rng, FaultModel::SingleBit, DType::F16).step, 0);
         }
         let rest = sampler().with_step_filter(StepFilter::FollowingTokensOnly);
         for _ in 0..100 {
-            assert!(rest.sample(&mut rng, FaultModel::SingleBit, FloatFormat::F16).step >= 1);
+            assert!(rest.sample(&mut rng, FaultModel::SingleBit, DType::F16).step >= 1);
         }
     }
 
@@ -364,7 +364,7 @@ mod tests {
         let mut rng = Xoshiro256StarStar::new(11);
         let s = sampler().with_layer_filter(vec![LayerKind::VProj, LayerKind::Fc2]);
         for _ in 0..500 {
-            let site = s.sample(&mut rng, FaultModel::ExponentBit, FloatFormat::F16);
+            let site = s.sample(&mut rng, FaultModel::ExponentBit, DType::F16);
             assert!(matches!(site.point.layer, LayerKind::VProj | LayerKind::Fc2));
             assert!((10..=14).contains(&site.bits[0]));
         }
@@ -375,8 +375,8 @@ mod tests {
         let s = sampler();
         let mut a = Xoshiro256StarStar::for_stream(42, &[3, 17]);
         let mut b = Xoshiro256StarStar::for_stream(42, &[3, 17]);
-        let sa = s.sample(&mut a, FaultModel::DoubleBit, FloatFormat::F16);
-        let sb = s.sample(&mut b, FaultModel::DoubleBit, FloatFormat::F16);
+        let sa = s.sample(&mut a, FaultModel::DoubleBit, DType::F16);
+        let sb = s.sample(&mut b, FaultModel::DoubleBit, DType::F16);
         assert_eq!(sa, sb);
     }
 
@@ -389,7 +389,7 @@ mod tests {
             .with_duration(FaultDuration::Persistent);
         let mut rng = Xoshiro256StarStar::new(21);
         for _ in 0..2000 {
-            let site = s.sample(&mut rng, FaultModel::SingleBit, FloatFormat::F16);
+            let site = s.sample(&mut rng, FaultModel::SingleBit, DType::F16);
             assert_eq!(site.target, FaultTarget::Weight);
             assert_eq!(site.duration, FaultDuration::Persistent);
             let out = config.out_features(site.point.layer);
@@ -405,7 +405,7 @@ mod tests {
         let s = sampler().with_target(FaultTarget::KvCache);
         let mut rng = Xoshiro256StarStar::new(22);
         for _ in 0..2000 {
-            let site = s.sample(&mut rng, FaultModel::SingleBit, FloatFormat::F16);
+            let site = s.sample(&mut rng, FaultModel::SingleBit, DType::F16);
             assert!(site.step >= 1, "cache is empty before the prefill");
             assert!(matches!(site.point.layer, LayerKind::KProj | LayerKind::VProj));
             // prompt_len 8, so at step s the cache holds 8 + s - 1 rows.
@@ -422,7 +422,7 @@ mod tests {
             .with_layer_filter(vec![LayerKind::KProj, LayerKind::Fc1]);
         let mut rng = Xoshiro256StarStar::new(23);
         for _ in 0..200 {
-            let site = s.sample(&mut rng, FaultModel::SingleBit, FloatFormat::F16);
+            let site = s.sample(&mut rng, FaultModel::SingleBit, DType::F16);
             assert_eq!(site.point.layer, LayerKind::KProj);
         }
     }

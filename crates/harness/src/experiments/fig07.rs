@@ -4,8 +4,7 @@
 
 use super::ExperimentCtx;
 use crate::report::Table;
-use ft2_numeric::bits::is_nan_vulnerable_f16;
-use ft2_numeric::F16;
+use ft2_numeric::{is_nan_vulnerable, DType, F16};
 
 fn describe(v: f32) -> (String, String, String) {
     let h = F16::from_f32(v);
@@ -34,7 +33,7 @@ pub fn run(ctx: &ExperimentCtx) -> Table {
             before,
             after,
             outcome,
-            if is_nan_vulnerable_f16(v) { "yes" } else { "no" }.into(),
+            if is_nan_vulnerable(v, DType::F16) { "yes" } else { "no" }.into(),
         ]);
     }
     ctx.emit("fig07_bitflip_examples", &table);

@@ -9,7 +9,7 @@ use super::ExperimentCtx;
 use crate::report::Table;
 use ft2_model::hooks::RecordingTap;
 use ft2_model::{TapList, ZooModel};
-use ft2_numeric::bits::{nan_vulnerable_fraction, FloatFormat};
+use ft2_numeric::{nan_vulnerable_fraction, DType};
 use ft2_numeric::{Histogram, OnlineStats};
 use ft2_tasks::datasets::generate_prompts;
 use ft2_tasks::DatasetId;
@@ -45,7 +45,7 @@ pub fn run(ctx: &ExperimentCtx) -> Table {
         for &v in &values {
             stats.push(v as f64);
         }
-        let frac = nan_vulnerable_fraction(&values, FloatFormat::F16);
+        let frac = nan_vulnerable_fraction(&values, DType::F16);
         let crit = ft2_core::critical::CriticalityReport::table1_expectation(kind);
         table.row(vec![
             kind.name().to_string(),

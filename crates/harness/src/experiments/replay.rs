@@ -275,6 +275,7 @@ pub fn run(ctx: &ExperimentCtx, spec: &ReplaySpec) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn spec_parses_triple_and_overrides() {
@@ -304,5 +305,45 @@ mod tests {
         // Out-of-grid indices are rejected, not panicked on.
         let bad = ReplaySpec::parse("7/999/0").unwrap();
         assert!(run(&ctx, &bad).unwrap_err().contains("outside the campaign"));
+    }
+
+    #[test]
+    fn hostile_triples_return_a_typed_error() {
+        let digits = "9".repeat(100_000);
+        let huge = [
+            format!("{digits}/1/2"),
+            format!("1/{digits}/2"),
+            format!("0x{digits}/1/2"),
+        ];
+        let fixed = [
+            "18446744073709551616/0/0",
+            "0x/1/2",
+            "///",
+            "1\0/2/3",
+            "1/2/3\0",
+            "é/1/2",
+            "1é/2/3",
+            "1/é2/3",
+            "1/2/é",
+            "0xé/1/2",
+        ];
+        for triple in huge.iter().map(String::as_str).chain(fixed) {
+            let result = ReplaySpec::parse(triple);
+            assert!(result.as_ref().is_err_and(|e| !e.is_empty()), "{result:?}");
+        }
+    }
+
+    proptest! {
+        /// Arbitrary bytes, bare or in each slot of the triple, parse to
+        /// `Ok` or an error — never a panic.
+        #[test]
+        fn arbitrary_triples_parse_without_panicking(bytes in prop::collection::vec(any::<u8>(), 0..4096)) {
+            let raw = String::from_utf8_lossy(&bytes);
+            for triple in [raw.to_string(), format!("{raw}/1/2"), format!("0x{raw}/{raw}/{raw}")] {
+                if let Err(err) = ReplaySpec::parse(&triple) {
+                    prop_assert!(!err.is_empty());
+                }
+            }
+        }
     }
 }

@@ -1,162 +1,113 @@
-//! Bit-flip fault primitives and the NaN-vulnerability analysis of §4.1.1.
+//! Storage formats, the bit-flip fault primitive, and the NaN-vulnerability
+//! analysis of §4.1.1.
 //!
 //! Every fault model in the paper corrupts the *stored representation* of a
 //! neuron value: single-bit flips, double-bit flips, and single flips
 //! restricted to exponent bits (the "EXP" model, the most aggressive one).
-//! This module centralises the bit-layout knowledge for the formats we
-//! support so that `ft2-fault` can stay format-agnostic.
+//! [`DType`] is the one place that knows a tensor's storage format — its bit
+//! layout, its rounding grid, and how a fault xors into its stored pattern —
+//! so that `ft2-tensor` and `ft2-fault` stay format-agnostic.
 
-use crate::f16::F16;
+use crate::f16::{Bf16, F16};
 
-/// The floating-point storage formats faults can target.
+/// Storage precision of a tensor. Values are always *carried* as `f32`;
+/// `DType` controls the grid they are rounded to when stored, and the bit
+/// format faults are injected into.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum FloatFormat {
-    /// IEEE-754 binary16 (1/5/10).
+pub enum DType {
+    /// IEEE binary16 storage (the paper's default).
     F16,
-    /// IEEE-754 binary32 (1/8/23).
+    /// IEEE binary32 storage (the paper's §5.2.3 case study).
     F32,
-    /// bfloat16 (1/8/7) — extension beyond the paper.
+    /// bfloat16 storage (extension).
     Bf16,
 }
 
-impl FloatFormat {
+impl DType {
+    /// `(exponent bits, mantissa bits)` of the stored pattern.
+    const fn layout(self) -> (u32, u32) {
+        match self {
+            DType::F16 => F16::LAYOUT,
+            DType::F32 => (8, 23),
+            DType::Bf16 => Bf16::LAYOUT,
+        }
+    }
+
     /// Total number of bits in the representation.
     pub const fn total_bits(self) -> u32 {
-        match self {
-            FloatFormat::F16 | FloatFormat::Bf16 => 16,
-            FloatFormat::F32 => 32,
-        }
+        self.sign_bit() + 1
     }
 
     /// Inclusive range of exponent bit indices (LSB = bit 0).
     pub const fn exponent_bits(self) -> (u32, u32) {
-        match self {
-            FloatFormat::F16 => (10, 14),
-            FloatFormat::F32 => (23, 30),
-            FloatFormat::Bf16 => (7, 14),
-        }
+        let (exp, mant) = self.layout();
+        (mant, mant + exp - 1)
     }
 
     /// Index of the sign bit.
     pub const fn sign_bit(self) -> u32 {
-        self.total_bits() - 1
-    }
-
-    /// Number of exponent bits.
-    pub const fn num_exponent_bits(self) -> u32 {
-        let (lo, hi) = self.exponent_bits();
-        hi - lo + 1
-    }
-
-    /// Is `bit` an exponent bit in this format?
-    pub const fn is_exponent_bit(self, bit: u32) -> bool {
-        let (lo, hi) = self.exponent_bits();
-        bit >= lo && bit <= hi
+        let (exp, mant) = self.layout();
+        exp + mant
     }
 
     /// Short lowercase name, used in reports.
     pub const fn name(self) -> &'static str {
         match self {
-            FloatFormat::F16 => "fp16",
-            FloatFormat::F32 => "fp32",
-            FloatFormat::Bf16 => "bf16",
+            DType::F16 => "fp16",
+            DType::F32 => "fp32",
+            DType::Bf16 => "bf16",
         }
     }
-}
 
-/// A concrete bit location inside a stored value, used to describe fault
-/// sites in campaign logs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BitLocation {
-    /// Storage format of the value being corrupted.
-    pub format: FloatFormat,
-    /// Bit index (0 = LSB).
-    pub bit: u32,
-}
-
-impl BitLocation {
-    /// Classify the bit as sign / exponent / mantissa for reporting.
-    pub fn class(&self) -> &'static str {
-        if self.bit == self.format.sign_bit() {
+    /// Classify a bit index as `"sign"`, `"exponent"` or `"mantissa"`.
+    pub fn bit_class(self, bit: u32) -> &'static str {
+        let (lo, hi) = self.exponent_bits();
+        if bit == self.sign_bit() {
             "sign"
-        } else if self.format.is_exponent_bit(self.bit) {
+        } else if (lo..=hi).contains(&bit) {
             "exponent"
         } else {
             "mantissa"
         }
     }
-}
 
-/// Flip one bit of an `f32` value's representation.
-#[inline]
-pub fn flip_bit_f32(value: f32, bit: u32) -> f32 {
-    debug_assert!(bit < 32);
-    f32::from_bits(value.to_bits() ^ (1u32 << bit))
-}
-
-/// Flip several bits of an `f32` value's representation at once.
-#[inline]
-pub fn flip_bits_f32(value: f32, bits: &[u32]) -> f32 {
-    let mut mask = 0u32;
-    for &b in bits {
-        debug_assert!(b < 32);
-        mask ^= 1u32 << b;
+    /// The fault primitive: store `value` in this format, xor `bits` into
+    /// the stored pattern, load the result. An FP16 tensor holds binary16
+    /// patterns, so a fault on it corrupts the binary16 pattern, not the
+    /// widened f32. With no bits this is the plain store-and-load.
+    pub fn flip(self, value: f32, bits: &[u32]) -> f32 {
+        debug_assert!(bits.iter().all(|&b| b < self.total_bits()));
+        let mask = bits.iter().fold(0u32, |m, &b| m ^ (1 << b));
+        match self {
+            DType::F16 => F16::from_bits(F16::from_f32(value).to_bits() ^ mask as u16).to_f32(),
+            DType::F32 => f32::from_bits(value.to_bits() ^ mask),
+            DType::Bf16 => Bf16::from_bits(Bf16::from_f32(value).to_bits() ^ mask as u16).to_f32(),
+        }
     }
-    f32::from_bits(value.to_bits() ^ mask)
-}
 
-/// Flip one bit of a value *as stored in `format`*, round-tripping through
-/// the narrow representation when necessary. This is the canonical fault
-/// primitive: an FP16 tensor holds binary16 patterns, so a fault on it must
-/// corrupt the binary16 pattern, not the widened f32.
-pub fn flip_bit_in_format(value: f32, format: FloatFormat, bit: u32) -> f32 {
-    match format {
-        FloatFormat::F32 => flip_bit_f32(value, bit),
-        FloatFormat::F16 => F16::from_f32(value).flip_bit(bit).to_f32(),
-        FloatFormat::Bf16 => crate::bf16::Bf16::from_f32(value).flip_bit(bit).to_f32(),
+    /// Round every value to this storage grid in place — the "store to
+    /// memory" step of a mixed-precision pipeline. Matches on the format
+    /// once per slice and runs that format's monomorphised loop.
+    pub fn quantize_slice(self, values: &mut [f32]) {
+        match self {
+            DType::F16 => F16::round_slice(values),
+            DType::F32 => {}
+            DType::Bf16 => Bf16::round_slice(values),
+        }
     }
 }
 
-/// Flip two (distinct) bits of a value as stored in `format`.
-pub fn flip_two_bits_in_format(value: f32, format: FloatFormat, bit_a: u32, bit_b: u32) -> f32 {
-    debug_assert_ne!(bit_a, bit_b);
-    match format {
-        FloatFormat::F32 => flip_bits_f32(value, &[bit_a, bit_b]),
-        FloatFormat::F16 => F16::from_f32(value)
-            .flip_bit(bit_a)
-            .flip_bit(bit_b)
-            .to_f32(),
-        FloatFormat::Bf16 => crate::bf16::Bf16::from_f32(value)
-            .flip_bit(bit_a)
-            .flip_bit(bit_b)
-            .to_f32(),
-    }
-}
-
-/// The *NaN-vulnerable intervals* of binary16 (§4.1.1): values whose highest
-/// exponent bit flip produces a NaN. In binary16 these are the values with
-/// unbiased exponent 0, i.e. magnitudes in [1, 2) — with the exact powers of
-/// two excluded because their mantissa is zero (the flip yields ±infinity,
-/// not NaN). The paper describes the open intervals (-2,-1) and (1,2).
-pub const NAN_VULNERABLE_INTERVALS: [(f32, f32); 2] = [(-2.0, -1.0), (1.0, 2.0)];
-
-/// Is `value` NaN-vulnerable in binary16 — i.e. does flipping its highest
-/// exponent bit (bit 14) produce a NaN encoding?
-pub fn is_nan_vulnerable_f16(value: f32) -> bool {
-    let h = F16::from_f32(value);
-    h.flip_bit(14).is_nan()
-}
-
-/// Is `value` NaN-vulnerable in the given format (highest exponent bit flip
-/// produces NaN)?
-pub fn is_nan_vulnerable(value: f32, format: FloatFormat) -> bool {
-    let (_, hi) = format.exponent_bits();
-    flip_bit_in_format(value, format, hi).is_nan()
+/// Is `value` NaN-vulnerable in `format` (§4.1.1): does flipping its highest
+/// exponent bit produce a NaN? In binary16 these are the magnitudes in
+/// (1, 2) — unbiased exponent 0, with the exact powers of two excluded
+/// because their zero mantissa flips to ±∞, not NaN.
+pub fn is_nan_vulnerable(value: f32, format: DType) -> bool {
+    format.flip(value, &[format.exponent_bits().1]).is_nan()
 }
 
 /// Fraction of `values` that are NaN-vulnerable in the given format
 /// (Fig. 8(b) statistic). Returns 0 for an empty slice.
-pub fn nan_vulnerable_fraction(values: &[f32], format: FloatFormat) -> f64 {
+pub fn nan_vulnerable_fraction(values: &[f32], format: DType) -> f64 {
     if values.is_empty() {
         return 0.0;
     }
@@ -173,89 +124,102 @@ mod tests {
 
     #[test]
     fn format_layouts() {
-        assert_eq!(FloatFormat::F16.exponent_bits(), (10, 14));
-        assert_eq!(FloatFormat::F32.exponent_bits(), (23, 30));
-        assert_eq!(FloatFormat::Bf16.exponent_bits(), (7, 14));
-        assert_eq!(FloatFormat::F16.sign_bit(), 15);
-        assert_eq!(FloatFormat::F32.sign_bit(), 31);
-        assert_eq!(FloatFormat::F16.num_exponent_bits(), 5);
-        assert_eq!(FloatFormat::F32.num_exponent_bits(), 8);
-        assert!(FloatFormat::F16.is_exponent_bit(10));
-        assert!(FloatFormat::F16.is_exponent_bit(14));
-        assert!(!FloatFormat::F16.is_exponent_bit(9));
-        assert!(!FloatFormat::F16.is_exponent_bit(15));
+        assert_eq!(DType::F16.exponent_bits(), (10, 14));
+        assert_eq!(DType::F32.exponent_bits(), (23, 30));
+        assert_eq!(DType::Bf16.exponent_bits(), (7, 14));
+        assert_eq!(DType::F16.sign_bit(), 15);
+        assert_eq!(DType::F32.sign_bit(), 31);
+        assert_eq!(DType::Bf16.sign_bit(), 15);
+        assert_eq!(DType::F16.total_bits(), 16);
+        assert_eq!(DType::F32.total_bits(), 32);
+        assert_eq!(DType::Bf16.total_bits(), 16);
     }
 
     #[test]
     fn bit_location_classes() {
-        let fmt = FloatFormat::F16;
-        assert_eq!(BitLocation { format: fmt, bit: 15 }.class(), "sign");
-        assert_eq!(BitLocation { format: fmt, bit: 12 }.class(), "exponent");
-        assert_eq!(BitLocation { format: fmt, bit: 3 }.class(), "mantissa");
+        let fmt = DType::F16;
+        assert_eq!(fmt.bit_class(15), "sign");
+        assert_eq!(fmt.bit_class(14), "exponent");
+        assert_eq!(fmt.bit_class(12), "exponent");
+        assert_eq!(fmt.bit_class(10), "exponent");
+        assert_eq!(fmt.bit_class(9), "mantissa");
+        assert_eq!(fmt.bit_class(3), "mantissa");
     }
 
     #[test]
     fn flip_is_involution() {
         for bit in 0..32 {
             let v = 123.456f32;
-            assert_eq!(flip_bit_f32(flip_bit_f32(v, bit), bit), v);
+            assert_eq!(DType::F32.flip(DType::F32.flip(v, &[bit]), &[bit]), v);
         }
     }
 
     #[test]
     fn flip_in_f16_respects_storage() {
         // 1.5 stored as binary16; flipping bit 14 must give NaN.
-        let out = flip_bit_in_format(1.5, FloatFormat::F16, 14);
+        let out = DType::F16.flip(1.5, &[14]);
         assert!(out.is_nan());
-        // In f32 storage, 1.5's top exponent flip (bit 30) gives a huge value
-        // (exponent 0111_1111 -> 1111_1111 is NaN in f32 too, actually).
-        let out32 = flip_bit_in_format(1.5, FloatFormat::F32, 30);
+        // In f32 storage, 1.5's top exponent flip (bit 30) gives exponent
+        // 0111_1111 -> 1111_1111: NaN in f32 too.
+        let out32 = DType::F32.flip(1.5, &[30]);
         assert!(out32.is_nan());
-        // 0.5 flips to huge finite in both.
-        assert!(flip_bit_in_format(0.5, FloatFormat::F16, 14).is_finite());
-        assert!(flip_bit_in_format(0.5, FloatFormat::F16, 14) > 1e4);
-        assert!(flip_bit_in_format(0.5, FloatFormat::F32, 30).is_finite());
+        // 0.5 flips to a huge finite value in both — 2^15 in binary16.
+        assert_eq!(DType::F16.flip(0.5, &[14]), 32768.0);
+        assert!(DType::F32.flip(0.5, &[30]).is_finite());
     }
 
     #[test]
     fn double_flip() {
         let v = 2.0f32;
-        let out = flip_two_bits_in_format(v, FloatFormat::F32, 0, 1);
+        let out = DType::F32.flip(v, &[0, 1]);
         // Mantissa LSB flips: tiny perturbation.
         assert!((out - v).abs() < 1e-5);
-        let out = flip_two_bits_in_format(0.75, FloatFormat::F16, 0, 1);
+        let out = DType::F16.flip(0.75, &[0, 1]);
         assert!((out - 0.75).abs() < 0.01);
+    }
+
+    #[test]
+    fn quantize_slice_is_the_empty_flip() {
+        let raw = [1.0005f32, -2.0003, 70000.0, 1e-9, f32::NAN, 0.1];
+        for format in [DType::F16, DType::F32, DType::Bf16] {
+            let mut stored = raw;
+            format.quantize_slice(&mut stored);
+            for (s, &v) in stored.iter().zip(&raw) {
+                assert_eq!(s.to_bits(), format.flip(v, &[]).to_bits(), "{format:?} {v}");
+            }
+        }
     }
 
     #[test]
     fn nan_vulnerability_matches_intervals() {
         // Values strictly inside (1,2) or (-2,-1) are vulnerable; powers of
         // two and values outside are not.
-        assert!(is_nan_vulnerable_f16(1.5));
-        assert!(is_nan_vulnerable_f16(1.000_976_6)); // 1 + 2^-10
-        assert!(is_nan_vulnerable_f16(-1.5));
-        assert!(is_nan_vulnerable_f16(1.999));
-        assert!(!is_nan_vulnerable_f16(1.0)); // exact power of two -> inf
-        assert!(!is_nan_vulnerable_f16(-1.0));
-        assert!(!is_nan_vulnerable_f16(0.5));
-        assert!(!is_nan_vulnerable_f16(2.0));
-        assert!(!is_nan_vulnerable_f16(3.0));
-        assert!(!is_nan_vulnerable_f16(0.0));
+        let f16 = |v| is_nan_vulnerable(v, DType::F16);
+        assert!(f16(1.5));
+        assert!(f16(1.000_976_6)); // 1 + 2^-10
+        assert!(f16(-1.5));
+        assert!(f16(1.999));
+        assert!(!f16(1.0)); // exact power of two -> inf
+        assert!(!f16(-1.0));
+        assert!(!f16(0.5));
+        assert!(!f16(2.0));
+        assert!(!f16(3.0));
+        assert!(!f16(0.0));
     }
 
     #[test]
     fn nan_vulnerable_fraction_counts() {
         let vals = [0.5f32, 1.5, 1.2, -1.7, 3.0, 0.0];
-        let frac = nan_vulnerable_fraction(&vals, FloatFormat::F16);
+        let frac = nan_vulnerable_fraction(&vals, DType::F16);
         assert!((frac - 3.0 / 6.0).abs() < 1e-12);
-        assert_eq!(nan_vulnerable_fraction(&[], FloatFormat::F16), 0.0);
+        assert_eq!(nan_vulnerable_fraction(&[], DType::F16), 0.0);
     }
 
     #[test]
     fn f32_nan_vulnerable_interval_is_same_shape() {
         // In binary32 the same (1,2)/(-2,-1) property holds for the top
         // exponent bit (bit 30).
-        assert!(is_nan_vulnerable(1.5, FloatFormat::F32));
-        assert!(!is_nan_vulnerable(2.5, FloatFormat::F32));
+        assert!(is_nan_vulnerable(1.5, DType::F32));
+        assert!(!is_nan_vulnerable(2.5, DType::F32));
     }
 }

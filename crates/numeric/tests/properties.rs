@@ -1,9 +1,8 @@
 //! Property-based tests for the numeric foundations.
 
-use ft2_numeric::bits::{
-    flip_bit_in_format, flip_two_bits_in_format, is_nan_vulnerable_f16, FloatFormat,
+use ft2_numeric::{
+    is_nan_vulnerable, Bf16, DType, OnlineStats, Rng, SplitMix64, Xoshiro256StarStar, F16,
 };
-use ft2_numeric::{Bf16, F16, OnlineStats, Rng, SplitMix64, Xoshiro256StarStar};
 use proptest::prelude::*;
 
 proptest! {
@@ -29,7 +28,7 @@ proptest! {
     #[test]
     fn f16_sign_symmetric(v in -6.0e4f32..6.0e4f32) {
         let a = F16::from_f32(-v).to_bits();
-        let b = F16::from_f32(v).neg().to_bits();
+        let b = F16::from_f32(v).flip_bit(15).to_bits();
         prop_assert_eq!(a, b);
     }
 
@@ -59,9 +58,9 @@ proptest! {
         // At the f32-carrier level, a round-trip restores the value whenever
         // the intermediate is not a NaN (NaN payloads canonicalise — fine for
         // fault injection, which corrupts a value exactly once).
-        let once = flip_bit_in_format(stored.to_f32(), FloatFormat::F16, bit);
+        let once = DType::F16.flip(stored.to_f32(), &[bit]);
         if !once.is_nan() {
-            let twice = flip_bit_in_format(once, FloatFormat::F16, bit);
+            let twice = DType::F16.flip(once, &[bit]);
             prop_assert_eq!(F16::from_f32(twice).to_bits(), stored.to_bits());
         }
     }
@@ -76,7 +75,7 @@ proptest! {
         prop_assert_eq!(both.to_bits(), mask.to_bits());
         // And the format-level helper agrees whenever no NaN canonicalisation
         // is involved.
-        let helper = flip_two_bits_in_format(stored.to_f32(), FloatFormat::F16, a, b);
+        let helper = DType::F16.flip(stored.to_f32(), &[a, b]);
         if !helper.is_nan() && !both.is_nan() {
             prop_assert_eq!(F16::from_f32(helper).to_bits(), both.to_bits());
         }
@@ -88,9 +87,9 @@ proptest! {
     #[test]
     fn nan_vulnerable_iff_in_interval(v in -10.0f32..10.0) {
         let q = F16::from_f32(v);
-        let mag = q.abs().to_f32();
+        let mag = q.to_f32().abs();
         let in_interval = mag > 1.0 && mag < 2.0;
-        prop_assert_eq!(is_nan_vulnerable_f16(q.to_f32()), in_interval);
+        prop_assert_eq!(is_nan_vulnerable(q.to_f32(), DType::F16), in_interval);
     }
 
     /// below(n) stays in range for arbitrary seeds and n.

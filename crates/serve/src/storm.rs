@@ -23,10 +23,10 @@ const STORM_MAGNITUDE: f32 = 1.0e3;
 pub enum StrikeMode {
     /// Add [`STORM_MAGNITUDE`] to every element (the classic storm).
     AddMagnitude,
-    /// Flip a high exponent bit of the first element — the single-bit-upset
-    /// model driven by the live `/inject` endpoint ("flip a bit in block 2
-    /// now"): one element jumps orders of magnitude while the rest of the
-    /// output is untouched.
+    /// Flip the highest exponent bit of the first element *as stored* in
+    /// the tap's dtype — the single-bit-upset model driven by the live
+    /// `/inject` endpoint ("flip a bit in block 2 now"): one element jumps
+    /// orders of magnitude while the rest of the output is untouched.
     BitFlip,
 }
 
@@ -127,12 +127,11 @@ impl LayerTap for StormTap {
                 }
             }
             StrikeMode::BitFlip => {
-                let slice = data.as_mut_slice();
-                if let Some(v) = slice.first_mut() {
-                    // Flip bit 30 (the high exponent bit below the sign):
-                    // a finite value jumps orders of magnitude, exactly the
-                    // excursion shape of a real single-bit upset.
-                    *v = f32::from_bits(v.to_bits() ^ (1 << 30));
+                if let Some(v) = data.as_mut_slice().first_mut() {
+                    // A finite value jumps orders of magnitude, exactly the
+                    // excursion shape of a real single-bit upset — within
+                    // what the storage format can hold.
+                    *v = ctx.dtype.flip(*v, &[ctx.dtype.exponent_bits().1]);
                 }
             }
         }
@@ -250,5 +249,27 @@ mod tests {
         // Transient with heal_after=1: one rollback heals it.
         tap.on_rollback(1, 0);
         assert!(!tap.strikes_at(1));
+    }
+
+    #[test]
+    fn flip_on_fp16_storage_flips_the_binary16_exponent_bit() {
+        // A stored 0.5 is binary16 0x3800; an upset of its top exponent bit
+        // (bit 14) gives 0x7800 = 32 768. Flipping f32 bit 30 instead would
+        // write 2^127, a value no FP16 tensor can hold.
+        let mut tap = StormTap::flip(0, 1);
+        let mut data = Matrix::from_vec(1, 2, vec![0.5, 0.5]);
+        let ctx = TapCtx {
+            point: ft2_model::hooks::TapPoint {
+                block: 0,
+                layer: LayerKind::VProj,
+            },
+            hook: HookKind::LinearOutput,
+            step: 1,
+            first_pos: 5,
+            dtype: ft2_tensor::DType::F16,
+        };
+        tap.on_output(&ctx, &mut data);
+        assert_eq!(data.row(0), &[32768.0, 0.5]);
+        assert_eq!(tap.end_step(1).verdict, AnomalyVerdict::Storm);
     }
 }

@@ -8,10 +8,12 @@
 //!
 //! * Values are carried as `f32` (the accumulator precision of GPU FP16
 //!   GEMM pipelines); *storage precision* is modelled by explicitly
-//!   quantising through [`ft2_numeric::F16`] / bf16 grids at the points
-//!   where a real FP16 model would store tensors (weights at load time,
-//!   linear-layer outputs after each kernel). Fault injection then corrupts
-//!   the narrow *stored* representation, matching the paper's fault model.
+//!   quantising through the [`DType`] grid (re-exported from
+//!   `ft2-numeric`, one match per slice via [`Matrix::quantize`]) at the
+//!   points where a real FP16 model would store tensors (weights at load
+//!   time, linear-layer outputs after each kernel). Fault injection then
+//!   corrupts the narrow *stored* representation, matching the paper's
+//!   fault model.
 //! * Matrices are dense row-major [`Matrix`]; weights are stored
 //!   `[out_features, in_features]` so GEMM reads both operands
 //!   sequentially ([`gemm::matmul_transb`]).
@@ -28,7 +30,8 @@ pub use gemm::{
     dot, matmul_naive, matmul_transb, matmul_transb_batch, matmul_transb_batch_into,
     matmul_transb_into, KernelPolicy,
 };
-pub use matrix::{DType, Matrix};
+pub use ft2_numeric::DType;
+pub use matrix::Matrix;
 pub use seam::{matmul_transb_cols_f64, reduce_seam_into};
 pub use ops::{
     add_bias_inplace, add_inplace, argmax, gelu_inplace, layer_norm, relu_inplace, rms_norm,

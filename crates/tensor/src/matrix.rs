@@ -1,49 +1,6 @@
 //! Dense row-major matrices with explicit storage-precision quantisation.
 
-use ft2_numeric::{Bf16, FloatFormat, F16};
-
-/// Storage precision of a tensor. Values are always *carried* as `f32`;
-/// `DType` controls the grid they are rounded to when stored, and the bit
-/// format faults are injected into.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum DType {
-    /// IEEE binary16 storage (the paper's default).
-    F16,
-    /// IEEE binary32 storage (the paper's §5.2.3 case study).
-    F32,
-    /// bfloat16 storage (extension).
-    Bf16,
-}
-
-impl DType {
-    /// The corresponding bit-level format for fault injection.
-    pub const fn format(self) -> FloatFormat {
-        match self {
-            DType::F16 => FloatFormat::F16,
-            DType::F32 => FloatFormat::F32,
-            DType::Bf16 => FloatFormat::Bf16,
-        }
-    }
-
-    /// Round one value to this storage grid.
-    #[inline]
-    pub fn quantize(self, v: f32) -> f32 {
-        match self {
-            DType::F16 => F16::from_f32(v).to_f32(),
-            DType::F32 => v,
-            DType::Bf16 => Bf16::from_f32(v).to_f32(),
-        }
-    }
-
-    /// Short lowercase name used in reports.
-    pub const fn name(self) -> &'static str {
-        match self {
-            DType::F16 => "fp16",
-            DType::F32 => "fp32",
-            DType::Bf16 => "bf16",
-        }
-    }
-}
+use ft2_numeric::DType;
 
 /// A dense row-major `rows × cols` matrix of `f32`.
 #[derive(Clone, Debug, PartialEq)]
@@ -223,12 +180,7 @@ impl Matrix {
     /// Round every element to the storage grid of `dtype` in place. This is
     /// the "store to memory" step of a mixed-precision pipeline.
     pub fn quantize(&mut self, dtype: DType) {
-        if dtype == DType::F32 {
-            return;
-        }
-        for v in &mut self.data {
-            *v = dtype.quantize(*v);
-        }
+        dtype.quantize_slice(&mut self.data);
     }
 
     /// Maximum absolute difference to another matrix of identical shape.
@@ -340,8 +292,9 @@ mod tests {
     #[test]
     fn dtype_properties() {
         assert_eq!(DType::F16.name(), "fp16");
-        assert_eq!(DType::F16.format(), FloatFormat::F16);
-        assert_eq!(DType::Bf16.format(), FloatFormat::Bf16);
-        assert_eq!(DType::F32.quantize(1.000_000_1), 1.000_000_1);
+        assert_eq!(DType::Bf16.name(), "bf16");
+        let mut m = Matrix::from_vec(1, 1, vec![1.000_000_1]);
+        m.quantize(DType::Bf16);
+        assert_eq!(m.get(0, 0), 1.0);
     }
 }

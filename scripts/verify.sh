@@ -64,6 +64,22 @@ counts="$(echo "$out" | sed -n 's/^test result: ok\. \([0-9]*\) passed.*/\1/p' |
     exit 1
 }
 
+echo "== storage formats, exhaustively: from_f32 on all 2^32 f32 patterns (optimised build) =="
+# The tier-1 run above checks boundary tables, the 2^16 round trip and the
+# to_f32 digests; the 2^33 conversions behind the from_f32 digests are
+# #[ignore]d there and run here, optimised. Count, because a filter that
+# matches nothing passes.
+out="$(cargo test -q --release --offline --locked -p ft2-numeric --test float_exhaustive \
+    -- --ignored 2>&1)" || {
+    echo "$out" >&2
+    exit 1
+}
+echo "$out" | grep -q "test result: ok. 1 passed" || {
+    echo "verify: expected the one exhaustive from_f32 digest test to run under --release" >&2
+    echo "$out" >&2
+    exit 1
+}
+
 echo "== benchmark (its own tests, then all six workloads with the checker on) =="
 # benchmark/ is a standalone package outside the workspace, so nothing above
 # notices when a crate change breaks its build or its per-operation checker.

@@ -10,20 +10,9 @@ use ft2::model::{
     ZooModel,
 };
 use ft2::parallel::WorkStealingPool;
-use ft2::numeric::bits::flip_bit_in_format;
-use ft2::numeric::{crc64_f32s, Bf16, FloatFormat, Xoshiro256StarStar, F16};
+use ft2::numeric::{crc64_f32s, Xoshiro256StarStar};
 use ft2::tensor::{DType, Matrix};
 use proptest::prelude::*;
-
-/// Round a value to the nearest representable one in `format`, so that
-/// bit flips operate on an exactly-stored pattern.
-fn quantise(v: f32, format: FloatFormat) -> f32 {
-    match format {
-        FloatFormat::F32 => v,
-        FloatFormat::F16 => F16::from_f32(v).to_f32(),
-        FloatFormat::Bf16 => Bf16::from_f32(v).to_f32(),
-    }
-}
 
 fn ctx(layer: LayerKind, step: usize) -> TapCtx {
     TapCtx {
@@ -133,7 +122,7 @@ proptest! {
         let sampler = SiteSampler::new(&config, 6, 9);
         let mut rng = Xoshiro256StarStar::new(seed);
         for fm in FaultModel::ALL {
-            let site = sampler.sample(&mut rng, fm, FloatFormat::F16);
+            let site = sampler.sample(&mut rng, fm, DType::F16);
             prop_assert!(site.step < 9);
             prop_assert!(site.point.block < config.blocks);
             prop_assert!(config.block_layers().contains(&site.point.layer));
@@ -171,14 +160,14 @@ proptest! {
         raw in -1000.0f32..1000.0,
         seed in any::<u64>(),
     ) {
-        for format in [FloatFormat::F16, FloatFormat::F32, FloatFormat::Bf16] {
-            let stored = quantise(raw, format);
+        for format in [DType::F16, DType::F32, DType::Bf16] {
+            let stored = format.flip(raw, &[]);
             let mut rng = Xoshiro256StarStar::new(seed);
             for fm in FaultModel::ALL {
                 let bits = fm.sample_bits(&mut rng, format);
                 let mut v = stored;
                 for &b in &bits {
-                    v = flip_bit_in_format(v, format, b);
+                    v = format.flip(v, &[b]);
                 }
                 prop_assert_ne!(
                     v.to_bits(), stored.to_bits(),
@@ -186,7 +175,7 @@ proptest! {
                     fm, format, bits.clone()
                 );
                 for &b in &bits {
-                    v = flip_bit_in_format(v, format, b);
+                    v = format.flip(v, &[b]);
                 }
                 prop_assert_eq!(
                     v.to_bits(), stored.to_bits(),
@@ -207,15 +196,15 @@ proptest! {
         element in 0usize..256,
         seed in any::<u64>(),
     ) {
-        let stored: Vec<f32> = tile.iter().map(|&v| quantise(v, FloatFormat::F16)).collect();
+        let stored: Vec<f32> = tile.iter().map(|&v| DType::F16.flip(v, &[])).collect();
         let clean = crc64_f32s(&stored);
         let mut rng = Xoshiro256StarStar::new(seed);
         for fm in FaultModel::ALL {
-            let bits = fm.sample_bits(&mut rng, FloatFormat::F16);
+            let bits = fm.sample_bits(&mut rng, DType::F16);
             let mut corrupted = stored.clone();
             let idx = element % corrupted.len();
             for &b in &bits {
-                corrupted[idx] = flip_bit_in_format(corrupted[idx], FloatFormat::F16, b);
+                corrupted[idx] = DType::F16.flip(corrupted[idx], &[b]);
             }
             prop_assert_ne!(
                 crc64_f32s(&corrupted), clean,
