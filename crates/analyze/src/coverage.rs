@@ -21,10 +21,10 @@
 //! exhaustive `match` with no wildcard arm: adding an outcome variant
 //! breaks this crate's build until a pricing rule is chosen.
 //!
-//! **Checkpoint versions.** Every version in `2..=CHECKPOINT_VERSION` must
-//! parse (v2 both explicitly and as a version-less legacy document), and
-//! v1 / future versions must be rejected, probed through the real
-//! serializer round-trip.
+//! **Checkpoint versions.** Exactly one version parses: a real
+//! checkpoint document with its header version swapped for each of
+//! `0..=CHECKPOINT_VERSION + 1` must be accepted at `CHECKPOINT_VERSION`
+//! only, so older and future files are rejected rather than misread.
 
 use ft2_core::{CriticalityReport, Scheme, SchemeFactory, TILE_ELEMS};
 use ft2_fault::{
@@ -97,10 +97,6 @@ pub struct CheckpointReport {
     pub current: u64,
     /// Versions accepted by the parser (probed `0..=current+1`).
     pub accepted: Vec<u64>,
-    /// A version-less legacy (v2) document still parses.
-    pub implicit_v2: bool,
-    /// Pre-v2 documents are rejected.
-    pub rejects_v1: bool,
     /// Documents newer than this binary are rejected, not misread.
     pub rejects_future: bool,
 }
@@ -108,10 +104,7 @@ pub struct CheckpointReport {
 impl CheckpointReport {
     /// All version probes behaved as specified.
     pub fn ok(&self) -> bool {
-        self.accepted == (2..=self.current).collect::<Vec<u64>>()
-            && self.implicit_v2
-            && self.rejects_v1
-            && self.rejects_future
+        self.accepted == [self.current] && self.rejects_future
     }
 }
 
@@ -190,12 +183,9 @@ impl CoverageReport {
         }
         let _ = writeln!(
             s,
-            "checkpoint versions: current {} accepted {:?} implicit-v2 {} \
-             rejects-v1 {} rejects-future {}",
+            "checkpoint versions: current {} accepted {:?} rejects-future {}",
             self.checkpoint.current,
             self.checkpoint.accepted,
-            self.checkpoint.implicit_v2,
-            self.checkpoint.rejects_v1,
             self.checkpoint.rejects_future
         );
         s
@@ -255,8 +245,7 @@ impl CoverageReport {
         let _ = writeln!(s, "  \"unpriced_outcomes\": {},", self.unpriced_outcomes());
         let _ = writeln!(
             s,
-            "  \"checkpoint\": {{\"current\": {}, \"accepted\": [{}], \"implicit_v2\": {}, \
-             \"rejects_v1\": {}, \"rejects_future\": {}}},",
+            "  \"checkpoint\": {{\"current\": {}, \"accepted\": [{}], \"rejects_future\": {}}},",
             self.checkpoint.current,
             self.checkpoint
                 .accepted
@@ -264,8 +253,6 @@ impl CoverageReport {
                 .map(|v| v.to_string())
                 .collect::<Vec<_>>()
                 .join(", "),
-            self.checkpoint.implicit_v2,
-            self.checkpoint.rejects_v1,
             self.checkpoint.rejects_future
         );
         let _ = writeln!(s, "  \"checkpoint_versions_ok\": {},", self.checkpoint.ok());
@@ -450,32 +437,24 @@ fn price_outcomes(zoo: &[ModelSpec]) -> Vec<OutcomePricing> {
         .collect()
 }
 
-/// Probe checkpoint-version acceptance through the real serializer.
+/// Probe checkpoint-version acceptance through the real serializer: swap
+/// the version at the end of the header line and parse.
 fn probe_checkpoints() -> CheckpointReport {
     let doc = CampaignCheckpoint {
         fingerprint: "analyze-probe".to_string(),
         completed_tasks: 7,
         result: CampaignResult::default(),
     }
-    .to_json();
-    let version_line = format!("\"version\": {CHECKPOINT_VERSION}");
-
-    let mut accepted = Vec::new();
-    for v in 0..=CHECKPOINT_VERSION + 1 {
-        let probe = doc.replace(&version_line, &format!("\"version\": {v}"));
-        if CampaignCheckpoint::from_json(&probe).is_ok() {
-            accepted.push(v);
-        }
-    }
-    let versionless: String = doc
-        .lines()
-        .filter(|l| !l.contains("\"version\""))
-        .collect::<Vec<_>>()
-        .join("\n");
+    .to_text();
+    let (head, body) = doc.split_once('\n').expect("a header line");
+    let stem = head
+        .strip_suffix(&CHECKPOINT_VERSION.to_string())
+        .expect("the header ends with the version");
+    let accepted: Vec<u64> = (0..=CHECKPOINT_VERSION + 1)
+        .filter(|v| CampaignCheckpoint::parse(&format!("{stem}{v}\n{body}")).is_ok())
+        .collect();
     CheckpointReport {
         current: CHECKPOINT_VERSION,
-        implicit_v2: CampaignCheckpoint::from_json(&versionless).is_ok(),
-        rejects_v1: !accepted.contains(&1) && !accepted.contains(&0),
         rejects_future: !accepted.contains(&(CHECKPOINT_VERSION + 1)),
         accepted,
     }
@@ -517,10 +496,9 @@ mod tests {
     fn checkpoint_versions_probe_as_specified() {
         let ck = probe_checkpoints();
         assert!(ck.ok(), "{ck:?}");
-        // v2 legacy, v3 (pre-degraded counters), v4 (pre-failover
-        // counters), and the current v5 all round-trip; v1 and future
-        // versions are rejected.
-        assert_eq!(ck.accepted, vec![2, 3, 4, CHECKPOINT_VERSION]);
+        // Only the line format reads; the JSON versions 2..=5 and the
+        // future version 7 are rejected.
+        assert_eq!(ck.accepted, vec![6]);
     }
 
     #[test]

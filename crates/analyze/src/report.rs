@@ -182,7 +182,7 @@ impl AnalysisReport {
     }
 }
 
-/// JSON string quoting with the escapes the repo's checkpoint writer uses.
+/// JSON string quoting.
 pub fn json_quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');

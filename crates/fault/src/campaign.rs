@@ -29,7 +29,7 @@ use crate::watchdog::{TrialAbort, WatchdogTap};
 use ft2_model::{
     LayerKind, LayerTap, Model, RecoveryPolicy, StateTap, StateTapList, StepRecord, TapList,
 };
-use ft2_numeric::Xoshiro256StarStar;
+use ft2_numeric::{crc64, Xoshiro256StarStar};
 use ft2_parallel::{catch_quiet, WorkStealingPool};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -161,7 +161,7 @@ pub struct TrialFailure {
 
 /// How many crashed trials a campaign records individually (counters are
 /// exact regardless; this caps only the replay-pointer list).
-const MAX_CRASH_RECORDS: usize = 64;
+pub(crate) const MAX_CRASH_RECORDS: usize = 64;
 
 /// Aggregated campaign output.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -603,12 +603,10 @@ impl<'a> Campaign<'a> {
     /// the reference generations (so a different model or input set is
     /// rejected even at identical config).
     pub fn fingerprint(&self, scheme: &str) -> String {
-        let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV-1a over reference tokens
+        let mut refs = Vec::new();
         for reference in &self.references {
-            for &t in reference {
-                h = (h ^ t as u64).wrapping_mul(0x100_0000_01b3);
-            }
-            h = (h ^ 0xff).wrapping_mul(0x100_0000_01b3);
+            refs.extend((reference.len() as u64).to_le_bytes());
+            refs.extend(reference.iter().flat_map(|t| t.to_le_bytes()));
         }
         let layers = match &self.config.layer_filter {
             None => "all".to_string(),
@@ -619,7 +617,7 @@ impl<'a> Campaign<'a> {
                 .join("+"),
         };
         format!(
-            "v3|seed={}|trials={}|gen={}|fault={:?}|duration={:?}|target={}|steps={:?}|weight={:?}|layers={}|inputs={}|budget={:?}|deadline={:?}|recovery={}|repair={}|scheme={}|refs={:016x}",
+            "seed={}|trials={}|gen={}|fault={:?}|duration={:?}|target={}|steps={:?}|weight={:?}|layers={}|inputs={}|budget={:?}|deadline={:?}|recovery={}|repair={}|scheme={}|refs={:016x}",
             self.config.seed,
             self.config.trials_per_input,
             self.config.gen_tokens,
@@ -635,7 +633,7 @@ impl<'a> Campaign<'a> {
             self.config.recovery_retries,
             self.config.recovery_repair,
             scheme,
-            h,
+            crc64(&refs),
         )
     }
 

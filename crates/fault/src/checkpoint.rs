@@ -9,28 +9,72 @@
 //! folds records in task order, resuming from `completed_tasks` reproduces
 //! the uninterrupted run bit for bit.
 //!
-//! The format is a small hand-rolled JSON document (the workspace is
-//! dependency-free, so no serde): human-inspectable, written atomically via
-//! a temp file + rename so a crash mid-write can never corrupt an existing
-//! checkpoint. Documents carry a `"version"` key (current:
-//! [`CHECKPOINT_VERSION`]); version-2 documents (which predate the key, the
-//! fault-duration taxonomy, and the integrity counters) still load, with the
-//! new counters zeroed. Unknown or future versions are rejected with a
-//! clear error instead of being misparsed.
+//! The format is one line per record, and the writer and reader share every
+//! field list (the workspace is dependency-free, so no serde):
+//!
+//! ```text
+//! ft2-checkpoint 6
+//! fingerprint seed=1|trials=50|…
+//! completed_tasks 20
+//! counts 10 4 3 2 1 6 2 5 3 2
+//! first_token_faults 0 0 1 0 0 0 0 0 0 0
+//! per_layer FC1 5 0 0 0 0 0 0 0 0 0
+//! per_bit_class exponent 0 0 3 0 0 0 0 0 0 0
+//! crash 2 17 crates/core/src/protect.rs:88 index%20out%20of%20bounds
+//! rollbacks 9
+//! …
+//! end
+//! ```
+//!
+//! Count rows are the ten [`OutcomeCounts`] fields in declaration order.
+//! Strings are `%XX`-escaped so no field holds a space or a newline, and the
+//! closing `end` record means a file cut at a line boundary is rejected
+//! rather than read with its tail missing. Only [`CHECKPOINT_VERSION`] is
+//! read: any other header (including the older JSON documents) is a typed
+//! error, and the harness then restarts the campaign. Files are written to
+//! a temp file, synced, and renamed into place, so a crash mid-write leaves
+//! the previous checkpoint intact.
 
-use crate::campaign::{CampaignResult, TrialFailure};
+use crate::campaign::{CampaignResult, TrialFailure, MAX_CRASH_RECORDS};
 use crate::outcome::OutcomeCounts;
 use ft2_model::LayerKind;
 use std::fmt::Write as _;
+use std::io::Write as _;
 use std::path::Path;
 
-/// Current checkpoint document version. Version 5 added the `failed_over`
-/// outcome counter plus the `failovers` / `replica_rebuilds` scalars
-/// (cross-replica failover); version 4 added the `degraded` counter,
-/// version-3 documents carry 8-element count rows and version-2 documents
-/// (no `"version"` key) 7-element rows — all remain loadable with the
-/// missing counters zeroed. Versions above this are rejected.
-pub const CHECKPOINT_VERSION: u64 = 5;
+/// The checkpoint format version this binary writes and reads. Version 6
+/// is the line format; versions 2–5 were JSON documents.
+pub const CHECKPOINT_VERSION: u64 = 6;
+
+/// First word of the header line.
+const MAGIC: &str = "ft2-checkpoint";
+
+/// Bit-class keys of [`CampaignResult::per_bit_class`].
+const BIT_CLASSES: [&str; 3] = ["sign", "exponent", "mantissa"];
+
+/// The scalar counters of a [`CampaignResult`], in file order. Writer and
+/// reader both walk this table, so a new counter is one new row.
+type Scalar = (&'static str, fn(&mut CampaignResult) -> &mut u64);
+const SCALARS: [Scalar; 8] = [
+    ("rollbacks", |r| &mut r.rollbacks),
+    ("storms", |r| &mut r.storms),
+    ("scrubbed_tiles", |r| &mut r.scrubbed_tiles),
+    ("weight_repairs", |r| &mut r.weight_repairs),
+    ("kv_repairs", |r| &mut r.kv_repairs),
+    ("repair_retries", |r| &mut r.repair_retries),
+    ("failovers", |r| &mut r.failovers),
+    ("replica_rebuilds", |r| &mut r.replica_rebuilds),
+];
+
+/// The ten [`OutcomeCounts`] fields in declaration order: the layout of
+/// every count row. The pattern is exhaustive, so a new outcome counter
+/// does not build until it has a place here.
+fn count_fields(c: &mut OutcomeCounts) -> [&mut u64; 10] {
+    let OutcomeCounts { masked_identical, masked_semantic, sdc, crash, hang, recovered,
+        recovery_failed, repaired, degraded, failed_over } = c;
+    [masked_identical, masked_semantic, sdc, crash, hang, recovered,
+        recovery_failed, repaired, degraded, failed_over]
+}
 
 /// A persisted campaign prefix: everything needed to resume.
 #[derive(Clone, Debug, PartialEq)]
@@ -45,438 +89,174 @@ pub struct CampaignCheckpoint {
 }
 
 impl CampaignCheckpoint {
-    /// Serialise to the checkpoint JSON document.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"version\": {CHECKPOINT_VERSION},");
-        let _ = writeln!(s, "  \"fingerprint\": {},", quote(&self.fingerprint));
-        let _ = writeln!(s, "  \"completed_tasks\": {},", self.completed_tasks);
-        let _ = writeln!(s, "  \"counts\": {},", counts_json(&self.result.counts));
-        s.push_str("  \"per_layer\": {");
-        for (i, (k, v)) in self.result.per_layer.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            let _ = write!(s, "{}: {}", quote(k.name()), counts_json(v));
+    /// Serialise to the checkpoint text, records in the order [`parse`]
+    /// reads them.
+    ///
+    /// [`parse`]: CampaignCheckpoint::parse
+    pub fn to_text(&self) -> String {
+        // The scalar accessors hand out `&mut`, so write from a copy.
+        let mut r = self.result.clone();
+        let mut s = format!("{MAGIC} {CHECKPOINT_VERSION}\nfingerprint {}\n", escape(&self.fingerprint));
+        let _ = writeln!(s, "completed_tasks {}", self.completed_tasks);
+        let mut write_row = |key: String, mut c: OutcomeCounts| {
+            let _ = writeln!(s, "{key} {}", count_fields(&mut c).map(|v| v.to_string()).join(" "));
+        };
+        write_row("counts".into(), r.counts);
+        write_row("first_token_faults".into(), r.first_token_faults);
+        r.per_layer.iter().for_each(|(k, c)| write_row(format!("per_layer {}", k.name()), *c));
+        r.per_bit_class.iter().for_each(|(k, c)| write_row(format!("per_bit_class {k}"), *c));
+        for c in &r.crashes {
+            let _ = writeln!(s, "crash {} {} {} {}", c.input, c.trial, escape(&c.site), escape(&c.message));
         }
-        s.push_str("},\n  \"per_bit_class\": {");
-        for (i, (k, v)) in self.result.per_bit_class.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            let _ = write!(s, "{}: {}", quote(k), counts_json(v));
+        for (name, field) in SCALARS {
+            let _ = writeln!(s, "{name} {}", field(&mut r));
         }
-        s.push_str("},\n");
-        let _ = writeln!(
-            s,
-            "  \"first_token_faults\": {},",
-            counts_json(&self.result.first_token_faults)
-        );
-        s.push_str("  \"crashes\": [");
-        for (i, c) in self.result.crashes.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            let _ = write!(
-                s,
-                "[{}, {}, {}, {}]",
-                c.input,
-                c.trial,
-                quote(&c.site),
-                quote(&c.message)
-            );
-        }
-        s.push_str("],\n");
-        let _ = writeln!(s, "  \"rollbacks\": {},", self.result.rollbacks);
-        let _ = writeln!(s, "  \"storms\": {},", self.result.storms);
-        let _ = writeln!(s, "  \"scrubbed_tiles\": {},", self.result.scrubbed_tiles);
-        let _ = writeln!(s, "  \"weight_repairs\": {},", self.result.weight_repairs);
-        let _ = writeln!(s, "  \"kv_repairs\": {},", self.result.kv_repairs);
-        let _ = writeln!(s, "  \"repair_retries\": {},", self.result.repair_retries);
-        let _ = writeln!(s, "  \"failovers\": {},", self.result.failovers);
-        let _ = writeln!(s, "  \"replica_rebuilds\": {}", self.result.replica_rebuilds);
-        s.push_str("}\n");
-        s
+        s + "end\n"
     }
 
-    /// Parse a checkpoint document.
-    pub fn from_json(text: &str) -> Result<CampaignCheckpoint, String> {
-        let v = Json::parse(text)?;
-        let obj = v.as_obj("checkpoint")?;
-        // Version 2 documents predate the "version" key.
-        let version = match get_opt(obj, "version") {
-            Some(v) => v.as_u64("version")?,
-            None => 2,
-        };
-        if version > CHECKPOINT_VERSION {
-            return Err(format!(
-                "checkpoint version {version} is newer than this binary supports \
-                 (max {CHECKPOINT_VERSION}); upgrade ft2 or delete the checkpoint \
-                 to restart the campaign"
-            ));
-        }
-        if version < 2 {
-            return Err(format!(
-                "unknown checkpoint version {version} (supported: 2..={CHECKPOINT_VERSION})"
-            ));
-        }
-        let mut result = CampaignResult {
-            counts: parse_counts(get(obj, "counts")?)?,
-            first_token_faults: parse_counts(get(obj, "first_token_faults")?)?,
-            ..CampaignResult::default()
-        };
-        for (name, v) in get(obj, "per_layer")?.as_obj("per_layer")? {
-            let kind = LayerKind::ALL
-                .iter()
-                .find(|k| k.name() == name)
-                .ok_or_else(|| format!("unknown layer kind {name:?}"))?;
-            result.per_layer.insert(*kind, parse_counts(v)?);
-        }
-        for (name, v) in get(obj, "per_bit_class")?.as_obj("per_bit_class")? {
-            // Bit-class keys are interned &'static str in memory.
-            let key = match name.as_str() {
-                "sign" => "sign",
-                "exponent" => "exponent",
-                "mantissa" => "mantissa",
-                other => return Err(format!("unknown bit class {other:?}")),
-            };
-            result.per_bit_class.insert(key, parse_counts(v)?);
-        }
-        for v in get(obj, "crashes")?.as_arr("crashes")? {
-            let row = v.as_arr("crash row")?;
-            if row.len() != 4 {
-                return Err("crash row must have 4 fields".to_string());
-            }
-            result.crashes.push(TrialFailure {
-                input: row[0].as_u64("crash input")? as usize,
-                trial: row[1].as_u64("crash trial")? as usize,
-                site: row[2].as_str("crash site")?.to_string(),
-                message: row[3].as_str("crash message")?.to_string(),
-            });
-        }
-        result.rollbacks = get(obj, "rollbacks")?.as_u64("rollbacks")?;
-        result.storms = get(obj, "storms")?.as_u64("storms")?;
-        // Integrity counters arrived in version 3; older documents load
-        // with them zeroed.
-        result.scrubbed_tiles = get_u64_or(obj, "scrubbed_tiles", 0)?;
-        result.weight_repairs = get_u64_or(obj, "weight_repairs", 0)?;
-        result.kv_repairs = get_u64_or(obj, "kv_repairs", 0)?;
-        result.repair_retries = get_u64_or(obj, "repair_retries", 0)?;
-        // Failover counters arrived in version 5; older documents load
-        // with them zeroed.
-        result.failovers = get_u64_or(obj, "failovers", 0)?;
-        result.replica_rebuilds = get_u64_or(obj, "replica_rebuilds", 0)?;
-        Ok(CampaignCheckpoint {
-            fingerprint: get(obj, "fingerprint")?.as_str("fingerprint")?.to_string(),
-            completed_tasks: get(obj, "completed_tasks")?.as_u64("completed_tasks")? as usize,
-            result,
-        })
+    /// Parse checkpoint text. Records must come in the writer's order, so
+    /// an unknown, duplicate or missing key is the line where the expected
+    /// key is not found; every error names its line.
+    pub fn parse(text: &str) -> Result<CampaignCheckpoint, String> {
+        // A file cut at a line boundary lacks a record the reader expects,
+        // at the latest the closing `end`, however many rows it lost.
+        let mut r = Reader { lines: text.lines().peekable(), n: 0 };
+        r.read().map_err(|e| format!("line {}: {e}", r.n))
     }
 
-    /// Write atomically: temp file in the same directory, then rename. A
-    /// crash mid-write leaves either the old checkpoint or none.
+    /// Write atomically and durably: a synced temp file in the same
+    /// directory, renamed over `path`, then (on Unix) the directory synced
+    /// so the rename survives a power cut. A crash at any point leaves
+    /// either the old checkpoint or the new one.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, self.to_json())?;
-        std::fs::rename(&tmp, path)
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
+        std::fs::create_dir_all(dir)?;
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(self.to_text().as_bytes())?;
+        file.sync_all()?;
+        std::fs::rename(&tmp, path)?;
+        #[cfg(unix)]
+        std::fs::File::open(dir)?.sync_all()?;
+        Ok(())
     }
 
     /// Load a checkpoint if one exists; `Ok(None)` when the file is absent.
     pub fn load(path: &Path) -> Result<Option<CampaignCheckpoint>, String> {
         match std::fs::read_to_string(path) {
-            Ok(text) => Self::from_json(&text).map(Some),
+            Ok(text) => Self::parse(&text).map(Some).map_err(|e| format!("{}: {e}", path.display())),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
             Err(e) => Err(format!("read {}: {e}", path.display())),
         }
     }
 }
 
-fn counts_json(c: &OutcomeCounts) -> String {
-    format!(
-        "[{}, {}, {}, {}, {}, {}, {}, {}, {}, {}]",
-        c.masked_identical,
-        c.masked_semantic,
-        c.sdc,
-        c.crash,
-        c.hang,
-        c.recovered,
-        c.recovery_failed,
-        c.repaired,
-        c.degraded,
-        c.failed_over
-    )
+/// The reader's cursor: the lines left and the number of the last one
+/// taken, which [`CampaignCheckpoint::parse`] puts on every error.
+struct Reader<'a> {
+    lines: std::iter::Peekable<std::str::Lines<'a>>,
+    n: usize,
 }
 
-fn parse_counts(v: &Json) -> Result<OutcomeCounts, String> {
-    let a = v.as_arr("counts")?;
-    // Version-2 documents carry 7-element count rows (no `repaired`),
-    // version-3 rows 8 elements (no `degraded`), version-4 rows 9
-    // elements (no `failed_over`).
-    if !(7..=10).contains(&a.len()) {
-        return Err(format!(
-            "counts must have 7 to 10 fields, got {}",
-            a.len()
-        ));
-    }
-    Ok(OutcomeCounts {
-        masked_identical: a[0].as_u64("counts[0]")?,
-        masked_semantic: a[1].as_u64("counts[1]")?,
-        sdc: a[2].as_u64("counts[2]")?,
-        crash: a[3].as_u64("counts[3]")?,
-        hang: a[4].as_u64("counts[4]")?,
-        recovered: a[5].as_u64("counts[5]")?,
-        recovery_failed: a[6].as_u64("counts[6]")?,
-        repaired: match a.get(7) {
-            Some(v) => v.as_u64("counts[7]")?,
-            None => 0,
-        },
-        degraded: match a.get(8) {
-            Some(v) => v.as_u64("counts[8]")?,
-            None => 0,
-        },
-        failed_over: match a.get(9) {
-            Some(v) => v.as_u64("counts[9]")?,
-            None => 0,
-        },
-    })
-}
-
-fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing key {key:?}"))
-}
-
-fn get_opt<'a>(obj: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn get_u64_or(obj: &[(String, Json)], key: &str, default: u64) -> Result<u64, String> {
-    match get_opt(obj, key) {
-        Some(v) => v.as_u64(key),
-        None => Ok(default),
-    }
-}
-
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+impl<'a> Reader<'a> {
+    fn read(&mut self) -> Result<CampaignCheckpoint, String> {
+        if self.fields::<1>(MAGIC).ok() != Some([&CHECKPOINT_VERSION.to_string()]) {
+            let why = "older (JSON) checkpoints are no longer read, so the campaign restarts";
+            return Err(format!("not a `{MAGIC} {CHECKPOINT_VERSION}` header; {why}"));
+        }
+        let fingerprint = unescape(self.fields::<1>("fingerprint")?[0])?;
+        let completed_tasks = number(self.fields::<1>("completed_tasks")?[0])?;
+        let counts = row(self.fields("counts")?)?;
+        let first_token_faults = row(self.fields("first_token_faults")?)?;
+        let mut r = CampaignResult { counts, first_token_faults, ..CampaignResult::default() };
+        self.keyed("per_layer", &mut r.per_layer, &LayerKind::ALL.map(|k| (k.name(), k)))?;
+        self.keyed("per_bit_class", &mut r.per_bit_class, &BIT_CLASSES.map(|c| (c, c)))?;
+        while self.next_is("crash") {
+            let [input, trial, site, message] = self.fields("crash")?;
+            if r.crashes.len() == MAX_CRASH_RECORDS {
+                return Err(format!("more than {MAX_CRASH_RECORDS} crash rows"));
             }
-            c => out.push(c),
+            let (input, trial, site) = (number(input)?, number(trial)?, unescape(site)?);
+            r.crashes.push(TrialFailure { input, trial, site, message: unescape(message)? });
         }
-    }
-    out.push('"');
-    out
-}
-
-/// Minimal JSON value for the checkpoint grammar (objects, arrays, strings,
-/// unsigned integers). Everything the checkpoint writer emits round-trips.
-#[derive(Debug)]
-enum Json {
-    Obj(Vec<(String, Json)>),
-    Arr(Vec<Json>),
-    Str(String),
-    Num(u64),
-}
-
-impl Json {
-    fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let v = parse_value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing content at byte {pos}"));
+        for (name, field) in SCALARS {
+            *field(&mut r) = number(self.fields::<1>(name)?[0])?;
         }
-        Ok(v)
+        let [] = self.fields("end")?;
+        self.n += 1;
+        let cp = CampaignCheckpoint { fingerprint, completed_tasks, result: r };
+        self.lines.next().map_or(Ok(cp), |_| Err("content after `end`".to_string()))
     }
 
-    fn as_obj(&self, what: &str) -> Result<&[(String, Json)], String> {
-        match self {
-            Json::Obj(o) => Ok(o),
-            _ => Err(format!("{what}: expected object")),
+    fn next_is(&mut self, key: &str) -> bool {
+        self.lines.peek().and_then(|line| line.split(' ').next()) == Some(key)
+    }
+
+    /// Take the next line, which must be a `key` record of `N` fields.
+    fn fields<const N: usize>(&mut self, key: &str) -> Result<[&'a str; N], String> {
+        self.n += 1;
+        let line = self.lines.next().ok_or_else(|| format!("truncated before `{key}`"))?;
+        let words: Vec<&str> = line.split(' ').collect();
+        if words[0] != key {
+            return Err(format!("expected `{key}`, found {:?}", words[0]));
         }
+        let rest = &words[1..];
+        rest.try_into().map_err(|_| format!("`{key}` takes {N} fields, not {}", rest.len()))
     }
 
-    fn as_arr(&self, what: &str) -> Result<&[Json], String> {
-        match self {
-            Json::Arr(a) => Ok(a),
-            _ => Err(format!("{what}: expected array")),
+    /// Every `key <name> <counts…>` row, into `map` under the value `names`
+    /// pairs with `name`.
+    fn keyed<K: Ord + Copy>(&mut self, key: &str, map: &mut std::collections::BTreeMap<K, OutcomeCounts>,
+                            names: &[(&str, K)]) -> Result<(), String> {
+        while self.next_is(key) {
+            let [name, counts @ ..] = self.fields::<11>(key)?;
+            let (_, k) = names.iter().find(|n| n.0 == name).ok_or_else(|| format!("unknown {key} {name:?}"))?;
+            if map.insert(*k, row(counts)?).is_some() {
+                return Err(format!("duplicate {key} {name}"));
+            }
         }
-    }
-
-    fn as_str(&self, what: &str) -> Result<&str, String> {
-        match self {
-            Json::Str(s) => Ok(s),
-            _ => Err(format!("{what}: expected string")),
-        }
-    }
-
-    fn as_u64(&self, what: &str) -> Result<u64, String> {
-        match self {
-            Json::Num(n) => Ok(*n),
-            _ => Err(format!("{what}: expected integer")),
-        }
-    }
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, ch: u8) -> Result<(), String> {
-    skip_ws(b, pos);
-    if *pos < b.len() && b[*pos] == ch {
-        *pos += 1;
         Ok(())
-    } else {
-        Err(format!("expected {:?} at byte {}", ch as char, *pos))
     }
 }
 
-fn peek(b: &[u8], pos: &mut usize) -> Option<u8> {
-    skip_ws(b, pos);
-    b.get(*pos).copied()
+fn row(fields: [&str; 10]) -> Result<OutcomeCounts, String> {
+    let mut c = OutcomeCounts::default();
+    for (slot, field) in count_fields(&mut c).into_iter().zip(fields) { *slot = number(field)?; }
+    Ok(c)
 }
 
-/// Containers a checkpoint document may nest. The writer nests three deep;
-/// the bound is what keeps a hostile file of 10⁵ brackets a typed error
-/// instead of a stack overflow in this recursive parser.
-const MAX_DEPTH: usize = 8;
-
-fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    if depth > MAX_DEPTH {
-        return Err(format!("nested deeper than {MAX_DEPTH} at byte {pos}"));
-    }
-    match peek(b, pos) {
-        Some(b'{') => {
-            *pos += 1;
-            let mut entries = Vec::new();
-            if peek(b, pos) == Some(b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(entries));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                expect(b, pos, b':')?;
-                entries.push((key, parse_value(b, pos, depth + 1)?));
-                match peek(b, pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(entries));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            if peek(b, pos) == Some(b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, pos, depth + 1)?);
-                match peek(b, pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'"') => parse_string(b, pos).map(Json::Str),
-        Some(c) if c.is_ascii_digit() => {
-            let start = *pos;
-            while *pos < b.len() && b[*pos].is_ascii_digit() {
-                *pos += 1;
-            }
-            std::str::from_utf8(&b[start..*pos])
-                .ok()
-                .and_then(|s| s.parse::<u64>().ok())
-                .map(Json::Num)
-                .ok_or_else(|| format!("bad number at byte {start}"))
-        }
-        _ => Err(format!("unexpected value at byte {pos}")),
-    }
+fn number<T: std::str::FromStr>(field: &str) -> Result<T, String> {
+    field.parse().map_err(|_| format!("bad number {field:?}"))
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {pos}"));
+/// `%XX`-encode `%`, space, DEL and the ASCII control characters, so an
+/// escaped string is one space-free, newline-free field.
+fn escape(s: &str) -> String {
+    s.chars().map(|c| match c {
+        '\0'..=' ' | '%' | '\x7f' => format!("%{:02X}", c as u32),
+        c => c.to_string(),
+    }).collect()
+}
+
+/// Inverse of [`escape`]; a `%` must be followed by two hex digits that
+/// name an ASCII character.
+fn unescape(s: &str) -> Result<String, String> {
+    let mut parts = s.split('%');
+    let mut out = parts.next().unwrap_or_default().to_string();
+    for part in parts {
+        let hex = part.get(..2).filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()));
+        let code = hex.and_then(|h| u8::from_str_radix(h, 16).ok()).filter(u8::is_ascii);
+        out.push(char::from(code.ok_or_else(|| format!("bad escape in {s:?}"))?));
+        out.push_str(&part[2..]);
     }
-    *pos += 1;
-    let mut out = String::new();
-    // Collect raw bytes of each UTF-8 run between escapes.
-    let mut run = *pos;
-    while *pos < b.len() {
-        match b[*pos] {
-            b'"' => {
-                out.push_str(
-                    std::str::from_utf8(&b[run..*pos]).map_err(|e| format!("bad utf8: {e}"))?,
-                );
-                *pos += 1;
-                return Ok(out);
-            }
-            b'\\' => {
-                out.push_str(
-                    std::str::from_utf8(&b[run..*pos]).map_err(|e| format!("bad utf8: {e}"))?,
-                );
-                *pos += 1;
-                let esc = b.get(*pos).ok_or("unterminated escape")?;
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        let hex = b
-                            .get(*pos..*pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("truncated \\u escape")?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|e| format!("bad \\u: {e}"))?;
-                        *pos += 4;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    other => return Err(format!("bad escape \\{}", *other as char)),
-                }
-                run = *pos;
-            }
-            _ => *pos += 1,
-        }
-    }
-    Err("unterminated string".to_string())
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ft2_model::TapPoint;
+    use proptest::prelude::*;
 
     fn sample_checkpoint() -> CampaignCheckpoint {
         let mut result = CampaignResult {
@@ -503,11 +283,7 @@ mod tests {
             ..CampaignResult::default()
         };
         result.per_layer.insert(
-            TapPoint {
-                block: 0,
-                layer: LayerKind::Fc1,
-            }
-            .layer,
+            LayerKind::Fc1,
             OutcomeCounts {
                 masked_identical: 5,
                 ..OutcomeCounts::default()
@@ -535,167 +311,178 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_is_lossless() {
+    fn text_roundtrip_is_lossless() {
         let cp = sample_checkpoint();
-        let parsed = CampaignCheckpoint::from_json(&cp.to_json()).unwrap();
-        assert_eq!(parsed, cp);
+        let text = cp.to_text();
+        assert!(text.starts_with("ft2-checkpoint 6\n") && text.ends_with("\nend\n"));
+        assert!(text.contains("\ncounts 10 4 3 2 1 6 2 5 3 2\n"), "{text}");
+        assert_eq!(CampaignCheckpoint::parse(&text).unwrap(), cp);
     }
 
     #[test]
     fn save_load_roundtrip() {
         let dir = std::env::temp_dir().join("ft2-checkpoint-test");
-        let path = dir.join("qa.json");
+        let path = dir.join("qa");
         let cp = sample_checkpoint();
         cp.save(&path).unwrap();
         let loaded = CampaignCheckpoint::load(&path).unwrap().unwrap();
         assert_eq!(loaded, cp);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1, "temp file left behind");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn missing_file_is_none_and_garbage_is_err() {
-        let missing = std::env::temp_dir().join("ft2-no-such-checkpoint.json");
+        let missing = std::env::temp_dir().join("ft2-no-such-checkpoint");
         assert_eq!(CampaignCheckpoint::load(&missing).unwrap(), None);
-        assert!(CampaignCheckpoint::from_json("{nope").is_err());
-        assert!(CampaignCheckpoint::from_json("{}").is_err());
+        assert!(CampaignCheckpoint::parse("{nope").is_err());
+        assert!(CampaignCheckpoint::parse("").is_err());
     }
 
     #[test]
     fn future_and_unknown_versions_are_rejected_clearly() {
-        let cp = sample_checkpoint();
-        let future = cp.to_json().replace(
-            &format!("\"version\": {CHECKPOINT_VERSION}"),
-            &format!("\"version\": {}", CHECKPOINT_VERSION + 1),
-        );
-        let err = CampaignCheckpoint::from_json(&future).unwrap_err();
-        assert!(
-            err.contains("newer than this binary supports"),
-            "unhelpful error: {err}"
-        );
-        let ancient = cp.to_json().replace(
-            &format!("\"version\": {CHECKPOINT_VERSION}"),
-            "\"version\": 1",
-        );
-        let err = CampaignCheckpoint::from_json(&ancient).unwrap_err();
-        assert!(err.contains("unknown checkpoint version 1"), "{err}");
+        let text = sample_checkpoint().to_text();
+        for v in [0, 1, 5, 7] {
+            let other = text.replacen("ft2-checkpoint 6", &format!("ft2-checkpoint {v}"), 1);
+            let err = CampaignCheckpoint::parse(&other).unwrap_err();
+            assert!(err.starts_with("line 1: "), "{err}");
+            assert!(err.contains("no longer read") && err.contains("restarts"), "{err}");
+        }
+        let json = "{\n  \"version\": 5,\n  \"fingerprint\": \"v3|seed=1\"\n}\n";
+        let err = CampaignCheckpoint::parse(json).unwrap_err();
+        assert!(err.contains("JSON"), "{err}");
     }
 
     #[test]
-    fn version2_documents_still_load() {
-        // A v2 document: no "version" key, 7-element count rows, no
-        // integrity counters.
-        let v2 = r#"{
-  "fingerprint": "v2|seed=1",
-  "completed_tasks": 12,
-  "counts": [5, 1, 3, 1, 0, 2, 0],
-  "per_layer": {"FC1": [5, 1, 3, 1, 0, 2, 0]},
-  "per_bit_class": {"exponent": [5, 1, 3, 1, 0, 2, 0]},
-  "first_token_faults": [0, 0, 0, 0, 0, 0, 0],
-  "crashes": [],
-  "rollbacks": 2,
-  "storms": 3
-}"#;
-        let cp = CampaignCheckpoint::from_json(v2).unwrap();
-        assert_eq!(cp.completed_tasks, 12);
-        assert_eq!(cp.result.counts.total(), 12);
-        assert_eq!(cp.result.counts.repaired, 0);
-        assert_eq!(cp.result.scrubbed_tiles, 0);
-        assert_eq!(cp.result.weight_repairs, 0);
-        assert_eq!(cp.result.kv_repairs, 0);
-        assert_eq!(cp.result.repair_retries, 0);
-        assert_eq!(cp.result.rollbacks, 2);
-    }
-
-    #[test]
-    fn version3_documents_still_load() {
-        // A v3 document: 8-element count rows (no `degraded`).
-        let v3 = r#"{
-  "version": 3,
-  "fingerprint": "v3|seed=1",
-  "completed_tasks": 9,
-  "counts": [5, 1, 1, 1, 0, 0, 0, 1],
-  "per_layer": {"FC1": [5, 1, 1, 1, 0, 0, 0, 1]},
-  "per_bit_class": {"exponent": [5, 1, 1, 1, 0, 0, 0, 1]},
-  "first_token_faults": [0, 0, 0, 0, 0, 0, 0, 0],
-  "crashes": [],
-  "rollbacks": 2,
-  "storms": 3,
-  "scrubbed_tiles": 64,
-  "weight_repairs": 1,
-  "kv_repairs": 0,
-  "repair_retries": 1
-}"#;
-        let cp = CampaignCheckpoint::from_json(v3).unwrap();
-        assert_eq!(cp.completed_tasks, 9);
-        assert_eq!(cp.result.counts.total(), 9);
-        assert_eq!(cp.result.counts.repaired, 1);
-        assert_eq!(cp.result.counts.degraded, 0);
-        assert_eq!(cp.result.scrubbed_tiles, 64);
-    }
-
-    #[test]
-    fn version4_documents_still_load() {
-        // A v4 document: 9-element count rows (no `failed_over`), no
-        // failover scalars.
-        let v4 = r#"{
-  "version": 4,
-  "fingerprint": "v4|seed=1",
-  "completed_tasks": 8,
-  "counts": [4, 1, 1, 0, 0, 0, 0, 1, 1],
-  "per_layer": {"FC1": [4, 1, 1, 0, 0, 0, 0, 1, 1]},
-  "per_bit_class": {"exponent": [4, 1, 1, 0, 0, 0, 0, 1, 1]},
-  "first_token_faults": [0, 0, 0, 0, 0, 0, 0, 0, 0],
-  "crashes": [],
-  "rollbacks": 1,
-  "storms": 2,
-  "scrubbed_tiles": 32,
-  "weight_repairs": 1,
-  "kv_repairs": 0,
-  "repair_retries": 1
-}"#;
-        let cp = CampaignCheckpoint::from_json(v4).unwrap();
-        assert_eq!(cp.completed_tasks, 8);
-        assert_eq!(cp.result.counts.total(), 8);
-        assert_eq!(cp.result.counts.degraded, 1);
-        assert_eq!(cp.result.counts.failed_over, 0);
-        assert_eq!(cp.result.failovers, 0);
-        assert_eq!(cp.result.replica_rebuilds, 0);
+    fn every_malformed_record_names_its_line() {
+        let text = sample_checkpoint().to_text();
+        let class_row = "per_bit_class exponent 0 0 3 0 0 0 0 0 0 0\n";
+        let class_twice = class_row.repeat(2);
+        let cases = [
+            ("\ncounts 10 4 3 2 1 6 2 5 3 2\n", "\ncounts 10 4\n", "line 4: `counts` takes 10 fields, not 2"),
+            ("\nstorms 11\n", "\nstorms x\n", "line 10: bad number \"x\""),
+            ("\nstorms 11\n", "\nstorms 99999999999999999999\n", "line 10: bad number"),
+            ("\nstorms 11\n", "\nstorms 11\nstorms 11\n", "line 11: expected `scrubbed_tiles`, found \"storms\""),
+            ("\nstorms 11\n", "\nstroms 11\n", "line 10: expected `storms`, found \"stroms\""),
+            ("\nstorms 11\n", "\n", "line 10: expected `storms`, found \"scrubbed_tiles\""),
+            ("per_layer FC1 ", "per_layer FC9 ", "line 6: unknown per_layer \"FC9\""),
+            ("per_layer FC1 5", "per_layer FC1 5 0", "line 6: `per_layer` takes 11 fields, not 12"),
+            (class_row, class_twice.as_str(), "line 8: duplicate per_bit_class exponent"),
+            ("per_bit_class exponent ", "per_bit_class sine ", "line 7: unknown per_bit_class"),
+            ("crash 2 17 ", "crash 2 ", "line 8: `crash` takes 4 fields, not 3"),
+            ("crates/core", "%ZZ", "line 8: bad escape"),
+            ("crates/core", "%C3", "line 8: bad escape"),
+            ("\nend\n", "\nend\nstorms 1\n", "line 18: content after `end`"),
+            ("\nend\n", "\n", "line 17: truncated before `end`"),
+        ];
+        for (from, to, want) in cases {
+            let bad = text.replacen(from, to, 1);
+            let err = CampaignCheckpoint::parse(&bad).unwrap_err();
+            assert!(err.contains(want), "{to:?}: {err}");
+        }
+        let mut many = sample_checkpoint();
+        many.result.crashes = vec![many.result.crashes[0].clone(); MAX_CRASH_RECORDS + 1];
+        let err = CampaignCheckpoint::parse(&many.to_text()).unwrap_err();
+        assert!(err.contains("more than 64 crash rows"), "{err}");
     }
 
     #[test]
     fn hostile_files_load_as_typed_errors() {
         // `run_checkpointed` turns an `Err` from `load` into "checkpoint
-        // unusable … rerunning from scratch"; a panic or a stack overflow
-        // would take the whole campaign down instead. The two nesting bombs
-        // abort the test binary without the parser's depth bound.
+        // unusable … rerunning from scratch"; a panic would take the whole
+        // campaign down instead.
         let dir = std::env::temp_dir().join("ft2-checkpoint-hostile-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let cut_mid_string = sample_checkpoint().to_json();
-        let cut_mid_string = &cut_mid_string[..cut_mid_string.rfind('"').unwrap()];
+        let text = sample_checkpoint().to_text();
+        let cut = &text[..text.find("\ncrash ").unwrap() + 1];
         let cases: [(&str, Vec<u8>, &str); 4] = [
-            ("arrays", "[".repeat(100_000).into_bytes(), "nested deeper than"),
-            ("objects", "{\"a\":".repeat(100_000).into_bytes(), "nested deeper than"),
-            ("cut", cut_mid_string.as_bytes().to_vec(), "unterminated string"),
+            ("arrays", "[".repeat(100_000).into_bytes(), "header"),
+            ("objects", "{\"a\":".repeat(100_000).into_bytes(), "header"),
+            ("cut", cut.as_bytes().to_vec(), "line 8: truncated before `rollbacks`"),
             ("bytes", vec![b'{', b'"', 0xff, 0xfe, b'"', b':', b'1', b'}'], "read "),
         ];
         for (name, bytes, expected) in cases {
-            let path = dir.join(format!("{name}.json"));
+            let path = dir.join(name);
             std::fs::write(&path, bytes).unwrap();
             let err = CampaignCheckpoint::load(&path).unwrap_err();
             assert!(err.contains(expected), "{name}: {err}");
         }
-        // The writer's own nesting stays well inside the bound.
-        assert!(CampaignCheckpoint::from_json(&sample_checkpoint().to_json()).is_ok());
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn string_escapes_roundtrip() {
-        for s in ["plain", "with \"quotes\"", "tab\tnl\nbackslash\\", "\u{1}ctl"] {
-            let q = quote(s);
-            let mut pos = 0;
-            let back = parse_string(q.as_bytes(), &mut pos).unwrap();
-            assert_eq!(back, s);
+    /// Strings built from the characters an escape scheme gets wrong.
+    fn tricky_string() -> impl Strategy<Value = String> {
+        let chars = vec![' ', '\t', '\n', '\r', '\\', '\0', '%', '"', 'a', 'Z', '7', 'é', '漢', '🦀'];
+        prop::collection::vec(prop::sample::select(chars), 0..16)
+            .prop_map(|cs| cs.into_iter().collect::<String>())
+    }
+
+    fn outcome_counts() -> impl Strategy<Value = OutcomeCounts> {
+        prop::collection::vec(any::<u64>(), 10).prop_map(|vs| {
+            let mut c = OutcomeCounts::default();
+            for (slot, v) in count_fields(&mut c).into_iter().zip(vs) {
+                *slot = v;
+            }
+            c
+        })
+    }
+
+    fn crash() -> impl Strategy<Value = TrialFailure> {
+        (any::<usize>(), any::<usize>(), tricky_string(), tricky_string()).prop_map(
+            |(input, trial, site, message)| TrialFailure {
+                input,
+                trial,
+                site,
+                message,
+            },
+        )
+    }
+
+    proptest! {
+        /// Every counter, both maps and up to the crash-row cap survive
+        /// `to_text` → `parse` exactly.
+        #[test]
+        fn random_checkpoints_roundtrip(
+            fingerprint in tricky_string(),
+            completed_tasks in any::<usize>(),
+            rows in prop::collection::vec(outcome_counts(), 2 + 9 + 3),
+            present in prop::collection::vec(any::<bool>(), 9 + 3),
+            crashes in prop::collection::vec(crash(), 0..=MAX_CRASH_RECORDS),
+            scalars in prop::collection::vec(any::<u64>(), SCALARS.len()),
+        ) {
+            let mut result = CampaignResult {
+                counts: rows[0],
+                first_token_faults: rows[1],
+                crashes,
+                ..CampaignResult::default()
+            };
+            for (i, kind) in LayerKind::ALL.into_iter().enumerate() {
+                if present[i] {
+                    result.per_layer.insert(kind, rows[2 + i]);
+                }
+            }
+            for (i, class) in BIT_CLASSES.into_iter().enumerate() {
+                if present[9 + i] {
+                    result.per_bit_class.insert(class, rows[11 + i]);
+                }
+            }
+            for ((_, field), v) in SCALARS.into_iter().zip(scalars) {
+                *field(&mut result) = v;
+            }
+            let cp = CampaignCheckpoint { fingerprint, completed_tasks, result };
+            prop_assert_eq!(CampaignCheckpoint::parse(&cp.to_text()), Ok(cp));
+        }
+
+        /// Arbitrary bytes, bare, behind a valid header or spliced into a
+        /// valid file, parse to `Ok` or `Err` and never panic.
+        #[test]
+        fn random_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..4096)) {
+            let text = String::from_utf8_lossy(&bytes);
+            let _ = CampaignCheckpoint::parse(&text);
+            let _ = CampaignCheckpoint::parse(&format!("ft2-checkpoint 6\n{text}"));
+            let valid = sample_checkpoint().to_text();
+            let (head, tail) = valid.split_at(bytes.len() % valid.len());
+            let _ = CampaignCheckpoint::parse(&format!("{head}{text}{tail}"));
         }
     }
 }

@@ -26,7 +26,7 @@
 //!   aggregate for bit-identical resume after an interruption.
 //! * [`watchdog`] — the per-trial watchdog tap (wall-clock deadline and
 //!   generation-step budget) behind the Hang classification.
-//! * [`checkpoint`] — crash-safe JSON persistence of partial campaign
+//! * [`checkpoint`] — crash-safe line-record persistence of partial campaign
 //!   results.
 //! * [`trace`] — the anomaly-recording tap behind `ft2-repro replay`.
 //! * [`shard`] — shard-scoped fault modes ([`ShardFault`]) for the sharded

@@ -56,7 +56,7 @@
 //!   static analysis: the repo-specific source lints (unsafe-safety,
 //!   nan-comparison, env-knob, zero-skip) plus the protection-coverage
 //!   proof (critical-layer clamp taps across all seven zoo configs,
-//!   outcome pricing, checkpoint versions). Exits non-zero on any finding
+//!   outcome pricing, one readable checkpoint version). Exits non-zero on any finding
 //!   or coverage gap; --json emits the schema-stable report CI greps.
 //!
 //! Sizing (env): FT2_INPUTS (12), FT2_TRIALS (30), FT2_SEED, FT2_QUICK=1
@@ -66,7 +66,8 @@
 //!                          trials (enables checkpointing)
 //!   FT2_CHECKPOINT_DIR     checkpoint directory (results/checkpoints)
 //!   FT2_RESUME=1           same as --resume: continue compatible
-//!                          checkpoints bit-identically
+//!                          checkpoints bit-identically; an unusable one
+//!                          (older JSON, another campaign) is rerun over
 //!   FT2_TRIAL_DEADLINE_MS  per-trial wall-clock watchdog (Hang/DUE)
 //!   FT2_TRIAL_TOKEN_BUDGET per-trial generation-step watchdog
 //!   FT2_RECOVERY_RETRIES   token-rollback retry budget per decode step
@@ -215,7 +216,7 @@ fn main() {
         println!("       ft2-repro lint [--json] [--root PATH]");
         println!("         source lints + the protection-coverage proof; non-zero exit");
         println!("         on any finding, unprotected critical layer, unpriced outcome");
-        println!("         or mishandled checkpoint version");
+        println!("         or any checkpoint version but the current one being read");
         println!("       ft2-repro shards [--smoke]");
         println!("         sharded-execution gate: N-shard token identity, shard-level");
         println!("         repair vs full restart, crash + degraded-mode serving;");
@@ -241,6 +242,8 @@ fn main() {
         println!("experiments: {}", EXPERIMENTS.join(" "));
         println!("sizing via env: FT2_INPUTS, FT2_TRIALS, FT2_SEED, FT2_QUICK=1");
         println!("resilience: --resume (or FT2_RESUME=1) resumes interrupted campaigns;");
+        println!("  checkpoints are `ft2-checkpoint 6` line files; an unusable one (older");
+        println!("  JSON, another campaign) is reported and overwritten by a rerun;");
         println!("  FT2_CHECKPOINT_EVERY, FT2_CHECKPOINT_DIR control checkpointing;");
         println!("  FT2_TRIAL_DEADLINE_MS, FT2_TRIAL_TOKEN_BUDGET arm the trial watchdog;");
         println!("  FT2_RECOVERY_RETRIES arms token-rollback recovery (FT2_STORM_THRESHOLD tunes it);");

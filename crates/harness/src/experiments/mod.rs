@@ -27,6 +27,7 @@ use ft2_core::profile::{offline_profile, OfflineBounds};
 use ft2_core::protect::{Correction, Coverage, NanPolicy, Protector};
 use ft2_fault::{Campaign, CampaignResult, CheckpointPolicy, ProtectionFactory};
 use ft2_model::{LayerKind, LayerTap, Model, ModelSpec};
+use ft2_numeric::crc64;
 use ft2_parallel::WorkStealingPool;
 use ft2_tasks::datasets::generate_prompts;
 use ft2_tasks::{DatasetId, TaskSpec};
@@ -155,7 +156,21 @@ pub fn run_checkpointed(
         resume: ctx.resilience.resume,
         abort_after: None,
     };
-    let result = match campaign.run_resumable(protection, &ctx.pool, &policy) {
+    // A checkpoint that cannot be resumed (unreadable, another format,
+    // another campaign) is restarted over, so the next `--resume` finds a
+    // good one; only a failing write drops checkpointing for this campaign.
+    let run = campaign.run_resumable(protection, &ctx.pool, &policy).or_else(|e| {
+        if !policy.resume {
+            return Err(e);
+        }
+        eprintln!("   (checkpoint unusable: {e}; rerunning from scratch)");
+        let restart = CheckpointPolicy {
+            resume: false,
+            ..policy
+        };
+        campaign.run_resumable(protection, &ctx.pool, &restart)
+    });
+    let result = match run {
         Ok(run) => {
             if run.resumed_from > 0 {
                 eprintln!(
@@ -168,7 +183,7 @@ pub fn run_checkpointed(
             run.result
         }
         Err(e) => {
-            eprintln!("   (checkpoint unusable: {e}; rerunning from scratch)");
+            eprintln!("   ({e}; running without checkpoints)");
             campaign.run(protection, &ctx.pool)
         }
     };
@@ -211,16 +226,12 @@ fn checkpoint_name(
     protection: &dyn ProtectionFactory,
 ) -> String {
     let fingerprint = campaign.fingerprint(protection.scheme_name());
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in fingerprint.bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-    }
     let scheme: String = protection
         .scheme_name()
         .chars()
         .map(|c| if c.is_ascii_alphanumeric() { c.to_ascii_lowercase() } else { '-' })
         .collect();
-    format!("{}-{}-{:016x}.json", dataset.name(), scheme, h)
+    format!("{}-{}-{:016x}", dataset.name(), scheme, crc64(fingerprint.as_bytes()))
 }
 
 /// A protection factory with an arbitrary linear-layer coverage set and
@@ -295,6 +306,35 @@ pub(crate) mod tests {
         let ft2 = SchemeFactory::new(Scheme::Ft2, pair.model.config(), None);
         let r = run_campaign(&ctx, &pair, DatasetId::Squad, FaultModel::SingleBit, &ft2);
         assert_eq!(r.counts.total(), 12);
+    }
+
+    #[test]
+    fn unusable_checkpoint_is_restarted_over_not_left_behind() {
+        let mut ctx = tiny_ctx();
+        ctx.resilience = Resilience {
+            checkpoint_every: Some(4),
+            checkpoint_dir: std::env::temp_dir().join("ft2_checkpoints_stale_test"),
+            resume: true,
+        };
+        let spec = ZooModel::Qwen2_1_5B.spec();
+        let pair = prepare_pair(&ctx, &spec, DatasetId::Squad);
+        let ft2 = SchemeFactory::new(Scheme::Ft2, pair.model.config(), None);
+        let judge = pair.task.judge();
+        let cfg = ctx.settings.campaign(DatasetId::Squad, FaultModel::SingleBit);
+        let campaign = Campaign::new(&pair.model, &pair.prompts, &judge, cfg, &ctx.pool);
+
+        // A checkpoint an older binary left: a version-5 JSON document.
+        let dir = &ctx.resilience.checkpoint_dir;
+        let path = dir.join(checkpoint_name(&campaign, DatasetId::Squad, &ft2));
+        std::fs::create_dir_all(dir).unwrap();
+        std::fs::write(&path, "{\n  \"version\": 5,\n  \"completed_tasks\": 4\n}\n").unwrap();
+
+        let result = run_checkpointed(&ctx, &campaign, DatasetId::Squad, &ft2);
+        assert_eq!(result, campaign.run(&ft2, &ctx.pool));
+        // Rerun through the checkpointing path: the stale file was
+        // overwritten and, once the campaign completed, removed.
+        assert!(!path.exists(), "stale checkpoint left at {}", path.display());
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]

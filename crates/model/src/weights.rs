@@ -66,14 +66,7 @@ pub struct Linear {
 
 impl Linear {
     /// Apply to an input `[n, in] -> [n, out]` and quantise the stored
-    /// output to `dtype`.
-    pub fn forward(&self, x: &Matrix, dtype: DType) -> Matrix {
-        let mut y = Matrix::zeros(0, 0);
-        self.forward_into(x, dtype, &mut y);
-        y
-    }
-
-    /// [`Linear::forward`] writing into a caller-owned output matrix so the
+    /// output to `dtype`, writing into a caller-owned output matrix so the
     /// decode hot path reuses one allocation per layer slot per step.
     pub fn forward_into(&self, x: &Matrix, dtype: DType, out: &mut Matrix) {
         ft2_tensor::matmul_transb_into(x, &self.weight, out);
@@ -547,9 +540,10 @@ mod tests {
             bias: Some(vec![0.5, -0.5]),
         };
         let x = Matrix::from_vec(1, 2, vec![1.0, 2.0]);
-        let y = lin.forward(&x, DType::F32);
+        let mut y = Matrix::zeros(0, 0);
+        lin.forward_into(&x, DType::F32, &mut y);
         assert_eq!(y.as_slice(), &[1.5, 1.5]);
-        let y16 = lin.forward(&x, DType::F16);
-        assert_eq!(y16.as_slice(), &[1.5, 1.5]); // exactly representable
+        lin.forward_into(&x, DType::F16, &mut y);
+        assert_eq!(y.as_slice(), &[1.5, 1.5]); // exactly representable
     }
 }

@@ -467,6 +467,7 @@ mod tests {
     use super::*;
     use crate::event::EventSink;
     use ft2_model::hooks::StepReport;
+    use proptest::prelude::*;
     use std::time::Instant;
 
     /// A writer that accepts at most `max` bytes per `write` call —
@@ -667,6 +668,78 @@ mod tests {
         let mut page = http_get(addr, "/");
         let html = read_until(&mut page, "</html>", Duration::from_secs(5));
         assert!(html.starts_with("HTTP/1.1 200"), "got {html:?}");
+        server.shutdown();
+    }
+
+    /// A hostile request head: lossy random text, a cut request line, a
+    /// head with no CR or LF at all, one past `MAX_HEAD`, raw non-UTF-8
+    /// bytes, or a `POST` whose `Content-Length` is absurd, negative or
+    /// past `u64::MAX`.
+    fn hostile_head() -> impl Strategy<Value = Vec<u8>> {
+        let lengths = ["-1", "18446744073709551616", "99999999999999999999999", "4294967296", "+7", ""];
+        let parts = (0u8..6, prop::collection::vec(any::<u8>(), 0..600), 0usize..4096);
+        (parts, prop::sample::select(lengths.to_vec())).prop_map(|((kind, bytes, cut), length)| {
+            let request = b"GET /events HTTP/1.1\r\nHost: x\r\n\r\n";
+            let lossy = String::from_utf8_lossy(&bytes).into_owned();
+            match kind {
+                0 => lossy.into_bytes(),
+                1 => request[..cut % request.len()].to_vec(),
+                2 => format!("GET /{}", lossy.replace(['\r', '\n'], " ")).into_bytes(),
+                3 => format!("GET / HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "a".repeat(MAX_HEAD + cut)).into_bytes(),
+                4 => [b"GET /".as_slice(), &bytes, &[0xff, 0xfe], b" HTTP/1.1\r\n\r\n"].concat(),
+                _ => format!("POST /inject HTTP/1.1\r\nContent-Length: {length}\r\n\r\nkind=flip&block=1")
+                    .into_bytes(),
+            }
+        })
+    }
+
+    /// The reply's status line, or `""` when the server closed (or reset)
+    /// the connection without one. A silent, open connection fails.
+    fn status_line(s: &mut TcpStream) -> String {
+        let mut text = Vec::new();
+        let mut buf = [0u8; 1024];
+        while !text.windows(2).any(|w| w == b"\r\n") {
+            match s.read(&mut buf) {
+                Ok(0) => break,
+                Ok(n) => text.extend_from_slice(&buf[..n]),
+                Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
+                    panic!("no reply and no close: {e}")
+                }
+                Err(_) => break,
+            }
+        }
+        String::from_utf8_lossy(&text).lines().next().unwrap_or_default().to_string()
+    }
+
+    /// One server, many hostile heads: each gets a typed status or a clean
+    /// close, and the next visitor still gets the viewer page.
+    #[test]
+    fn hostile_heads_get_a_typed_reply_or_a_clean_close() {
+        let (server, _sink, _inj) = start_test_server(2);
+        let addr = server.addr();
+        let heads = hostile_head();
+        let mut gen = test_runner::Gen::for_test("hostile_heads");
+        for _ in 0..test_runner::cases() {
+            let head = heads.generate(&mut gen);
+            let shown = String::from_utf8_lossy(&head[..head.len().min(80)]).into_owned();
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            s.set_write_timeout(Some(Duration::from_secs(5))).unwrap();
+            // Past MAX_HEAD the server replies and closes mid-send, so the
+            // send may fail; shutting the write side ends every other head
+            // without waiting out IO_TIMEOUT.
+            let _ = s.write_all(&head);
+            let _ = s.shutdown(std::net::Shutdown::Write);
+            let status = status_line(&mut s);
+            let typed = ["200", "400", "404", "431", "503"]
+                .iter()
+                .any(|code| status.starts_with(&format!("HTTP/1.1 {code} ")));
+            assert!(status.is_empty() || typed, "{status:?} for a {}-byte head {shown:?}", head.len());
+
+            let mut page = http_get(addr, "/");
+            let html = read_until(&mut page, "</html>", Duration::from_secs(5));
+            assert!(html.starts_with("HTTP/1.1 200"), "after {shown:?}: {html:?}");
+        }
         server.shutdown();
     }
 

@@ -6,7 +6,7 @@
 //!
 //! * [`matmul_naive`] — the obviously-correct triple loop, used as the test
 //!   oracle.
-//! * [`matmul_transb`] — `A × Bᵀ` with B given as `[n, k]` (the natural
+//! * [`matmul_transb_into`] — `A × Bᵀ` with B given as `[n, k]` (the natural
 //!   layout for weight matrices), built on a B-panel-blocked micro-kernel:
 //!   four rows of Bᵀ are streamed against one row of A at a time so each
 //!   A load feeds four accumulator chains. On x86-64 with AVX2+FMA the
@@ -234,19 +234,13 @@ fn transb_row(a_row: &[f32], b_t: &Matrix, out_row: &mut [f32]) {
 }
 
 /// `A[m,k] × Bᵀ` with `B` stored as `[n, k]` (row per output feature):
-/// `C[i][j] = dot(A.row(i), B.row(j))`, one row of A at a time.
+/// `C[i][j] = dot(A.row(i), B.row(j))`, one row of A at a time, written
+/// into a caller-owned output matrix whose allocation is reused (the
+/// decode hot path calls this once per linear layer per token; reuse
+/// removes the per-step allocation storm).
 ///
 /// This kernel has no zero-skip: every term of every dot product
 /// participates, so NaN/Inf placement always matches [`matmul_naive`].
-pub fn matmul_transb(a: &Matrix, b_t: &Matrix) -> Matrix {
-    let mut c = Matrix::zeros(0, 0);
-    matmul_transb_into(a, b_t, &mut c);
-    c
-}
-
-/// [`matmul_transb`] writing into a caller-owned output matrix, reusing
-/// its allocation (the decode hot path calls this once per linear layer
-/// per token; reuse removes the per-step allocation storm).
 pub fn matmul_transb_into(a: &Matrix, b_t: &Matrix, c: &mut Matrix) {
     assert_eq!(a.cols(), b_t.cols(), "matmul_transb shape mismatch");
     let (m, n) = (a.rows(), b_t.rows());
@@ -271,13 +265,6 @@ pub fn matmul_transb_into(a: &Matrix, b_t: &Matrix, c: &mut Matrix) {
 ///
 /// Single-row inputs delegate to [`matmul_transb_into`] (bit-identical
 /// either way).
-pub fn matmul_transb_batch(a: &Matrix, b_t: &Matrix) -> Matrix {
-    let mut c = Matrix::zeros(0, 0);
-    matmul_transb_batch_into(a, b_t, &mut c);
-    c
-}
-
-/// [`matmul_transb_batch`] writing into a caller-owned output matrix.
 pub fn matmul_transb_batch_into(a: &Matrix, b_t: &Matrix, c: &mut Matrix) {
     assert_eq!(a.cols(), b_t.cols(), "matmul_transb shape mismatch");
     let (m, n) = (a.rows(), b_t.rows());
@@ -314,6 +301,19 @@ mod tests {
         Matrix::from_fn(rows, cols, |_, _| rng.normal() as f32)
     }
 
+    /// The two `_into` kernels into a fresh output.
+    fn transb(a: &Matrix, b_t: &Matrix) -> Matrix {
+        let mut c = Matrix::zeros(0, 0);
+        matmul_transb_into(a, b_t, &mut c);
+        c
+    }
+
+    fn transb_batch(a: &Matrix, b_t: &Matrix) -> Matrix {
+        let mut c = Matrix::zeros(0, 0);
+        matmul_transb_batch_into(a, b_t, &mut c);
+        c
+    }
+
     #[test]
     fn known_product() {
         let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
@@ -329,7 +329,7 @@ mod tests {
         for &(m, k, n) in &shapes {
             let a = random_matrix(&mut rng, m, k);
             let bt = random_matrix(&mut rng, n, k);
-            let direct = matmul_transb(&a, &bt);
+            let direct = transb(&a, &bt);
             assert_eq!((direct.rows(), direct.cols()), (m, n));
             let via_transpose = matmul_naive(&a, &bt.transpose());
             assert!(
@@ -346,7 +346,7 @@ mod tests {
         let mut rng = Xoshiro256StarStar::new(21);
         let a = random_matrix(&mut rng, 192, 160);
         let bt = random_matrix(&mut rng, 160, 160);
-        let direct = matmul_transb(&a, &bt);
+        let direct = transb(&a, &bt);
         let via_transpose = matmul_naive(&a, &bt.transpose());
         assert!(direct.max_abs_diff(&via_transpose) < 1e-3);
     }
@@ -361,7 +361,7 @@ mod tests {
             matmul_transb_into(&a, &bt, &mut out);
             assert_eq!(out.rows(), 4);
             assert_eq!(out.cols(), 11);
-            assert!(out.max_abs_diff(&matmul_transb(&a, &bt)) == 0.0);
+            assert!(out.max_abs_diff(&transb(&a, &bt)) == 0.0);
         }
     }
 
@@ -381,8 +381,8 @@ mod tests {
         ] {
             let a = random_matrix(&mut rng, m, k);
             let bt = random_matrix(&mut rng, n, k);
-            let row_major = matmul_transb(&a, &bt);
-            let batch = matmul_transb_batch(&a, &bt);
+            let row_major = transb(&a, &bt);
+            let batch = transb_batch(&a, &bt);
             assert_eq!(batch, row_major, "bitwise divergence at {m}x{k}x{n}");
         }
     }
@@ -393,12 +393,12 @@ mod tests {
         // m == 1: the decode GEMV path.
         let a1 = random_matrix(&mut rng, 1, 48);
         let bt1 = random_matrix(&mut rng, 19, 48);
-        assert_eq!(matmul_transb_batch(&a1, &bt1), matmul_transb(&a1, &bt1));
+        assert_eq!(transb_batch(&a1, &bt1), transb(&a1, &bt1));
         // A large product stays on the panel kernel, and stays
         // bit-identical to the row-major one.
         let a2 = random_matrix(&mut rng, 192, 160);
         let bt2 = random_matrix(&mut rng, 160, 160);
-        assert_eq!(matmul_transb_batch(&a2, &bt2), matmul_transb(&a2, &bt2));
+        assert_eq!(transb_batch(&a2, &bt2), transb(&a2, &bt2));
     }
 
     #[test]
@@ -408,7 +408,7 @@ mod tests {
         let mut bt = random_matrix(&mut rng, 11, 24);
         bt.set(1, 2, f32::NAN);
         bt.set(10, 0, f32::INFINITY);
-        let got = matmul_transb_batch(&a, &bt);
+        let got = transb_batch(&a, &bt);
         let oracle = matmul_naive(&a, &bt.transpose());
         for i in 0..4 {
             for j in 0..11 {
@@ -426,7 +426,7 @@ mod tests {
             let a = random_matrix(&mut rng, 5, 24);
             let bt = random_matrix(&mut rng, 11, 24);
             matmul_transb_batch_into(&a, &bt, &mut out);
-            assert_eq!(out, matmul_transb(&a, &bt));
+            assert_eq!(out, transb(&a, &bt));
         }
     }
 
@@ -481,7 +481,7 @@ mod tests {
             let mut bt = random_matrix(&mut rng, n, k);
             bt.set(1, 2, f32::NAN);
             bt.set(n - 1, 0, f32::INFINITY);
-            let got = matmul_transb(&a, &bt);
+            let got = transb(&a, &bt);
             let oracle = matmul_naive(&a, &bt.transpose());
             for i in 0..m {
                 for j in 0..n {

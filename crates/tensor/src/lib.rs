@@ -16,7 +16,7 @@
 //!   fault model.
 //! * Matrices are dense row-major [`Matrix`]; weights are stored
 //!   `[out_features, in_features]` so GEMM reads both operands
-//!   sequentially ([`gemm::matmul_transb`]).
+//!   sequentially ([`gemm::matmul_transb_into`]).
 //! * Kernels run on the calling thread: the products this workspace forms
 //!   are microseconds long, and the parallelism is above this layer (across
 //!   trials, shards and batch lanes, on the `ft2-parallel` pool).
@@ -27,8 +27,7 @@ pub mod ops;
 pub mod seam;
 
 pub use gemm::{
-    dot, matmul_naive, matmul_transb, matmul_transb_batch, matmul_transb_batch_into,
-    matmul_transb_into, KernelPolicy,
+    dot, matmul_naive, matmul_transb_batch_into, matmul_transb_into, KernelPolicy,
 };
 pub use ft2_numeric::DType;
 pub use matrix::Matrix;

@@ -2,7 +2,7 @@
 
 use ft2_tensor::ops::mul_inplace;
 use ft2_tensor::{
-    add_inplace, argmax, layer_norm, matmul_naive, matmul_transb, rms_norm, scale_inplace,
+    add_inplace, argmax, layer_norm, matmul_naive, matmul_transb_into, rms_norm, scale_inplace,
     softmax_rows, DType, Matrix,
 };
 use proptest::prelude::*;
@@ -65,7 +65,7 @@ fn matrix_strategy(max_dim: usize) -> impl Strategy<Value = Matrix> {
 }
 
 proptest! {
-    /// `matmul_transb(a, b)` equals the naive oracle on `(a, bᵀ)`.
+    /// `matmul_transb_into(a, b)` equals the naive oracle on `(a, bᵀ)`.
     #[test]
     fn transb_consistent(
         m in 1usize..10, k in 1usize..10, n in 1usize..10,
@@ -73,7 +73,8 @@ proptest! {
     ) {
         let a = Matrix::from_fn(m, k, |r, c| ((r + c * 3 + seed as usize) % 11) as f32 * 0.2 - 1.0);
         let bt = Matrix::from_fn(n, k, |r, c| ((r * 5 + c + seed as usize) % 13) as f32 * 0.2 - 1.2);
-        let direct = matmul_transb(&a, &bt);
+        let mut direct = Matrix::zeros(0, 0);
+        matmul_transb_into(&a, &bt, &mut direct);
         let via = matmul_naive(&a, &bt.transpose());
         prop_assert!(direct.max_abs_diff(&via) < 1e-3);
     }
@@ -173,7 +174,7 @@ proptest! {
         prop_assert!(lhs.max_abs_diff(&ra) < 1e-4);
     }
 
-    /// `matmul_transb` (always strict — the model's GEMM) propagates planted
+    /// `matmul_transb_into` (always strict — the model's GEMM) propagates planted
     /// specials exactly where the oracle does, across the SIMD panel kernel,
     /// its scalar tail, and the portable fallback.
     #[test]
@@ -188,7 +189,8 @@ proptest! {
             ((r * 5 + c + seed as usize) % 13) as f32 * 0.2 - 1.2
         });
         plant_specials(&mut a, &mut bt, seed ^ 0xD07, plants);
-        let direct = matmul_transb(&a, &bt);
+        let mut direct = Matrix::zeros(0, 0);
+        matmul_transb_into(&a, &bt, &mut direct);
         let oracle = matmul_naive(&a, &bt.transpose());
         assert_nonfinite_placement(&direct, &oracle, 1e-3);
     }

@@ -101,7 +101,7 @@ rm -f "$SMOKE_TMP"
 echo "== static analysis (source + concurrency lints + coverage + shutdown proofs) =="
 # The in-tree analyser must pass on the real tree: zero lint findings, zero
 # unprotected critical layers across all seven zoo configs, every outcome
-# priced, every checkpoint version handled, no cycle in the
+# priced, only the current checkpoint version read, no cycle in the
 # lock-acquisition graph, and the no-execution shutdown proof intact
 # (checked — the vacuous unchecked verdict must not slip through). Grep
 # the schema keys so the JSON contract cannot silently drift.
