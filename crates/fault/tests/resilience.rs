@@ -169,7 +169,8 @@ fn crashing_campaign_resumes_bit_identically() {
         .unwrap();
     assert!(!second.interrupted);
     assert_eq!(second.result, uninterrupted);
-    // Crash records (site strings and all) survive the JSON round-trip.
+    // Crash records (site strings and all) survive the checkpoint's line
+    // records, `%XX` escapes included.
     assert_eq!(second.result.crashes, uninterrupted.crashes);
 }
 

@@ -10,7 +10,8 @@
 //!
 //! * [`Exec`] — how a linear layer runs: [`Dense`] on this thread, the
 //!   sharded executor's fan-out behind the f64 seam (fallible), or the
-//!   serving runtime's batched GEMM with the rows' attention on a pool.
+//!   serving runtime's GEMMs split by rows ([`linear_in_row_blocks`]) with
+//!   the rows' attention on a pool.
 //! * [`KvStore`] — where a block's K/V rows live: a contiguous
 //!   [`crate::attention::KvCacheBlock`], or a slab of the serving arena's
 //!   pages addressed through a request's page list.
@@ -36,6 +37,7 @@ use ft2_tensor::{
     add_inplace, dot, gelu_inplace, relu_inplace, silu_inplace, softmax_inplace, DType, Matrix,
 };
 use std::convert::Infallible;
+use std::ops::Range;
 
 /// Contiguous rows of one sequence inside a pass's row batch. Lanes own
 /// the batch's rows in order: lane 0 the first `rows`, lane 1 the next, …
@@ -109,8 +111,8 @@ pub fn lane_pass<E: Exec, Q>(
     run(&mut Pass::new(config, rope, exec, &mut lanes, &mut stage))
 }
 
-/// [`lane_pass`] on the [`Dense`] executor, which cannot fail — serving
-/// prefill's pass, and the single-block entry points'.
+/// [`lane_pass`] on the [`Dense`] executor, which cannot fail — the pass
+/// of the single-block entry points.
 pub fn dense_pass<Q>(
     config: &ModelConfig,
     rope: Option<&RopeTable>,
@@ -248,9 +250,9 @@ impl<'a, 'l, E: Exec, Q> Pass<'a, 'l, E, Q> {
     }
 }
 
-/// Raw pointer handed to the row-parallel attention tasks. Each task `r`
-/// touches only row `r` of the matrix behind the pointer, so concurrent
-/// tasks never alias.
+/// Raw pointer handed to row-parallel tasks (attention rows, linear row
+/// blocks). Each task touches only its own rows of the matrix behind the
+/// pointer, so concurrent tasks never alias.
 struct RowSlab(*mut f32, usize);
 
 impl RowSlab {
@@ -258,30 +260,59 @@ impl RowSlab {
         RowSlab(m.as_mut_slice().as_mut_ptr(), m.cols())
     }
 
-    /// Row `r` of the slab as a mutable slice.
+    /// Rows `rows` of the slab as one mutable row-major slice.
     ///
     /// # Safety
-    /// Row `r` must lie inside the backing matrix, which must outlive the
-    /// slice, and the caller must be the only task touching the row while
-    /// it lives.
+    /// The rows must lie inside the backing matrix, which must outlive the
+    /// slice, and the caller must be the only task touching them while it
+    /// lives.
     // Takes `&self` deliberately: the closure must capture the whole slab
     // (not the raw-pointer field) so the manual Send/Sync impls apply, and
     // exclusivity is per-row (caller-guaranteed), not per-slab.
     #[allow(clippy::mut_from_ref)]
-    unsafe fn row_mut(&self, r: usize) -> &mut [f32] {
+    unsafe fn rows_mut(&self, rows: Range<usize>) -> &mut [f32] {
         // SAFETY: rows are disjoint `stride`-strided ranges of one live
         // allocation; the caller guarantees bounds and exclusive access.
-        unsafe { std::slice::from_raw_parts_mut(self.0.add(r * self.1), self.1) }
+        unsafe {
+            std::slice::from_raw_parts_mut(self.0.add(rows.start * self.1), rows.len() * self.1)
+        }
     }
 }
 
-// SAFETY: tasks index disjoint rows (task `r` touches row `r` only), and
-// `Exec::each_row` ends every task before the borrow of the underlying
+// SAFETY: tasks index disjoint rows (each task touches its own rows only),
+// and `Exec::each_row` ends every task before the borrow of the underlying
 // matrix resumes.
 unsafe impl Send for RowSlab {}
 // SAFETY: same disjoint-rows argument — no two tasks read or write the
 // same element.
 unsafe impl Sync for RowSlab {}
+
+/// `out = x · Wᵀ + b` for `golden`, quantised to `dtype`, in up to `blocks`
+/// contiguous row blocks, one [`Exec::each_row`] task each: a task runs
+/// [`Linear::forward_rows_into`] straight into its own rows of `out`.
+/// Every row is the same per-row computation whatever the blocking, so the
+/// block count (and the schedule) cannot change a result.
+pub fn linear_in_row_blocks<E: Exec>(
+    exec: &E,
+    blocks: usize,
+    golden: &Linear,
+    dtype: DType,
+    x: &Matrix,
+    out: &mut Matrix,
+) {
+    let rows = x.rows();
+    out.reset(rows, golden.out_features());
+    let blocks = blocks.clamp(1, rows.max(1));
+    let slab = RowSlab::of(out);
+    exec.each_row(blocks, |b| {
+        let block = b * rows / blocks..(b + 1) * rows / blocks;
+        // SAFETY: the blocks partition `0..rows` and block `b` belongs to
+        // this task alone (see RowSlab); `out` was sized just above and
+        // outlives `each_row`.
+        let own = unsafe { slab.rows_mut(block.clone()) };
+        golden.forward_rows_into(x, block, dtype, own);
+    });
+}
 
 /// The attention half of a block: K/Q/V projections of `x`, RoPE, KV
 /// append, causal attention per row, `OUT_PROJ`. The result lands in
@@ -331,7 +362,12 @@ pub fn attend<E: Exec, S: KvStore>(
             // SAFETY: row `r` of each slab belongs to this task alone (see
             // RowSlab); both matrices were sized just above with a row per
             // task and outlive `each_row`.
-            let (weights, out) = unsafe { (&mut scores.row_mut(r)[..=pos], ctx.row_mut(r)) };
+            let (weights, out) = unsafe {
+                (
+                    &mut scores.rows_mut(r..r + 1)[..=pos],
+                    ctx.rows_mut(r..r + 1),
+                )
+            };
             for h in 0..heads {
                 let head = h * head_dim..(h + 1) * head_dim;
                 let qh = &q.row(r)[head.clone()];

@@ -22,6 +22,7 @@
 use crate::config::{ArchStyle, LayerKind, ModelConfig, NormKind};
 use ft2_numeric::{Rng, Xoshiro256StarStar};
 use ft2_tensor::{DType, Matrix};
+use std::ops::Range;
 
 /// Target output standard deviation per layer kind (for unit-variance
 /// inputs). These values reproduce the Fig. 8 distribution split.
@@ -76,18 +77,24 @@ impl Linear {
         out.quantize(dtype);
     }
 
-    /// [`Linear::forward_into`] on the panel-major batch GEMM
-    /// ([`ft2_tensor::matmul_transb_batch_into`]): one weight-panel pass is
-    /// amortised over all batch rows, and every output row is bit-identical
+    /// Rows `rows` of [`Linear::forward_into`]'s output on the panel-major
+    /// batch GEMM ([`ft2_tensor::matmul_transb_rows_into`]), written
+    /// row-major into `out` (`rows.len() × out_features` elements): one
+    /// weight-panel pass is amortised over the block's rows, then the bias
+    /// and the quantisation, both elementwise. Every row is bit-identical
     /// to what [`Linear::forward_into`] produces for that row alone — the
-    /// invariant the serving runtime's batch-vs-single token-identity
-    /// guarantee rests on.
-    pub fn forward_batch_into(&self, x: &Matrix, dtype: DType, out: &mut Matrix) {
-        ft2_tensor::matmul_transb_batch_into(x, &self.weight, out);
+    /// invariant the serving runtime's batch-vs-single token identity rests
+    /// on — so disjoint row blocks can be computed on different threads.
+    pub fn forward_rows_into(&self, x: &Matrix, rows: Range<usize>, dtype: DType, out: &mut [f32]) {
+        ft2_tensor::matmul_transb_rows_into(x, rows, &self.weight, out);
         if let Some(b) = &self.bias {
-            ft2_tensor::add_bias_inplace(out, b);
+            for row in out.chunks_exact_mut(b.len()) {
+                for (v, &bv) in row.iter_mut().zip(b) {
+                    *v += bv;
+                }
+            }
         }
-        out.quantize(dtype);
+        dtype.quantize_slice(out);
     }
 
     /// Output feature count.

@@ -1,9 +1,45 @@
 //! Property-based tests for the numeric foundations.
 
 use ft2_numeric::{
-    is_nan_vulnerable, Bf16, DType, OnlineStats, Rng, SplitMix64, Xoshiro256StarStar, F16,
+    crc64, crc64_f32s, is_nan_vulnerable, Bf16, DType, OnlineStats, Rng, SplitMix64,
+    Xoshiro256StarStar, F16,
 };
 use proptest::prelude::*;
+
+/// CRC-64/ECMA-182 the slow way: one nibble per step through a 16-entry
+/// table, the definition the slice-by-8 tables must reproduce.
+fn nibble_crc64(bytes: &[u8]) -> u64 {
+    const POLY: u64 = 0x42F0_E1EB_A9EA_3693;
+    let table: Vec<u64> = (0..16u64)
+        .map(|n| {
+            (0..4).fold(n << 60, |crc, _| {
+                if crc & (1 << 63) != 0 {
+                    (crc << 1) ^ POLY
+                } else {
+                    crc << 1
+                }
+            })
+        })
+        .collect();
+    let mut crc = 0u64;
+    for &b in bytes {
+        crc = (crc << 4) ^ table[((crc >> 60) ^ (b >> 4) as u64) as usize & 0xF];
+        crc = (crc << 4) ^ table[((crc >> 60) ^ (b & 0xF) as u64) as usize & 0xF];
+    }
+    crc
+}
+
+/// An `f32` bit pattern that is, about half the time, one of the values a
+/// checksum must tell apart from its neighbours: ±0.0 or a NaN payload.
+fn stored_f32() -> impl Strategy<Value = f32> {
+    (0u8..6, any::<u32>()).prop_map(|(kind, bits)| match kind {
+        0 => -0.0,
+        1 => 0.0,
+        // Quiet or signalling NaN with an arbitrary sign and payload.
+        2 => f32::from_bits(0x7F80_0000 | (bits & 0x8000_0000) | (bits & 0x007F_FFFF).max(1)),
+        _ => f32::from_bits(bits),
+    })
+}
 
 proptest! {
     /// f32 -> f16 -> f32 is idempotent (second conversion changes nothing).
@@ -133,5 +169,28 @@ proptest! {
         prop_assert_eq!(left.count(), whole.count());
         prop_assert!((left.mean() - whole.mean()).abs() < 1e-9);
         prop_assert!((left.variance() - whole.variance()).abs() < 1e-6);
+    }
+
+    /// The slice-by-8 CRC equals the nibble-table definition on byte
+    /// slices of every length below 300, starting at every alignment.
+    #[test]
+    fn crc64_matches_the_nibble_oracle(bytes in prop::collection::vec(any::<u8>(), 0..308)) {
+        for offset in 0..8.min(bytes.len() + 1) {
+            let tail = &bytes[offset..];
+            let slice = &tail[..tail.len().min(299)];
+            prop_assert_eq!(crc64(slice), nibble_crc64(slice), "len {} offset {offset}", slice.len());
+        }
+    }
+
+    /// `crc64_f32s` equals the oracle over the values' little-endian bytes,
+    /// at odd and even lengths, and tells -0.0 and NaN payloads apart.
+    #[test]
+    fn crc64_f32s_matches_the_nibble_oracle(values in prop::collection::vec(stored_f32(), 1..70)) {
+        for len in [values.len(), values.len() - 1] {
+            let vals = &values[..len];
+            let bytes: Vec<u8> = vals.iter().flat_map(|v| v.to_bits().to_le_bytes()).collect();
+            prop_assert_eq!(crc64_f32s(vals), nibble_crc64(&bytes), "len {len}");
+            prop_assert_eq!(crc64_f32s(vals), crc64(&bytes));
+        }
     }
 }

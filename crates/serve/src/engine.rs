@@ -9,12 +9,18 @@
 //! because it runs the same code, not a copy of it. What this module adds
 //! is the serving [`Exec`]:
 //!
-//! * linears go through [`ft2_tensor::matmul_transb_batch_into`], whose
-//!   panel-major loop produces each output row with the exact `dot4`/`dot`
-//!   reductions of the row-major kernel — one weight-panel pass amortised
-//!   over the batch's rows;
-//! * the lanes' attention runs in parallel on the [`WorkStealingPool`]
-//!   (lanes write disjoint rows, so the schedule cannot change results).
+//! * every linear, the batch step's LM head included, is split by rows
+//!   into one contiguous block per pool thread plus one for the caller
+//!   ([`walk::linear_in_row_blocks`]); each block runs the panel-major GEMM
+//!   ([`ft2_tensor::matmul_transb_rows_into`], the exact `dot4`/`dot`
+//!   reductions of the row-major kernel, one weight-panel pass amortised
+//!   over the block's rows), the bias and the quantisation straight into
+//!   its own rows of the output;
+//! * the rows' attention runs in parallel on the [`WorkStealingPool`].
+//!
+//! Blocks and rows write disjoint rows, so neither the block count nor the
+//! schedule can change a result. Prefill runs on the same executor, so
+//! admission and KV rebuild use the whole pool too.
 //!
 //! Per-request taps ride in their lanes: the walk shows each tap its own
 //! row with its own `step` and position, in the engine's layer order, so
@@ -65,8 +71,17 @@ impl BatchScratch {
     }
 }
 
-/// The serving [`Exec`]: batched GEMMs, rows attending in parallel.
+/// The serving [`Exec`]: every linear split by rows over the pool, rows
+/// attending in parallel.
 struct Batched<'p>(&'p WorkStealingPool);
+
+impl Batched<'_> {
+    /// `golden` over `x` in one row block per pool thread plus one for the
+    /// caller (fewer when there are fewer rows).
+    fn split(&self, golden: &Linear, dtype: DType, x: &Matrix, out: &mut Matrix) {
+        walk::linear_in_row_blocks(self, self.0.threads() + 1, golden, dtype, x, out);
+    }
+}
 
 impl Exec for Batched<'_> {
     type Error = Infallible;
@@ -79,18 +94,14 @@ impl Exec for Batched<'_> {
         x: &Matrix,
         out: &mut Matrix,
     ) -> Result<(), Infallible> {
-        golden.forward_batch_into(x, dtype, out);
+        self.split(golden, dtype, x, out);
         Ok(())
     }
 
     fn each_row(&self, rows: usize, f: impl Fn(usize) + Send + Sync) {
         if rows > 1 {
             let panics = self.0.try_run(rows, 1, f);
-            assert!(
-                panics.is_empty(),
-                "batch attention task panicked: {}",
-                panics[0]
-            );
+            assert!(panics.is_empty(), "batch task panicked: {}", panics[0]);
         } else {
             f(0);
         }
@@ -142,21 +153,21 @@ pub fn batch_step(
         &mut scratch.walk,
     );
 
-    // The batched LM head over the final-norm rows.
-    let logits = &mut scratch.walk.logits;
-    weights
-        .lm_head
-        .forward_batch_into(&scratch.walk.hidden, config.dtype, logits);
+    // The batched LM head over the final-norm rows, split like the rest.
+    let (hidden, logits) = (&scratch.walk.hidden, &mut scratch.walk.logits);
+    exec.split(&weights.lm_head, config.dtype, hidden, logits);
     (0..tokens.len())
         .map(|r| argmax(logits.row(r)) as u32)
         .collect()
 }
 
 /// Prefill `tokens` as positions `start_pos..` of `seq`, straight into its
-/// arena pages: one multi-row lane on the dense executor, attending to the
-/// rows `seq` already holds below `start_pos`. Pages are reserved as
-/// needed; positions `seq` already has are overwritten in place (KV
-/// rebuild). The hidden states land in `scratch.walk.hidden`.
+/// arena pages: one multi-row lane on the serving executor — linears split
+/// by rows over `pool`, attention rows on it too — attending to the rows
+/// `seq` already holds below `start_pos`. Pages are reserved as needed;
+/// positions `seq` already has are overwritten in place (KV rebuild). The
+/// hidden states land in `scratch.walk.hidden`.
+#[allow(clippy::too_many_arguments)]
 pub fn prefill<'a>(
     model: &Model,
     arena: &mut KvArena,
@@ -164,6 +175,7 @@ pub fn prefill<'a>(
     tokens: &[u32],
     start_pos: usize,
     tap: Option<&'a mut dyn LayerTap>,
+    pool: &WorkStealingPool,
     scratch: &mut BatchScratch,
 ) {
     while seq.len() < start_pos + tokens.len() {
@@ -176,7 +188,8 @@ pub fn prefill<'a>(
         seq: &*seq,
         tap,
     };
-    walk::dense_pass(model.config(), model.rope_table(), lane, |pass| {
+    let (config, rope) = (model.config(), model.rope_table());
+    let Ok(()) = walk::lane_pass(config, rope, &mut Batched(pool), lane, |pass| {
         let slabs = arena.slabs_mut();
         walk::walk(pass, model.weights(), tokens, slabs, &mut scratch.walk)
     });
@@ -204,10 +217,11 @@ mod tests {
         (cache, tokens)
     }
 
-    /// Prefill a lane's prompt into the arena, returning its first token.
+    /// Prefill a lane's prompt into the arena on a two-thread pool,
+    /// returning its first token.
     fn arena_prefill(model: &Model, arena: &mut KvArena, seq: &mut KvSeq, prompt: &[u32]) -> u32 {
-        let mut scratch = BatchScratch::new();
-        prefill(model, arena, seq, prompt, 0, None, &mut scratch);
+        let (pool, mut scratch) = (WorkStealingPool::new(2), BatchScratch::new());
+        prefill(model, arena, seq, prompt, 0, None, &pool, &mut scratch);
         let hidden = &scratch.walk.hidden;
         let last = hidden.slice_rows(hidden.rows() - 1, hidden.rows());
         argmax(&model.logits(&last)) as u32
@@ -215,22 +229,26 @@ mod tests {
 
     /// Identity (ii) of the layer walk: a prefill written straight into
     /// arena pages — jointly, or as a joint head plus a second pass over
-    /// the rest — holds the rows the engine's `KvCache` holds, bit for bit,
-    /// across page boundaries, and ends in the same hidden row. The arena
-    /// is pre-fragmented so the sequence's pages are neither contiguous nor
-    /// in order. `scripts/verify.sh` runs this once more with
-    /// `FT2_NO_SIMD=1`.
+    /// the rest, with its linears split over a pool of 1, 2 or 4 threads —
+    /// holds the rows the engine's `KvCache` holds, bit for bit, across
+    /// page boundaries, and ends in the same hidden row. The arena is
+    /// pre-fragmented so the sequence's pages are neither contiguous nor in
+    /// order. `scripts/verify.sh` runs this once more with `FT2_NO_SIMD=1`.
     #[test]
     fn prefill_into_arena_pages_equals_the_engine_cache() {
         use crate::arena::KV_PAGE;
         let len = 2 * KV_PAGE + 5;
+        let pools = [1, 2, 4].map(WorkStealingPool::new);
         for config in [ModelConfig::tiny_opt(), ModelConfig::tiny_llama()] {
             let model = Model::new(config);
             let tokens: Vec<u32> = (0..len as u32).map(|i| (i * 7 + 3) % 90).collect();
             let mut cache = KvCache::new(model.config());
             let hidden = model.forward_step(&tokens, 0, 0, &mut cache, &mut TapList::new());
 
-            for head in [len, KV_PAGE - 3] {
+            for (head, pool) in [len, KV_PAGE - 3]
+                .into_iter()
+                .flat_map(|h| pools.iter().map(move |p| (h, p)))
+            {
                 let mut arena = KvArena::new(model.config().blocks, model.config().hidden);
                 let mut hole = KvSeq::new();
                 for _ in 0..3 * KV_PAGE {
@@ -246,6 +264,7 @@ mod tests {
                     &tokens[..head],
                     0,
                     None,
+                    pool,
                     &mut scratch,
                 );
                 if head < len {
@@ -256,6 +275,7 @@ mod tests {
                         &tokens[head..],
                         head,
                         None,
+                        pool,
                         &mut scratch,
                     );
                 }
@@ -282,6 +302,50 @@ mod tests {
                     hidden.row(len - 1),
                     "last hidden row"
                 );
+            }
+        }
+    }
+
+    /// The split linear is the row-by-row linear: for 1..=17 rows on
+    /// pools of 1..=4 threads, every row of [`Batched`]'s output for every
+    /// linear of a block and the LM head equals, bit for bit,
+    /// [`Linear::forward_into`] of that row alone — with block biases
+    /// (`tiny_opt`) and without (`tiny_llama`; the LM head always has one). `scripts/verify.sh` runs
+    /// this once more with `FT2_NO_SIMD=1`.
+    #[test]
+    fn split_linear_rows_equal_forward_into_row_by_row() {
+        let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for config in [ModelConfig::tiny_opt(), ModelConfig::tiny_llama()] {
+            let model = Model::new(config);
+            let (weights, dtype) = (model.weights(), model.config().dtype);
+            let block = &weights.blocks[0];
+            let linears: Vec<&Linear> = ft2_model::LayerKind::ALL
+                .iter()
+                .filter_map(|&kind| block.layer(kind))
+                .chain([&weights.lm_head])
+                .collect();
+            assert_eq!(block.k_proj.bias.is_some(), model.config().bias);
+            for threads in 1..=4 {
+                let pool = WorkStealingPool::new(threads);
+                let (mut out, mut one) = (Matrix::default(), Matrix::default());
+                for rows in 1..=17 {
+                    for lin in &linears {
+                        let k = lin.weight.cols();
+                        let x = Matrix::from_fn(rows, k, |r, c| {
+                            ((r * 31 + c * 17 + threads) % 23) as f32 * 0.25 - 2.5
+                        });
+                        Batched(&pool).split(lin, dtype, &x, &mut out);
+                        assert_eq!((out.rows(), out.cols()), (rows, lin.out_features()));
+                        for r in 0..rows {
+                            lin.forward_into(&x.slice_rows(r, r + 1), dtype, &mut one);
+                            assert_eq!(
+                                bits(out.row(r)),
+                                bits(one.row(0)),
+                                "row {r} of {rows}, {threads} threads"
+                            );
+                        }
+                    }
+                }
             }
         }
     }

@@ -437,7 +437,7 @@ impl Scheduler {
     /// decode steps first produced them, so the continuation matches solo
     /// generation. The tap's own state (rollback escalation etc.) travelled
     /// with the request and is not re-fired for steps it already saw.
-    fn admit(&mut self, q: Queued) {
+    fn admit(&mut self, q: Queued, pool: &WorkStealingPool) {
         let Queued { req, resume } = q;
         let admitted_at = Instant::now();
         let policy = self.config.recovery;
@@ -474,7 +474,8 @@ impl Scheduler {
             let tap = ar.tap.as_deref_mut().map(|tap| tap as &mut dyn LayerTap);
             (&ar.prompt, tap)
         };
-        prefill(&self.model, &mut self.arena, &mut ar.seq, known, 0, tap, &mut self.scratch);
+        let (model, arena, scratch) = (&self.model, &mut self.arena, &mut self.scratch);
+        prefill(model, arena, &mut ar.seq, known, 0, tap, pool, scratch);
         let report = match ar.tap.as_deref_mut() {
             Some(tap) if !resuming => tap.end_step(0),
             _ => StepReport::default(),
@@ -532,13 +533,14 @@ impl Scheduler {
         scratch: &mut BatchScratch,
         ar: &mut ActiveRequest,
         from: usize,
+        pool: &WorkStealingPool,
     ) -> usize {
         let len = ar.seq.len();
         if from >= len {
             return 0;
         }
         let known: Vec<u32> = (from..len).map(|j| ar.token_at(j)).collect();
-        prefill(model, arena, &mut ar.seq, &known, from, None, scratch);
+        prefill(model, arena, &mut ar.seq, &known, from, None, pool, scratch);
         if let Some(guard) = &mut ar.guard {
             for j in from..len {
                 guard.reseal(arena, &ar.seq, j);
@@ -553,7 +555,7 @@ impl Scheduler {
     pub fn step(&mut self, pool: &WorkStealingPool) -> bool {
         while self.active.len() < self.config.max_batch {
             match self.queue.pop_front() {
-                Some(q) => self.admit(q),
+                Some(q) => self.admit(q, pool),
                 None => break,
             }
         }
@@ -623,7 +625,9 @@ impl Scheduler {
                             .as_ref()
                             .and_then(|g| g.verify(&self.arena, &ar.seq));
                         let rebuilt = bad.map_or(0, |bad| {
-                            Self::rebuild_kv(&self.model, &mut self.arena, &mut self.scratch, ar, bad)
+                            let (model, arena, scratch) =
+                                (&self.model, &mut self.arena, &mut self.scratch);
+                            Self::rebuild_kv(model, arena, scratch, ar, bad, pool)
                         });
                         ar.kv_repairs += rebuilt;
                         ar.repair_retries += 1;
@@ -705,6 +709,47 @@ mod tests {
     use super::*;
     use ft2_model::ModelConfig;
 
+    /// Admission runs its prefill on the pool `step` is given: at 1, 2
+    /// and 4 threads the admitted request's prompt rows equal the engine's
+    /// `KvCache`, bit for bit, and its first token is the engine's.
+    /// `scripts/verify.sh` runs this once more with `FT2_NO_SIMD=1`.
+    #[test]
+    fn admission_prefill_on_the_pool_equals_the_engine_cache() {
+        use ft2_model::engine::KvCache;
+        use ft2_model::TapList;
+        for config in [ModelConfig::tiny_opt(), ModelConfig::tiny_llama()] {
+            let model = Arc::new(Model::new(config));
+            let prompt: Vec<u32> = (0..37u32).map(|i| (i * 11 + 2) % 90).collect();
+            let mut cache = KvCache::new(model.config());
+            let hidden = model.forward_step(&prompt, 0, 0, &mut cache, &mut TapList::new());
+            let last = hidden.slice_rows(prompt.len() - 1, prompt.len());
+            let first = argmax(&model.logits(&last)) as u32;
+            for threads in [1, 2, 4] {
+                let pool = WorkStealingPool::new(threads);
+                let mut sched = Scheduler::new(Arc::clone(&model), ServeConfig::default());
+                let req = Request {
+                    id: 0,
+                    prompt: prompt.clone(),
+                    gen_tokens: 4,
+                    tap: None,
+                };
+                sched.try_submit(req).unwrap();
+                assert!(sched.step(&pool));
+                let ar = &sched.active[0];
+                assert_eq!(ar.tokens[0], first, "first token, {threads} threads");
+                for j in 0..prompt.len() {
+                    let row = ar.seq.row_of(j);
+                    for b in 0..cache.num_blocks() {
+                        let (k, v) = (cache.block(b).k.row(j), cache.block(b).v.row(j));
+                        let at = format!("row {j} block {b}, {threads} threads");
+                        assert_eq!(sched.arena.k_row(b, row), k, "K {at}");
+                        assert_eq!(sched.arena.v_row(b, row), v, "V {at}");
+                    }
+                }
+            }
+        }
+    }
+
     /// Identity (iii) of the layer walk: on a tap-less request,
     /// `rebuild_kv` from a mid-sequence position restores rows
     /// bit-identical to the ones it replaces — rows first written by a
@@ -760,7 +805,8 @@ mod tests {
                     active,
                     ..
                 } = &mut sched;
-                let rebuilt = Scheduler::rebuild_kv(model, arena, scratch, &mut active[0], from);
+                let rebuilt =
+                    Scheduler::rebuild_kv(model, arena, scratch, &mut active[0], from, &pool);
                 assert_eq!(rebuilt, len - from);
                 assert_eq!(rows_of(&sched, 0), clean, "rebuild from {from}");
                 assert_eq!(rows_of(&sched, 1), mate, "batchmate after rebuild from {from}");

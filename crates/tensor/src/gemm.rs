@@ -28,11 +28,13 @@
 //! Every GEMM here runs on the calling thread. The largest product any zoo
 //! model, workload or probe forms is 160 × 256 × 64 = 2.6 M
 //! multiply-accumulates — tens of microseconds on the SIMD panel kernel —
-//! and the parallelism is above this layer: across campaign trials, shards
-//! and batch lanes, all on the `ft2-parallel` pool. A future large-GEMM
-//! path belongs on that pool too, not on per-call thread spawns.
+//! and the parallelism is above this layer: across campaign trials, shards,
+//! batch lanes and the row blocks of a serving linear
+//! ([`matmul_transb_rows_into`] writes one block straight into its rows of
+//! a shared output), all on the `ft2-parallel` pool.
 
 use crate::matrix::Matrix;
+use std::ops::Range;
 
 /// What is left of a per-call choice between IEEE-faithful accumulation
 /// and a zero-skipping fault-free shortcut: the shortcut (`Fast`) paid for
@@ -273,20 +275,32 @@ pub fn matmul_transb_batch_into(a: &Matrix, b_t: &Matrix, c: &mut Matrix) {
         return;
     }
     c.reset(m, n);
-    let cs = c.as_mut_slice();
+    matmul_transb_rows_into(a, 0..m, b_t, c.as_mut_slice());
+}
+
+/// Rows `rows` of the batch kernel's product, written row-major into `out`
+/// (`rows.len() × b_t.rows()` elements): the panel-major loop of
+/// [`matmul_transb_batch_into`] over a contiguous block of A's rows, so
+/// every element is the same [`dot4`]/[`dot`] call with the same
+/// reduction order. Disjoint row blocks of one product can therefore be
+/// computed on different threads, straight into their rows of one output.
+pub fn matmul_transb_rows_into(a: &Matrix, rows: Range<usize>, b_t: &Matrix, out: &mut [f32]) {
+    assert_eq!(a.cols(), b_t.cols(), "matmul_transb shape mismatch");
+    assert!(rows.end <= a.rows(), "row block past the end of A");
+    let n = b_t.rows();
+    assert_eq!(out.len(), rows.len() * n, "output is not rows × n");
     let mut j = 0;
     while j + 4 <= n {
         let (b0, b1, b2, b3) = (b_t.row(j), b_t.row(j + 1), b_t.row(j + 2), b_t.row(j + 3));
-        for i in 0..m {
-            let r = dot4(a.row(i), b0, b1, b2, b3);
-            cs[i * n + j..i * n + j + 4].copy_from_slice(&r);
+        for (i, o) in rows.clone().zip(out.chunks_exact_mut(n)) {
+            o[j..j + 4].copy_from_slice(&dot4(a.row(i), b0, b1, b2, b3));
         }
         j += 4;
     }
     while j < n {
         let bj = b_t.row(j);
-        for i in 0..m {
-            cs[i * n + j] = dot(a.row(i), bj);
+        for (i, o) in rows.clone().zip(out.chunks_exact_mut(n)) {
+            o[j] = dot(a.row(i), bj);
         }
         j += 1;
     }

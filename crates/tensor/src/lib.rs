@@ -19,7 +19,8 @@
 //!   sequentially ([`gemm::matmul_transb_into`]).
 //! * Kernels run on the calling thread: the products this workspace forms
 //!   are microseconds long, and the parallelism is above this layer (across
-//!   trials, shards and batch lanes, on the `ft2-parallel` pool).
+//!   trials, shards, batch lanes and row blocks, on the `ft2-parallel`
+//!   pool).
 
 pub mod gemm;
 pub mod matrix;
@@ -27,7 +28,8 @@ pub mod ops;
 pub mod seam;
 
 pub use gemm::{
-    dot, matmul_naive, matmul_transb_batch_into, matmul_transb_into, KernelPolicy,
+    dot, matmul_naive, matmul_transb_batch_into, matmul_transb_into, matmul_transb_rows_into,
+    KernelPolicy,
 };
 pub use ft2_numeric::DType;
 pub use matrix::Matrix;

@@ -36,8 +36,10 @@ identity_no_simd() {
 }
 identity_no_simd 1 -p ft2-model --test engine_invariants \
     joint_prefill_equals_incremental_prefill_bit_for_bit
-identity_no_simd 3 -p ft2-serve --lib -- \
+identity_no_simd 5 -p ft2-serve --lib -- \
     prefill_into_arena_pages_equals_the_engine_cache \
+    admission_prefill_on_the_pool_equals_the_engine_cache \
+    split_linear_rows_equal_forward_into_row_by_row \
     rebuild_restores_rows_bit_for_bit \
     batched_decode_is_bit_identical_to_the_engine
 # FT2 across the fan-out: protected tokens, stats and step reports equal at
