@@ -1,33 +1,39 @@
-//! Stored-state integrity: weight-tile checksums, background scrubbing,
-//! and KV-cache CRC guards.
+//! Stored-state integrity: one weight-tile table, one KV seal.
 //!
-//! The paper's protection (and PR 2's rollback) handle *transient* faults in
-//! the computation path. Persistent faults live in stored state — weight
-//! matrices and cached K/V rows — and every subsequent step re-reads them,
-//! so rollback re-decodes into the same corruption forever. The defence is
-//! the classic detect → localise → repair vertical:
+//! The paper's protection (and the engine's rollback) handle *transient*
+//! faults in the computation path. Persistent faults live in stored state —
+//! weight matrices and cached K/V rows — and every subsequent step re-reads
+//! them, so rollback re-decodes into the same corruption forever. The
+//! defence is the classic detect → localise → repair vertical, and every
+//! host (the engine, the sharded executor, the scheduler, the replica
+//! rebuild) runs it through the two types here:
 //!
-//! * [`WeightChecksums`] — per-tile CRC-64 checksums over every
-//!   block-linear weight matrix, computed once from the golden checkpoint at
-//!   load time and shared (read-only) across trials.
-//! * [`WeightScrubber`] — a background scrubber that re-verifies `N` tiles
-//!   per decode step, round-robin, amortising the full sweep across the
-//!   generation (priced by `CostModel::scrub_time`). A mismatched tile is
-//!   restored from the golden copy.
-//! * [`KvGuard`] — CRC seals over cached K/V rows, sealed when a step's
-//!   fresh rows are appended and re-verified before every forward pass (the
-//!   attention of each step reads *every* cached position, so verify-before-
-//!   forward is exactly verify-on-read). Poisoned positions cannot be
-//!   restored from any golden copy — the cache is derived state — so the
-//!   guard reports the earliest poisoned position and the engine invalidates
-//!   and re-decodes the suffix via the existing rollback machinery.
+//! * [`WeightChecksums`] — the tile table: per-tile CRC-64 checksums over
+//!   block-linear weight matrices, tiled at [`TILE_ELEMS`] elements and
+//!   addressed through [`TiledWeights`] (the full model is one shard, a
+//!   tensor-parallel partition one shard per failure domain). It owns the
+//!   tile CRC, "verify one tile and restore it from a golden source whose
+//!   own CRC still holds", and the round-robin budgeted scrub. Its callers
+//!   are [`WeightScrubber`] (the engine's state tap),
+//!   [`crate::ShardScrubber`] (the executor's shard tap) and the replica
+//!   rebuild ([`WeightChecksums::sweep`]).
+//! * [`KvGuard`] — one seal per sequence position: a CRC-64 chain over the
+//!   K then V row of every block at that position, over any
+//!   [`KvStore`] layout (the engine's contiguous cache, the arena's pages).
+//!   Poisoned positions cannot be restored from any golden copy — the cache
+//!   is derived state — so [`KvGuard::verify`] reports the earliest broken
+//!   position and the host rebuilds the suffix from the known tokens. When
+//!   to verify is the host's policy: the engine verifies before every pass
+//!   (its [`StateTap`] impl, verify-on-read); the scheduler only on its
+//!   repair rung.
 //!
 //! A CRC-64 detects every error burst confined to 64 bits (see
 //! [`ft2_numeric::crc`]), so any fault-model corruption of a single stored
-//! element is guaranteed to change the tile/row checksum.
+//! element is guaranteed to change the tile or position checksum.
 
 use ft2_model::state::{StateCtx, StateReport, StateTap};
-use ft2_model::weights::ModelWeights;
+use ft2_model::walk::KvStore;
+use ft2_model::weights::{Linear, ModelWeights};
 use ft2_model::{LayerKind, ModelConfig};
 use ft2_numeric::crc64_f32s;
 use std::sync::Arc;
@@ -37,9 +43,32 @@ use std::sync::Arc;
 /// table stays tiny relative to the weights (0.4% overhead at 8 B/tile).
 pub const TILE_ELEMS: usize = 256;
 
+/// Stored weights a [`WeightChecksums`] table covers: block-linear weight
+/// matrices addressed by `(shard, block, layer)`. The full model is the one
+/// shard `0`; a tensor-parallel partition has one shard per failure domain.
+pub trait TiledWeights {
+    /// The weight matrix of layer `kind` in `block` of `shard`, if the
+    /// architecture has that layer.
+    fn linear(&self, shard: usize, block: usize, kind: LayerKind) -> Option<&Linear>;
+
+    /// Mutable access to the same matrix (repair writes through it).
+    fn linear_mut(&mut self, shard: usize, block: usize, kind: LayerKind) -> Option<&mut Linear>;
+}
+
+impl TiledWeights for ModelWeights {
+    fn linear(&self, _shard: usize, block: usize, kind: LayerKind) -> Option<&Linear> {
+        self.blocks[block].layer(kind)
+    }
+
+    fn linear_mut(&mut self, _shard: usize, block: usize, kind: LayerKind) -> Option<&mut Linear> {
+        self.blocks[block].layer_mut(kind)
+    }
+}
+
 /// One checksummed tile of a block-linear weight matrix.
 #[derive(Clone, Copy, Debug)]
 struct Tile {
+    shard: usize,
     block: usize,
     layer: LayerKind,
     start: usize,
@@ -47,9 +76,30 @@ struct Tile {
     crc: u64,
 }
 
+impl Tile {
+    fn data<'w, W: TiledWeights + ?Sized>(&self, w: &'w W) -> &'w [f32] {
+        let lin = w
+            .linear(self.shard, self.block, self.layer)
+            .expect("tile layer missing from weights");
+        &lin.weight.as_slice()[self.start..self.start + self.len]
+    }
+
+    fn data_mut<'w, W: TiledWeights + ?Sized>(&self, w: &'w mut W) -> &'w mut [f32] {
+        let lin = w
+            .linear_mut(self.shard, self.block, self.layer)
+            .expect("tile layer missing from weights");
+        &mut lin.weight.as_mut_slice()[self.start..self.start + self.len]
+    }
+
+    /// The tile CRC of this tile's elements in `w`.
+    fn crc_in<W: TiledWeights + ?Sized>(&self, w: &W) -> u64 {
+        crc64_f32s(self.data(w))
+    }
+}
+
 /// Per-tile CRC-64 checksums of every block-linear weight matrix, computed
-/// from the golden checkpoint. Immutable; share one instance across trials
-/// via `Arc`.
+/// from a golden source. Immutable; share one instance across trials via
+/// `Arc`.
 pub struct WeightChecksums {
     tiles: Vec<Tile>,
 }
@@ -58,23 +108,39 @@ impl WeightChecksums {
     /// Checksum every block-linear weight matrix of `weights` in tiles of
     /// [`TILE_ELEMS`] elements.
     pub fn build(config: &ModelConfig, weights: &ModelWeights) -> WeightChecksums {
+        WeightChecksums::tile(weights, 1, weights.blocks.len(), config.block_layers())
+    }
+
+    /// Tile `layers` (absent ones skipped) of every block of every shard of
+    /// `w`, in the order every sweep and scrub walks: shard, then block,
+    /// then layer in `layers` order, then start.
+    pub(crate) fn tile<W: TiledWeights + ?Sized>(
+        w: &W,
+        shards: usize,
+        blocks: usize,
+        layers: &[LayerKind],
+    ) -> WeightChecksums {
         let mut tiles = Vec::new();
-        for (b, bw) in weights.blocks.iter().enumerate() {
-            for &k in config.block_layers() {
-                let lin = bw.layer(k).expect("config layer missing from weights");
-                let data = lin.weight.as_slice();
-                let mut start = 0;
-                while start < data.len() {
-                    // ft2: nan-ok (usize tile sizing, no floats involved)
-                    let len = TILE_ELEMS.min(data.len() - start);
-                    tiles.push(Tile {
-                        block: b,
-                        layer: k,
-                        start,
-                        len,
-                        crc: crc64_f32s(&data[start..start + len]),
-                    });
-                    start += len;
+        for shard in 0..shards {
+            for block in 0..blocks {
+                for &layer in layers {
+                    let Some(lin) = w.linear(shard, block, layer) else {
+                        continue;
+                    };
+                    let n = lin.weight.as_slice().len();
+                    for start in (0..n).step_by(TILE_ELEMS) {
+                        let mut t = Tile {
+                            shard,
+                            block,
+                            layer,
+                            start,
+                            // ft2: nan-ok (usize tile sizing, no floats involved)
+                            len: TILE_ELEMS.min(n - start),
+                            crc: 0,
+                        };
+                        t.crc = t.crc_in(w);
+                        tiles.push(t);
+                    }
                 }
             }
         }
@@ -87,33 +153,36 @@ impl WeightChecksums {
         self.tiles.len()
     }
 
-    /// Does the tile at `idx` match the live weights?
-    fn tile_matches(&self, idx: usize, weights: &ModelWeights) -> bool {
+    /// Verify tile `idx` of `live`; on a mismatch restore it from `golden`,
+    /// after checking the golden tile against its load-time checksum (a
+    /// corrupted repair source must never be propagated). Returns whether
+    /// it repaired.
+    fn check_tile<W: TiledWeights + ?Sized>(&self, idx: usize, live: &mut W, golden: &W) -> bool {
         let t = &self.tiles[idx];
-        let lin = weights.blocks[t.block]
-            .layer(t.layer)
-            .expect("layer missing");
-        crc64_f32s(&lin.weight.as_slice()[t.start..t.start + t.len]) == t.crc
-    }
-
-    /// Restore the tile at `idx` of the live weights from the golden copy,
-    /// after verifying the golden tile still matches its load-time checksum
-    /// (a corrupted repair source must never be propagated).
-    fn repair_tile(&self, idx: usize, live: &mut ModelWeights, golden: &ModelWeights) {
-        let t = &self.tiles[idx];
-        let src = golden.blocks[t.block]
-            .layer(t.layer)
-            .expect("layer missing");
-        let src_slice = &src.weight.as_slice()[t.start..t.start + t.len];
+        if t.crc_in(live) == t.crc {
+            return false;
+        }
         assert_eq!(
-            crc64_f32s(src_slice),
+            t.crc_in(golden),
             t.crc,
             "golden copy corrupted: refusing to repair from it"
         );
-        let dst = live.blocks[t.block]
-            .layer_mut(t.layer)
-            .expect("layer missing");
-        dst.weight.as_mut_slice()[t.start..t.start + t.len].copy_from_slice(src_slice);
+        t.data_mut(live).copy_from_slice(t.data(golden));
+        true
+    }
+
+    fn check<W: TiledWeights + ?Sized>(
+        &self,
+        idxs: impl Iterator<Item = usize>,
+        live: &mut W,
+        golden: &W,
+    ) -> StateReport {
+        let mut report = StateReport::default();
+        for idx in idxs {
+            report.scrubbed_tiles += 1;
+            report.weight_repairs += u64::from(self.check_tile(idx, live, golden));
+        }
+        report
     }
 
     /// Verify tiles `from..from + budget` (clamped to the table) of the
@@ -122,39 +191,67 @@ impl WeightChecksums {
     /// replica-rebuild loop: a quarantined replica verifies a budget of
     /// tiles per router tick — surviving replicas keep serving — and
     /// rejoins once the cursor has covered [`WeightChecksums::num_tiles`].
-    pub fn sweep(
+    pub fn sweep<W: TiledWeights + ?Sized>(
         &self,
         from: usize,
         budget: usize,
-        live: &mut ModelWeights,
-        golden: &ModelWeights,
+        live: &mut W,
+        golden: &W,
     ) -> (usize, usize) {
         // ft2: nan-ok (usize clamp of the tile cursor; no floats involved)
         let end = self.tiles.len().min(from.saturating_add(budget));
-        if from >= end {
-            return (0, 0);
-        }
-        let mut repaired = 0;
-        for idx in from..end {
-            if !self.tile_matches(idx, live) {
-                self.repair_tile(idx, live, golden);
-                repaired += 1;
-            }
-        }
-        (end - from, repaired)
+        let report = self.check(from..end, live, golden);
+        let checked = report.scrubbed_tiles as usize;
+        (checked, report.weight_repairs as usize)
     }
 
     /// Verify every tile and repair every mismatch in one pass. Returns
     /// `(checked, repaired)`.
-    pub fn full_sweep(&self, live: &mut ModelWeights, golden: &ModelWeights) -> (usize, usize) {
+    pub fn full_sweep<W: TiledWeights + ?Sized>(&self, live: &mut W, golden: &W) -> (usize, usize) {
         self.sweep(0, self.tiles.len(), live, golden)
+    }
+
+    /// The round-robin budgeted scrub: verify (and repair) `budget` tiles —
+    /// at most one full sweep — from `*cursor` on, wrapping at the end of
+    /// the table, and move the cursor past them.
+    pub(crate) fn scrub<W: TiledWeights + ?Sized>(
+        &self,
+        cursor: &mut usize,
+        budget: usize,
+        live: &mut W,
+        golden: &W,
+    ) -> StateReport {
+        let total = self.tiles.len();
+        // ft2: nan-ok (usize scrub budgeting, no floats)
+        let n = budget.min(total);
+        if n == 0 {
+            return StateReport::default();
+        }
+        let from = *cursor;
+        *cursor = (from + n) % total;
+        self.check((from..from + n).map(|i| i % total), live, golden)
+    }
+
+    /// Verify (and repair) every tile whose `(shard, block, layer)` `keep`
+    /// accepts, in table order.
+    pub(crate) fn check_where<W: TiledWeights + ?Sized>(
+        &self,
+        keep: impl Fn(usize, usize, LayerKind) -> bool,
+        live: &mut W,
+        golden: &W,
+    ) -> StateReport {
+        let idxs = (0..self.tiles.len()).filter(|&i| {
+            let t = &self.tiles[i];
+            keep(t.shard, t.block, t.layer)
+        });
+        self.check(idxs, live, golden)
     }
 }
 
 /// Background weight scrubber: verifies `tiles_per_step` tiles per state
-/// pass, round-robin over the whole tile set, and restores mismatches from
-/// the golden checkpoint. [`StateTap::on_repair`] sweeps every tile at once
-/// (the engine's repair-and-retry rung).
+/// pass, round-robin over the whole tile table, and restores mismatches
+/// from the golden checkpoint. [`StateTap::on_repair`] sweeps every tile at
+/// once (the engine's repair-and-retry rung).
 pub struct WeightScrubber {
     checksums: Arc<WeightChecksums>,
     tiles_per_step: usize,
@@ -170,117 +267,106 @@ impl WeightScrubber {
             cursor: 0,
         }
     }
-
-    fn scrub(&mut self, ctx: &mut StateCtx<'_>, budget: usize) -> StateReport {
-        let total = self.checksums.num_tiles();
-        let mut report = StateReport::default();
-        if total == 0 {
-            return report;
-        }
-        // ft2: nan-ok (usize scrub budgeting, no floats)
-        for _ in 0..budget.min(total) {
-            let idx = self.cursor;
-            self.cursor = (self.cursor + 1) % total;
-            report.scrubbed_tiles += 1;
-            if !self.checksums.tile_matches(idx, ctx.weights) {
-                self.checksums.repair_tile(idx, ctx.weights, ctx.golden);
-                report.weight_repairs += 1;
-            }
-        }
-        report
-    }
 }
 
 impl StateTap for WeightScrubber {
     fn on_step_state(&mut self, ctx: &mut StateCtx<'_>) -> StateReport {
         let budget = self.tiles_per_step;
-        self.scrub(ctx, budget)
+        self.checksums.scrub(&mut self.cursor, budget, ctx.weights, ctx.golden)
     }
 
     fn on_repair(&mut self, ctx: &mut StateCtx<'_>) -> StateReport {
-        let total = self.checksums.num_tiles();
-        self.scrub(ctx, total)
+        let all = self.checksums.num_tiles();
+        self.checksums.scrub(&mut self.cursor, all, ctx.weights, ctx.golden)
     }
 }
 
-/// CRC seals over the K and V rows of one block's cache.
-#[derive(Default)]
-struct BlockSeals {
-    k: Vec<u64>,
-    v: Vec<u64>,
+/// The seal of one sequence position: a CRC-64 chain over the K then V row
+/// of every block at `pos`. Any single-row corruption changes it; the
+/// per-row rotation keeps a swap of two blocks' identical rows from
+/// cancelling out.
+fn position_seal<S: KvStore>(blocks: &[S], seq: &S::Seq, pos: usize) -> u64 {
+    blocks.iter().fold(0u64, |h, b| {
+        let h = h.rotate_left(7) ^ crc64_f32s(b.k_row(seq, pos));
+        h.rotate_left(7) ^ crc64_f32s(b.v_row(seq, pos))
+    })
 }
 
-/// KV-cache CRC guard: seals every freshly appended cache row at
-/// end-of-step, verifies every sealed row before each forward pass, and
-/// reports the earliest corrupted position so the engine can invalidate and
-/// re-decode the poisoned suffix.
-#[derive(Default)]
+/// KV integrity seals: one position seal (see the module docs) per sealed
+/// position of one sequence, over any KV layout whose blocks are [`KvStore`]s (`kv` is the
+/// engine's `KvCache` with `seq = &()`, or the serving `KvArena` with the
+/// request's `KvSeq`). Seals never outrun the store: truncate the guard
+/// whenever the sequence is truncated.
+#[derive(Debug, Default)]
 pub struct KvGuard {
-    seals: Vec<BlockSeals>,
+    seals: Vec<u64>,
 }
 
 impl KvGuard {
-    /// A guard with no seals yet (seals accrue as steps complete).
+    /// A guard with no seals yet (seals accrue as positions are accepted).
     pub fn new() -> KvGuard {
         KvGuard::default()
     }
 
-    fn verify(&self, ctx: &StateCtx<'_>) -> StateReport {
-        let mut invalid: Option<usize> = None;
-        for (b, seals) in self.seals.iter().enumerate() {
-            let blk = ctx.cache.block(b);
-            for (pos, &crc) in seals.k.iter().enumerate() {
-                if crc64_f32s(blk.k.row(pos)) != crc {
-                    // ft2: nan-ok (usize position min, no floats)
-                    invalid = Some(invalid.map_or(pos, |p: usize| p.min(pos)));
-                }
-            }
-            for (pos, &crc) in seals.v.iter().enumerate() {
-                if crc64_f32s(blk.v.row(pos)) != crc {
-                    // ft2: nan-ok (usize position min, no floats)
-                    invalid = Some(invalid.map_or(pos, |p: usize| p.min(pos)));
-                }
-            }
-        }
-        StateReport {
-            kv_invalid_from: invalid,
-            ..StateReport::default()
-        }
+    /// Number of sealed positions.
+    pub fn len(&self) -> usize {
+        self.seals.len()
+    }
+
+    /// True when nothing is sealed yet.
+    pub fn is_empty(&self) -> bool {
+        self.seals.is_empty()
+    }
+
+    /// Seal position `pos` (must be the next unsealed position).
+    pub fn seal<K: AsRef<[S]>, S: KvStore>(&mut self, kv: &K, seq: &S::Seq, pos: usize) {
+        debug_assert_eq!(pos, self.seals.len(), "seals must append in order");
+        self.seals.push(position_seal(kv.as_ref(), seq, pos));
+    }
+
+    /// Re-seal an already-sealed position after a rebuild.
+    pub fn reseal<K: AsRef<[S]>, S: KvStore>(&mut self, kv: &K, seq: &S::Seq, pos: usize) {
+        self.seals[pos] = position_seal(kv.as_ref(), seq, pos);
+    }
+
+    /// Drop seals past `len` (follows a sequence truncate).
+    pub fn truncate(&mut self, len: usize) {
+        self.seals.truncate(len);
+    }
+
+    /// Verify every sealed position, returning the first mismatch (the
+    /// rebuild start) or `None` when all seals hold.
+    pub fn verify<K: AsRef<[S]>, S: KvStore>(&self, kv: &K, seq: &S::Seq) -> Option<usize> {
+        let blocks = kv.as_ref();
+        (0..self.seals.len()).find(|&j| position_seal(blocks, seq, j) != self.seals[j])
     }
 }
 
+/// The engine's policy: seal each step's fresh positions at its end and
+/// verify every sealed position before every forward pass. Each pass's
+/// attention reads every cached position, so this is verify-on-read.
 impl StateTap for KvGuard {
     fn on_step_state(&mut self, ctx: &mut StateCtx<'_>) -> StateReport {
-        self.verify(ctx)
+        StateReport {
+            kv_invalid_from: self.verify(&*ctx.cache, &()),
+            ..StateReport::default()
+        }
     }
 
     fn on_step_end(&mut self, ctx: &mut StateCtx<'_>) {
-        // Seal every not-yet-sealed row (fresh appends of this step, plus
-        // any rows rebuilt after an invalidation).
-        let blocks = ctx.cache.num_blocks();
-        if self.seals.len() < blocks {
-            self.seals.resize_with(blocks, BlockSeals::default);
-        }
-        for (b, seals) in self.seals.iter_mut().enumerate() {
-            let blk = ctx.cache.block(b);
-            for pos in seals.k.len()..blk.k.rows() {
-                seals.k.push(crc64_f32s(blk.k.row(pos)));
-            }
-            for pos in seals.v.len()..blk.v.rows() {
-                seals.v.push(crc64_f32s(blk.v.row(pos)));
-            }
+        // Seal every not-yet-sealed position (fresh appends of this step,
+        // plus any rebuilt after an invalidation).
+        for pos in self.seals.len()..ctx.cache.len() {
+            self.seal(&*ctx.cache, &(), pos);
         }
     }
 
     fn on_repair(&mut self, ctx: &mut StateCtx<'_>) -> StateReport {
-        self.verify(ctx)
+        self.on_step_state(ctx)
     }
 
     fn on_cache_truncated(&mut self, len: usize) {
-        for seals in &mut self.seals {
-            seals.k.truncate(len);
-            seals.v.truncate(len);
-        }
+        self.truncate(len);
     }
 }
 
@@ -396,6 +482,17 @@ mod tests {
         assert_eq!(fixed, 0, "second sweep finds a clean model");
         // Past-the-end sweeps are empty, not panics.
         assert_eq!(sums.sweep(sums.num_tiles(), 10, &mut live, &golden), (0, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "refusing to repair")]
+    fn repair_refuses_a_corrupted_golden_copy() {
+        let (config, mut golden, mut live) = ctx_parts();
+        let sums = WeightChecksums::build(&config, &golden);
+        // The live tile is corrupt, and so is the copy it would come from.
+        live.blocks[1].v_proj.weight.as_mut_slice()[5] += 1.0;
+        golden.blocks[1].v_proj.weight.as_mut_slice()[5] -= 1.0;
+        sums.full_sweep(&mut live, &golden);
     }
 
     #[test]

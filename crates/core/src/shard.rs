@@ -1,15 +1,16 @@
-//! Shard-granular stored-state integrity: per-shard weight-tile checksums
-//! with background scrubbing and on-demand repair.
+//! Shard-granular stored-state integrity: the sharded executor's
+//! [`ShardTap`] over the one weight-tile table.
 //!
 //! The sharded executor ([`ft2_model::ShardedModel`]) gives every shard its
-//! own failure domain; this module gives every shard its own integrity
-//! vertical, mirroring [`crate::integrity::WeightScrubber`] at shard
-//! granularity:
+//! own failure domain. [`ShardScrubber`] runs the same vertical as the
+//! engine's [`crate::WeightScrubber`] over one
+//! [`crate::WeightChecksums`] table that spans every shard's slices (shards
+//! outermost, then block, layer and start — the tiling, tile CRC, golden
+//! check and round-robin scrub are the table's):
 //!
 //! * at construction (and after every degrade re-partition) the scrubber
-//!   snapshots a **golden copy** of each shard's weight slices and computes
-//!   per-tile CRC-64 checksums over them ([`TILE_ELEMS`]-element tiles,
-//!   the same tiling as the trial-level [`crate::WeightChecksums`]);
+//!   snapshots a **golden copy** of each shard's weight slices and builds
+//!   the table over them;
 //! * [`ShardTap::on_step_start`] verifies a budget of tiles per step,
 //!   round-robin, restoring any mismatched tile from the golden copy —
 //!   scrubbing amortised across the generation;
@@ -20,24 +21,31 @@
 //!   is what turns a *persistent* shard fault from an eviction into a
 //!   measured repair, and the slice-scoping is what keeps that repair
 //!   orders of magnitude cheaper than a full restart;
-//! * [`ShardTap::on_repartition`] re-baselines golden copies and checksums
+//! * [`ShardTap::on_repartition`] re-baselines golden copies and the table
 //!   for the survivors' fresh slices after a degrade.
 
-use ft2_model::shard::{RepairScope, ShardStateReport, ShardTap, ShardWeights};
-use ft2_model::LayerKind;
-use ft2_numeric::crc64_f32s;
+use crate::integrity::{TiledWeights, WeightChecksums};
+use ft2_model::shard::{RepairScope, ShardTap, ShardWeights};
+use ft2_model::weights::Linear;
+use ft2_model::{LayerKind, StateReport};
 
 pub use crate::integrity::TILE_ELEMS;
 
-/// One checksummed tile of one shard's weight slice.
-#[derive(Clone, Copy, Debug)]
-struct ShardTile {
-    shard: usize,
-    block: usize,
-    layer: LayerKind,
-    start: usize,
-    len: usize,
-    crc: u64,
+/// A partition's slices: shard `s` is `self[s]`.
+impl TiledWeights for [ShardWeights] {
+    fn linear(&self, shard: usize, block: usize, kind: LayerKind) -> Option<&Linear> {
+        self[shard].blocks[block].layer(kind)
+    }
+
+    fn linear_mut(&mut self, shard: usize, block: usize, kind: LayerKind) -> Option<&mut Linear> {
+        self[shard].blocks[block].layer_mut(kind)
+    }
+}
+
+/// The tile table over every shard's slices.
+fn table_over(shards: &[ShardWeights]) -> WeightChecksums {
+    let blocks = shards.first().map_or(0, |s| s.blocks.len());
+    WeightChecksums::tile(shards, shards.len(), blocks, &LayerKind::ALL)
 }
 
 /// Shard-granular weight scrubber and repair engine. Register as a
@@ -45,36 +53,9 @@ struct ShardTile {
 pub struct ShardScrubber {
     /// Golden copies of every shard's slices (index = shard).
     golden: Vec<ShardWeights>,
-    tiles: Vec<ShardTile>,
+    table: WeightChecksums,
     cursor: usize,
     tiles_per_step: usize,
-}
-
-fn build_tiles(shards: &[ShardWeights]) -> Vec<ShardTile> {
-    let mut tiles = Vec::new();
-    for (s, sw) in shards.iter().enumerate() {
-        for (b, sb) in sw.blocks.iter().enumerate() {
-            for k in LayerKind::ALL {
-                let Some(lin) = sb.layer(k) else { continue };
-                let data = lin.weight.as_slice();
-                let mut start = 0;
-                while start < data.len() {
-                    // ft2: nan-ok (usize tile sizing, no floats involved)
-                    let len = TILE_ELEMS.min(data.len() - start);
-                    tiles.push(ShardTile {
-                        shard: s,
-                        block: b,
-                        layer: k,
-                        start,
-                        len,
-                        crc: crc64_f32s(&data[start..start + len]),
-                    });
-                    start += len;
-                }
-            }
-        }
-    }
-    tiles
 }
 
 impl ShardScrubber {
@@ -87,7 +68,7 @@ impl ShardScrubber {
     pub fn new(shards: &[ShardWeights], tiles_per_step: usize) -> ShardScrubber {
         ShardScrubber {
             golden: shards.to_vec(),
-            tiles: build_tiles(shards),
+            table: table_over(shards),
             cursor: 0,
             tiles_per_step,
         }
@@ -95,84 +76,34 @@ impl ShardScrubber {
 
     /// Total checksummed tiles across all shards (one full sweep).
     pub fn num_tiles(&self) -> usize {
-        self.tiles.len()
-    }
-
-    /// Verify tile `idx` against the live shard weights; restore it from
-    /// the golden copy on mismatch. Returns true when a repair happened.
-    fn check_tile(&self, idx: usize, shards: &mut [ShardWeights]) -> bool {
-        let t = &self.tiles[idx];
-        let live = shards[t.shard].blocks[t.block]
-            .layer_mut(t.layer)
-            .expect("tile layer missing from live shard");
-        let live_slice = &mut live.weight.as_mut_slice()[t.start..t.start + t.len];
-        if crc64_f32s(live_slice) == t.crc {
-            return false;
-        }
-        let src = self.golden[t.shard].blocks[t.block]
-            .layer(t.layer)
-            .expect("tile layer missing from golden shard");
-        let src_slice = &src.weight.as_slice()[t.start..t.start + t.len];
-        assert_eq!(
-            crc64_f32s(src_slice),
-            t.crc,
-            "golden shard copy corrupted: refusing to repair from it"
-        );
-        live_slice.copy_from_slice(src_slice);
-        true
+        self.table.num_tiles()
     }
 
     /// Verify (and repair) every tile of every shard — the unscoped
     /// integrity pass, also usable out-of-band.
-    pub fn full_sweep(&self, shards: &mut [ShardWeights]) -> ShardStateReport {
-        let mut rep = ShardStateReport::default();
-        for idx in 0..self.tiles.len() {
-            rep.scrubbed_tiles += 1;
-            if self.check_tile(idx, shards) {
-                rep.repaired_tiles += 1;
-            }
-        }
-        rep
+    pub fn full_sweep(&self, shards: &mut [ShardWeights]) -> StateReport {
+        self.table.check_where(|_, _, _| true, shards, &self.golden)
     }
 }
 
 impl ShardTap for ShardScrubber {
-    fn on_step_start(&mut self, _step: usize, shards: &mut [ShardWeights]) -> ShardStateReport {
-        let mut rep = ShardStateReport::default();
-        if self.tiles.is_empty() || self.tiles_per_step == 0 {
-            return rep;
-        }
-        for _ in 0..self.tiles_per_step.min(self.tiles.len()) {
-            rep.scrubbed_tiles += 1;
-            if self.check_tile(self.cursor, shards) {
-                rep.repaired_tiles += 1;
-            }
-            self.cursor = (self.cursor + 1) % self.tiles.len();
-        }
-        rep
+    fn on_step_start(&mut self, _step: usize, shards: &mut [ShardWeights]) -> StateReport {
+        self.table
+            .scrub(&mut self.cursor, self.tiles_per_step, shards, &self.golden)
     }
 
-    fn on_repair(&mut self, scope: &RepairScope<'_>, shards: &mut [ShardWeights]) -> ShardStateReport {
-        let mut rep = ShardStateReport::default();
-        for idx in 0..self.tiles.len() {
-            let t = &self.tiles[idx];
-            if t.block != scope.block || t.layer != scope.layer {
-                continue;
-            }
-            if !scope.suspects.is_empty() && !scope.suspects.contains(&t.shard) {
-                continue;
-            }
-            rep.scrubbed_tiles += 1;
-            if self.check_tile(idx, shards) {
-                rep.repaired_tiles += 1;
-            }
-        }
-        rep
+    fn on_repair(&mut self, scope: &RepairScope<'_>, shards: &mut [ShardWeights]) -> StateReport {
+        let suspect = |s| scope.suspects.is_empty() || scope.suspects.contains(&s);
+        self.table.check_where(
+            |s, b, l| b == scope.block && l == scope.layer && suspect(s),
+            shards,
+            &self.golden,
+        )
     }
 
     fn on_repartition(&mut self, shards: &[ShardWeights]) {
         self.golden = shards.to_vec();
-        self.tiles = build_tiles(shards);
+        self.table = table_over(shards);
         self.cursor = 0;
     }
 }
@@ -189,6 +120,39 @@ mod tests {
         ShardPlan::new(config, n).partition(config, &weights)
     }
 
+    /// `(shard, block, layer, start, len)` of every tile, in the order the
+    /// table is pinned to: shard, block, `LayerKind::ALL` order, start.
+    type TileAt = (usize, usize, LayerKind, usize, usize);
+
+    fn tile_order(shards: &[ShardWeights]) -> Vec<TileAt> {
+        let mut order = Vec::new();
+        for (s, sw) in shards.iter().enumerate() {
+            for (b, sb) in sw.blocks.iter().enumerate() {
+                for k in LayerKind::ALL {
+                    let Some(lin) = sb.layer(k) else { continue };
+                    let n = lin.weight.as_slice().len();
+                    for start in (0..n).step_by(TILE_ELEMS) {
+                        order.push((s, b, k, start, TILE_ELEMS.min(n - start)));
+                    }
+                }
+            }
+        }
+        order
+    }
+
+    fn tile_data(shards: &mut [ShardWeights], (s, b, k, start, len): TileAt) -> &mut [f32] {
+        let lin = shards[s].blocks[b].layer_mut(k).unwrap();
+        &mut lin.weight.as_mut_slice()[start..start + len]
+    }
+
+    /// Flip the lowest bit of the first element of every tile.
+    fn corrupt_every_tile(shards: &mut [ShardWeights], order: &[TileAt]) {
+        for &t in order {
+            let x = &mut tile_data(shards, t)[0];
+            *x = f32::from_bits(x.to_bits() ^ 1);
+        }
+    }
+
     #[test]
     fn clean_shards_scrub_without_repairs() {
         let config = ModelConfig::tiny_opt();
@@ -196,7 +160,7 @@ mod tests {
         let mut scrub = ShardScrubber::new(&shards, 8);
         let rep = scrub.on_step_start(0, &mut shards);
         assert_eq!(rep.scrubbed_tiles, 8);
-        assert_eq!(rep.repaired_tiles, 0);
+        assert_eq!(rep.weight_repairs, 0);
     }
 
     #[test]
@@ -221,12 +185,12 @@ mod tests {
             },
             &mut shards,
         );
-        assert_eq!(scoped.repaired_tiles, 1);
+        assert_eq!(scoped.weight_repairs, 1);
         assert!((scoped.scrubbed_tiles as usize) < scrub.num_tiles());
         // The unscoped integrity pass covers everything that remains.
         let rep = scrub.full_sweep(&mut shards);
         assert_eq!(rep.scrubbed_tiles as usize, scrub.num_tiles());
-        assert_eq!(rep.repaired_tiles, 1);
+        assert_eq!(rep.weight_repairs, 1);
         for (a, b) in shards.iter().zip(&pristine) {
             for (ab, bb) in a.blocks.iter().zip(&b.blocks) {
                 for k in LayerKind::ALL {
@@ -241,6 +205,66 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "refusing to repair")]
+    fn repair_refuses_a_corrupted_golden_snapshot() {
+        let config = ModelConfig::tiny_opt();
+        let mut shards = shards_for(&config, 2);
+        let mut scrub = ShardScrubber::new(&shards, 0);
+        // The live tile is corrupt, and so is the snapshot it would come
+        // from.
+        shards[1].blocks[0].q_proj.weight.as_mut_slice()[0] += 1.0;
+        scrub.golden[1].blocks[0].q_proj.weight.as_mut_slice()[0] -= 1.0;
+        scrub.full_sweep(&mut shards);
+    }
+
+    #[test]
+    fn repair_scope_touches_exactly_the_suspect_slice() {
+        let config = ModelConfig::tiny_opt();
+        let mut shards = shards_for(&config, 3);
+        let mut scrub = ShardScrubber::new(&shards, 0);
+        let order = tile_order(&shards);
+        assert_eq!(order.len(), scrub.num_tiles());
+        corrupt_every_tile(&mut shards, &order);
+        let fc1 = shards[0].blocks[1].layer(LayerKind::Fc1).unwrap();
+        let len = fc1.weight.as_slice().len();
+        assert_ne!(len % TILE_ELEMS, 0, "the slice ends in a partial tile");
+        let want = len.div_ceil(TILE_ELEMS) as u64;
+        let rep = scrub.on_repair(
+            &RepairScope {
+                suspects: &[0],
+                block: 1,
+                layer: LayerKind::Fc1,
+            },
+            &mut shards,
+        );
+        assert_eq!((rep.scrubbed_tiles, rep.weight_repairs), (want, want));
+        // Every other tile is still corrupt: the rest of the table repairs
+        // all of them and nothing else.
+        let rest = scrub.full_sweep(&mut shards);
+        assert_eq!(rest.weight_repairs, scrub.num_tiles() as u64 - want);
+    }
+
+    #[test]
+    fn one_tile_per_step_visits_every_tile_once_in_table_order() {
+        let config = ModelConfig::tiny_llama();
+        let mut shards = shards_for(&config, 2);
+        let pristine = shards.clone();
+        let mut scrub = ShardScrubber::new(&shards, 1);
+        let order = tile_order(&shards);
+        assert_eq!(order.len(), scrub.num_tiles());
+        corrupt_every_tile(&mut shards, &order);
+        for (step, &t) in order.iter().enumerate() {
+            let rep = scrub.on_step_start(step, &mut shards);
+            let visited = (rep.scrubbed_tiles, rep.weight_repairs);
+            assert_eq!(visited, (1, 1), "step {step}");
+            let mut clean = pristine.clone();
+            let restored = tile_data(&mut clean, t);
+            assert_eq!(tile_data(&mut shards, t), restored, "step {step}");
+        }
+        assert_eq!(shards, pristine);
+    }
+
+    #[test]
     fn round_robin_scrub_finds_corruption_within_one_sweep() {
         let config = ModelConfig::tiny_opt();
         let mut shards = shards_for(&config, 2);
@@ -249,7 +273,7 @@ mod tests {
         let sweeps = scrub.num_tiles().div_ceil(4);
         let mut repaired = 0;
         for step in 0..sweeps {
-            repaired += scrub.on_step_start(step, &mut shards).repaired_tiles;
+            repaired += scrub.on_step_start(step, &mut shards).weight_repairs;
         }
         assert_eq!(repaired, 1);
     }
@@ -266,6 +290,6 @@ mod tests {
         assert_ne!(scrub.num_tiles(), 0);
         assert!(scrub.num_tiles() <= before);
         let rep = scrub.full_sweep(&mut shards);
-        assert_eq!(rep.repaired_tiles, 0, "fresh partition must verify clean");
+        assert_eq!(rep.weight_repairs, 0, "fresh partition must verify clean");
     }
 }

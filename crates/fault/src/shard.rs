@@ -203,7 +203,7 @@ impl ShardTap for ShardFaultInjector {
         &mut self,
         step: usize,
         shards: &mut [ShardWeights],
-    ) -> ft2_model::shard::ShardStateReport {
+    ) -> ft2_model::StateReport {
         if self.spec.fault == ShardFault::TileCorrupt {
             if self.active(step) {
                 self.corrupt_tile(shards);
@@ -213,7 +213,7 @@ impl ShardTap for ShardFaultInjector {
                 self.restore_tile(shards);
             }
         }
-        ft2_model::shard::ShardStateReport::default()
+        ft2_model::StateReport::default()
     }
 
     fn directive(

@@ -218,6 +218,14 @@ impl KvCache {
     }
 }
 
+/// Every block's store in block order: what a KV guard seals a position
+/// over.
+impl AsRef<[KvCacheBlock]> for KvCache {
+    fn as_ref(&self) -> &[KvCacheBlock] {
+        &self.blocks
+    }
+}
+
 impl Model {
     /// Build a model from a configuration (constructs the synthetic
     /// checkpoint deterministically from `config.seed`). Panics on a

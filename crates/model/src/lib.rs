@@ -64,7 +64,7 @@ pub use hooks::{
 pub use ladder::{Ladder, Rung};
 pub use shard::{
     balanced_spans, DegradeEvent, PartialMut, RepairScope, ShardBlockWeights, ShardFailure,
-    ShardIncidentKind, ShardPartialCtx, ShardPlan, ShardStateReport, ShardTap, ShardTapList,
+    ShardIncidentKind, ShardPartialCtx, ShardPlan, ShardTap, ShardTapList,
     ShardWeights, ShardedGeneration, ShardedModel, Span, TaskDirective,
 };
 pub use state::{StateCtx, StateReport, StateTap, StateTapList};

@@ -53,7 +53,7 @@ use crate::config::{LayerKind, ModelConfig};
 use crate::engine::{Host, Model, RecoveryPolicy, StepRecord};
 use crate::hooks::{TapList, TapPoint};
 use crate::ladder::{Ladder, Rung};
-use crate::state::StateTapList;
+use crate::state::{StateReport, StateTapList};
 use crate::walk::Exec;
 use crate::weights::{Linear, ModelWeights};
 use ft2_parallel::{lock_clean, HeartbeatMonitor, ShardHeartbeat, WorkStealingPool};
@@ -432,22 +432,10 @@ pub enum PartialMut<'a> {
     F64(&'a mut [f64]),
 }
 
-/// Integrity work performed by a tap during a sweep.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardStateReport {
-    /// Weight tiles whose checksum was re-verified.
-    pub scrubbed_tiles: u64,
-    /// Weight tiles found corrupted and restored from the golden copy.
-    pub repaired_tiles: u64,
-}
-
-impl ShardStateReport {
-    /// Accumulate another report into this one.
-    pub fn merge(&mut self, other: ShardStateReport) {
-        self.scrubbed_tiles += other.scrubbed_tiles;
-        self.repaired_tiles += other.repaired_tiles;
-    }
-}
+/// The shard taps' name for [`StateReport`], kept so taps written against
+/// it still compile: shard taps and state taps return the one report type
+/// (`kv_invalid_from` stays `None` here).
+pub use crate::state::StateReport as ShardStateReport;
 
 /// Scope of one repair rung. A shard's partial GEMM reads exactly one
 /// `(block, layer)` weight slice, so an anomalous partial implicates
@@ -471,9 +459,9 @@ pub struct RepairScope<'a> {
 pub trait ShardTap {
     /// Called before each step's forward pass with mutable access to every
     /// shard's weights (injectors corrupt, scrubbers verify/repair).
-    fn on_step_start(&mut self, step: usize, shards: &mut [ShardWeights]) -> ShardStateReport {
+    fn on_step_start(&mut self, step: usize, shards: &mut [ShardWeights]) -> StateReport {
         let _ = (step, shards);
-        ShardStateReport::default()
+        StateReport::default()
     }
 
     /// Queried immediately before dispatching one shard's partial GEMM.
@@ -499,9 +487,9 @@ pub trait ShardTap {
     /// failing isolation domains' implicated slice is what keeps a repair
     /// orders of magnitude cheaper than a full restart. Returns the work
     /// done.
-    fn on_repair(&mut self, scope: &RepairScope<'_>, shards: &mut [ShardWeights]) -> ShardStateReport {
+    fn on_repair(&mut self, scope: &RepairScope<'_>, shards: &mut [ShardWeights]) -> StateReport {
         let _ = (scope, shards);
-        ShardStateReport::default()
+        StateReport::default()
     }
 
     /// Called after each step's forward pass (accepted or aborted).
@@ -539,10 +527,10 @@ impl<'a> ShardTapList<'a> {
         self.taps.is_empty()
     }
 
-    fn on_step_start(&mut self, step: usize, shards: &mut [ShardWeights]) -> ShardStateReport {
-        let mut merged = ShardStateReport::default();
+    fn on_step_start(&mut self, step: usize, shards: &mut [ShardWeights]) -> StateReport {
+        let mut merged = StateReport::default();
         for t in &mut self.taps {
-            merged.merge(t.on_step_start(step, shards));
+            merged.merge(&t.on_step_start(step, shards));
         }
         merged
     }
@@ -572,10 +560,10 @@ impl<'a> ShardTapList<'a> {
         }
     }
 
-    fn on_repair(&mut self, scope: &RepairScope<'_>, shards: &mut [ShardWeights]) -> ShardStateReport {
-        let mut merged = ShardStateReport::default();
+    fn on_repair(&mut self, scope: &RepairScope<'_>, shards: &mut [ShardWeights]) -> StateReport {
+        let mut merged = StateReport::default();
         for t in &mut self.taps {
-            merged.merge(t.on_repair(scope, shards));
+            merged.merge(&t.on_repair(scope, shards));
         }
         merged
     }
@@ -1060,7 +1048,7 @@ impl Host for Fanout<'_, '_, '_> {
         self.step = step;
         let rep = self.taps.on_step_start(step, &mut self.sharded.weights);
         self.stats.scrubbed_tiles += rep.scrubbed_tiles;
-        self.stats.tiles_repaired += rep.repaired_tiles;
+        self.stats.tiles_repaired += rep.weight_repairs;
     }
 
     fn after_pass(&mut self, step: usize) {
@@ -1190,7 +1178,7 @@ impl Exec for Fanout<'_, '_, '_> {
                 let rep = taps.on_repair(&scope, &mut sharded.weights);
                 stats.repair_ns += t0.elapsed().as_nanos() as u64;
                 stats.scrubbed_tiles += rep.scrubbed_tiles;
-                stats.tiles_repaired += rep.repaired_tiles;
+                stats.tiles_repaired += rep.weight_repairs;
                 stats.repair_rungs += 1;
             }
         }

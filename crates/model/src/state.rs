@@ -32,7 +32,9 @@ pub struct StateCtx<'a> {
     pub dtype: DType,
 }
 
-/// What a state tap observed and did during one pass.
+/// What a state tap observed and did during one pass — and what a
+/// [`crate::shard::ShardTap`] reports of its scrubs and repairs (with
+/// `kv_invalid_from` left `None`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StateReport {
     /// Weight tiles whose checksum was re-verified this pass.

@@ -13,15 +13,17 @@
 //! in lockstep, so one page id addresses every block's slab), which makes
 //! alloc/free O(1) and eviction a straight hand-back of the page list.
 //!
-//! [`KvGuard`] carries per-position CRC seals over a sequence's K/V rows —
-//! the per-request generalisation of the engine's KV-cache guard: the
-//! scheduler seals each accepted position and, on the repair rung of the
-//! recovery ladder, sweeps the seals to find (and rebuild) corrupted
-//! positions without touching any other request's pages.
+//! A request's KV integrity seals are the one [`KvGuard`] of `ft2-core`,
+//! re-exported here: it seals a position over the arena's slabs exactly as
+//! it seals one over the engine's cache. The scheduler seals each accepted
+//! position and, on the repair rung of the recovery ladder, verifies the
+//! seals to find (and rebuild) corrupted positions without touching any
+//! other request's pages.
 
 use ft2_model::walk::KvStore;
-use ft2_numeric::crc64_f32s;
 use ft2_tensor::Matrix;
+
+pub use ft2_core::KvGuard;
 
 /// Positions per KV page. Sixteen rows keeps page-grain rollback cheap
 /// (a decode-step rollback frees at most one page) while amortising the
@@ -155,19 +157,13 @@ impl KvArena {
     pub fn v_row_mut(&mut self, block: usize, row: usize) -> &mut [f32] {
         self.slabs[block].v.row_mut(row)
     }
+}
 
-    /// Integrity seal of one sequence position: a CRC64 chain over the K
-    /// and V rows of every block at that position. Any single-row
-    /// corruption changes the seal; the per-block rotation keeps a swap of
-    /// two blocks' identical rows from cancelling out.
-    pub fn seal(&self, seq: &KvSeq, pos: usize) -> u64 {
-        let row = seq.row_of(pos);
-        let mut h = 0u64;
-        for b in 0..self.num_blocks() {
-            h = h.rotate_left(7) ^ crc64_f32s(self.k_row(b, row));
-            h = h.rotate_left(7) ^ crc64_f32s(self.v_row(b, row));
-        }
-        h
+/// Every block's slab in block order: what a [`KvGuard`] seals a position
+/// over.
+impl AsRef<[KvSlab]> for KvArena {
+    fn as_ref(&self) -> &[KvSlab] {
+        &self.slabs
     }
 }
 
@@ -236,53 +232,6 @@ impl KvSeq {
     /// eviction). The sequence is empty afterwards.
     pub fn release(&mut self, arena: &mut KvArena) {
         self.truncate(0, arena);
-    }
-}
-
-/// Per-request KV integrity seals: one CRC64 per accepted position. The
-/// scheduler's repair rung sweeps these to localise stored-state corruption
-/// to a position range, then rebuilds exactly that range.
-#[derive(Debug, Default)]
-pub struct KvGuard {
-    seals: Vec<u64>,
-}
-
-impl KvGuard {
-    /// Empty guard (no sealed positions).
-    pub fn new() -> KvGuard {
-        KvGuard::default()
-    }
-
-    /// Number of sealed positions.
-    pub fn len(&self) -> usize {
-        self.seals.len()
-    }
-
-    /// True when nothing is sealed yet.
-    pub fn is_empty(&self) -> bool {
-        self.seals.is_empty()
-    }
-
-    /// Seal position `pos` (must be the next unsealed position).
-    pub fn seal(&mut self, arena: &KvArena, seq: &KvSeq, pos: usize) {
-        debug_assert_eq!(pos, self.seals.len(), "seals must append in order");
-        self.seals.push(arena.seal(seq, pos));
-    }
-
-    /// Re-seal an already-sealed position after a rebuild.
-    pub fn reseal(&mut self, arena: &KvArena, seq: &KvSeq, pos: usize) {
-        self.seals[pos] = arena.seal(seq, pos);
-    }
-
-    /// Drop seals past `len` (follows a sequence truncate).
-    pub fn truncate(&mut self, len: usize) {
-        self.seals.truncate(len);
-    }
-
-    /// Verify every sealed position, returning the first mismatch (the
-    /// rebuild start) or `None` when all seals hold.
-    pub fn verify(&self, arena: &KvArena, seq: &KvSeq) -> Option<usize> {
-        (0..self.seals.len().min(seq.len())).find(|&j| arena.seal(seq, j) != self.seals[j])
     }
 }
 

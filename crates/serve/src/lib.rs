@@ -10,8 +10,9 @@
 //! * [`arena`] — paged per-request KV storage: [`arena::KvArena`] owns one
 //!   K/V slab per decoder block carved into fixed pages,
 //!   [`arena::KvSeq`] maps a request's positions onto its pages, and
-//!   [`arena::KvGuard`] carries per-position CRC seals for the repair
-//!   rung. Requests allocate, roll back, and free pages independently.
+//!   [`KvGuard`] — `ft2-core`'s one KV guard, re-exported — seals each
+//!   accepted position for the repair rung. Requests allocate, roll back,
+//!   and free pages independently.
 //! * [`engine`] — the serving passes of the layer walk
 //!   ([`ft2_model::walk`]): [`engine::batch_step`] advances every lane one
 //!   token and [`engine::prefill`] writes a prompt straight into a

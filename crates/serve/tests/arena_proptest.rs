@@ -1,19 +1,101 @@
 //! Property-based tests of the paged KV arena: page accounting is an
-//! involution, concurrent sequences never alias, and the arena-backed
-//! batch path stores bit-identical KV to the single-sequence cache.
+//! involution, concurrent sequences never alias, the arena-backed batch
+//! path stores bit-identical KV to the single-sequence cache, and the one
+//! KV seal localises corruption identically on both layouts.
 
 use std::sync::OnceLock;
 
 use ft2_model::engine::KvCache;
+use ft2_model::walk::KvStore;
 use ft2_model::{Model, ModelConfig, TapList};
 use ft2_parallel::WorkStealingPool;
 use ft2_serve::engine::{batch_step, BatchLane, BatchScratch};
-use ft2_serve::{KvArena, KvSeq, KV_PAGE};
+use ft2_serve::{KvArena, KvGuard, KvSeq, KV_PAGE};
 use proptest::prelude::*;
 
 fn model() -> &'static Model {
     static MODEL: OnceLock<Model> = OnceLock::new();
     MODEL.get_or_init(|| Model::new(ModelConfig::tiny_llama()))
+}
+
+/// One corrupted element: `(block, is_k)`, `(pos, elem)`, `(mode, bit)`.
+/// Mode 0 flips bit `bit` of the stored value; mode 1 plants `0.0` before
+/// sealing and flips its sign bit (`-0.0 == 0.0` as floats); mode 2 plants a
+/// quiet NaN and flips payload bit `bit % 22` (the result is still NaN).
+type Hit = ((usize, bool), (usize, usize), (u32, u32));
+
+/// Positions the seal property runs over: more than two arena pages.
+const SEALED: usize = 2 * KV_PAGE + 3;
+
+/// Seal `len` positions of `kv`, corrupt it at `hits`, and check what
+/// [`KvGuard::verify`] reports through truncation and reseal. `elem`
+/// addresses one stored element of the layout.
+fn seal_localises_hits<K: AsRef<[S]>, S: KvStore>(
+    kv: &mut K,
+    seq: &S::Seq,
+    len: usize,
+    hits: &[Hit],
+    elem: impl for<'a> Fn(&'a mut K, &S::Seq, &Hit) -> &'a mut f32,
+) {
+    let flip = |kv: &mut K, h: &Hit| {
+        let ((_, _), (_, _), (mode, bit)) = *h;
+        let bit = match mode {
+            1 => 31,
+            2 => bit % 22,
+            _ => bit,
+        };
+        let x = elem(kv, seq, h);
+        *x = f32::from_bits(x.to_bits() ^ (1 << bit));
+    };
+    for h in hits {
+        match h.2 .0 {
+            1 => *elem(kv, seq, h) = 0.0,
+            2 => *elem(kv, seq, h) = f32::NAN,
+            _ => {}
+        }
+    }
+    // The serving guard is the engine's guard, re-exported.
+    let mut guard: ft2_core::KvGuard = KvGuard::new();
+    for pos in 0..len {
+        guard.seal(&*kv, seq, pos);
+    }
+    assert_eq!(guard.verify(&*kv, seq), None);
+    let first = hits.iter().map(|h| h.1 .0).min().unwrap();
+    for h in hits {
+        flip(kv, h);
+    }
+    assert_eq!(guard.verify(&*kv, seq), Some(first), "hits {hits:?}");
+    // Restoring the elements and resealing their positions holds again.
+    for h in hits {
+        flip(kv, h);
+        guard.reseal(&*kv, seq, h.1 .0);
+    }
+    assert_eq!(guard.verify(&*kv, seq), None);
+    // Truncating below the first hit drops every broken seal.
+    for h in hits {
+        flip(kv, h);
+    }
+    assert_eq!(guard.verify(&*kv, seq), Some(first));
+    guard.truncate(first);
+    assert_eq!(guard.verify(&*kv, seq), None);
+}
+
+fn cache_elem<'a>(cache: &'a mut KvCache, _: &(), h: &Hit) -> &'a mut f32 {
+    let ((b, is_k), (pos, e), _) = *h;
+    let blk = cache.block_mut(b);
+    let m = if is_k { &mut blk.k } else { &mut blk.v };
+    &mut m.row_mut(pos)[e]
+}
+
+fn arena_elem<'a>(arena: &'a mut KvArena, seq: &KvSeq, h: &Hit) -> &'a mut f32 {
+    let ((b, is_k), (pos, e), _) = *h;
+    let row = seq.row_of(pos);
+    let r = if is_k {
+        arena.k_row_mut(b, row)
+    } else {
+        arena.v_row_mut(b, row)
+    };
+    &mut r[e]
 }
 
 proptest! {
@@ -153,5 +235,53 @@ proptest! {
                 prop_assert_eq!(arena.v_row(b, row), cache.block(b).v.row(j));
             }
         }
+    }
+
+    /// The one KV seal localises corruption the same way on the engine's
+    /// contiguous cache and on arena pages: any set of single-bit flips —
+    /// NaN payloads and the sign of zero included — reports exactly the
+    /// smallest flipped position. (tiny-llama: 2 blocks, hidden 32.)
+    #[test]
+    fn kv_seal_reports_the_first_flipped_position_on_both_layouts(
+        hits in prop::collection::vec(
+            (
+                (0usize..2, any::<bool>()),
+                (0usize..SEALED, 0usize..32),
+                (0u32..3, 0u32..32),
+            ),
+            1..5,
+        )
+    ) {
+        // One flip per element: a second flip of the same element could
+        // cancel the first.
+        let mut hits = hits;
+        hits.sort_by_key(|h| (h.0, h.1));
+        hits.dedup_by_key(|h| (h.0, h.1));
+        let model = model();
+        let config = model.config();
+        let prompt: Vec<u32> = (0..SEALED as u32).map(|t| (t * 37 + 5) % 500).collect();
+        let mut cache = KvCache::new(config);
+        let _ = model.forward_step(&prompt, 0, 0, &mut cache, &mut TapList::new());
+
+        // The same rows on arena pages, interleaved with another
+        // sequence's pages so positions do not map to contiguous rows.
+        let mut arena = KvArena::new(config.blocks, config.hidden);
+        let (mut seq, mut other) = (KvSeq::new(), KvSeq::new());
+        for j in 0..SEALED {
+            if j % KV_PAGE == 0 {
+                for _ in 0..KV_PAGE {
+                    other.push(&mut arena);
+                }
+            }
+            let row = seq.push(&mut arena);
+            for b in 0..config.blocks {
+                arena.k_row_mut(b, row).copy_from_slice(cache.block(b).k.row(j));
+                arena.v_row_mut(b, row).copy_from_slice(cache.block(b).v.row(j));
+            }
+        }
+        prop_assert!(seq.pages().len() > 2);
+
+        seal_localises_hits(&mut cache, &(), SEALED, &hits, cache_elem);
+        seal_localises_hits(&mut arena, &seq, SEALED, &hits, arena_elem);
     }
 }
