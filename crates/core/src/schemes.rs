@@ -154,7 +154,9 @@ impl SchemeFactory {
         }
     }
 
-    /// FT2 with a custom bound scale factor (the Fig. 9 sweep).
+    /// FT2 with a custom bound scale factor (the Fig. 9 sweep). A scale
+    /// other than [`FT2_DEFAULT_SCALE`] is part of the name (`FT2@1.25`),
+    /// so each scale gets its own campaign fingerprint.
     pub fn ft2_with_scale(config: &ModelConfig, scale: f32) -> SchemeFactory {
         SchemeFactory {
             scheme: Scheme::Ft2,
@@ -163,7 +165,11 @@ impl SchemeFactory {
             scale,
             storm_threshold: None,
             integrity: IntegrityConfig::disabled(),
-            label: Scheme::Ft2.name().to_string(),
+            label: if scale == FT2_DEFAULT_SCALE {
+                Scheme::Ft2.name().to_string()
+            } else {
+                format!("{}@{scale}", Scheme::Ft2.name())
+            },
         }
     }
 
@@ -172,7 +178,7 @@ impl SchemeFactory {
     /// gains a suffix (e.g. `FT2+scrub8+kvguard`) so campaign fingerprints
     /// distinguish integrity configurations.
     pub fn with_integrity(mut self, integrity: IntegrityConfig) -> SchemeFactory {
-        self.label = format!("{}{}", self.scheme.name(), integrity.label_suffix());
+        self.label = format!("{}{}", self.label, integrity.label_suffix());
         self.integrity = integrity;
         self
     }
@@ -285,6 +291,21 @@ mod tests {
         let ft2 = SchemeFactory::new(Scheme::Ft2, &config, None);
         assert_eq!(ft2.make().len(), 1);
         assert_eq!(ft2.scheme_name(), "FT2");
+    }
+
+    #[test]
+    fn each_bound_scale_has_its_own_scheme_name() {
+        let config = ModelConfig::tiny_opt();
+        let name = |scale| SchemeFactory::ft2_with_scale(&config, scale).scheme_name().to_string();
+        assert_eq!(name(FT2_DEFAULT_SCALE), "FT2");
+        assert_eq!(name(1.25), "FT2@1.25");
+        assert_ne!(name(1.0), name(1.5));
+        let repair = SchemeFactory::ft2_with_scale(&config, 3.0).with_integrity(IntegrityConfig {
+            scrub_tiles_per_step: 0,
+            kv_guard: true,
+            checksums: None,
+        });
+        assert_eq!(repair.scheme_name(), "FT2@3+kvguard");
     }
 
     #[test]

@@ -599,8 +599,10 @@ impl<'a> Campaign<'a> {
     }
 
     /// Configuration fingerprint used to validate checkpoint compatibility.
-    /// Covers everything that changes trial outcomes, including a hash of
-    /// the reference generations (so a different model or input set is
+    /// Covers everything that changes trial outcomes: the config, the
+    /// model's storage dtype (the flipped bit pattern and every rounding
+    /// depend on it, while the references often do not), and a hash of the
+    /// reference generations (so a different model or input set is
     /// rejected even at identical config).
     pub fn fingerprint(&self, scheme: &str) -> String {
         let mut refs = Vec::new();
@@ -617,10 +619,11 @@ impl<'a> Campaign<'a> {
                 .join("+"),
         };
         format!(
-            "seed={}|trials={}|gen={}|fault={:?}|duration={:?}|target={}|steps={:?}|weight={:?}|layers={}|inputs={}|budget={:?}|deadline={:?}|recovery={}|repair={}|scheme={}|refs={:016x}",
+            "seed={}|trials={}|gen={}|dtype={}|fault={:?}|duration={:?}|target={}|steps={:?}|weight={:?}|layers={}|inputs={}|budget={:?}|deadline={:?}|recovery={}|repair={}|scheme={}|refs={:016x}",
             self.config.seed,
             self.config.trials_per_input,
             self.config.gen_tokens,
+            self.model.config().dtype.name(),
             self.config.fault_model,
             self.config.fault_duration,
             self.config.fault_target.name(),
@@ -750,6 +753,7 @@ mod tests {
     use super::*;
     use crate::outcome::ExactJudge;
     use ft2_model::ModelConfig;
+    use ft2_numeric::DType;
 
     fn tiny_campaign_parts() -> (Model, Vec<Vec<u32>>) {
         let model = Model::new(ModelConfig::tiny_opt());
@@ -1045,5 +1049,26 @@ mod tests {
             .unwrap_err();
         assert!(err.contains("different campaign"), "{err}");
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn storage_dtype_is_part_of_the_fingerprint() {
+        // The Fig. 15 cells: one model at three storage formats. Their
+        // references agree, so only the dtype tells the campaigns apart.
+        let pool = WorkStealingPool::new(2);
+        let inputs: Vec<Vec<u32>> = vec![vec![3, 14, 15, 92, 6], vec![27, 18, 28, 18]];
+        let mut cfg = CampaignConfig::quick(FaultModel::ExponentBit);
+        cfg.trials_per_input = 2;
+        cfg.gen_tokens = 4;
+        let fingerprints: std::collections::BTreeSet<String> = [DType::F16, DType::F32, DType::Bf16]
+            .into_iter()
+            .map(|dtype| {
+                let mut spec = ft2_model::ZooModel::Opt6_7B.spec();
+                spec.config.dtype = dtype;
+                let model = spec.build();
+                Campaign::new(&model, &inputs, &ExactJudge, cfg.clone(), &pool).fingerprint("FT2")
+            })
+            .collect();
+        assert_eq!(fingerprints.len(), 3, "{fingerprints:?}");
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! ```text
 //! ft2-repro [--resume] <experiment> [...]
-//!   experiments: table1 table2 fig2 fig3 fig4 fig6 fig7 fig8 fig9 fig10
-//!                fig11 fig12 fig13 fig14 fig15 fig16 ablations recovery
-//!                persistent all
+//!   experiments (`experiments::ALL`, in `all` order): table1 table2 fig2
+//!                fig3 fig4 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13
+//!                fig14 fig15 fig16 ablations recovery persistent; or all
 //!
 //! ft2-repro replay <seed>/<input>/<trial> \
 //!           [--model M] [--dataset D] [--scheme S] [--fault F] \
@@ -12,8 +12,8 @@
 //!           [--target activation|weight|kv-cache]
 //!   re-runs exactly one campaign trial with verbose tracing: the injected
 //!   site and corrupted value, the outcome, and per-layer NaN/Inf anomaly
-//!   events. Crashed trials are listed by campaigns as seed/input/trial
-//!   pointers for exactly this command.
+//!   events. Campaigns report each crashed trial with this whole command
+//!   (or why the replay options cannot express its cell).
 //!
 //! ft2-repro shards [--smoke]
 //!   sharded-execution gate: for each swept zoo config and shard count,
@@ -79,75 +79,13 @@ use ft2_harness::experiments::{self, ExperimentCtx};
 use ft2_harness::{gate_passes, gate_table, lint, webserve, Gate, GATES};
 use std::time::Instant;
 
-const EXPERIMENTS: &[&str] = &[
-    "table1", "table2", "fig2", "fig3", "fig4", "fig6", "fig7", "fig8", "fig9", "fig10",
-    "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "ablations", "recovery",
-    "persistent",
-];
-
 fn run_one(ctx: &ExperimentCtx, name: &str) -> bool {
+    let Some((_, run)) = experiments::ALL.iter().find(|(n, _)| *n == name) else {
+        return false;
+    };
     let t0 = Instant::now();
     println!("### {name} ###");
-    match name {
-        "table1" => {
-            experiments::table1::run(ctx);
-        }
-        "table2" => {
-            experiments::table2::run(ctx);
-        }
-        "fig2" => {
-            experiments::fig02::run(ctx);
-        }
-        "fig3" => {
-            experiments::fig03::run(ctx);
-        }
-        "fig4" => {
-            experiments::fig04::run(ctx);
-        }
-        "fig6" => {
-            experiments::fig06::run(ctx);
-        }
-        "fig7" => {
-            experiments::fig07::run(ctx);
-        }
-        "fig8" => {
-            experiments::fig08::run(ctx);
-        }
-        "fig9" => {
-            experiments::fig09::run(ctx);
-        }
-        "fig10" => {
-            experiments::fig10::run(ctx);
-        }
-        "fig11" => {
-            experiments::fig11::run(ctx);
-        }
-        "fig12" => {
-            experiments::fig12::run(ctx);
-        }
-        "fig13" => {
-            experiments::fig13::run(ctx);
-        }
-        "fig14" => {
-            experiments::fig14::run(ctx);
-        }
-        "fig15" => {
-            experiments::fig15::run(ctx);
-        }
-        "fig16" => {
-            experiments::fig16::run(ctx);
-        }
-        "ablations" => {
-            experiments::ablations::run(ctx);
-        }
-        "recovery" => {
-            experiments::recovery::run(ctx);
-        }
-        "persistent" => {
-            experiments::persistent::run(ctx);
-        }
-        _ => return false,
-    }
+    run(ctx);
     eprintln!("### {name} done in {:.1?}\n", t0.elapsed());
     true
 }
@@ -239,7 +177,8 @@ fn main() {
         println!("       the three gates print one pass/FAIL row per guarantee and exit");
         println!("       non-zero if any fails; throughput and latency are measured by");
         println!("       `bash benchmark/run.sh` (metric names in BENCHMARK.json)");
-        println!("experiments: {}", EXPERIMENTS.join(" "));
+        let names: Vec<&str> = experiments::ALL.iter().map(|(name, _)| *name).collect();
+        println!("experiments: {}", names.join(" "));
         println!("sizing via env: FT2_INPUTS, FT2_TRIALS, FT2_SEED, FT2_QUICK=1");
         println!("resilience: --resume (or FT2_RESUME=1) resumes interrupted campaigns;");
         println!("  checkpoints are `ft2-checkpoint 6` line files; an unusable one (older");
@@ -302,7 +241,7 @@ fn main() {
     }
 
     let list: Vec<&str> = if args.iter().any(|a| a == "all") {
-        EXPERIMENTS.to_vec()
+        experiments::ALL.iter().map(|(name, _)| *name).collect()
     } else {
         args.iter().map(|s| s.as_str()).collect()
     };

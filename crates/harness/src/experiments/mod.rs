@@ -1,37 +1,47 @@
-//! Experiment drivers, one module per table/figure of the paper.
+//! Experiment drivers: one [`sweep::Sweep`] spec per campaign figure
+//! ([`campaigns`]), run by the one runner in [`sweep`]; a small body per
+//! figure that is not a campaign ([`figures`]); and single-trial
+//! [`replay`].
 
-pub mod ablations;
-pub mod fig02;
-pub mod persistent;
-pub mod recovery;
+pub mod campaigns;
+pub mod figures;
 pub mod replay;
-pub mod fig03;
-pub mod fig04;
-pub mod fig06;
-pub mod fig07;
-pub mod fig08;
-pub mod fig09;
-pub mod fig10;
-pub mod fig11;
-pub mod fig12;
-pub mod fig13;
-pub mod fig14;
-pub mod fig15;
-pub mod fig16;
-pub mod table1;
-pub mod table2;
+pub mod sweep;
 
 use crate::report::{Csv, Table};
 use crate::settings::{Resilience, Settings};
-use ft2_core::profile::{offline_profile, OfflineBounds};
-use ft2_core::protect::{Correction, Coverage, NanPolicy, Protector};
-use ft2_fault::{Campaign, CampaignResult, CheckpointPolicy, ProtectionFactory};
-use ft2_model::{LayerKind, LayerTap, Model, ModelSpec};
-use ft2_numeric::crc64;
 use ft2_parallel::WorkStealingPool;
-use ft2_tasks::datasets::generate_prompts;
-use ft2_tasks::{DatasetId, TaskSpec};
-use std::sync::Arc;
+
+/// An experiment: runs, prints its tables and writes their CSVs. A
+/// campaign figure's is its sweep spec's [`sweep::Sweep::run`].
+pub type Experiment = fn(&ExperimentCtx);
+
+/// Every experiment by `ft2-repro` subcommand name, in the order `all`
+/// runs them.
+pub const ALL: [(&str, Experiment); 19] = [
+    ("table1", figures::table1),
+    ("table2", figures::table2),
+    ("fig2", |ctx| { campaigns::fig2(&ctx.settings).run(ctx); }),
+    ("fig3", figures::fig3),
+    ("fig4", figures::fig4),
+    ("fig6", |ctx| { campaigns::fig6(&ctx.settings).run(ctx); }),
+    ("fig7", figures::fig7),
+    ("fig8", figures::fig8),
+    ("fig9", |ctx| { campaigns::fig9(&ctx.settings).run(ctx); }),
+    ("fig10", figures::fig10),
+    ("fig11", |ctx| { campaigns::fig11(&ctx.settings).run(ctx); }),
+    ("fig12", figures::fig12),
+    ("fig13", |ctx| {
+        let (_, results) = campaigns::fig13(&ctx.settings).run(ctx);
+        campaigns::fig13_aggregates(ctx, &results);
+    }),
+    ("fig14", figures::fig14),
+    ("fig15", |ctx| { campaigns::fig15(&ctx.settings).run(ctx); }),
+    ("fig16", |ctx| { campaigns::fig16(&ctx.settings).run(ctx); }),
+    ("ablations", figures::ablations),
+    ("recovery", |ctx| { campaigns::recovery(&ctx.settings).run(ctx); }),
+    ("persistent", |ctx| { campaigns::persistent(&ctx.settings).run(ctx); }),
+];
 
 /// Shared context: sizing, the worker pool, and the CSV sink.
 pub struct ExperimentCtx {
@@ -73,199 +83,16 @@ impl ExperimentCtx {
     }
 }
 
-/// Everything needed to run campaigns for one (model, dataset) pair.
-pub struct PairContext {
-    /// The instantiated model.
-    pub model: Model,
-    /// Evaluation prompts.
-    pub prompts: Vec<Vec<u32>>,
-    /// Task spec (generation length, answer span).
-    pub task: TaskSpec,
-    /// Offline-profiled bounds (for the baselines), from a disjoint
-    /// profiling split of the same dataset.
-    pub offline: Arc<OfflineBounds>,
-}
-
-/// Build the model, prompts, task spec and offline bounds for a pair.
-pub fn prepare_pair(
-    ctx: &ExperimentCtx,
-    spec: &ModelSpec,
-    dataset: DatasetId,
-) -> PairContext {
-    let model = spec.build();
-    let s = &ctx.settings;
-    let prompts = generate_prompts(dataset, s.inputs, s.seed ^ 0xEA71);
-    let task = s.task_spec(dataset);
-    // Profiling split: same dataset, different seed (a "training split").
-    let profile_prompts = generate_prompts(dataset, s.profile_inputs, s.seed ^ 0x7A0F11E);
-    let offline = Arc::new(offline_profile(
-        &model,
-        &profile_prompts,
-        task.gen_tokens,
-        &ctx.pool,
-    ));
-    PairContext {
-        model,
-        prompts,
-        task,
-        offline,
-    }
-}
-
-/// Run one campaign (one fault model, one protection) on a prepared pair.
-///
-/// When checkpointing is enabled (see [`Resilience`]), the campaign runs
-/// through the resumable path: its aggregate is persisted periodically
-/// under a fingerprint-derived filename and, with `--resume`, a compatible
-/// checkpoint left by an interrupted earlier invocation is continued —
-/// bit-identically to an uninterrupted run.
-pub fn run_campaign(
-    ctx: &ExperimentCtx,
-    pair: &PairContext,
-    dataset: DatasetId,
-    fault_model: ft2_fault::FaultModel,
-    protection: &dyn ProtectionFactory,
-) -> CampaignResult {
-    let judge = pair.task.judge();
-    let cfg = ctx.settings.campaign(dataset, fault_model);
-    let campaign = Campaign::new(&pair.model, &pair.prompts, &judge, cfg, &ctx.pool);
-    run_checkpointed(ctx, &campaign, dataset, protection)
-}
-
-/// Checkpoint-aware execution of an already-built campaign. Drivers that
-/// need a non-standard [`ft2_fault::CampaignConfig`] (layer filters, step
-/// filters, scale sweeps) build their own `Campaign` and route it through
-/// here so `--resume` covers them too; the checkpoint filename hashes the
-/// full config fingerprint, so every variant gets its own file.
-pub fn run_checkpointed(
-    ctx: &ExperimentCtx,
-    campaign: &Campaign<'_>,
-    dataset: DatasetId,
-    protection: &dyn ProtectionFactory,
-) -> CampaignResult {
-    if !ctx.resilience.enabled() {
-        return report_dues(campaign, protection, campaign.run(protection, &ctx.pool));
-    }
-
-    let policy = CheckpointPolicy {
-        path: ctx
-            .resilience
-            .checkpoint_dir
-            .join(checkpoint_name(campaign, dataset, protection)),
-        every: ctx.resilience.cadence(),
-        resume: ctx.resilience.resume,
-        abort_after: None,
-    };
-    // A checkpoint that cannot be resumed (unreadable, another format,
-    // another campaign) is restarted over, so the next `--resume` finds a
-    // good one; only a failing write drops checkpointing for this campaign.
-    let run = campaign.run_resumable(protection, &ctx.pool, &policy).or_else(|e| {
-        if !policy.resume {
-            return Err(e);
-        }
-        eprintln!("   (checkpoint unusable: {e}; rerunning from scratch)");
-        let restart = CheckpointPolicy {
-            resume: false,
-            ..policy
-        };
-        campaign.run_resumable(protection, &ctx.pool, &restart)
-    });
-    let result = match run {
-        Ok(run) => {
-            if run.resumed_from > 0 {
-                eprintln!(
-                    "   (resumed {} from {}/{} completed trials)",
-                    protection.scheme_name(),
-                    run.resumed_from,
-                    run.total_tasks
-                );
-            }
-            run.result
-        }
-        Err(e) => {
-            eprintln!("   ({e}; running without checkpoints)");
-            campaign.run(protection, &ctx.pool)
-        }
-    };
-    report_dues(campaign, protection, result)
-}
-
-/// DUE trials (crashes, watchdog hangs) dilute the SDC denominator without
-/// showing up in the figure tables, so surface them on stderr; crashed
-/// trials come with their `ft2-repro replay` pointer.
-fn report_dues(
-    campaign: &Campaign<'_>,
-    protection: &dyn ProtectionFactory,
-    result: CampaignResult,
-) -> CampaignResult {
-    if result.counts.due() > 0 {
-        eprintln!(
-            "   ({}: {} crashed, {} hung of {} trials)",
-            protection.scheme_name(),
-            result.counts.crash,
-            result.counts.hang,
-            result.counts.total()
-        );
-        let seed = campaign.config().seed;
-        for f in result.crashes.iter().take(5) {
-            eprintln!(
-                "     crash at {}: {}  (replay {:#x}/{}/{})",
-                f.site, f.message, seed, f.input, f.trial
-            );
-        }
-    }
-    result
-}
-
-/// Checkpoint filename: a readable prefix plus a hash of the full campaign
-/// fingerprint, so different configurations never collide (and a stale
-/// checkpoint for a changed config is simply ignored, not rejected).
-fn checkpoint_name(
-    campaign: &Campaign<'_>,
-    dataset: DatasetId,
-    protection: &dyn ProtectionFactory,
-) -> String {
-    let fingerprint = campaign.fingerprint(protection.scheme_name());
-    let scheme: String = protection
-        .scheme_name()
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c.to_ascii_lowercase() } else { '-' })
-        .collect();
-    format!("{}-{}-{:016x}", dataset.name(), scheme, crc64(fingerprint.as_bytes()))
-}
-
-/// A protection factory with an arbitrary linear-layer coverage set and
-/// offline bounds — used by the Fig. 6 protect-all-but-one sweep.
-pub struct OfflineCoverageFactory {
-    /// Covered linear layer kinds.
-    pub kinds: Vec<LayerKind>,
-    /// Offline bounds to clamp against.
-    pub offline: Arc<OfflineBounds>,
-    /// Display name.
-    pub name: String,
-}
-
-impl ProtectionFactory for OfflineCoverageFactory {
-    fn make(&self) -> Vec<Box<dyn LayerTap>> {
-        vec![Box::new(Protector::offline(
-            Coverage::linears(self.kinds.clone()),
-            self.offline.linear.clone(),
-            Correction::ClampToBound,
-            NanPolicy::ToZero,
-        ))]
-    }
-
-    fn scheme_name(&self) -> &str {
-        &self.name
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
+    use super::sweep::{checkpoint_name, run_checkpointed, OfflineCoverageFactory, Pair, Protect};
     use super::*;
-    use ft2_core::{Scheme, SchemeFactory};
-    use ft2_fault::FaultModel;
+    use ft2_core::protect::Correction;
     use ft2_model::ZooModel;
+    use ft2_tasks::DatasetId;
+    use ft2_core::{Scheme, SchemeFactory};
+    use ft2_fault::{CheckpointPolicy, FaultModel, ProtectionFactory};
+    use ft2_model::LayerKind;
 
     pub(crate) fn tiny_ctx() -> ExperimentCtx {
         ExperimentCtx {
@@ -295,16 +122,22 @@ pub(crate) mod tests {
         }
     }
 
+    fn tiny_pair(ctx: &ExperimentCtx, offline: bool) -> Pair {
+        Pair::new(&ctx.settings, &ctx.pool, &ZooModel::Qwen2_1_5B.spec(), DatasetId::Squad, offline)
+    }
+
     #[test]
     fn prepare_and_run_smoke() {
         let ctx = tiny_ctx();
-        let spec = ZooModel::Qwen2_1_5B.spec();
-        let pair = prepare_pair(&ctx, &spec, DatasetId::Squad);
+        let pair = tiny_pair(&ctx, true);
         assert_eq!(pair.prompts.len(), 3);
-        assert!(!pair.offline.linear.is_empty());
+        assert!(!pair.offline.as_ref().unwrap().linear.is_empty());
+        assert!(tiny_pair(&ctx, false).offline.is_none(), "profiled without a need");
 
-        let ft2 = SchemeFactory::new(Scheme::Ft2, pair.model.config(), None);
-        let r = run_campaign(&ctx, &pair, DatasetId::Squad, FaultModel::SingleBit, &ft2);
+        let ft2 = Protect::Scheme(Scheme::Ft2).factory(&pair, &ctx.settings);
+        let cfg = ctx.settings.campaign(DatasetId::Squad, FaultModel::SingleBit);
+        let campaign = pair.campaign(&ctx.pool, cfg);
+        let r = run_checkpointed(&ctx, &campaign, DatasetId::Squad, ft2.as_ref());
         assert_eq!(r.counts.total(), 12);
     }
 
@@ -316,12 +149,10 @@ pub(crate) mod tests {
             checkpoint_dir: std::env::temp_dir().join("ft2_checkpoints_stale_test"),
             resume: true,
         };
-        let spec = ZooModel::Qwen2_1_5B.spec();
-        let pair = prepare_pair(&ctx, &spec, DatasetId::Squad);
+        let pair = tiny_pair(&ctx, false);
         let ft2 = SchemeFactory::new(Scheme::Ft2, pair.model.config(), None);
-        let judge = pair.task.judge();
         let cfg = ctx.settings.campaign(DatasetId::Squad, FaultModel::SingleBit);
-        let campaign = Campaign::new(&pair.model, &pair.prompts, &judge, cfg, &ctx.pool);
+        let campaign = pair.campaign(&ctx.pool, cfg);
 
         // A checkpoint an older binary left: a version-5 JSON document.
         let dir = &ctx.resilience.checkpoint_dir;
@@ -340,14 +171,60 @@ pub(crate) mod tests {
     #[test]
     fn custom_coverage_factory_names_and_builds() {
         let ctx = tiny_ctx();
-        let spec = ZooModel::Qwen2_1_5B.spec();
-        let pair = prepare_pair(&ctx, &spec, DatasetId::Squad);
+        let pair = tiny_pair(&ctx, true);
         let f = OfflineCoverageFactory {
             kinds: vec![LayerKind::VProj],
-            offline: pair.offline.clone(),
+            offline: pair.offline.clone().unwrap(),
+            correction: Correction::ClampToBound,
             name: "all-but-everything".into(),
         };
         assert_eq!(f.scheme_name(), "all-but-everything");
         assert_eq!(f.make().len(), 1);
+    }
+
+    #[test]
+    fn interrupted_sweep_resumes_to_the_uninterrupted_rows() {
+        // Fig. 9's cells: one pair and config, eight protections, seven of
+        // them FT2 at different bound scales. The first scale is tightened
+        // to 0.25, so that at this sizing its trials end differently from
+        // the other scales' and a cell resumed from another scale's
+        // checkpoint shows in the results.
+        let mut ctx = tiny_ctx();
+        let mut sweep = campaigns::fig9(&ctx.settings);
+        sweep.cells[1] = sweep.cells[1].with(&["FT2, scale 0.25"], Protect::Ft2Scale(0.25));
+        let (want, want_results) = sweep.run(&ctx);
+
+        // An invocation stopped in every cell after 5 of its 12 trials,
+        // leaving each cell's checkpoint where the runner looks for it.
+        let dir = std::env::temp_dir().join("ft2_checkpoints_sweep_test");
+        std::fs::remove_dir_all(&dir).ok();
+        let s = ctx.settings;
+        let pair = Pair::new(&s, &ctx.pool, &sweep.cells[0].model, sweep.cells[0].dataset, false);
+        let campaign = pair.campaign(&ctx.pool, sweep.cells[0].config.clone());
+        for cell in &sweep.cells {
+            let factory = cell.protect.factory(&pair, &s);
+            let name = checkpoint_name(&campaign, cell.dataset, factory.as_ref());
+            let stop = CheckpointPolicy {
+                path: dir.join(name),
+                every: 2,
+                resume: false,
+                abort_after: Some(5),
+            };
+            let run = campaign.run_resumable(factory.as_ref(), &ctx.pool, &stop).unwrap();
+            assert!(run.interrupted);
+        }
+        let left = std::fs::read_dir(&dir).unwrap().count();
+        assert_eq!(left, sweep.cells.len(), "one checkpoint per cell");
+
+        ctx.resilience = Resilience {
+            checkpoint_every: Some(2),
+            checkpoint_dir: dir.clone(),
+            resume: true,
+        };
+        let (got, got_results) = sweep.run(&ctx);
+        assert_eq!(got.rows(), want.rows());
+        assert_eq!(got_results, want_results);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "completed checkpoints removed");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -8,14 +8,13 @@
 //! the debugging loop for "trial 12345 crashed at protect.rs:88": replay
 //! it, watch the corruption propagate, fix the bug, replay again.
 
+use super::sweep::{Cell, Pair, Protect};
 use crate::experiments::ExperimentCtx;
-use ft2_core::profile::offline_profile;
-use ft2_core::{Scheme, SchemeFactory};
-use ft2_fault::{Campaign, FaultDuration, FaultModel, FaultTarget, Outcome};
+use crate::settings::Settings;
+use ft2_core::Scheme;
+use ft2_fault::{CampaignConfig, FaultDuration, FaultModel, FaultTarget, Outcome, ProtectionFactory};
 use ft2_model::ZooModel;
-use ft2_tasks::datasets::generate_prompts;
 use ft2_tasks::DatasetId;
-use std::sync::Arc;
 
 /// A parsed `replay` invocation.
 #[derive(Clone, Debug)]
@@ -82,7 +81,12 @@ impl ReplaySpec {
                     DatasetId::parse(value).ok_or_else(|| format!("unknown dataset {value:?}"))?;
             }
             "--scheme" => {
-                self.scheme = parse_scheme(value)?;
+                let name = value.to_ascii_lowercase();
+                self.scheme = SCHEMES
+                    .iter()
+                    .find(|(cli, _)| *cli == name)
+                    .ok_or_else(|| format!("unknown scheme {name:?}"))?
+                    .1;
             }
             "--fault" => {
                 self.fault = FaultModel::parse(value)
@@ -100,7 +104,112 @@ impl ReplaySpec {
         }
         Ok(())
     }
+
+    /// The spec of trial `(input, trial)` of a sweep cell whose campaign is
+    /// sized by `s`, or what about the cell the replay options cannot
+    /// express.
+    pub fn for_cell(
+        cell: &Cell,
+        s: &Settings,
+        input: usize,
+        trial: usize,
+    ) -> Result<ReplaySpec, String> {
+        let c = &cell.config;
+        let scheme = match cell.protect {
+            Protect::Scheme(scheme) => scheme,
+            Protect::Ft2Repair => return Err("integrity layer".into()),
+            Protect::Ft2Scale(_) | Protect::AllBut(_) => return Err("custom protection".into()),
+        };
+        let model = ZooModel::parse(cell.model.name())
+            .filter(|m| format!("{:?}", m.spec().config) == format!("{:?}", cell.model.config))
+            .ok_or("model config outside the zoo")?;
+        let unexpressed = [
+            (c.layer_filter.is_some(), "layer filter"),
+            (c.step_filter != ft2_fault::StepFilter::AllSteps, "step filter"),
+            (c.step_weighting != ft2_fault::StepWeighting::default(), "step weighting"),
+        ];
+        if let Some((_, what)) = unexpressed.iter().find(|(differs, _)| *differs) {
+            return Err(what.to_string());
+        }
+        let spec = ReplaySpec {
+            seed: c.seed,
+            input,
+            trial,
+            model,
+            dataset: cell.dataset,
+            scheme,
+            fault: c.fault_model,
+            duration: c.fault_duration,
+            target: c.fault_target,
+        };
+        // Anything else a cell edits (a recovery budget, say) replay cannot set.
+        if format!("{:?}", spec.config(s)) != format!("{c:?}") {
+            return Err("campaign config".into());
+        }
+        Ok(spec)
+    }
+
+    /// The `ft2-repro replay` command line of this spec; [`ReplaySpec::parse`]
+    /// and [`ReplaySpec::set`] read it back.
+    pub fn command(&self) -> String {
+        let duration = match self.duration {
+            FaultDuration::Intermittent { period } => format!("intermittent:{period}"),
+            d => d.name().to_string(),
+        };
+        let scheme = SCHEMES.iter().find(|(_, s)| *s == self.scheme).expect("a name per scheme");
+        format!(
+            "ft2-repro replay {:#x}/{}/{} --model {} --dataset {} --scheme {} --fault {} \
+             --duration {duration} --target {}",
+            self.seed,
+            self.input,
+            self.trial,
+            self.model.spec().name(),
+            self.dataset.name().replace(' ', "-"),
+            scheme.0,
+            self.fault.name(),
+            self.target.name(),
+        )
+    }
+
+    /// The campaign configuration of this spec under sizing `s`.
+    fn config(&self, s: &Settings) -> CampaignConfig {
+        let mut cfg = s.campaign(self.dataset, self.fault);
+        cfg.seed = self.seed;
+        cfg.fault_duration = self.duration;
+        cfg.fault_target = self.target;
+        cfg
+    }
+
+    /// The pair, campaign configuration and protection this spec replays
+    /// under `ctx`'s sizing: built by the sweep runner's pair builder, with
+    /// the spec's seed in place of `FT2_SEED`.
+    pub(crate) fn parts(
+        &self,
+        ctx: &ExperimentCtx,
+    ) -> (Pair, CampaignConfig, Box<dyn ProtectionFactory>) {
+        let s = Settings { seed: self.seed, ..ctx.settings };
+        let offline = self.scheme.needs_offline_bounds();
+        let pair = Pair::new(&s, &ctx.pool, &self.model.spec(), self.dataset, offline);
+        let factory = Protect::Scheme(self.scheme).factory(&pair, &s);
+        (pair, self.config(&s), factory)
+    }
 }
+
+/// `--scheme` names; the first of each scheme is the one commands print.
+const SCHEMES: [(&str, Scheme); 12] = [
+    ("none", Scheme::NoProtection),
+    ("no-protection", Scheme::NoProtection),
+    ("unprotected", Scheme::NoProtection),
+    ("ranger", Scheme::Ranger),
+    ("maximals", Scheme::MaxiMals),
+    ("clipper", Scheme::GlobalClipper),
+    ("global-clipper", Scheme::GlobalClipper),
+    ("ft2", Scheme::Ft2),
+    ("ft2-offline", Scheme::Ft2Offline),
+    ("ft2-clip-zero", Scheme::Ft2ClipToZero),
+    ("full", Scheme::FullProtection),
+    ("full-protection", Scheme::FullProtection),
+];
 
 fn parse_u64(s: &str) -> Option<u64> {
     if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
@@ -110,24 +219,10 @@ fn parse_u64(s: &str) -> Option<u64> {
     }
 }
 
-fn parse_scheme(s: &str) -> Result<Scheme, String> {
-    Ok(match s.to_ascii_lowercase().as_str() {
-        "none" | "no-protection" | "unprotected" => Scheme::NoProtection,
-        "ranger" => Scheme::Ranger,
-        "maximals" => Scheme::MaxiMals,
-        "clipper" | "global-clipper" => Scheme::GlobalClipper,
-        "ft2" => Scheme::Ft2,
-        "ft2-offline" => Scheme::Ft2Offline,
-        "ft2-clip-zero" => Scheme::Ft2ClipToZero,
-        "full" | "full-protection" => Scheme::FullProtection,
-        other => return Err(format!("unknown scheme {other:?}")),
-    })
-}
-
 /// Replay one trial with verbose tracing, printing the report to stdout.
 ///
-/// The campaign context (prompts, references, site derivation) is rebuilt
-/// exactly as `run_campaign` builds it, so the replayed trial is the trial
+/// The campaign (prompts, references, site derivation) is built by the
+/// same pair builder every sweep uses, so the replayed trial is the trial
 /// the campaign ran.
 pub fn run(ctx: &ExperimentCtx, spec: &ReplaySpec) -> Result<(), String> {
     let s = &ctx.settings;
@@ -139,44 +234,11 @@ pub fn run(ctx: &ExperimentCtx, spec: &ReplaySpec) -> Result<(), String> {
         ));
     }
 
-    let model = spec.model.spec().build();
-    let prompts = generate_prompts(spec.dataset, s.inputs, spec.seed ^ 0xEA71);
-    let task = s.task_spec(spec.dataset);
-    let judge = task.judge();
-    let mut cfg = s.campaign(spec.dataset, spec.fault);
-    cfg.seed = spec.seed;
-    cfg.fault_duration = spec.duration;
-    cfg.fault_target = spec.target;
+    let (pair, config, factory) = spec.parts(ctx);
+    let campaign = pair.campaign(&ctx.pool, config);
+    let (record, trace) = campaign.trial_record_traced(factory.as_ref(), spec.input, spec.trial);
 
-    let offline = if spec.scheme.needs_offline_bounds() {
-        let profile_prompts =
-            generate_prompts(spec.dataset, s.profile_inputs, spec.seed ^ 0x7A0F11E);
-        Some(Arc::new(offline_profile(
-            &model,
-            &profile_prompts,
-            task.gen_tokens,
-            &ctx.pool,
-        )))
-    } else {
-        None
-    };
-    let factory = SchemeFactory::new(spec.scheme, model.config(), offline);
-
-    let campaign = Campaign::new(&model, &prompts, &judge, cfg, &ctx.pool);
-    let (record, trace) = campaign.trial_record_traced(&factory, spec.input, spec.trial);
-
-    println!(
-        "replay {:#x}/{}/{}  model={} dataset={} scheme={} fault={} duration={:?} target={}",
-        spec.seed,
-        spec.input,
-        spec.trial,
-        spec.model.spec().name(),
-        spec.dataset.name(),
-        spec.scheme.name(),
-        spec.fault.name(),
-        spec.duration,
-        spec.target.name(),
-    );
+    println!("{}", spec.command());
     let site = &record.site;
     println!(
         "fault site: step {} | block {} {} | element {} | bits {:?} ({}) | {} {}",
@@ -275,6 +337,9 @@ pub fn run(ctx: &ExperimentCtx, spec: &ReplaySpec) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::campaigns;
+    use crate::experiments::sweep::replay_pointer;
+    use crate::experiments::tests::tiny_ctx;
     use proptest::prelude::*;
 
     #[test]
@@ -298,13 +363,66 @@ mod tests {
 
     #[test]
     fn replay_runs_a_trial_end_to_end() {
-        let ctx = crate::experiments::tests::tiny_ctx();
+        let ctx = tiny_ctx();
         let mut spec = ReplaySpec::parse("7/1/2").unwrap();
         spec.set("--fault", "exp").unwrap();
         run(&ctx, &spec).unwrap();
         // Out-of-grid indices are rejected, not panicked on.
         let bad = ReplaySpec::parse("7/999/0").unwrap();
         assert!(run(&ctx, &bad).unwrap_err().contains("outside the campaign"));
+    }
+
+    #[test]
+    fn crash_pointers_replay_the_cell_they_name() {
+        let mut ctx = tiny_ctx();
+        let s = ctx.settings;
+        let (fig13, fig2) = (campaigns::fig13(&s), campaigns::fig2(&s));
+        let grid_cell = fig13.cells.iter().find(|c| {
+            c.dataset == DatasetId::Xtreme
+                && c.config.fault_model == FaultModel::DoubleBit
+                && c.protect == Protect::Scheme(Scheme::Ft2Offline)
+        });
+        // A Fig. 13 cell (offline bounds), and Fig. 2's FT2 at four times
+        // the trials: the pointer carries the sizing.
+        for cell in [grid_cell.unwrap(), fig2.cells.last().unwrap()] {
+            let pair = Pair::new(&s, &ctx.pool, &cell.model, cell.dataset, true);
+            let factory = cell.protect.factory(&pair, &s);
+            let want = pair.campaign(&ctx.pool, cell.config.clone()).fingerprint(factory.scheme_name());
+
+            let pointer = replay_pointer(cell, &s, 2, 3);
+            let mut words = pointer.strip_prefix("replay: ").expect(&pointer).split_whitespace();
+            ctx.settings = s;
+            for word in words.by_ref() {
+                match word.split_once('=') {
+                    Some(("FT2_TRIALS", n)) => ctx.settings.trials = n.parse().unwrap(),
+                    _ => break,
+                }
+            }
+            assert_eq!(ctx.settings.trials, cell.config.trials_per_input, "{pointer}");
+            assert_eq!(words.next(), Some("replay"));
+            let mut spec = ReplaySpec::parse(words.next().unwrap()).unwrap();
+            let options: Vec<&str> = words.collect();
+            for option in options.chunks(2) {
+                spec.set(option[0], option[1]).unwrap();
+            }
+            assert_eq!((spec.input, spec.trial), (2, 3));
+            let (pair, config, factory) = spec.parts(&ctx);
+            let got = pair.campaign(&ctx.pool, config).fingerprint(factory.scheme_name());
+            assert_eq!(got, want, "{pointer}");
+        }
+
+        // Cells the replay options cannot express say what instead.
+        let unexpressed = [
+            (&campaigns::fig9(&s).cells[1], "custom protection"),
+            (&campaigns::fig6(&s).cells[0], "custom protection"),
+            (&campaigns::fig11(&s).cells[2], "step filter"),
+            (&campaigns::step_weighting(&s).cells[3], "step weighting"),
+            (&campaigns::fig15(&s).cells[5], "model config outside the zoo"),
+            (&campaigns::persistent(&s).cells[7], "integrity layer"),
+        ];
+        for (cell, what) in unexpressed {
+            assert_eq!(replay_pointer(cell, &s, 0, 0), format!("not replayable: {what}"));
+        }
     }
 
     #[test]

@@ -1,11 +1,12 @@
 #![warn(missing_docs)]
 //! # ft2-harness
 //!
-//! The reproduction harness: one driver per table/figure of the paper's
-//! evaluation, shared experiment plumbing, and plain-text/CSV report
-//! writers. The `ft2-repro` binary (in `src/bin`) exposes each driver as a
-//! subcommand; `ft2-repro all` regenerates everything and writes CSV
-//! artifacts under `results/`. The `serve`, `shards` and `replicas`
+//! The reproduction harness: one campaign runner with a sweep spec per
+//! campaign figure, a small body per figure that is not a campaign, and
+//! plain-text/CSV report writers. The `ft2-repro` binary (in `src/bin`)
+//! exposes each experiment of [`experiments::ALL`] as a subcommand;
+//! `ft2-repro all` regenerates everything and writes CSV artifacts under
+//! `results/`. The `serve`, `shards` and `replicas`
 //! subcommands are correctness gates ([`GATES`]); they measure nothing —
 //! that is `benchmark/`'s job.
 //!
@@ -34,4 +35,4 @@ pub const GATES: [(&str, Gate); 3] = [
     ("shards", shards::run),
     ("replicas", replicas::run),
 ];
-pub use settings::{knob_names, EvalPair, KnobKind, KnobSpec, Resilience, Settings, KNOB_REGISTRY};
+pub use settings::{knob_names, KnobKind, KnobSpec, Resilience, Settings, KNOB_REGISTRY};

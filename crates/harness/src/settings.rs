@@ -518,42 +518,18 @@ impl Resilience {
     }
 }
 
-/// One (model, dataset) cell of the Fig. 13 grid.
-#[derive(Clone, Debug)]
-pub struct EvalPair {
-    /// The model.
-    pub model: ModelSpec,
-    /// The dataset driving prompts and judging.
-    pub dataset: DatasetId,
-}
-
-impl EvalPair {
-    /// The paper's evaluation grid: every model on both QA datasets, plus
-    /// GSM8K for the two math-capable models (16 pairs).
-    pub fn evaluation_grid() -> Vec<EvalPair> {
-        let mut pairs = Vec::new();
-        for m in ZooModel::ALL {
-            let spec = m.spec();
-            for ds in [DatasetId::Squad, DatasetId::Xtreme] {
-                pairs.push(EvalPair {
-                    model: spec.clone(),
-                    dataset: ds,
-                });
-            }
-            if spec.supports_math {
-                pairs.push(EvalPair {
-                    model: spec.clone(),
-                    dataset: DatasetId::Gsm8k,
-                });
-            }
+/// The paper's evaluation grid (Fig. 13): every model on both QA datasets,
+/// plus GSM8K for the two math-capable models (16 pairs).
+pub fn evaluation_grid() -> Vec<(ModelSpec, DatasetId)> {
+    let mut pairs = Vec::new();
+    for m in ZooModel::ALL {
+        let spec = m.spec();
+        let math = spec.supports_math.then_some(DatasetId::Gsm8k);
+        for ds in [Some(DatasetId::Squad), Some(DatasetId::Xtreme), math].into_iter().flatten() {
+            pairs.push((spec.clone(), ds));
         }
-        pairs
     }
-
-    /// `"<model> / <dataset>"` label.
-    pub fn label(&self) -> String {
-        format!("{} / {}", self.model.name(), self.dataset.name())
-    }
+    pairs
 }
 
 #[cfg(test)]
@@ -562,12 +538,12 @@ mod tests {
 
     #[test]
     fn grid_has_sixteen_pairs() {
-        let grid = EvalPair::evaluation_grid();
+        let grid = evaluation_grid();
         assert_eq!(grid.len(), 16);
         let math: Vec<String> = grid
             .iter()
-            .filter(|p| p.dataset == DatasetId::Gsm8k)
-            .map(|p| p.model.name().to_string())
+            .filter(|(_, dataset)| *dataset == DatasetId::Gsm8k)
+            .map(|(model, _)| model.name().to_string())
             .collect();
         assert_eq!(math, vec!["Llama2-7B", "Qwen2-7B"]);
     }

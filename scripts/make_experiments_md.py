@@ -35,7 +35,12 @@ campaign cell, seed `0xF72025`, single CPU core; Figs. 2 and 6 use internal
 trial multipliers, Fig. 3 evaluates 96 fault-free inputs). CSV artifacts
 live in `results/`; regenerate any row with `ft2-repro <id>` and scale up
 with `FT2_INPUTS` / `FT2_TRIALS` (the paper's own campaign corresponds to
-`FT2_INPUTS=50 FT2_TRIALS=500`).
+`FT2_INPUTS=50 FT2_TRIALS=500`). Every campaign figure is a sweep spec
+(`crates/harness/src/experiments/campaigns.rs`) run by one runner, so each
+campaign cell checkpoints under its own fingerprint and `--resume`
+continues any figure bit-identically; `scripts/verify.sh` re-runs
+`ft2-repro all` and compares every CSV in `results/` with the fresh run
+(all but the wall-clock columns of Figs. 10 and 14 byte for byte).
 
 **Reading guide.** The substrate is a scaled-down simulator (DESIGN.md
 section 1), so absolute SDC rates are not expected to match the paper; the
@@ -224,7 +229,7 @@ correctness, not 100 %: one prompt in twelve changes its answer under
 protection with no fault injected, and the benchmark counts
 `core.protect.false_clamps` in the thousands per `solo_decode` run. FT2 as
 deployed here (scale 2, 12–20-token prompts) is not transparent on
-fault-free runs; ROADMAP item 2 owns that gap. (2) Full Protection reaches the lowest
+fault-free runs; ROADMAP item 1 owns that gap. (2) Full Protection reaches the lowest
 SDC, at the near-2x cost the paper cites. (3) Step weighting: a
 computation-uniform fault model multiplies the first-token fault share
 ~12x and stresses FT2's unprotected prefill window — why the time-uniform
