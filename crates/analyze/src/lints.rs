@@ -1,4 +1,4 @@
-//! The four repo-specific source lints.
+//! The two repo-specific source lints.
 //!
 //! Each lint matches against the channel the pattern belongs to (see
 //! [`crate::lexer`]): code patterns against the comment/string-blanked code
@@ -6,103 +6,65 @@
 //! string-literal contents. The annotation grammar is documented in
 //! DESIGN.md §3f:
 //!
-//! * `// SAFETY: <invariant>` within 6 lines before (or 2 lines after, for
-//!   comments placed just inside the block) an `unsafe` token; `unsafe fn`
-//!   may use a `/// # Safety` doc section instead.
-//! * `// ft2: nan-ok (<one-line proof>)` on, or up to 2 lines above, a
-//!   comparison call in a detection-critical module.
 //! * `// ft2: zero-ok (<reason>)` on, or up to 3 lines above, a zero-skip
 //!   guard — the only thing that licenses one.
+//! * The knob table in README is the documentation of record: a
+//!   registered knob needs a row whose default cell starts with the first
+//!   word of the registry's default.
 
-use crate::concurrency::{RankedLock, DETERMINISM_MODULES};
-use crate::lexer::{Line, ScannedFile};
+use crate::lexer::ScannedFile;
 use crate::model::ScannedTree;
 use crate::report::{Finding, LintKind};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
-
-/// Detection-critical modules where NaN-swallowing comparisons must carry
-/// an audit annotation: the FT2 detector itself (`bounds`, `protect`,
-/// `integrity`) and the `ft2-fault` paths that classify or detect faults.
-pub const NAN_CRITICAL_MODULES: &[&str] = &[
-    "crates/core/src/bounds.rs",
-    "crates/core/src/protect.rs",
-    "crates/core/src/integrity.rs",
-    "crates/fault/src/model.rs",
-    "crates/fault/src/dmr.rs",
-    "crates/fault/src/watchdog.rs",
-    "crates/fault/src/trace.rs",
-];
 
 /// Kernel code where `== 0.0` zero-skip guards are banned (skipping a
 /// `0.0 * x` term masks the NaN/Inf that an injected fault put in `x` — the
 /// PR 4 bug class).
 pub const ZERO_SKIP_MODULES: &[&str] = &["crates/tensor/src/", "crates/model/src/"];
 
-/// How many lines above an `unsafe` token a `SAFETY` comment may sit.
-const UNSAFE_WINDOW_BEFORE: usize = 6;
-/// How many lines below (for comments just inside the block).
-const UNSAFE_WINDOW_AFTER: usize = 2;
-/// Annotation window for `ft2: nan-ok`.
-const NAN_WINDOW: usize = 2;
 /// Annotation window for `ft2: zero-ok`.
 const ZERO_WINDOW: usize = 3;
+
+/// One registered env knob, as the `env-knob` lint sees it.
+#[derive(Clone, Debug)]
+pub struct Knob {
+    /// The environment variable name.
+    pub name: String,
+    /// The registry's human-readable default; its first word must open
+    /// the README row's default cell.
+    pub default: String,
+}
 
 /// What to lint and against which knob registry.
 #[derive(Clone, Debug)]
 pub struct LintConfig {
     /// Directory to scan recursively for `.rs` files.
     pub root: PathBuf,
-    /// The registered knob names (from the harness knob registry).
-    pub knobs: Vec<String>,
+    /// The registered knobs (from the harness knob registry).
+    pub knobs: Vec<Knob>,
     /// README to check knob documentation against (`None` = skip the
     /// documentation direction of the env-knob lint).
     pub readme: Option<PathBuf>,
-    /// Path substrings selecting detection-critical modules.
-    pub nan_modules: Vec<String>,
     /// Path substrings selecting kernel modules for the zero-skip lint.
     pub zero_skip_modules: Vec<String>,
     /// Require every registered knob to be read somewhere in the scanned
     /// sources (only meaningful when scanning the full workspace).
     pub check_knob_used: bool,
-    /// The declared lock-order registry (from
-    /// `ft2_parallel::LOCK_REGISTRY` for the real tree; fixture trees
-    /// declare their own).
-    pub locks: Vec<RankedLock>,
-    /// Path substrings selecting bit-identity-critical modules for the
-    /// nondeterminism lint.
-    pub det_modules: Vec<String>,
-    /// Run the shutdown proof (only meaningful when the scanned tree
-    /// contains the serving topology).
-    pub check_shutdown: bool,
 }
 
 impl LintConfig {
     /// The configuration for linting this repository's own tree.
-    pub fn for_tree(root: impl Into<PathBuf>, knobs: Vec<String>) -> LintConfig {
+    pub fn for_tree(root: impl Into<PathBuf>, knobs: Vec<Knob>) -> LintConfig {
         let root = root.into();
         LintConfig {
             readme: Some(root.join("README.md")),
             // Only demand knob usage when the scanned tree contains the
             // registry's own crate; a fixture tree can't read every knob.
             check_knob_used: root.join("crates/harness").is_dir(),
-            // The shutdown proof needs the whole serving topology.
-            check_shutdown: root.join("crates/serve").is_dir()
-                && root.join("crates/parallel").is_dir()
-                && root.join("crates/harness").is_dir(),
             root,
             knobs,
-            nan_modules: NAN_CRITICAL_MODULES.iter().map(|s| s.to_string()).collect(),
             zero_skip_modules: ZERO_SKIP_MODULES.iter().map(|s| s.to_string()).collect(),
-            locks: ft2_parallel::LOCK_REGISTRY
-                .iter()
-                .map(|l| RankedLock {
-                    name: l.name.to_string(),
-                    rank: l.rank,
-                    site: l.site.to_string(),
-                })
-                .collect(),
-            det_modules: DETERMINISM_MODULES.iter().map(|s| s.to_string()).collect(),
         }
     }
 }
@@ -146,17 +108,13 @@ pub fn run_lints(cfg: &LintConfig) -> Result<Vec<Finding>, String> {
     Ok(run_source_lints(&tree, cfg))
 }
 
-/// The four PR 5 source lints over an already-scanned tree.
+/// The source lints over an already-scanned tree.
 pub fn run_source_lints(tree: &ScannedTree, cfg: &LintConfig) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut used_knobs: BTreeSet<String> = BTreeSet::new();
     for file in &tree.files {
         let rel = &file.rel;
         let scanned = &file.scanned;
-        lint_unsafe(rel, scanned, &mut findings);
-        if matches_any(rel, &cfg.nan_modules) {
-            lint_nan_comparison(rel, scanned, &mut findings);
-        }
         if matches_any(rel, &cfg.zero_skip_modules) {
             lint_zero_skip(rel, scanned, &mut findings);
         }
@@ -203,78 +161,7 @@ fn is_ident_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
 }
 
-/// Does any comment in `lines[lo..=hi]` contain `needle`?
-fn comment_window_contains(lines: &[Line], lo: usize, hi: usize, needle: &str) -> bool {
-    lines[lo..=hi.min(lines.len() - 1)]
-        .iter()
-        .any(|l| l.comment.contains(needle))
-}
-
-fn window_lo(i: usize, before: usize) -> usize {
-    i.saturating_sub(before)
-}
-
-/// Lint 1: every `unsafe` token needs a written safety argument nearby.
-fn lint_unsafe(rel: &str, scanned: &ScannedFile, findings: &mut Vec<Finding>) {
-    for (i, line) in scanned.lines.iter().enumerate() {
-        if !contains_word(&line.code, "unsafe") {
-            continue;
-        }
-        let lo = window_lo(i, UNSAFE_WINDOW_BEFORE);
-        let hi = i + UNSAFE_WINDOW_AFTER;
-        let justified = comment_window_contains(&scanned.lines, lo, hi, "SAFETY:")
-            || comment_window_contains(&scanned.lines, lo, hi, "# Safety");
-        if !justified {
-            findings.push(Finding {
-                lint: LintKind::UnsafeSafety,
-                file: rel.to_string(),
-                line: i + 1,
-                message: "`unsafe` without a `// SAFETY:` comment (or `/// # Safety` \
-                          doc section) stating the upheld invariant"
-                    .to_string(),
-            });
-        }
-    }
-}
-
-/// Comparison calls that silently drop NaN operands (`f32::min`/`max`
-/// return the non-NaN operand; `partial_cmp` returns `None`).
-const NAN_PATTERNS: &[&str] = &[
-    ".min(",
-    ".max(",
-    ".clamp(",
-    "partial_cmp",
-    "total_cmp",
-    "f32::min",
-    "f32::max",
-];
-
-/// Lint 2: in detection-critical modules, every ordering/clamp call site
-/// must be audited for NaN behaviour and annotated.
-fn lint_nan_comparison(rel: &str, scanned: &ScannedFile, findings: &mut Vec<Finding>) {
-    for (i, line) in scanned.lines.iter().enumerate() {
-        let Some(pat) = NAN_PATTERNS.iter().find(|p| line.code.contains(**p)) else {
-            continue;
-        };
-        let lo = window_lo(i, NAN_WINDOW);
-        if comment_window_contains(&scanned.lines, lo, i, "ft2: nan-ok") {
-            continue;
-        }
-        findings.push(Finding {
-            lint: LintKind::NanComparison,
-            file: rel.to_string(),
-            line: i + 1,
-            message: format!(
-                "`{}` in a detection-critical module swallows NaN operands; \
-                 audit the site and annotate `// ft2: nan-ok (<proof>)` or \
-                 rewrite with an explicit NaN guard",
-                pat.trim_matches(['.', '('])
-            ),
-        });
-    }
-}
-
-/// Lint 3: a zero-skip guard is only legal under a `ft2: zero-ok` annotation.
+/// Lint 1: a zero-skip guard is only legal under a `ft2: zero-ok` annotation.
 fn lint_zero_skip(rel: &str, scanned: &ScannedFile, findings: &mut Vec<Finding>) {
     for (i, line) in scanned.lines.iter().enumerate() {
         let code = &line.code;
@@ -283,8 +170,8 @@ fn lint_zero_skip(rel: &str, scanned: &ScannedFile, findings: &mut Vec<Finding>)
         if !(has_cmp && guardish) {
             continue;
         }
-        let lo = window_lo(i, ZERO_WINDOW);
-        if !comment_window_contains(&scanned.lines, lo, i, "ft2: zero-ok") {
+        let window = &scanned.lines[i.saturating_sub(ZERO_WINDOW)..=i];
+        if !window.iter().any(|l| l.comment.contains("ft2: zero-ok")) {
             findings.push(Finding {
                 lint: LintKind::ZeroSkip,
                 file: rel.to_string(),
@@ -326,18 +213,18 @@ fn is_knob_byte(b: u8) -> bool {
     b.is_ascii_uppercase() || b.is_ascii_digit() || b == b'_'
 }
 
-/// Lint 4a: every `FT2_*` string literal must name a registered knob.
+/// Lint 2a: every `FT2_*` string literal must name a registered knob.
 fn lint_knob_literals(
     rel: &str,
     scanned: &ScannedFile,
-    knobs: &[String],
+    knobs: &[Knob],
     used: &mut BTreeSet<String>,
     findings: &mut Vec<Finding>,
 ) {
     for (i, line) in scanned.lines.iter().enumerate() {
         for lit in &line.strings {
             for token in knob_tokens(lit) {
-                if knobs.contains(&token) {
+                if knobs.iter().any(|k| k.name == token) {
                     used.insert(token);
                 } else {
                     findings.push(Finding {
@@ -356,14 +243,15 @@ fn lint_knob_literals(
     }
 }
 
-/// Lint 4b (registry-wide): each registered knob must be documented in
-/// README and actually read somewhere in the tree.
+/// Lint 2b (registry-wide): each registered knob must be documented in
+/// README — with the registry's default, where README has a table row
+/// for it — and actually read somewhere in the tree.
 fn lint_knob_registry(cfg: &LintConfig, used: &BTreeSet<String>, findings: &mut Vec<Finding>) {
     let readme_text = cfg
         .readme
         .as_ref()
         .map(|p| std::fs::read_to_string(p).unwrap_or_default());
-    for knob in &cfg.knobs {
+    for Knob { name: knob, default } in &cfg.knobs {
         if let Some(text) = &readme_text {
             if !contains_knob_token(text, knob) {
                 findings.push(Finding {
@@ -372,6 +260,20 @@ fn lint_knob_registry(cfg: &LintConfig, used: &BTreeSet<String>, findings: &mut 
                     line: 0,
                     message: format!("registered env knob `{knob}` is not documented in README"),
                 });
+            }
+            let want = default.split_whitespace().next().unwrap_or("");
+            for (line, cell) in readme_default_cells(text, knob) {
+                if cell.split_whitespace().next().unwrap_or("") != want {
+                    findings.push(Finding {
+                        lint: LintKind::EnvKnob,
+                        file: "README.md".to_string(),
+                        line,
+                        message: format!(
+                            "README gives `{knob}` the default `{cell}`, but the registry \
+                             says `{default}`; make the row match KnobSpec.default"
+                        ),
+                    });
+                }
             }
         }
         if cfg.check_knob_used && !used.contains(knob) {
@@ -386,6 +288,21 @@ fn lint_knob_registry(cfg: &LintConfig, used: &BTreeSet<String>, findings: &mut 
             });
         }
     }
+}
+
+/// `(1-based line, default cell)` of every README table row
+/// `| `knob` | default | purpose |`, with backticks stripped from the cell.
+/// Two-column rows (description tables) have no default cell.
+fn readme_default_cells(text: &str, knob: &str) -> Vec<(usize, String)> {
+    let first = format!("`{knob}`");
+    text.lines()
+        .enumerate()
+        .filter_map(|(i, l)| {
+            let cells: Vec<&str> = l.trim().strip_prefix('|')?.split('|').map(str::trim).collect();
+            // `| a | b | c |` splits into [a, b, c, ""].
+            (cells.len() >= 4 && cells[0] == first).then(|| (i + 1, cells[1].replace('`', "")))
+        })
+        .collect()
 }
 
 /// Does `text` contain `knob` as a whole token (not as a substring of a
@@ -412,53 +329,6 @@ mod tests {
 
     fn scan_str(src: &str) -> ScannedFile {
         crate::lexer::scan(src)
-    }
-
-    #[test]
-    fn unsafe_needs_safety_comment() {
-        let mut f = Vec::new();
-        lint_unsafe("x.rs", &scan_str("fn f() { unsafe { g() } }\n"), &mut f);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].line, 1);
-
-        let mut f = Vec::new();
-        lint_unsafe(
-            "x.rs",
-            &scan_str("// SAFETY: g has no preconditions.\nfn f() { unsafe { g() } }\n"),
-            &mut f,
-        );
-        assert!(f.is_empty());
-    }
-
-    #[test]
-    fn unsafe_fn_doc_safety_section_counts() {
-        let src = "/// # Safety\n/// Caller guarantees `p` is valid.\npub unsafe fn f(p: *const u8) {}\n";
-        let mut f = Vec::new();
-        lint_unsafe("x.rs", &scan_str(src), &mut f);
-        assert!(f.is_empty());
-    }
-
-    #[test]
-    fn unsafe_in_comment_or_string_is_ignored() {
-        let src = "// this mentions unsafe code\nlet s = \"unsafe\";\n";
-        let mut f = Vec::new();
-        lint_unsafe("x.rs", &scan_str(src), &mut f);
-        assert!(f.is_empty());
-    }
-
-    #[test]
-    fn nan_comparison_needs_annotation() {
-        let mut f = Vec::new();
-        lint_nan_comparison("b.rs", &scan_str("let c = v.min(hi).max(lo);\n"), &mut f);
-        assert_eq!(f.len(), 1);
-
-        let mut f = Vec::new();
-        lint_nan_comparison(
-            "b.rs",
-            &scan_str("// ft2: nan-ok (NaN handled upstream)\nlet c = v.min(hi).max(lo);\n"),
-            &mut f,
-        );
-        assert!(f.is_empty());
     }
 
     #[test]
@@ -506,7 +376,10 @@ mod tests {
         // not trip the lint it is testing.
         let registered = format!("FT2_{}", "SEED");
         let bogus = format!("FT2_{}", "BOGUS");
-        let knobs = vec![registered.clone()];
+        let knobs = vec![Knob {
+            name: registered.clone(),
+            default: "0xF72025".to_string(),
+        }];
         let mut used = BTreeSet::new();
         let mut f = Vec::new();
         let src = format!(
@@ -523,5 +396,14 @@ mod tests {
         let knob = format!("FT2_{}", "SEED");
         assert!(contains_knob_token(&format!("knob `{knob}` here"), &knob));
         assert!(!contains_knob_token(&format!("only {knob}_EXTRA here"), &knob));
+    }
+
+    #[test]
+    fn readme_default_cells_read_three_column_rows_only() {
+        let knob = format!("FT2_{}", "SEED");
+        let text = format!(
+            "| `{knob}` | seeds the RNG |\n| Knob | Default | Purpose |\n| `{knob}` | `0x5EED` | campaign seed |\n"
+        );
+        assert_eq!(readme_default_cells(&text, &knob), vec![(3, "0x5EED".to_string())]);
     }
 }

@@ -1,16 +1,14 @@
 //! A lightweight item/expression model over the channel-split lexer.
 //!
-//! The concurrency lints ([`crate::concurrency`]) need slightly more than
-//! per-line channels: which lock an expression acquires, how long the
-//! resulting guard lives, and which lines spawn or join threads. This
-//! module extracts exactly that — nothing more — from the
-//! [`crate::lexer`] code channel:
+//! The lock lints ([`crate::concurrency`]) need slightly more than
+//! per-line channels: which lock an expression acquires and how long the
+//! resulting guard lives. This module extracts exactly that — nothing
+//! more — from the [`crate::lexer`] code channel:
 //!
 //! * **Acquisitions.** `lock_clean(&path.to.lock)` and `path.to.lock
 //!   .lock()` both acquire the lock named by the *last field segment* of
 //!   the receiver with index brackets removed (`lock_clean(&self.state
-//!   .queues[slot])` acquires `queues`). That field name is the key into
-//!   the central `ft2_parallel::LOCK_REGISTRY`.
+//!   .queues[slot])` acquires `queues`).
 //! * **Guard scopes.** A `let [mut] name = …` acquisition produces a
 //!   *named* guard that stays live until its enclosing brace block closes,
 //!   an explicit `drop(name)` at the binding depth, or the end of file.
@@ -18,15 +16,10 @@
 //!   This is a deliberate line-granular approximation: pre-2024 temporary
 //!   scopes in `if let` scrutinees extend to the end of the statement, so
 //!   the model under-approximates liveness there — acceptable because the
-//!   lint's job is ordering between *held* guards, and every multi-lock
-//!   region in this workspace uses named guards.
-//! * **Threads.** `thread::spawn(` — or a `.spawn(` with a
-//!   `thread::Builder` within the preceding three lines — is a spawn
-//!   site; scoped `s.spawn(…)` inside `std::thread::scope` is excluded
-//!   (the scope joins structurally).
+//!   lints' job is what happens while a *held* guard is live, and every
+//!   such region in this workspace uses a named guard.
 //!
-//! The model is shared by every concurrency lint so the tree is scanned
-//! once per [`crate::analyze`] run.
+//! The tree is scanned once per [`crate::analyze`] run.
 
 use crate::lexer::{scan, ScannedFile};
 use crate::lints::collect_rs_files;
@@ -101,9 +94,8 @@ pub fn acquisitions_on(code: &str) -> Vec<Acquisition> {
         }
         from = args_at;
     }
-    // Raw `<receiver>.lock()` — still modelled so un-migrated call sites
-    // participate in the ordering graph (the poisoned-lock lint flags the
-    // `.unwrap()`/`.expect(` separately).
+    // Raw `<receiver>.lock()` — clippy bans it outside `lock_clean`, but
+    // an allowed site still holds a lock.
     let mut from = 0;
     while let Some(pos) = code[from..].find(".lock()") {
         let start = from + pos;
@@ -224,22 +216,6 @@ pub fn depth_delta(code: &str) -> i32 {
     d
 }
 
-/// Is this line a thread-spawn site? `thread::spawn(` always is; a bare
-/// `.spawn(` only when a `thread::Builder` appears within the previous
-/// `lookback` lines (scoped `s.spawn` has none and is structurally
-/// joined).
-pub fn is_spawn_line(lines: &[crate::lexer::Line], i: usize, lookback: usize) -> bool {
-    let code = &lines[i].code;
-    if code.contains("thread::spawn(") {
-        return true;
-    }
-    if !code.contains(".spawn(") {
-        return false;
-    }
-    let lo = i.saturating_sub(lookback);
-    lines[lo..=i].iter().any(|l| l.code.contains("Builder"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,18 +254,6 @@ mod tests {
         assert_eq!(binding_name("if let Some(b) = y {"), None);
         assert_eq!(binding_name("let (a, b) = y;"), None);
         assert_eq!(binding_name("st.completed += 1;"), None);
-    }
-
-    #[test]
-    fn spawn_detection_excludes_scoped_spawns() {
-        let f = scan("std::thread::scope(|s| {\n    s.spawn(move || work());\n});\n");
-        assert!(!is_spawn_line(&f.lines, 1, 3));
-        let f = scan("let h = std::thread::spawn(move || work());\n");
-        assert!(is_spawn_line(&f.lines, 0, 3));
-        let f = scan(
-            "std::thread::Builder::new()\n    .name(n)\n    .spawn(move || work())\n",
-        );
-        assert!(is_spawn_line(&f.lines, 2, 3));
     }
 
     #[test]

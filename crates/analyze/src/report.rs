@@ -3,72 +3,46 @@
 //! The JSON document is schema-stable: `scripts/verify.sh` greps its keys,
 //! so renaming or dropping one is a CI-visible change, not a silent one.
 
-use crate::concurrency::ConcurrencyReport;
-use crate::coverage::CoverageReport;
 use std::fmt::Write as _;
 
 /// Report schema version, bumped on any key rename/removal.
-pub const LINT_SCHEMA_VERSION: u32 = 1;
+pub const LINT_SCHEMA_VERSION: u32 = 2;
 
-/// The nine source-lint classes: the four PR 5 source lints plus the
-/// five concurrency-soundness lints (see [`crate::concurrency`]).
+/// The four lint classes: two source lints (see [`crate::lints`]) and two
+/// lock lints (see [`crate::concurrency`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum LintKind {
-    /// `unsafe` without a `// SAFETY:` (or `# Safety`) justification.
-    UnsafeSafety,
-    /// NaN-swallowing comparison (`.min`/`.max`/`partial_cmp`/…) in a
-    /// detection-critical module without a `// ft2: nan-ok` audit note.
-    NanComparison,
     /// `FT2_*` string literal missing from the central knob registry, or a
-    /// registered knob missing from README / never read.
+    /// registered knob missing from README, documented with another
+    /// default, or never read.
     EnvKnob,
     /// `== 0.0` zero-skip guard in kernel code without a `// ft2: zero-ok`
     /// audit note.
     ZeroSkip,
-    /// Nested lock acquisition violating the `LOCK_REGISTRY` rank order,
-    /// an unregistered lock in a nested acquisition, or a cycle in the
-    /// acquisition graph (potential deadlock).
+    /// A lock acquired while a different lock is held, without a
+    /// `// ft2: lock-ok` justification.
     LockOrder,
     /// A mutex guard live across a blocking call (`recv`/`join`/socket
     /// write/sleep) without a `// ft2: blocking-ok` justification.
     HoldAcrossBlocking,
-    /// A spawned thread never joined in its file and not annotated
-    /// `// ft2: detached`, or a failed shutdown-proof obligation.
-    ThreadLifecycle,
-    /// `lock().unwrap()`-style poison-aborting acquisition without a
-    /// `// ft2: poison-fatal` justification (use `lock_clean`).
-    PoisonedLock,
-    /// Unordered `HashMap`/`HashSet`, wall-clock input, or unordered
-    /// float reduction in a bit-identity-critical module.
-    Nondeterminism,
 }
 
 impl LintKind {
     /// Every lint class, in report order.
-    pub const ALL: [LintKind; 9] = [
-        LintKind::UnsafeSafety,
-        LintKind::NanComparison,
+    pub const ALL: [LintKind; 4] = [
         LintKind::EnvKnob,
         LintKind::ZeroSkip,
         LintKind::LockOrder,
         LintKind::HoldAcrossBlocking,
-        LintKind::ThreadLifecycle,
-        LintKind::PoisonedLock,
-        LintKind::Nondeterminism,
     ];
 
     /// Stable kebab-case lint name (appears in reports and annotations).
     pub const fn name(self) -> &'static str {
         match self {
-            LintKind::UnsafeSafety => "unsafe-safety",
-            LintKind::NanComparison => "nan-comparison",
             LintKind::EnvKnob => "env-knob",
             LintKind::ZeroSkip => "zero-skip",
             LintKind::LockOrder => "lock-order",
             LintKind::HoldAcrossBlocking => "hold-across-blocking",
-            LintKind::ThreadLifecycle => "thread-lifecycle",
-            LintKind::PoisonedLock => "poisoned-lock",
-            LintKind::Nondeterminism => "nondeterminism",
         }
     }
 }
@@ -87,24 +61,17 @@ pub struct Finding {
     pub message: String,
 }
 
-/// The complete analysis result: source-lint findings plus the
-/// protection-coverage proof and the concurrency pass (lock graph +
-/// shutdown proof).
+/// The complete analysis result.
 #[derive(Clone, Debug)]
 pub struct AnalysisReport {
-    /// Source-lint findings, sorted by (file, line, lint).
+    /// Findings, sorted by (file, line, lint).
     pub findings: Vec<Finding>,
-    /// The coverage / pricing / checkpoint cross-checks.
-    pub coverage: CoverageReport,
-    /// The lock-acquisition graph and the shutdown proof.
-    pub concurrency: ConcurrencyReport,
 }
 
 impl AnalysisReport {
-    /// Did the whole analysis pass (no findings, no coverage gaps, no
-    /// lock cycles, shutdown proof intact)?
+    /// Did the analysis pass (no findings)?
     pub fn ok(&self) -> bool {
-        self.findings.is_empty() && self.coverage.ok() && self.concurrency.ok()
+        self.findings.is_empty()
     }
 
     /// Findings of one lint class.
@@ -122,19 +89,7 @@ impl AnalysisReport {
                 let _ = writeln!(s, "{}:{}: [{}] {}", f.file, f.line, f.lint.name(), f.message);
             }
         }
-        if !self.findings.is_empty() {
-            s.push('\n');
-        }
-        s.push_str(&self.coverage.render_text());
-        s.push('\n');
-        s.push_str(&self.concurrency.render_text());
-        let _ = writeln!(
-            s,
-            "\nlint: {} finding(s); coverage: {}; concurrency: {}",
-            self.findings.len(),
-            if self.coverage.ok() { "proved" } else { "GAPS FOUND" },
-            if self.concurrency.ok() { "proved" } else { "GAPS FOUND" }
-        );
+        let _ = writeln!(s, "lint: {} finding(s)", self.findings.len());
         s
     }
 
@@ -170,13 +125,7 @@ impl AnalysisReport {
         if !self.findings.is_empty() {
             s.push_str("\n  ");
         }
-        s.push_str("],\n");
-        s.push_str("  \"coverage\": ");
-        s.push_str(&indent_tail(&self.coverage.to_json(), 2));
-        s.push_str(",\n");
-        s.push_str("  \"concurrency\": ");
-        s.push_str(&indent_tail(&self.concurrency.to_json(), 2));
-        s.push('\n');
+        s.push_str("]\n");
         s.push_str("}\n");
         s
     }
@@ -200,23 +149,6 @@ pub fn json_quote(s: &str) -> String {
         }
     }
     out.push('"');
-    out
-}
-
-/// Re-indent every line but the first by `by` spaces (for nesting one
-/// pretty-printed JSON document inside another).
-pub(crate) fn indent_tail(doc: &str, by: usize) -> String {
-    let pad = " ".repeat(by);
-    let mut lines = doc.trim_end().lines();
-    let mut out = String::new();
-    if let Some(first) = lines.next() {
-        out.push_str(first);
-    }
-    for l in lines {
-        out.push('\n');
-        out.push_str(&pad);
-        out.push_str(l);
-    }
     out
 }
 

@@ -1,13 +1,12 @@
-//! Seeded concurrency violations: exactly one per concurrency lint class
-//! (lock-order, hold-across-blocking, thread-lifecycle, poisoned-lock,
-//! nondeterminism). The golden test asserts the exact counts.
+//! Seeded lock violations: exactly one per lock lint class (lock-order,
+//! hold-across-blocking). The golden test asserts the exact counts.
 
 pub struct Shared {
     pub a_lock: std::sync::Mutex<u32>,
     pub b_lock: std::sync::Mutex<u32>,
 }
 
-// lock-order: b_lock (rank 2) held while acquiring a_lock (rank 1).
+// lock-order: a_lock taken while b_lock is held.
 pub fn bad_order(s: &Shared) -> u32 {
     let b = lock_clean(&s.b_lock);
     let a = lock_clean(&s.a_lock);
@@ -19,22 +18,6 @@ pub fn bad_hold(s: &Shared, rx: &std::sync::mpsc::Receiver<u32>) -> u32 {
     let g = lock_clean(&s.a_lock);
     let v = rx.recv().unwrap_or(0);
     *g + v
-}
-
-// thread-lifecycle: spawned thread never joined, not marked detached.
-pub fn bad_spawn() {
-    std::thread::spawn(|| {});
-}
-
-// poisoned-lock: unwrap aborts the runtime once any holder panicked.
-pub fn bad_poison(s: &Shared) -> u32 {
-    *s.a_lock.lock().unwrap()
-}
-
-// nondeterminism: unordered map iteration in a bit-identity module.
-pub fn bad_nondet() -> usize {
-    let m: std::collections::HashMap<u32, u32> = Default::default();
-    m.len()
 }
 
 fn lock_clean<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {

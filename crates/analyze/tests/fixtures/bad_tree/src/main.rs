@@ -1,8 +1,6 @@
-// Seeded violations: an `unsafe` block with no SAFETY comment, and a
-// string literal naming an env knob that is not in the central registry.
+// Seeded violation: a string literal naming an env knob that is not in
+// the central registry.
 
 fn main() {
     let _ = std::env::var("FT2_UNREGISTERED_KNOB");
-    let p = &0u8 as *const u8;
-    let _v = unsafe { *p };
 }

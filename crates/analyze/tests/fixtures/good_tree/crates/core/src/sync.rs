@@ -1,17 +1,19 @@
 //! The annotated twin of `bad_tree`'s sync.rs: the same shapes, each made
-//! clean either structurally (correct rank order, joined thread, ordered
-//! map) or through the documented annotation grammar.
+//! clean either structurally (one lock at a time) or through the
+//! documented annotation grammar.
 
 pub struct Shared {
     pub a_lock: std::sync::Mutex<u32>,
     pub b_lock: std::sync::Mutex<u32>,
 }
 
-// Correct rank order: a_lock (rank 1) before b_lock (rank 2).
+// One lock at a time: b_lock is released before a_lock is taken.
 pub fn good_order(s: &Shared) -> u32 {
-    let a = lock_clean(&s.a_lock);
     let b = lock_clean(&s.b_lock);
-    *a + *b
+    let bv = *b;
+    drop(b);
+    let a = lock_clean(&s.a_lock);
+    *a + bv
 }
 
 // ft2: blocking-ok (the receiver is pre-filled before this is called, so
@@ -20,22 +22,6 @@ pub fn good_hold(s: &Shared, rx: &std::sync::mpsc::Receiver<u32>) -> u32 {
     let g = lock_clean(&s.a_lock);
     let v = rx.recv().unwrap_or(0);
     *g + v
-}
-
-pub fn good_spawn() {
-    // ft2: detached (fixture stand-in for a fire-and-forget logger)
-    std::thread::spawn(|| {});
-}
-
-// ft2: poison-fatal (fixture stand-in for a lock whose state cannot be
-// re-validated after a holder panicked)
-pub fn good_poison(s: &Shared) -> u32 {
-    *s.a_lock.lock().unwrap()
-}
-
-pub fn good_nondet() -> usize {
-    let m: std::collections::BTreeMap<u32, u32> = Default::default();
-    m.len()
 }
 
 fn lock_clean<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {

@@ -1,9 +1,6 @@
-// Annotated twin of bad_tree/src/main.rs: the unsafe block carries its
-// invariant and the knob literal names a registered knob.
+// Annotated twin of bad_tree/src/main.rs: the knob literal names a
+// registered knob.
 
 fn main() {
     let _ = std::env::var("FT2_SEED");
-    let p = &0u8 as *const u8;
-    // SAFETY: `p` points at a live stack temporary of type u8.
-    let _v = unsafe { *p };
 }

@@ -134,7 +134,6 @@ impl WeightChecksums {
                             block,
                             layer,
                             start,
-                            // ft2: nan-ok (usize tile sizing, no floats involved)
                             len: TILE_ELEMS.min(n - start),
                             crc: 0,
                         };
@@ -198,7 +197,6 @@ impl WeightChecksums {
         live: &mut W,
         golden: &W,
     ) -> (usize, usize) {
-        // ft2: nan-ok (usize clamp of the tile cursor; no floats involved)
         let end = self.tiles.len().min(from.saturating_add(budget));
         let report = self.check(from..end, live, golden);
         let checked = report.scrubbed_tiles as usize;
@@ -222,7 +220,6 @@ impl WeightChecksums {
         golden: &W,
     ) -> StateReport {
         let total = self.tiles.len();
-        // ft2: nan-ok (usize scrub budgeting, no floats)
         let n = budget.min(total);
         if n == 0 {
             return StateReport::default();

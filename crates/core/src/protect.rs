@@ -189,7 +189,7 @@ impl Protector {
 
     /// Override the per-step storm threshold.
     pub fn with_storm_threshold(mut self, threshold: u64) -> Protector {
-        self.storm_threshold = threshold.max(1); // ft2: nan-ok (u64 floor)
+        self.storm_threshold = threshold.max(1);
         self
     }
 
@@ -197,7 +197,6 @@ impl Protector {
     /// level halves the excess over 1, tightening toward the raw profiled
     /// bound (scale 2.0 → 1.5 → 1.25 → …).
     fn escalated_scale(base: f32, level: u32) -> f32 {
-        // ft2: nan-ok (the min is on the u32 escalation level, not a float)
         1.0 + (base - 1.0) / 2f32.powi(level.min(30) as i32)
     }
 
@@ -214,7 +213,6 @@ impl Protector {
 
     /// Record one per-step correction against `block` for the heatmap.
     fn hit_block(&mut self, block: usize) {
-        // ft2: nan-ok (usize slot clamp, no floats involved)
         let slot = block.min(ft2_model::MAX_BLOCK_HITS - 1);
         self.step_block_hits[slot] = self.step_block_hits[slot].saturating_add(1);
     }
@@ -241,8 +239,6 @@ impl Protector {
                         self.step_severe += 1;
                     }
                     *v = match self.correction {
-                        // ft2: nan-ok (v is finite here — the NaN branch
-                        // above rewrites NaN to 0 and `continue`s)
                         Correction::ClampToBound => b.clamp(*v),
                         Correction::ClipToZero => 0.0,
                     };

@@ -19,12 +19,16 @@
 //! **Outcome pricing.** Every [`Outcome`] variant must map to a finite,
 //! positive cost expression in the [`CostModel`]. The mapping below is an
 //! exhaustive `match` with no wildcard arm: adding an outcome variant
-//! breaks this crate's build until a pricing rule is chosen.
+//! breaks this test's build until a pricing rule is chosen.
 //!
 //! **Checkpoint versions.** Exactly one version parses: a real
 //! checkpoint document with its header version swapped for each of
 //! `0..=CHECKPOINT_VERSION + 1` must be accepted at `CHECKPOINT_VERSION`
 //! only, so older and future files are rejected rather than misread.
+//!
+//! The rendered report is fully deterministic (static model configs, the
+//! analytic cost model, no wall-clock anywhere), so it is compared with
+//! `tests/snapshots/coverage.txt` byte for byte.
 
 use ft2_core::{CriticalityReport, Scheme, SchemeFactory, TILE_ELEMS};
 use ft2_fault::{
@@ -34,6 +38,8 @@ use ft2_hw::{CostModel, WorkloadShape, A100};
 use ft2_model::{model_zoo, HookKind, ModelSpec, TapCtx, TapPoint};
 use ft2_tensor::Matrix;
 use std::fmt::Write as _;
+
+const SNAPSHOT: &str = include_str!("snapshots/coverage.txt");
 
 /// Prompt length used for representative pricing.
 const PRICE_PROMPT: usize = 64;
@@ -47,29 +53,26 @@ const DEGRADE_PRICE_SHARDS: usize = 4;
 const REBUILD_PRICE_CORRUPT: f64 = 0.01;
 
 /// Coverage result for one zoo model.
-#[derive(Clone, Debug)]
-pub struct ModelCoverage {
-    /// Model display name.
-    pub model: String,
-    /// Architecture family (`OptStyle` / `LlamaStyle`).
-    pub style: String,
-    /// Decoder blocks probed.
-    pub blocks: usize,
+#[derive(Debug)]
+struct ModelCoverage {
+    model: String,
+    style: String,
+    blocks: usize,
     /// Critical layer kinds per the structural classifier.
-    pub critical: Vec<&'static str>,
+    critical: Vec<&'static str>,
     /// Does the classifier agree with the paper's Table 1?
-    pub matches_table1: bool,
+    matches_table1: bool,
     /// `(block, layer)` hook points probed.
-    pub probes: usize,
+    probes: usize,
     /// Critical hook points whose probe value was NOT clamped.
-    pub unprotected: Vec<String>,
+    unprotected: Vec<String>,
     /// Non-critical hook points whose probe value WAS clamped.
-    pub over_protected: Vec<String>,
+    over_protected: Vec<String>,
 }
 
 impl ModelCoverage {
     /// Exact coverage: Table 1 agreement, no gaps, no over-protection.
-    pub fn ok(&self) -> bool {
+    fn ok(&self) -> bool {
         self.matches_table1
             && !self.critical.is_empty()
             && self.unprotected.is_empty()
@@ -78,202 +81,26 @@ impl ModelCoverage {
 }
 
 /// One outcome variant's pricing rule and representative cost.
-#[derive(Clone, Debug)]
-pub struct OutcomePricing {
-    /// Variant name.
-    pub variant: &'static str,
+#[derive(Debug)]
+struct OutcomePricing {
+    variant: &'static str,
     /// Pricing-rule name (stable, documented in DESIGN.md §3f).
-    pub rule: &'static str,
+    rule: &'static str,
     /// Representative seconds on the A100 model at OPT-6.7B paper scale.
-    pub seconds: f64,
+    seconds: f64,
     /// Finite and positive on every zoo shape?
-    pub priced: bool,
+    priced: bool,
 }
 
 /// Checkpoint-format version probes.
-#[derive(Clone, Debug)]
-pub struct CheckpointReport {
+#[derive(Debug)]
+struct CheckpointReport {
     /// The version this tree writes.
-    pub current: u64,
+    current: u64,
     /// Versions accepted by the parser (probed `0..=current+1`).
-    pub accepted: Vec<u64>,
+    accepted: Vec<u64>,
     /// Documents newer than this binary are rejected, not misread.
-    pub rejects_future: bool,
-}
-
-impl CheckpointReport {
-    /// All version probes behaved as specified.
-    pub fn ok(&self) -> bool {
-        self.accepted == [self.current] && self.rejects_future
-    }
-}
-
-/// The full coverage report (`"coverage"` in the JSON document).
-#[derive(Clone, Debug)]
-pub struct CoverageReport {
-    /// Per-model coverage probes, zoo order.
-    pub models: Vec<ModelCoverage>,
-    /// Per-outcome pricing, taxonomy order.
-    pub outcomes: Vec<OutcomePricing>,
-    /// Checkpoint version probes.
-    pub checkpoint: CheckpointReport,
-}
-
-impl CoverageReport {
-    /// Total unprotected critical hook points across all models.
-    pub fn unprotected_critical_layers(&self) -> usize {
-        self.models.iter().map(|m| m.unprotected.len()).sum()
-    }
-
-    /// Total over-protected hook points across all models.
-    pub fn over_protected_layers(&self) -> usize {
-        self.models.iter().map(|m| m.over_protected.len()).sum()
-    }
-
-    /// Outcome variants without a valid price on some shape.
-    pub fn unpriced_outcomes(&self) -> usize {
-        self.outcomes.iter().filter(|o| !o.priced).count()
-    }
-
-    /// Did every cross-check pass?
-    pub fn ok(&self) -> bool {
-        self.models.iter().all(ModelCoverage::ok)
-            && self.unpriced_outcomes() == 0
-            && self.checkpoint.ok()
-    }
-
-    /// Human-readable rendering.
-    pub fn render_text(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "protection coverage ({} models, {} probes):",
-            self.models.len(),
-            self.models.iter().map(|m| m.probes).sum::<usize>()
-        );
-        for m in &self.models {
-            let _ = writeln!(
-                s,
-                "  {:<12} {:<10} {} blocks  critical [{}]  table1 {}  gaps {}  over {}",
-                m.model,
-                m.style,
-                m.blocks,
-                m.critical.join(" "),
-                if m.matches_table1 { "ok" } else { "MISMATCH" },
-                m.unprotected.len(),
-                m.over_protected.len()
-            );
-            for gap in &m.unprotected {
-                let _ = writeln!(s, "    UNPROTECTED critical layer: {gap}");
-            }
-            for over in &m.over_protected {
-                let _ = writeln!(s, "    over-protected layer: {over}");
-            }
-        }
-        let _ = writeln!(s, "outcome pricing ({} variants):", self.outcomes.len());
-        for o in &self.outcomes {
-            let _ = writeln!(
-                s,
-                "  {:<16} {:<28} {:>12.6}s {}",
-                o.variant,
-                o.rule,
-                o.seconds,
-                if o.priced { "" } else { "UNPRICED" }
-            );
-        }
-        let _ = writeln!(
-            s,
-            "checkpoint versions: current {} accepted {:?} rejects-future {}",
-            self.checkpoint.current,
-            self.checkpoint.accepted,
-            self.checkpoint.rejects_future
-        );
-        s
-    }
-
-    /// JSON object (nested under `"coverage"`).
-    pub fn to_json(&self) -> String {
-        use crate::report::json_quote;
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"models\": [");
-        for (i, m) in self.models.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let critical: Vec<String> = m.critical.iter().map(|c| json_quote(c)).collect();
-            let unprot: Vec<String> = m.unprotected.iter().map(|u| json_quote(u)).collect();
-            let over: Vec<String> = m.over_protected.iter().map(|o| json_quote(o)).collect();
-            let _ = write!(
-                s,
-                "\n    {{\"model\": {}, \"style\": {}, \"blocks\": {}, \"critical\": [{}], \
-                 \"matches_table1\": {}, \"probes\": {}, \"unprotected\": [{}], \
-                 \"over_protected\": [{}]}}",
-                json_quote(&m.model),
-                json_quote(&m.style),
-                m.blocks,
-                critical.join(", "),
-                m.matches_table1,
-                m.probes,
-                unprot.join(", "),
-                over.join(", ")
-            );
-        }
-        s.push_str("\n  ],\n");
-        let _ = writeln!(
-            s,
-            "  \"unprotected_critical_layers\": {},",
-            self.unprotected_critical_layers()
-        );
-        let _ = writeln!(s, "  \"over_protected_layers\": {},", self.over_protected_layers());
-        s.push_str("  \"outcomes\": [");
-        for (i, o) in self.outcomes.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "\n    {{\"variant\": {}, \"rule\": {}, \"seconds\": {:.6}, \"priced\": {}}}",
-                json_quote(o.variant),
-                json_quote(o.rule),
-                o.seconds,
-                o.priced
-            );
-        }
-        s.push_str("\n  ],\n");
-        let _ = writeln!(s, "  \"outcome_variants\": {},", self.outcomes.len());
-        let _ = writeln!(s, "  \"unpriced_outcomes\": {},", self.unpriced_outcomes());
-        let _ = writeln!(
-            s,
-            "  \"checkpoint\": {{\"current\": {}, \"accepted\": [{}], \"rejects_future\": {}}},",
-            self.checkpoint.current,
-            self.checkpoint
-                .accepted
-                .iter()
-                .map(|v| v.to_string())
-                .collect::<Vec<_>>()
-                .join(", "),
-            self.checkpoint.rejects_future
-        );
-        let _ = writeln!(s, "  \"checkpoint_versions_ok\": {},", self.checkpoint.ok());
-        let _ = writeln!(s, "  \"ok\": {}", self.ok());
-        s.push('}');
-        s
-    }
-}
-
-/// Run every coverage cross-check. Pure computation over static configs —
-/// no model weights are built, no tokens generated, no files touched.
-pub fn analyse() -> CoverageReport {
-    let zoo = model_zoo();
-    let models = zoo.iter().map(probe_model).collect();
-    let outcomes = price_outcomes(&zoo);
-    let checkpoint = probe_checkpoints();
-    CoverageReport {
-        models,
-        outcomes,
-        checkpoint,
-    }
+    rejects_future: bool,
 }
 
 /// Probe one model's FT2 tap set through every `(block, layer)` hook point.
@@ -342,7 +169,7 @@ fn probe_model(spec: &ModelSpec) -> ModelCoverage {
     }
 }
 
-/// Construct one sample of every outcome variant, in taxonomy order.
+/// One sample of every outcome variant, in taxonomy order.
 fn sample_outcomes() -> Vec<Outcome> {
     vec![
         Outcome::MaskedIdentical,
@@ -364,8 +191,7 @@ fn sample_outcomes() -> Vec<Outcome> {
 /// Price one outcome on one workload shape.
 ///
 /// The `match` is deliberately exhaustive (no `_` arm): a new [`Outcome`]
-/// variant fails to compile here until it is given a pricing rule — the
-/// static guarantee this check exists for.
+/// variant fails to compile here until it is given a pricing rule.
 fn price(outcome: &Outcome, cost: &CostModel, shape: &WorkloadShape) -> (&'static str, &'static str, f64) {
     let gen = cost.generation_time(shape, PRICE_PROMPT, PRICE_GEN);
     let base = gen.total_s();
@@ -460,54 +286,116 @@ fn probe_checkpoints() -> CheckpointReport {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn all_seven_models_prove_exact_coverage() {
-        let report = analyse();
-        assert_eq!(report.models.len(), 7);
-        for m in &report.models {
-            assert!(m.ok(), "coverage gap in {}: {m:?}", m.model);
-            assert!(m.probes >= m.blocks * 6);
+/// The report the snapshot holds.
+fn render(models: &[ModelCoverage], outcomes: &[OutcomePricing], ck: &CheckpointReport) -> String {
+    let mut s = String::new();
+    let _ = writeln!(
+        s,
+        "protection coverage ({} models, {} probes):",
+        models.len(),
+        models.iter().map(|m| m.probes).sum::<usize>()
+    );
+    for m in models {
+        let _ = writeln!(
+            s,
+            "  {:<12} {:<10} {} blocks  critical [{}]  table1 {}  gaps {}  over {}",
+            m.model,
+            m.style,
+            m.blocks,
+            m.critical.join(" "),
+            if m.matches_table1 { "ok" } else { "MISMATCH" },
+            m.unprotected.len(),
+            m.over_protected.len()
+        );
+        for gap in &m.unprotected {
+            let _ = writeln!(s, "    UNPROTECTED critical layer: {gap}");
         }
-        assert_eq!(report.unprotected_critical_layers(), 0);
-        assert_eq!(report.over_protected_layers(), 0);
-    }
-
-    #[test]
-    fn every_outcome_variant_is_priced() {
-        let report = analyse();
-        assert_eq!(report.outcomes.len(), 10);
-        assert_eq!(report.unpriced_outcomes(), 0);
-        for o in &report.outcomes {
-            assert!(o.seconds.is_finite() && o.seconds > 0.0, "{o:?}");
+        for over in &m.over_protected {
+            let _ = writeln!(s, "    over-protected layer: {over}");
         }
-        // Recovery costs strictly more than the plain protected run.
-        let by_name = |n: &str| report.outcomes.iter().find(|o| o.variant == n).unwrap();
-        assert!(by_name("Recovered").seconds > by_name("MaskedIdentical").seconds);
-        assert!(by_name("Repaired").seconds > by_name("MaskedIdentical").seconds);
-        assert!(by_name("Degraded").seconds > by_name("MaskedIdentical").seconds);
-        assert!(by_name("FailedOver").seconds > by_name("MaskedIdentical").seconds);
     }
+    let _ = writeln!(s, "outcome pricing ({} variants):", outcomes.len());
+    for o in outcomes {
+        let _ = writeln!(
+            s,
+            "  {:<16} {:<28} {:>12.6}s {}",
+            o.variant,
+            o.rule,
+            o.seconds,
+            if o.priced { "" } else { "UNPRICED" }
+        );
+    }
+    let _ = writeln!(
+        s,
+        "checkpoint versions: current {} accepted {:?} rejects-future {}",
+        ck.current, ck.accepted, ck.rejects_future
+    );
+    s
+}
 
-    #[test]
-    fn checkpoint_versions_probe_as_specified() {
-        let ck = probe_checkpoints();
-        assert!(ck.ok(), "{ck:?}");
-        // Only the line format reads; the JSON versions 2..=5 and the
-        // future version 7 are rejected.
-        assert_eq!(ck.accepted, vec![6]);
-    }
+fn models() -> Vec<ModelCoverage> {
+    model_zoo().iter().map(probe_model).collect()
+}
 
-    #[test]
-    fn report_is_ok_and_json_carries_the_gate_keys() {
-        let report = analyse();
-        assert!(report.ok());
-        let json = report.to_json();
-        assert!(json.contains("\"unprotected_critical_layers\": 0"));
-        assert!(json.contains("\"checkpoint_versions_ok\": true"));
-        assert!(json.contains("\"unpriced_outcomes\": 0"));
+#[test]
+fn all_seven_models_prove_exact_coverage() {
+    let models = models();
+    assert_eq!(models.len(), 7);
+    assert_eq!(models.iter().map(|m| m.probes).sum::<usize>(), 177);
+    for m in &models {
+        assert!(m.ok(), "coverage gap in {}: {m:?}", m.model);
+        assert!(m.probes >= m.blocks * 6);
     }
+}
+
+#[test]
+fn every_outcome_variant_is_priced() {
+    let outcomes = price_outcomes(&model_zoo());
+    assert_eq!(outcomes.len(), 10);
+    for o in &outcomes {
+        assert!(o.priced, "{o:?}");
+        assert!(o.seconds.is_finite() && o.seconds > 0.0, "{o:?}");
+    }
+    // Recovery costs strictly more than the plain protected run.
+    let by_name = |n: &str| outcomes.iter().find(|o| o.variant == n).unwrap();
+    assert!(by_name("Recovered").seconds > by_name("MaskedIdentical").seconds);
+    assert!(by_name("Repaired").seconds > by_name("MaskedIdentical").seconds);
+    assert!(by_name("Degraded").seconds > by_name("MaskedIdentical").seconds);
+    assert!(by_name("FailedOver").seconds > by_name("MaskedIdentical").seconds);
+}
+
+#[test]
+fn checkpoint_versions_probe_as_specified() {
+    let ck = probe_checkpoints();
+    assert!(ck.rejects_future, "{ck:?}");
+    // Only the line format reads; the JSON versions 2..=5 and the future
+    // version 7 are rejected.
+    assert_eq!(ck.accepted, vec![ck.current]);
+    assert_eq!(ck.accepted, vec![6]);
+}
+
+#[test]
+fn coverage_report_matches_snapshot() {
+    let actual = render(&models(), &price_outcomes(&model_zoo()), &probe_checkpoints());
+    assert_eq!(
+        actual, SNAPSHOT,
+        "coverage report drifted from tests/snapshots/coverage.txt; if the \
+         change is intentional, regenerate the snapshot from the `actual` \
+         side of this assertion"
+    );
+}
+
+#[test]
+fn snapshot_covers_all_seven_models_and_proves_coverage() {
+    // Guard the snapshot itself: it must describe the full zoo and a
+    // gap-free proof, so a blessed-but-broken snapshot cannot pass.
+    assert!(SNAPSHOT.contains("7 models, 177 probes"));
+    for model in [
+        "OPT-6.7B", "OPT-2.7B", "GPTJ-6B", "Llama2-7B", "Vicuna-7B", "Qwen2-7B", "Qwen2-1.5B",
+    ] {
+        assert!(SNAPSHOT.contains(model), "snapshot missing {model}");
+    }
+    assert_eq!(SNAPSHOT.matches("table1 ok  gaps 0  over 0").count(), 7);
+    assert!(!SNAPSHOT.contains("UNPRICED"));
+    assert!(SNAPSHOT.contains("checkpoint versions: current 6 accepted [6] rejects-future true"));
 }

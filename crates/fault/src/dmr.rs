@@ -54,7 +54,6 @@ impl DmrReport {
             // Every output-corrupting fault differs from the duplicate by
             // definition; this is a consistency check rather than an
             // estimate.
-            // ft2: nan-ok (integer trial counters, no floats in the min)
             self.detected.min(self.output_corrupting) as f64 / self.output_corrupting as f64
         }
     }

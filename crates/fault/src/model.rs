@@ -135,7 +135,6 @@ impl FaultDuration {
         }
         match self {
             FaultDuration::Transient => step == strike,
-            // ft2: nan-ok (usize period floor, no floats)
             FaultDuration::Intermittent { period } => (step - strike).is_multiple_of(period.max(1)),
             FaultDuration::Persistent => true,
         }

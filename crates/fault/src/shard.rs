@@ -172,7 +172,6 @@ impl ShardFaultInjector {
             self.inert = true;
             return;
         }
-        // ft2: nan-ok (usize tile sizing, no floats involved)
         let len = CORRUPT_ELEMS.min(data.len());
         if self.tile_backup.is_none() {
             self.tile_backup = Some((0, data[..len].to_vec()));

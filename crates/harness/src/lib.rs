@@ -35,4 +35,4 @@ pub const GATES: [(&str, Gate); 3] = [
     ("shards", shards::run),
     ("replicas", replicas::run),
 ];
-pub use settings::{knob_names, KnobKind, KnobSpec, Resilience, Settings, KNOB_REGISTRY};
+pub use settings::{KnobKind, KnobSpec, Resilience, Settings, KNOB_REGISTRY};

@@ -1,8 +1,8 @@
 //! The `ft2-repro lint` driver: wires the harness knob registry into
 //! `ft2-analyze` and renders the result.
 
-use crate::settings;
-use ft2_analyze::LintConfig;
+use crate::settings::KNOB_REGISTRY;
+use ft2_analyze::{Knob, LintConfig};
 use std::path::{Path, PathBuf};
 
 /// Parsed `lint` subcommand options.
@@ -56,14 +56,13 @@ pub fn find_workspace_root() -> Result<PathBuf, String> {
 }
 
 /// Run the full analysis and print it; returns the process exit code
-/// (0 = clean, 1 = findings or coverage gaps).
+/// (0 = clean, 1 = findings).
 pub fn run(args: &LintArgs) -> Result<i32, String> {
     let root = match &args.root {
         Some(r) => r.clone(),
         None => find_workspace_root()?,
     };
-    let cfg = LintConfig::for_tree(root, settings::knob_names());
-    let report = ft2_analyze::analyze(&cfg)?;
+    let report = analyze_tree(&root)?;
     if args.json {
         print!("{}", report.to_json());
     } else {
@@ -74,8 +73,14 @@ pub fn run(args: &LintArgs) -> Result<i32, String> {
 
 /// Lint a specific tree with the harness registry (test/CI entry point).
 pub fn analyze_tree(root: &Path) -> Result<ft2_analyze::AnalysisReport, String> {
-    let cfg = LintConfig::for_tree(root.to_path_buf(), settings::knob_names());
-    ft2_analyze::analyze(&cfg)
+    let knobs = KNOB_REGISTRY
+        .iter()
+        .map(|k| Knob {
+            name: k.name.to_string(),
+            default: k.default.to_string(),
+        })
+        .collect();
+    ft2_analyze::analyze(&LintConfig::for_tree(root.to_path_buf(), knobs))
 }
 
 #[cfg(test)]

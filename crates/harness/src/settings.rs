@@ -240,12 +240,6 @@ pub const KNOB_REGISTRY: &[KnobSpec] = &[
     },
 ];
 
-/// The registered knob names (what the `env-knob` lint validates literals
-/// against).
-pub fn knob_names() -> Vec<String> {
-    KNOB_REGISTRY.iter().map(|k| k.name.to_string()).collect()
-}
-
 /// Look up a knob's registry row; panics on an unregistered name so that a
 /// harness read bypassing the registry cannot survive `cargo test`.
 pub fn knob_spec(name: &str) -> &'static KnobSpec {

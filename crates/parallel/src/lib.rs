@@ -18,9 +18,8 @@
 //! * [`heartbeat`] — per-shard liveness slots and the monitor thread that
 //!   cancels a shard whose heartbeat went stale.
 //! * [`mod@lock_clean`] — poison-recovering lock helpers ([`lock_clean()`],
-//!   [`wait_clean()`]) and the central [`LOCK_REGISTRY`] declaring the
-//!   global lock-acquisition order that the `lock-order` lint in
-//!   `crates/analyze` enforces statically.
+//!   [`wait_clean()`]), the only sanctioned `Mutex::lock` and
+//!   `Condvar::wait` calls (`clippy.toml` disallows the rest).
 //!
 //! Determinism contract: the pool writes results by *task index*, so the
 //! output of a parallel run is identical to the sequential run regardless
@@ -34,6 +33,6 @@ pub mod panics;
 pub mod pool;
 
 pub use heartbeat::{HeartbeatMonitor, ShardHeartbeat};
-pub use lock_clean::{lock_clean, lock_spec, wait_clean, LockKind, LockSpec, LOCK_REGISTRY};
+pub use lock_clean::{lock_clean, wait_clean};
 pub use panics::{catch_quiet, CaughtPanic};
 pub use pool::{TaskPanic, WorkStealingPool};

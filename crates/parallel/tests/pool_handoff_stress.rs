@@ -69,7 +69,7 @@
 //! on windows tens of nanoseconds wide at the end of a 50 µs spin; the
 //! model is the argument, these are its smoke alarms.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::{Duration, Instant};
@@ -329,7 +329,7 @@ fn an_idle_pool_uses_no_cpu_and_wakes_when_called() {
 // exactly the set of behaviours; the walk below visits all of them.
 
 /// What a deliberately broken variant of the protocol leaves out.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Omit {
     Nothing,
     /// The sleeper does not announce itself before it waits.
@@ -339,7 +339,7 @@ enum Omit {
     Reread,
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Signaller {
     Raise,
     ReadRegistered,
@@ -348,7 +348,7 @@ enum Signaller {
     Unlock,
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Sleeper {
     LastLook,
     Lock,
@@ -364,7 +364,7 @@ enum Sleeper {
     Unlock,
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Party {
     Signaller,
     Sleeper,
@@ -372,7 +372,7 @@ enum Party {
 
 /// The whole state of one run: the shared words, the mutex, and where each
 /// party is — `(phase, step)`, or `None` when it has finished.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct World {
     raised: [bool; 2],
     registered: bool,
@@ -465,7 +465,7 @@ fn explore(phases: usize, omit: Omit) -> (usize, Vec<World>) {
         signaller: Some((0, Signaller::Raise)),
         sleeper: Some((0, Sleeper::LastLook)),
     };
-    let mut seen = HashSet::from([start]);
+    let mut seen = BTreeSet::from([start]);
     let mut todo = vec![start];
     let mut stuck = Vec::new();
     while let Some(w) = todo.pop() {

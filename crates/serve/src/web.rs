@@ -779,6 +779,36 @@ mod tests {
     }
 
     #[test]
+    fn a_gone_sink_closes_streams_and_a_gone_injector_refuses() {
+        let (server, sink, inj) = start_test_server(2);
+        let addr = server.addr();
+
+        // A POST whose injector has hung up is refused, not unwrapped.
+        drop(inj);
+        let body = "kind=flip&block=2";
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        write!(
+            s,
+            "POST /inject HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+        .unwrap();
+        let resp = read_until(&mut s, "\"}", Duration::from_secs(5));
+        assert!(resp.starts_with("HTTP/1.1 503"), "got {resp:?}");
+
+        // Dropping the last event sender ends the broadcast loop through
+        // its disconnect arm, which still closes every stream with the
+        // final typed frame — no `shutdown()` call needed.
+        let mut es = http_get(addr, "/events");
+        read_until(&mut es, ": connected", Duration::from_secs(5));
+        drop(sink);
+        let tail = read_until(&mut es, "event: shutdown", Duration::from_secs(5));
+        assert!(tail.contains("event: shutdown"), "got {tail:?}");
+        server.shutdown();
+    }
+
+    #[test]
     fn repeated_start_shutdown_cycles_leak_no_threads() {
         let baseline = live_threads();
         for _ in 0..3 {
