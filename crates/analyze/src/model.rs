@@ -12,7 +12,9 @@
 //! * **Guard scopes.** A `let [mut] name = …` acquisition produces a
 //!   *named* guard that stays live until its enclosing brace block closes,
 //!   an explicit `drop(name)` at the binding depth, or the end of file.
-//!   Any other acquisition is a *temporary* live only on its own line.
+//!   Any other acquisition — including a value copied or called out of
+//!   the guard on its `let` line (`*lock_clean(…)`, `lock_clean(…).len()`)
+//!   — is a *temporary* live only on its own line.
 //!   This is a deliberate line-granular approximation: pre-2024 temporary
 //!   scopes in `if let` scrutinees extend to the end of the statement, so
 //!   the model under-approximates liveness there — acceptable because the
@@ -85,9 +87,16 @@ pub fn acquisitions_on(code: &str) -> Vec<Acquisition> {
         if pre_ok {
             if let Some(arg) = balanced_argument(&code[args_at..]) {
                 if let Some(name) = last_field_segment(arg) {
+                    // `let v = *lock_clean(&m);` and `let n = lock_clean(&m)
+                    // .len();` bind a value read out of a temporary guard.
+                    let copied = code[..start]
+                        .trim_end()
+                        .strip_suffix('*')
+                        .is_some_and(|pre| pre.trim_end().ends_with('='));
+                    let called = code[args_at + arg.len()..].starts_with(").");
                     out.push(Acquisition {
                         lock: name,
-                        guard: guard.clone(),
+                        guard: guard.clone().filter(|_| !copied && !called),
                     });
                 }
             }
@@ -236,6 +245,26 @@ mod tests {
         assert_eq!(a[0].guard, None, "if-let binds a temporary");
         let a = acquisitions_on("self.bufs.iter().map(|b| lock_clean(&b.partial)).collect();");
         assert_eq!(a[0].lock, "partial");
+    }
+
+    #[test]
+    fn a_value_read_out_of_a_guard_is_not_a_guard() {
+        for line in [
+            "let b = *lock_clean(&s.b_lock);",
+            "let n = lock_clean(&self.queues[i]).len();",
+            "let job = lock_clean(&state.job).clone();",
+        ] {
+            let a = acquisitions_on(line);
+            assert_eq!(a.len(), 1, "{line}");
+            assert_eq!(a[0].guard, None, "{line}");
+        }
+        // A reborrow extends the guard; a collection of guards holds them.
+        for line in [
+            "let r = &*lock_clean(&s.b_lock);",
+            "let gs: Vec<_> = bufs.iter().map(|b| lock_clean(&b.partial)).collect();",
+        ] {
+            assert!(acquisitions_on(line)[0].guard.is_some(), "{line}");
+        }
     }
 
     #[test]

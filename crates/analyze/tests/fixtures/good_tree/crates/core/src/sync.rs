@@ -9,11 +9,9 @@ pub struct Shared {
 
 // One lock at a time: b_lock is released before a_lock is taken.
 pub fn good_order(s: &Shared) -> u32 {
-    let b = lock_clean(&s.b_lock);
-    let bv = *b;
-    drop(b);
+    let b = *lock_clean(&s.b_lock);
     let a = lock_clean(&s.a_lock);
-    *a + bv
+    *a + b
 }
 
 // ft2: blocking-ok (the receiver is pre-filled before this is called, so

@@ -26,8 +26,8 @@ pub enum KnobKind {
 ///
 /// The `env-knob` lint (`ft2-repro lint`) enforces the contract from both
 /// directions: every `FT2_*` string literal in the tree must resolve to a
-/// row of this table, and every row must be documented in README and read
-/// somewhere. Knobs consumed below the harness (`ft2-parallel`,
+/// row of this table, and every row must be read somewhere and documented
+/// in README's knob table with the same default. Knobs consumed below the harness (`ft2-parallel`,
 /// `ft2-tensor`, `ft2-model` cannot depend on this crate) keep their local
 /// reads but are registered here with their reading crate in [`site`].
 ///
@@ -38,7 +38,8 @@ pub struct KnobSpec {
     pub name: &'static str,
     /// Value shape.
     pub kind: KnobKind,
-    /// Human-readable default (what happens when unset).
+    /// Human-readable default (what happens when unset). README's knob
+    /// table row must start with its first word.
     pub default: &'static str,
     /// One-line description (the README table row).
     pub doc: &'static str,

@@ -11,9 +11,10 @@
 //! failure), so the data behind a poisoned lock is never trusted blindly
 //! and recovery is always sound.
 //!
-//! These two functions are the only callers of `Mutex::lock` and
-//! `Condvar::wait` in the workspace: `clippy.toml` disallows both methods
-//! everywhere else, so a raw acquisition fails `cargo clippy -D warnings`.
+//! Outside one test that poisons a lock on purpose, these two functions
+//! are the only callers of `Mutex::lock` and `Condvar::wait` in the
+//! workspace: `clippy.toml` disallows both methods everywhere else, so a
+//! raw acquisition fails `cargo clippy -D warnings`.
 //! No lock is held while another is taken; the `lock-order` check of
 //! `ft2-repro lint` flags a nested acquisition of two different locks
 //! unless it carries `// ft2: lock-ok (<why>)`.
