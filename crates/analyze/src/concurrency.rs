@@ -233,7 +233,9 @@ mod tests {
         let f = run(src);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].line, 3);
-        assert!(f[0].message.contains("`mystery` acquired while `a_lock` is held"));
+        assert!(f[0]
+            .message
+            .contains("`mystery` acquired while `a_lock` is held"));
 
         let src = "fn f(s: &S) {\n    let a = lock_clean(&s.a_lock);\n    // ft2: lock-ok (mystery is task-local)\n    let m = lock_clean(&s.mystery);\n    g(*a, *m);\n}\n";
         let f = run(src);
@@ -242,7 +244,8 @@ mod tests {
 
     #[test]
     fn lone_unregistered_lock_is_fine() {
-        let src = "fn f() {\n    let m = Mutex::new(0);\n    let g = lock_clean(&m);\n    h(*g);\n}\n";
+        let src =
+            "fn f() {\n    let m = Mutex::new(0);\n    let g = lock_clean(&m);\n    h(*g);\n}\n";
         let f = run(src);
         assert!(f.is_empty(), "{f:?}");
         // Same-name siblings taken one after the other are not compared.

@@ -34,8 +34,7 @@ pub fn analyze(cfg: &LintConfig) -> Result<AnalysisReport, String> {
     let tree = model::scan_tree(&cfg.root)?;
     let mut findings = lints::run_source_lints(&tree, cfg);
     findings.extend(concurrency::run_concurrency(&tree));
-    findings.sort_by(|a, b| {
-        (a.file.as_str(), a.line, a.lint).cmp(&(b.file.as_str(), b.line, b.lint))
-    });
+    findings
+        .sort_by(|a, b| (a.file.as_str(), a.line, a.lint).cmp(&(b.file.as_str(), b.line, b.lint)));
     Ok(AnalysisReport { findings })
 }

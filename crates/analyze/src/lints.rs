@@ -76,7 +76,9 @@ impl LintConfig {
 /// the workspace's crates against.
 pub fn collect_rs_files(root: &Path) -> Vec<PathBuf> {
     fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
-        let Ok(rd) = std::fs::read_dir(dir) else { return };
+        let Ok(rd) = std::fs::read_dir(dir) else {
+            return;
+        };
         let mut entries: Vec<_> = rd.flatten().map(|e| e.path()).collect();
         entries.sort();
         for p in entries {
@@ -121,9 +123,8 @@ pub fn run_source_lints(tree: &ScannedTree, cfg: &LintConfig) -> Vec<Finding> {
         lint_knob_literals(rel, scanned, &cfg.knobs, &mut used_knobs, &mut findings);
     }
     lint_knob_registry(cfg, &used_knobs, &mut findings);
-    findings.sort_by(|a, b| {
-        (a.file.as_str(), a.line, a.lint).cmp(&(b.file.as_str(), b.line, b.lint))
-    });
+    findings
+        .sort_by(|a, b| (a.file.as_str(), a.line, a.lint).cmp(&(b.file.as_str(), b.line, b.lint)));
     findings
 }
 
@@ -166,7 +167,9 @@ fn lint_zero_skip(rel: &str, scanned: &ScannedFile, findings: &mut Vec<Finding>)
     for (i, line) in scanned.lines.iter().enumerate() {
         let code = &line.code;
         let has_cmp = code.contains("== 0.0") || code.contains("!= 0.0");
-        let guardish = ["if ", "while ", "&&", "||"].iter().any(|g| code.contains(g));
+        let guardish = ["if ", "while ", "&&", "||"]
+            .iter()
+            .any(|g| code.contains(g));
         if !(has_cmp && guardish) {
             continue;
         }
@@ -251,7 +254,11 @@ fn lint_knob_registry(cfg: &LintConfig, used: &BTreeSet<String>, findings: &mut 
         .readme
         .as_ref()
         .map(|p| std::fs::read_to_string(p).unwrap_or_default());
-    for Knob { name: knob, default } in &cfg.knobs {
+    for Knob {
+        name: knob,
+        default,
+    } in &cfg.knobs
+    {
         if let Some(text) = &readme_text {
             if !contains_knob_token(text, knob) {
                 findings.push(Finding {
@@ -298,7 +305,12 @@ fn readme_default_cells(text: &str, knob: &str) -> Vec<(usize, String)> {
     text.lines()
         .enumerate()
         .filter_map(|(i, l)| {
-            let cells: Vec<&str> = l.trim().strip_prefix('|')?.split('|').map(str::trim).collect();
+            let cells: Vec<&str> = l
+                .trim()
+                .strip_prefix('|')?
+                .split('|')
+                .map(str::trim)
+                .collect();
             // `| a | b | c |` splits into [a, b, c, ""].
             (cells.len() >= 4 && cells[0] == first).then(|| (i + 1, cells[1].replace('`', "")))
         })
@@ -395,7 +407,10 @@ mod tests {
     fn knob_token_containment_respects_boundaries() {
         let knob = format!("FT2_{}", "SEED");
         assert!(contains_knob_token(&format!("knob `{knob}` here"), &knob));
-        assert!(!contains_knob_token(&format!("only {knob}_EXTRA here"), &knob));
+        assert!(!contains_knob_token(
+            &format!("only {knob}_EXTRA here"),
+            &knob
+        ));
     }
 
     #[test]
@@ -404,6 +419,9 @@ mod tests {
         let text = format!(
             "| `{knob}` | seeds the RNG |\n| Knob | Default | Purpose |\n| `{knob}` | `0x5EED` | campaign seed |\n"
         );
-        assert_eq!(readme_default_cells(&text, &knob), vec![(3, "0x5EED".to_string())]);
+        assert_eq!(
+            readme_default_cells(&text, &knob),
+            vec![(3, "0x5EED".to_string())]
+        );
     }
 }

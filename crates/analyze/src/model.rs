@@ -279,7 +279,10 @@ mod tests {
     #[test]
     fn binding_names_require_plain_identifiers() {
         assert_eq!(binding_name("let mut st = x;").as_deref(), Some("st"));
-        assert_eq!(binding_name("let guards: Vec<G> = y;").as_deref(), Some("guards"));
+        assert_eq!(
+            binding_name("let guards: Vec<G> = y;").as_deref(),
+            Some("guards")
+        );
         assert_eq!(binding_name("if let Some(b) = y {"), None);
         assert_eq!(binding_name("let (a, b) = y;"), None);
         assert_eq!(binding_name("st.completed += 1;"), None);

@@ -86,7 +86,14 @@ impl AnalysisReport {
             if f.line == 0 {
                 let _ = writeln!(s, "{}: [{}] {}", f.file, f.lint.name(), f.message);
             } else {
-                let _ = writeln!(s, "{}:{}: [{}] {}", f.file, f.line, f.lint.name(), f.message);
+                let _ = writeln!(
+                    s,
+                    "{}:{}: [{}] {}",
+                    f.file,
+                    f.line,
+                    f.lint.name(),
+                    f.message
+                );
             }
         }
         let _ = writeln!(s, "lint: {} finding(s)", self.findings.len());

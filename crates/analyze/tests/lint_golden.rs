@@ -33,7 +33,11 @@ fn every_lint_class_fires_on_the_seeded_tree() {
     assert_eq!(count(LintKind::EnvKnob), 2, "findings: {findings:?}");
     assert_eq!(count(LintKind::ZeroSkip), 1, "findings: {findings:?}");
     assert_eq!(count(LintKind::LockOrder), 1, "findings: {findings:?}");
-    assert_eq!(count(LintKind::HoldAcrossBlocking), 1, "findings: {findings:?}");
+    assert_eq!(
+        count(LintKind::HoldAcrossBlocking),
+        1,
+        "findings: {findings:?}"
+    );
     assert_eq!(findings.len(), 5);
     assert!(!report.ok());
 
@@ -49,7 +53,10 @@ fn every_lint_class_fires_on_the_seeded_tree() {
     assert_eq!(at(LintKind::EnvKnob, "README.md"), 10);
     assert_eq!(at(LintKind::ZeroSkip, "crates/tensor/src/kernel.rs"), 7);
     assert_eq!(at(LintKind::LockOrder, "crates/core/src/sync.rs"), 12);
-    assert_eq!(at(LintKind::HoldAcrossBlocking, "crates/core/src/sync.rs"), 19);
+    assert_eq!(
+        at(LintKind::HoldAcrossBlocking, "crates/core/src/sync.rs"),
+        19
+    );
     let drift = findings.iter().find(|f| f.file == "README.md").unwrap();
     assert!(drift.message.contains("`0x5EED`") && drift.message.contains("`0xF72025`"));
 }

@@ -287,7 +287,12 @@ mod tests {
         for v in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 1.0e30] {
             let c = b.clamp(v);
             assert!(!c.is_nan(), "clamp({v}) produced NaN");
-            assert!(b.contains(c), "clamp({v}) = {c} escaped [{}, {}]", b.lo, b.hi);
+            assert!(
+                b.contains(c),
+                "clamp({v}) = {c} escaped [{}, {}]",
+                b.lo,
+                b.hi
+            );
         }
         assert_eq!(b.clamp(f32::NAN), b.hi);
     }
@@ -330,13 +335,33 @@ mod tests {
         // Uninitialised / inverted.
         assert!(!LayerBounds::empty().is_sane(kind));
         // Non-finite endpoint.
-        assert!(!LayerBounds { lo: -1.0, hi: f32::INFINITY }.is_sane(kind));
-        assert!(!LayerBounds { lo: f32::NAN, hi: 1.0 }.is_sane(kind));
+        assert!(!LayerBounds {
+            lo: -1.0,
+            hi: f32::INFINITY
+        }
+        .is_sane(kind));
+        assert!(!LayerBounds {
+            lo: f32::NAN,
+            hi: 1.0
+        }
+        .is_sane(kind));
         // Magnitude beyond the architectural prior.
-        assert!(!LayerBounds { lo: -1.0, hi: 1.0e6 }.is_sane(kind));
+        assert!(!LayerBounds {
+            lo: -1.0,
+            hi: 1.0e6
+        }
+        .is_sane(kind));
         // The wide MLP kinds get a wider cap.
-        assert!(LayerBounds { lo: -50.0, hi: 50.0 }.is_sane(LayerKind::Fc1));
-        assert!(!LayerBounds { lo: -50.0, hi: 50.0 }.is_sane(LayerKind::VProj));
+        assert!(LayerBounds {
+            lo: -50.0,
+            hi: 50.0
+        }
+        .is_sane(LayerKind::Fc1));
+        assert!(!LayerBounds {
+            lo: -50.0,
+            hi: 50.0
+        }
+        .is_sane(LayerKind::VProj));
     }
 
     #[test]
@@ -344,7 +369,13 @@ mod tests {
         let mut s = BoundsStore::new();
         let good = LayerBounds { lo: -1.5, hi: 2.5 };
         s.set(point(0), good);
-        s.set(point(1), LayerBounds { lo: -1.0, hi: 1.0e8 }); // poisoned
+        s.set(
+            point(1),
+            LayerBounds {
+                lo: -1.0,
+                hi: 1.0e8,
+            },
+        ); // poisoned
         let repaired = s.enforce_integrity();
         assert_eq!(repaired, 1);
         assert_eq!(*s.get(&point(0)).unwrap(), good);

@@ -105,9 +105,18 @@ mod tests {
 
     #[test]
     fn non_critical_layers_are_correct() {
-        assert_eq!(is_critical(ArchStyle::OptStyle, LayerKind::KProj), Some(false));
-        assert_eq!(is_critical(ArchStyle::OptStyle, LayerKind::QProj), Some(false));
-        assert_eq!(is_critical(ArchStyle::OptStyle, LayerKind::Fc1), Some(false));
+        assert_eq!(
+            is_critical(ArchStyle::OptStyle, LayerKind::KProj),
+            Some(false)
+        );
+        assert_eq!(
+            is_critical(ArchStyle::OptStyle, LayerKind::QProj),
+            Some(false)
+        );
+        assert_eq!(
+            is_critical(ArchStyle::OptStyle, LayerKind::Fc1),
+            Some(false)
+        );
         assert_eq!(
             is_critical(ArchStyle::LlamaStyle, LayerKind::GateProj),
             Some(false)

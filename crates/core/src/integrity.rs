@@ -269,12 +269,14 @@ impl WeightScrubber {
 impl StateTap for WeightScrubber {
     fn on_step_state(&mut self, ctx: &mut StateCtx<'_>) -> StateReport {
         let budget = self.tiles_per_step;
-        self.checksums.scrub(&mut self.cursor, budget, ctx.weights, ctx.golden)
+        self.checksums
+            .scrub(&mut self.cursor, budget, ctx.weights, ctx.golden)
     }
 
     fn on_repair(&mut self, ctx: &mut StateCtx<'_>) -> StateReport {
         let all = self.checksums.num_tiles();
-        self.checksums.scrub(&mut self.cursor, all, ctx.weights, ctx.golden)
+        self.checksums
+            .scrub(&mut self.cursor, all, ctx.weights, ctx.golden)
     }
 }
 
@@ -459,7 +461,13 @@ mod tests {
         // Corrupt one element in each of two blocks.
         for b in 0..2 {
             let v = live.blocks[b].fc.as_ref().unwrap().0.weight.get_flat(3);
-            live.blocks[b].fc.as_mut().unwrap().0.weight.set_flat(3, v - 42.0);
+            live.blocks[b]
+                .fc
+                .as_mut()
+                .unwrap()
+                .0
+                .weight
+                .set_flat(3, v - 42.0);
         }
         // Sweep in uneven budgets; the cursor must cover every tile once.
         let mut cursor = 0;
@@ -569,7 +577,10 @@ mod tests {
         // Clean verify.
         assert_eq!(guard.on_step_state(&mut ctx).kv_invalid_from, None);
         // Corrupt position 3 of block 1's V and position 1 of block 0's K.
-        ctx.cache.block_mut(1).v.set_flat(3 * config.hidden + 2, 42.0);
+        ctx.cache
+            .block_mut(1)
+            .v
+            .set_flat(3 * config.hidden + 2, 42.0);
         ctx.cache.block_mut(0).k.set_flat(config.hidden + 5, -9.0);
         let rep = guard.on_step_state(&mut ctx);
         assert_eq!(rep.kv_invalid_from, Some(1));

@@ -15,12 +15,17 @@ fn layer_from_name(name: &str) -> Option<LayerKind> {
 
 /// Serialise a store to CSV text (rows sorted for stable diffs).
 pub fn to_csv(store: &BoundsStore) -> String {
-    let mut rows: Vec<(TapPoint, LayerBounds)> =
-        store.iter().map(|(p, b)| (*p, *b)).collect();
+    let mut rows: Vec<(TapPoint, LayerBounds)> = store.iter().map(|(p, b)| (*p, *b)).collect();
     rows.sort_by_key(|(p, _)| *p);
     let mut out = String::from("block,layer,lo,hi\n");
     for (p, b) in rows {
-        out.push_str(&format!("{},{},{},{}\n", p.block, p.layer.name(), b.lo, b.hi));
+        out.push_str(&format!(
+            "{},{},{},{}\n",
+            p.block,
+            p.layer.name(),
+            b.lo,
+            b.hi
+        ));
     }
     out
 }
@@ -73,11 +78,17 @@ mod tests {
     fn sample_store() -> BoundsStore {
         let mut s = BoundsStore::new();
         s.set(
-            TapPoint { block: 0, layer: LayerKind::VProj },
+            TapPoint {
+                block: 0,
+                layer: LayerKind::VProj,
+            },
             LayerBounds { lo: -1.5, hi: 2.25 },
         );
         s.set(
-            TapPoint { block: 3, layer: LayerKind::DownProj },
+            TapPoint {
+                block: 3,
+                layer: LayerKind::DownProj,
+            },
             LayerBounds { lo: -8.0, hi: 8.5 },
         );
         s

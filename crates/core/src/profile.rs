@@ -25,9 +25,7 @@ impl LayerTap for MinMaxTap {
     fn on_output(&mut self, ctx: &TapCtx, data: &mut Matrix) {
         match ctx.hook {
             HookKind::LinearOutput => self.linear.observe_all(ctx.point, data.as_slice()),
-            HookKind::ActivationOutput => {
-                self.activations.observe_all(ctx.point, data.as_slice())
-            }
+            HookKind::ActivationOutput => self.activations.observe_all(ctx.point, data.as_slice()),
         }
     }
 }

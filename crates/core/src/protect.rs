@@ -370,7 +370,10 @@ mod tests {
         p.on_output(&ctx(0, LayerKind::VProj, HookKind::LinearOutput), &mut m);
         assert_eq!(m.as_slice(), &[-1.0, 0.5, 2.0]);
         let b = p
-            .current_bounds(&TapPoint { block: 0, layer: LayerKind::VProj })
+            .current_bounds(&TapPoint {
+                block: 0,
+                layer: LayerKind::VProj,
+            })
             .unwrap();
         assert_eq!(b.lo, -2.0); // -1 scaled by 2
         assert_eq!(b.hi, 4.0); // 2 scaled by 2
@@ -391,7 +394,10 @@ mod tests {
         assert_eq!(p.stats.nans_corrected, 1);
         // The NaN did not pollute the recorded bounds.
         let b = p
-            .current_bounds(&TapPoint { block: 0, layer: LayerKind::VProj })
+            .current_bounds(&TapPoint {
+                block: 0,
+                layer: LayerKind::VProj,
+            })
             .unwrap();
         assert_eq!(b.hi, 2.0);
     }
@@ -409,7 +415,10 @@ mod tests {
     fn offline_mode_uses_fixed_bounds() {
         let mut store = BoundsStore::new();
         store.set(
-            TapPoint { block: 0, layer: LayerKind::VProj },
+            TapPoint {
+                block: 0,
+                layer: LayerKind::VProj,
+            },
             LayerBounds { lo: -1.0, hi: 1.0 },
         );
         let mut p = Protector::offline(
@@ -428,7 +437,10 @@ mod tests {
     fn clip_to_zero_policy() {
         let mut store = BoundsStore::new();
         store.set(
-            TapPoint { block: 0, layer: LayerKind::VProj },
+            TapPoint {
+                block: 0,
+                layer: LayerKind::VProj,
+            },
             LayerBounds { lo: -1.0, hi: 1.0 },
         );
         let mut p = Protector::offline(
@@ -446,7 +458,10 @@ mod tests {
     fn nan_keep_policy_propagates() {
         let mut store = BoundsStore::new();
         store.set(
-            TapPoint { block: 0, layer: LayerKind::VProj },
+            TapPoint {
+                block: 0,
+                layer: LayerKind::VProj,
+            },
             LayerBounds { lo: -1.0, hi: 1.0 },
         );
         let mut p = Protector::offline(
@@ -568,7 +583,10 @@ mod tests {
         // Step 0 itself cannot clamp (no bounds yet).
         assert_eq!(r0.clamps, 0);
         let b = p
-            .current_bounds(&TapPoint { block: 0, layer: LayerKind::VProj })
+            .current_bounds(&TapPoint {
+                block: 0,
+                layer: LayerKind::VProj,
+            })
             .unwrap();
         assert!(b.hi.is_finite());
         // A later excursion is caught by the repaired (prior) bound.
@@ -594,11 +612,17 @@ mod tests {
         p.on_output(&ctx(0, LayerKind::VProj, HookKind::LinearOutput), &mut m);
         // Activation outputs are recorded at step 0 even when uncovered...
         let mut act = Matrix::from_vec(1, 2, vec![0.0, 3.0]);
-        p.on_output(&ctx(0, LayerKind::Fc1, HookKind::ActivationOutput), &mut act);
+        p.on_output(
+            &ctx(0, LayerKind::Fc1, HookKind::ActivationOutput),
+            &mut act,
+        );
         assert_eq!(p.stats.invocations, 1); // recording is not an invocation
         let _ = p.end_step(0);
 
-        let point = TapPoint { block: 0, layer: LayerKind::VProj };
+        let point = TapPoint {
+            block: 0,
+            layer: LayerKind::VProj,
+        };
         assert_eq!(p.current_bounds(&point).unwrap().hi, 4.0); // 2 × scale 2
         p.on_rollback(1, 0);
         assert_eq!(p.stats.escalations, 1);
@@ -606,7 +630,10 @@ mod tests {
         assert_eq!(p.current_bounds(&point).unwrap().hi, 3.0);
         // ...so the escalated re-decode can protect them.
         let mut act = Matrix::from_vec(1, 1, vec![1.0e4]);
-        p.on_output(&ctx(1, LayerKind::Fc1, HookKind::ActivationOutput), &mut act);
+        p.on_output(
+            &ctx(1, LayerKind::Fc1, HookKind::ActivationOutput),
+            &mut act,
+        );
         assert_eq!(p.stats.clipped, 1);
         assert!(act.get(0, 0) < 1.0e4);
     }

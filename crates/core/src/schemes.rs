@@ -100,15 +100,11 @@ impl Scheme {
                 LayerKind::Fc2,
                 LayerKind::DownProj,
             ]),
-            Scheme::GlobalClipper => {
-                Coverage::linears(vec![LayerKind::VProj, LayerKind::OutProj])
-            }
+            Scheme::GlobalClipper => Coverage::linears(vec![LayerKind::VProj, LayerKind::OutProj]),
             Scheme::Ft2 | Scheme::Ft2Offline | Scheme::Ft2ClipToZero => {
                 Coverage::linears(critical_layers(style))
             }
-            Scheme::FullProtection => {
-                Coverage::linears(LayerKind::for_style(style).to_vec())
-            }
+            Scheme::FullProtection => Coverage::linears(LayerKind::for_style(style).to_vec()),
         }
     }
 
@@ -230,7 +226,9 @@ impl ProtectionFactory for SchemeFactory {
                 )))]
             }
             Scheme::Ft2 | Scheme::FullProtection => {
-                vec![Box::new(self.tuned(Protector::ft2_online(coverage, self.scale)))]
+                vec![Box::new(
+                    self.tuned(Protector::ft2_online(coverage, self.scale)),
+                )]
             }
             Scheme::Ft2ClipToZero => {
                 let p = Protector::ft2_online(coverage, self.scale)
@@ -296,7 +294,11 @@ mod tests {
     #[test]
     fn each_bound_scale_has_its_own_scheme_name() {
         let config = ModelConfig::tiny_opt();
-        let name = |scale| SchemeFactory::ft2_with_scale(&config, scale).scheme_name().to_string();
+        let name = |scale| {
+            SchemeFactory::ft2_with_scale(&config, scale)
+                .scheme_name()
+                .to_string()
+        };
         assert_eq!(name(FT2_DEFAULT_SCALE), "FT2");
         assert_eq!(name(1.25), "FT2@1.25");
         assert_ne!(name(1.0), name(1.5));

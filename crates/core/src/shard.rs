@@ -171,9 +171,7 @@ mod tests {
         let mut scrub = ShardScrubber::new(&shards, 0);
         // Corrupt two tiles on different shards.
         shards[1].blocks[0].q_proj.weight.as_mut_slice()[3] = f32::NAN;
-        let down = shards[2].blocks[1]
-            .layer_mut(LayerKind::DownProj)
-            .unwrap();
+        let down = shards[2].blocks[1].layer_mut(LayerKind::DownProj).unwrap();
         down.weight.as_mut_slice()[0] = 1e30;
         // A repair rung only touches the implicated slice of the suspect
         // failure domain.

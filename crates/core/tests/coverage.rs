@@ -192,7 +192,11 @@ fn sample_outcomes() -> Vec<Outcome> {
 ///
 /// The `match` is deliberately exhaustive (no `_` arm): a new [`Outcome`]
 /// variant fails to compile here until it is given a pricing rule.
-fn price(outcome: &Outcome, cost: &CostModel, shape: &WorkloadShape) -> (&'static str, &'static str, f64) {
+fn price(
+    outcome: &Outcome,
+    cost: &CostModel,
+    shape: &WorkloadShape,
+) -> (&'static str, &'static str, f64) {
     let gen = cost.generation_time(shape, PRICE_PROMPT, PRICE_GEN);
     let base = gen.total_s();
     let protected = base * (1.0 + cost.protection_overhead(shape, PRICE_PROMPT, PRICE_GEN));
@@ -226,8 +230,7 @@ fn price(outcome: &Outcome, cost: &CostModel, shape: &WorkloadShape) -> (&'stati
             "Degraded",
             "generation-plus-repartitions",
             protected
-                + f64::from(*shards_lost)
-                    * cost.repartition_time(shape, DEGRADE_PRICE_SHARDS - 1),
+                + f64::from(*shards_lost) * cost.repartition_time(shape, DEGRADE_PRICE_SHARDS - 1),
         ),
         Outcome::FailedOver { failovers } => (
             "FailedOver",
@@ -376,7 +379,11 @@ fn checkpoint_versions_probe_as_specified() {
 
 #[test]
 fn coverage_report_matches_snapshot() {
-    let actual = render(&models(), &price_outcomes(&model_zoo()), &probe_checkpoints());
+    let actual = render(
+        &models(),
+        &price_outcomes(&model_zoo()),
+        &probe_checkpoints(),
+    );
     assert_eq!(
         actual, SNAPSHOT,
         "coverage report drifted from tests/snapshots/coverage.txt; if the \
@@ -391,7 +398,13 @@ fn snapshot_covers_all_seven_models_and_proves_coverage() {
     // gap-free proof, so a blessed-but-broken snapshot cannot pass.
     assert!(SNAPSHOT.contains("7 models, 177 probes"));
     for model in [
-        "OPT-6.7B", "OPT-2.7B", "GPTJ-6B", "Llama2-7B", "Vicuna-7B", "Qwen2-7B", "Qwen2-1.5B",
+        "OPT-6.7B",
+        "OPT-2.7B",
+        "GPTJ-6B",
+        "Llama2-7B",
+        "Vicuna-7B",
+        "Qwen2-7B",
+        "Qwen2-1.5B",
     ] {
         assert!(SNAPSHOT.contains(model), "snapshot missing {model}");
     }

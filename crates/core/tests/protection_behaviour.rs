@@ -51,7 +51,10 @@ fn ft2_masks_a_catastrophic_critical_layer_fault() {
     // may or may not change — but under FT2 the output must equal clean.
     let ft2 = SchemeFactory::new(Scheme::Ft2, model.config(), None);
     let protected = inject_and_generate(&model, &prompt, site, Some(&ft2), 12);
-    assert_eq!(protected, clean, "FT2 failed to mask a V_PROJ exponent flip");
+    assert_eq!(
+        protected, clean,
+        "FT2 failed to mask a V_PROJ exponent flip"
+    );
     let _ = faulty;
 }
 

@@ -363,7 +363,9 @@ impl<'a> Campaign<'a> {
         assert!(!inputs.is_empty(), "campaign needs at least one input");
         let gen_tokens = config.gen_tokens;
         let references = pool.map(inputs, 1, |_, prompt| {
-            model.generate(prompt, gen_tokens, &mut TapList::new()).tokens
+            model
+                .generate(prompt, gen_tokens, &mut TapList::new())
+                .tokens
         });
         Campaign {
             model,
@@ -390,10 +392,8 @@ impl<'a> Campaign<'a> {
     pub fn sample_site(&self, input_id: usize, trial_id: usize) -> (FaultSite, &'static str) {
         let format = self.model.config().dtype;
         let prompt = &self.inputs[input_id];
-        let mut rng = Xoshiro256StarStar::for_stream(
-            self.config.seed,
-            &[input_id as u64, trial_id as u64],
-        );
+        let mut rng =
+            Xoshiro256StarStar::for_stream(self.config.seed, &[input_id as u64, trial_id as u64]);
         let mut sampler =
             SiteSampler::new(self.model.config(), prompt.len(), self.config.gen_tokens)
                 .with_step_filter(self.config.step_filter)
@@ -459,8 +459,7 @@ impl<'a> Campaign<'a> {
 
         let activation_fault = site.target == FaultTarget::Activation;
         let mut injector = activation_fault.then(|| FaultInjector::new(site.clone()));
-        let mut state_injector =
-            (!activation_fault).then(|| StateFaultInjector::new(site.clone()));
+        let mut state_injector = (!activation_fault).then(|| StateFaultInjector::new(site.clone()));
         let mut watchdog = WatchdogTap::new(
             self.config.trial_deadline_ms.map(Duration::from_millis),
             self.config.trial_token_budget,
@@ -583,14 +582,17 @@ impl<'a> Campaign<'a> {
     }
 
     /// Run the full campaign under a protection scheme.
-    pub fn run(&self, protection: &dyn ProtectionFactory, pool: &WorkStealingPool) -> CampaignResult {
+    pub fn run(
+        &self,
+        protection: &dyn ProtectionFactory,
+        pool: &WorkStealingPool,
+    ) -> CampaignResult {
         let trials = self.config.trials_per_input;
         let total = self.inputs.len() * trials;
-        let records: Vec<TrialRecord> = pool.map(
-            &(0..total).collect::<Vec<usize>>(),
-            8,
-            |_, &task| self.trial_record(protection, task / trials, task % trials),
-        );
+        let records: Vec<TrialRecord> =
+            pool.map(&(0..total).collect::<Vec<usize>>(), 8, |_, &task| {
+                self.trial_record(protection, task / trials, task % trials)
+            });
         let mut result = CampaignResult::default();
         for rec in &records {
             result.accumulate(rec);
@@ -612,11 +614,7 @@ impl<'a> Campaign<'a> {
         }
         let layers = match &self.config.layer_filter {
             None => "all".to_string(),
-            Some(kinds) => kinds
-                .iter()
-                .map(|k| k.name())
-                .collect::<Vec<_>>()
-                .join("+"),
+            Some(kinds) => kinds.iter().map(|k| k.name()).collect::<Vec<_>>().join("+"),
         };
         format!(
             "seed={}|trials={}|gen={}|dtype={}|fault={:?}|duration={:?}|target={}|steps={:?}|weight={:?}|layers={}|inputs={}|budget={:?}|deadline={:?}|recovery={}|repair={}|scheme={}|refs={:016x}",
@@ -701,7 +699,9 @@ impl<'a> Campaign<'a> {
             .save(&policy.path)
             .map_err(|e| format!("write checkpoint {}: {e}", policy.path.display()))?;
 
-            if policy.abort_after.is_some_and(|limit| done >= resumed_from + limit)
+            if policy
+                .abort_after
+                .is_some_and(|limit| done >= resumed_from + limit)
                 && done < total
             {
                 return Ok(CampaignRun {
@@ -901,13 +901,22 @@ mod tests {
         cfg.gen_tokens = 4;
         let campaign = Campaign::new(&model, &inputs, &judge, cfg, &pool);
         // Every trial's tap panics on its 3rd firing → all 24 trials crash.
-        let result = campaign.run(&PanicOnLayer { every_nth_firing: 3 }, &pool);
+        let result = campaign.run(
+            &PanicOnLayer {
+                every_nth_firing: 3,
+            },
+            &pool,
+        );
         assert_eq!(result.counts.total(), 24);
         assert_eq!(result.counts.crash, 24);
         assert_eq!(result.crashes.len(), 24);
         let failure = &result.crashes[0];
         assert!(failure.message.contains("protection tap exploded"));
-        assert!(failure.site.contains("campaign.rs"), "site: {}", failure.site);
+        assert!(
+            failure.site.contains("campaign.rs"),
+            "site: {}",
+            failure.site
+        );
         // Crash list is in task order.
         assert_eq!((failure.input, failure.trial), (0, 0));
 
@@ -937,11 +946,10 @@ mod tests {
         let mut cfg2 = CampaignConfig::quick(FaultModel::SingleBit);
         cfg2.trials_per_input = 5;
         cfg2.gen_tokens = 8;
-        let baseline = Campaign::new(&model, &inputs, &judge, cfg2.clone(), &pool)
-            .run(&Unprotected, &pool);
+        let baseline =
+            Campaign::new(&model, &inputs, &judge, cfg2.clone(), &pool).run(&Unprotected, &pool);
         cfg2.trial_token_budget = Some(1000);
-        let budgeted = Campaign::new(&model, &inputs, &judge, cfg2, &pool)
-            .run(&Unprotected, &pool);
+        let budgeted = Campaign::new(&model, &inputs, &judge, cfg2, &pool).run(&Unprotected, &pool);
         assert_eq!(baseline.counts, budgeted.counts);
     }
 
@@ -1060,15 +1068,17 @@ mod tests {
         let mut cfg = CampaignConfig::quick(FaultModel::ExponentBit);
         cfg.trials_per_input = 2;
         cfg.gen_tokens = 4;
-        let fingerprints: std::collections::BTreeSet<String> = [DType::F16, DType::F32, DType::Bf16]
-            .into_iter()
-            .map(|dtype| {
-                let mut spec = ft2_model::ZooModel::Opt6_7B.spec();
-                spec.config.dtype = dtype;
-                let model = spec.build();
-                Campaign::new(&model, &inputs, &ExactJudge, cfg.clone(), &pool).fingerprint("FT2")
-            })
-            .collect();
+        let fingerprints: std::collections::BTreeSet<String> =
+            [DType::F16, DType::F32, DType::Bf16]
+                .into_iter()
+                .map(|dtype| {
+                    let mut spec = ft2_model::ZooModel::Opt6_7B.spec();
+                    spec.config.dtype = dtype;
+                    let model = spec.build();
+                    Campaign::new(&model, &inputs, &ExactJudge, cfg.clone(), &pool)
+                        .fingerprint("FT2")
+                })
+                .collect();
         assert_eq!(fingerprints.len(), 3, "{fingerprints:?}");
     }
 }

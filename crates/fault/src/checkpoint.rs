@@ -70,10 +70,30 @@ const SCALARS: [Scalar; 8] = [
 /// every count row. The pattern is exhaustive, so a new outcome counter
 /// does not build until it has a place here.
 fn count_fields(c: &mut OutcomeCounts) -> [&mut u64; 10] {
-    let OutcomeCounts { masked_identical, masked_semantic, sdc, crash, hang, recovered,
-        recovery_failed, repaired, degraded, failed_over } = c;
-    [masked_identical, masked_semantic, sdc, crash, hang, recovered,
-        recovery_failed, repaired, degraded, failed_over]
+    let OutcomeCounts {
+        masked_identical,
+        masked_semantic,
+        sdc,
+        crash,
+        hang,
+        recovered,
+        recovery_failed,
+        repaired,
+        degraded,
+        failed_over,
+    } = c;
+    [
+        masked_identical,
+        masked_semantic,
+        sdc,
+        crash,
+        hang,
+        recovered,
+        recovery_failed,
+        repaired,
+        degraded,
+        failed_over,
+    ]
 }
 
 /// A persisted campaign prefix: everything needed to resume.
@@ -96,17 +116,35 @@ impl CampaignCheckpoint {
     pub fn to_text(&self) -> String {
         // The scalar accessors hand out `&mut`, so write from a copy.
         let mut r = self.result.clone();
-        let mut s = format!("{MAGIC} {CHECKPOINT_VERSION}\nfingerprint {}\n", escape(&self.fingerprint));
+        let mut s = format!(
+            "{MAGIC} {CHECKPOINT_VERSION}\nfingerprint {}\n",
+            escape(&self.fingerprint)
+        );
         let _ = writeln!(s, "completed_tasks {}", self.completed_tasks);
         let mut write_row = |key: String, mut c: OutcomeCounts| {
-            let _ = writeln!(s, "{key} {}", count_fields(&mut c).map(|v| v.to_string()).join(" "));
+            let _ = writeln!(
+                s,
+                "{key} {}",
+                count_fields(&mut c).map(|v| v.to_string()).join(" ")
+            );
         };
         write_row("counts".into(), r.counts);
         write_row("first_token_faults".into(), r.first_token_faults);
-        r.per_layer.iter().for_each(|(k, c)| write_row(format!("per_layer {}", k.name()), *c));
-        r.per_bit_class.iter().for_each(|(k, c)| write_row(format!("per_bit_class {k}"), *c));
+        r.per_layer
+            .iter()
+            .for_each(|(k, c)| write_row(format!("per_layer {}", k.name()), *c));
+        r.per_bit_class
+            .iter()
+            .for_each(|(k, c)| write_row(format!("per_bit_class {k}"), *c));
         for c in &r.crashes {
-            let _ = writeln!(s, "crash {} {} {} {}", c.input, c.trial, escape(&c.site), escape(&c.message));
+            let _ = writeln!(
+                s,
+                "crash {} {} {} {}",
+                c.input,
+                c.trial,
+                escape(&c.site),
+                escape(&c.message)
+            );
         }
         for (name, field) in SCALARS {
             let _ = writeln!(s, "{name} {}", field(&mut r));
@@ -120,7 +158,10 @@ impl CampaignCheckpoint {
     pub fn parse(text: &str) -> Result<CampaignCheckpoint, String> {
         // A file cut at a line boundary lacks a record the reader expects,
         // at the latest the closing `end`, however many rows it lost.
-        let mut r = Reader { lines: text.lines().peekable(), n: 0 };
+        let mut r = Reader {
+            lines: text.lines().peekable(),
+            n: 0,
+        };
         r.read().map_err(|e| format!("line {}: {e}", r.n))
     }
 
@@ -129,7 +170,10 @@ impl CampaignCheckpoint {
     /// so the rename survives a power cut. A crash at any point leaves
     /// either the old checkpoint or the new one.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
+        let dir = path
+            .parent()
+            .filter(|d| !d.as_os_str().is_empty())
+            .unwrap_or(Path::new("."));
         std::fs::create_dir_all(dir)?;
         let mut tmp = path.as_os_str().to_owned();
         tmp.push(".tmp");
@@ -145,7 +189,9 @@ impl CampaignCheckpoint {
     /// Load a checkpoint if one exists; `Ok(None)` when the file is absent.
     pub fn load(path: &Path) -> Result<Option<CampaignCheckpoint>, String> {
         match std::fs::read_to_string(path) {
-            Ok(text) => Self::parse(&text).map(Some).map_err(|e| format!("{}: {e}", path.display())),
+            Ok(text) => Self::parse(&text)
+                .map(Some)
+                .map_err(|e| format!("{}: {e}", path.display())),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
             Err(e) => Err(format!("read {}: {e}", path.display())),
         }
@@ -163,30 +209,55 @@ impl<'a> Reader<'a> {
     fn read(&mut self) -> Result<CampaignCheckpoint, String> {
         if self.fields::<1>(MAGIC).ok() != Some([&CHECKPOINT_VERSION.to_string()]) {
             let why = "older (JSON) checkpoints are no longer read, so the campaign restarts";
-            return Err(format!("not a `{MAGIC} {CHECKPOINT_VERSION}` header; {why}"));
+            return Err(format!(
+                "not a `{MAGIC} {CHECKPOINT_VERSION}` header; {why}"
+            ));
         }
         let fingerprint = unescape(self.fields::<1>("fingerprint")?[0])?;
         let completed_tasks = number(self.fields::<1>("completed_tasks")?[0])?;
         let counts = row(self.fields("counts")?)?;
         let first_token_faults = row(self.fields("first_token_faults")?)?;
-        let mut r = CampaignResult { counts, first_token_faults, ..CampaignResult::default() };
-        self.keyed("per_layer", &mut r.per_layer, &LayerKind::ALL.map(|k| (k.name(), k)))?;
-        self.keyed("per_bit_class", &mut r.per_bit_class, &BIT_CLASSES.map(|c| (c, c)))?;
+        let mut r = CampaignResult {
+            counts,
+            first_token_faults,
+            ..CampaignResult::default()
+        };
+        self.keyed(
+            "per_layer",
+            &mut r.per_layer,
+            &LayerKind::ALL.map(|k| (k.name(), k)),
+        )?;
+        self.keyed(
+            "per_bit_class",
+            &mut r.per_bit_class,
+            &BIT_CLASSES.map(|c| (c, c)),
+        )?;
         while self.next_is("crash") {
             let [input, trial, site, message] = self.fields("crash")?;
             if r.crashes.len() == MAX_CRASH_RECORDS {
                 return Err(format!("more than {MAX_CRASH_RECORDS} crash rows"));
             }
             let (input, trial, site) = (number(input)?, number(trial)?, unescape(site)?);
-            r.crashes.push(TrialFailure { input, trial, site, message: unescape(message)? });
+            r.crashes.push(TrialFailure {
+                input,
+                trial,
+                site,
+                message: unescape(message)?,
+            });
         }
         for (name, field) in SCALARS {
             *field(&mut r) = number(self.fields::<1>(name)?[0])?;
         }
         let [] = self.fields("end")?;
         self.n += 1;
-        let cp = CampaignCheckpoint { fingerprint, completed_tasks, result: r };
-        self.lines.next().map_or(Ok(cp), |_| Err("content after `end`".to_string()))
+        let cp = CampaignCheckpoint {
+            fingerprint,
+            completed_tasks,
+            result: r,
+        };
+        self.lines
+            .next()
+            .map_or(Ok(cp), |_| Err("content after `end`".to_string()))
     }
 
     fn next_is(&mut self, key: &str) -> bool {
@@ -196,22 +267,33 @@ impl<'a> Reader<'a> {
     /// Take the next line, which must be a `key` record of `N` fields.
     fn fields<const N: usize>(&mut self, key: &str) -> Result<[&'a str; N], String> {
         self.n += 1;
-        let line = self.lines.next().ok_or_else(|| format!("truncated before `{key}`"))?;
+        let line = self
+            .lines
+            .next()
+            .ok_or_else(|| format!("truncated before `{key}`"))?;
         let words: Vec<&str> = line.split(' ').collect();
         if words[0] != key {
             return Err(format!("expected `{key}`, found {:?}", words[0]));
         }
         let rest = &words[1..];
-        rest.try_into().map_err(|_| format!("`{key}` takes {N} fields, not {}", rest.len()))
+        rest.try_into()
+            .map_err(|_| format!("`{key}` takes {N} fields, not {}", rest.len()))
     }
 
     /// Every `key <name> <counts…>` row, into `map` under the value `names`
     /// pairs with `name`.
-    fn keyed<K: Ord + Copy>(&mut self, key: &str, map: &mut std::collections::BTreeMap<K, OutcomeCounts>,
-                            names: &[(&str, K)]) -> Result<(), String> {
+    fn keyed<K: Ord + Copy>(
+        &mut self,
+        key: &str,
+        map: &mut std::collections::BTreeMap<K, OutcomeCounts>,
+        names: &[(&str, K)],
+    ) -> Result<(), String> {
         while self.next_is(key) {
             let [name, counts @ ..] = self.fields::<11>(key)?;
-            let (_, k) = names.iter().find(|n| n.0 == name).ok_or_else(|| format!("unknown {key} {name:?}"))?;
+            let (_, k) = names
+                .iter()
+                .find(|n| n.0 == name)
+                .ok_or_else(|| format!("unknown {key} {name:?}"))?;
             if map.insert(*k, row(counts)?).is_some() {
                 return Err(format!("duplicate {key} {name}"));
             }
@@ -222,7 +304,9 @@ impl<'a> Reader<'a> {
 
 fn row(fields: [&str; 10]) -> Result<OutcomeCounts, String> {
     let mut c = OutcomeCounts::default();
-    for (slot, field) in count_fields(&mut c).into_iter().zip(fields) { *slot = number(field)?; }
+    for (slot, field) in count_fields(&mut c).into_iter().zip(fields) {
+        *slot = number(field)?;
+    }
     Ok(c)
 }
 
@@ -233,10 +317,12 @@ fn number<T: std::str::FromStr>(field: &str) -> Result<T, String> {
 /// `%XX`-encode `%`, space, DEL and the ASCII control characters, so an
 /// escaped string is one space-free, newline-free field.
 fn escape(s: &str) -> String {
-    s.chars().map(|c| match c {
-        '\0'..=' ' | '%' | '\x7f' => format!("%{:02X}", c as u32),
-        c => c.to_string(),
-    }).collect()
+    s.chars()
+        .map(|c| match c {
+            '\0'..=' ' | '%' | '\x7f' => format!("%{:02X}", c as u32),
+            c => c.to_string(),
+        })
+        .collect()
 }
 
 /// Inverse of [`escape`]; a `%` must be followed by two hex digits that
@@ -245,9 +331,15 @@ fn unescape(s: &str) -> Result<String, String> {
     let mut parts = s.split('%');
     let mut out = parts.next().unwrap_or_default().to_string();
     for part in parts {
-        let hex = part.get(..2).filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()));
-        let code = hex.and_then(|h| u8::from_str_radix(h, 16).ok()).filter(u8::is_ascii);
-        out.push(char::from(code.ok_or_else(|| format!("bad escape in {s:?}"))?));
+        let hex = part
+            .get(..2)
+            .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()));
+        let code = hex
+            .and_then(|h| u8::from_str_radix(h, 16).ok())
+            .filter(u8::is_ascii);
+        out.push(char::from(
+            code.ok_or_else(|| format!("bad escape in {s:?}"))?,
+        ));
         out.push_str(&part[2..]);
     }
     Ok(out)
@@ -327,7 +419,11 @@ mod tests {
         cp.save(&path).unwrap();
         let loaded = CampaignCheckpoint::load(&path).unwrap().unwrap();
         assert_eq!(loaded, cp);
-        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1, "temp file left behind");
+        assert_eq!(
+            std::fs::read_dir(&dir).unwrap().count(),
+            1,
+            "temp file left behind"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -346,7 +442,10 @@ mod tests {
             let other = text.replacen("ft2-checkpoint 6", &format!("ft2-checkpoint {v}"), 1);
             let err = CampaignCheckpoint::parse(&other).unwrap_err();
             assert!(err.starts_with("line 1: "), "{err}");
-            assert!(err.contains("no longer read") && err.contains("restarts"), "{err}");
+            assert!(
+                err.contains("no longer read") && err.contains("restarts"),
+                "{err}"
+            );
         }
         let json = "{\n  \"version\": 5,\n  \"fingerprint\": \"v3|seed=1\"\n}\n";
         let err = CampaignCheckpoint::parse(json).unwrap_err();
@@ -359,20 +458,64 @@ mod tests {
         let class_row = "per_bit_class exponent 0 0 3 0 0 0 0 0 0 0\n";
         let class_twice = class_row.repeat(2);
         let cases = [
-            ("\ncounts 10 4 3 2 1 6 2 5 3 2\n", "\ncounts 10 4\n", "line 4: `counts` takes 10 fields, not 2"),
+            (
+                "\ncounts 10 4 3 2 1 6 2 5 3 2\n",
+                "\ncounts 10 4\n",
+                "line 4: `counts` takes 10 fields, not 2",
+            ),
             ("\nstorms 11\n", "\nstorms x\n", "line 10: bad number \"x\""),
-            ("\nstorms 11\n", "\nstorms 99999999999999999999\n", "line 10: bad number"),
-            ("\nstorms 11\n", "\nstorms 11\nstorms 11\n", "line 11: expected `scrubbed_tiles`, found \"storms\""),
-            ("\nstorms 11\n", "\nstroms 11\n", "line 10: expected `storms`, found \"stroms\""),
-            ("\nstorms 11\n", "\n", "line 10: expected `storms`, found \"scrubbed_tiles\""),
-            ("per_layer FC1 ", "per_layer FC9 ", "line 6: unknown per_layer \"FC9\""),
-            ("per_layer FC1 5", "per_layer FC1 5 0", "line 6: `per_layer` takes 11 fields, not 12"),
-            (class_row, class_twice.as_str(), "line 8: duplicate per_bit_class exponent"),
-            ("per_bit_class exponent ", "per_bit_class sine ", "line 7: unknown per_bit_class"),
-            ("crash 2 17 ", "crash 2 ", "line 8: `crash` takes 4 fields, not 3"),
+            (
+                "\nstorms 11\n",
+                "\nstorms 99999999999999999999\n",
+                "line 10: bad number",
+            ),
+            (
+                "\nstorms 11\n",
+                "\nstorms 11\nstorms 11\n",
+                "line 11: expected `scrubbed_tiles`, found \"storms\"",
+            ),
+            (
+                "\nstorms 11\n",
+                "\nstroms 11\n",
+                "line 10: expected `storms`, found \"stroms\"",
+            ),
+            (
+                "\nstorms 11\n",
+                "\n",
+                "line 10: expected `storms`, found \"scrubbed_tiles\"",
+            ),
+            (
+                "per_layer FC1 ",
+                "per_layer FC9 ",
+                "line 6: unknown per_layer \"FC9\"",
+            ),
+            (
+                "per_layer FC1 5",
+                "per_layer FC1 5 0",
+                "line 6: `per_layer` takes 11 fields, not 12",
+            ),
+            (
+                class_row,
+                class_twice.as_str(),
+                "line 8: duplicate per_bit_class exponent",
+            ),
+            (
+                "per_bit_class exponent ",
+                "per_bit_class sine ",
+                "line 7: unknown per_bit_class",
+            ),
+            (
+                "crash 2 17 ",
+                "crash 2 ",
+                "line 8: `crash` takes 4 fields, not 3",
+            ),
             ("crates/core", "%ZZ", "line 8: bad escape"),
             ("crates/core", "%C3", "line 8: bad escape"),
-            ("\nend\n", "\nend\nstorms 1\n", "line 18: content after `end`"),
+            (
+                "\nend\n",
+                "\nend\nstorms 1\n",
+                "line 18: content after `end`",
+            ),
             ("\nend\n", "\n", "line 17: truncated before `end`"),
         ];
         for (from, to, want) in cases {
@@ -398,8 +541,16 @@ mod tests {
         let cases: [(&str, Vec<u8>, &str); 4] = [
             ("arrays", "[".repeat(100_000).into_bytes(), "header"),
             ("objects", "{\"a\":".repeat(100_000).into_bytes(), "header"),
-            ("cut", cut.as_bytes().to_vec(), "line 8: truncated before `rollbacks`"),
-            ("bytes", vec![b'{', b'"', 0xff, 0xfe, b'"', b':', b'1', b'}'], "read "),
+            (
+                "cut",
+                cut.as_bytes().to_vec(),
+                "line 8: truncated before `rollbacks`",
+            ),
+            (
+                "bytes",
+                vec![b'{', b'"', 0xff, 0xfe, b'"', b':', b'1', b'}'],
+                "read ",
+            ),
         ];
         for (name, bytes, expected) in cases {
             let path = dir.join(name);
@@ -412,7 +563,9 @@ mod tests {
 
     /// Strings built from the characters an escape scheme gets wrong.
     fn tricky_string() -> impl Strategy<Value = String> {
-        let chars = vec![' ', '\t', '\n', '\r', '\\', '\0', '%', '"', 'a', 'Z', '7', 'é', '漢', '🦀'];
+        let chars = vec![
+            ' ', '\t', '\n', '\r', '\\', '\0', '%', '"', 'a', 'Z', '7', 'é', '漢', '🦀',
+        ];
         prop::collection::vec(prop::sample::select(chars), 0..16)
             .prop_map(|cs| cs.into_iter().collect::<String>())
     }
@@ -428,14 +581,18 @@ mod tests {
     }
 
     fn crash() -> impl Strategy<Value = TrialFailure> {
-        (any::<usize>(), any::<usize>(), tricky_string(), tricky_string()).prop_map(
-            |(input, trial, site, message)| TrialFailure {
+        (
+            any::<usize>(),
+            any::<usize>(),
+            tricky_string(),
+            tricky_string(),
+        )
+            .prop_map(|(input, trial, site, message)| TrialFailure {
                 input,
                 trial,
                 site,
                 message,
-            },
-        )
+            })
     }
 
     proptest! {

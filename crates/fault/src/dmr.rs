@@ -76,10 +76,8 @@ pub fn run_dmr_campaign(
 
     let total = inputs.len() * config.trials_per_input;
     let format = model.config().dtype;
-    let per_trial: Vec<(bool, bool, u64, bool)> = pool.map(
-        &(0..total).collect::<Vec<usize>>(),
-        4,
-        |_, &task| {
+    let per_trial: Vec<(bool, bool, u64, bool)> =
+        pool.map(&(0..total).collect::<Vec<usize>>(), 4, |_, &task| {
             let input_id = task / config.trials_per_input;
             let trial_id = task % config.trials_per_input;
             let prompt = &inputs[input_id];
@@ -116,8 +114,7 @@ pub fn run_dmr_campaign(
                 .classify(&references[input_id], &final_tokens)
                 .is_masked();
             (detected, corrupting, executions, sdc)
-        },
-    );
+        });
 
     let mut report = DmrReport {
         trials: total as u64,

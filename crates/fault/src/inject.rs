@@ -77,8 +77,7 @@ impl FaultInjector {
             // Periodic strikes, at most one per distinct step — a re-decode
             // of an active step is clean, like a transient.
             FaultDuration::Intermittent { .. } => {
-                self.site.duration.active_at(self.site.step, step)
-                    && self.last_strike != Some(step)
+                self.site.duration.active_at(self.site.step, step) && self.last_strike != Some(step)
             }
             // A stuck functional unit: every forward pass from the strike
             // step on is corrupted, *including* rollback re-decodes — which
@@ -90,9 +89,7 @@ impl FaultInjector {
 
 impl LayerTap for FaultInjector {
     fn on_output(&mut self, ctx: &TapCtx, data: &mut Matrix) {
-        if ctx.hook != HookKind::LinearOutput
-            || ctx.point != self.site.point
-            || !self.due(ctx.step)
+        if ctx.hook != HookKind::LinearOutput || ctx.point != self.site.point || !self.due(ctx.step)
         {
             return;
         }
@@ -169,8 +166,7 @@ impl StateFaultInjector {
         match self.site.duration {
             FaultDuration::Transient => !self.fired && step == self.site.step,
             FaultDuration::Intermittent { .. } => {
-                self.site.duration.active_at(self.site.step, step)
-                    && self.last_strike != Some(step)
+                self.site.duration.active_at(self.site.step, step) && self.last_strike != Some(step)
             }
             // Persistent stored-state corruption endures on its own — one
             // strike suffices, and every later read sees it until the
@@ -183,9 +179,7 @@ impl StateFaultInjector {
     fn storage<'c>(&self, ctx: &'c mut StateCtx<'_>) -> &'c mut [f32] {
         let b = self.site.point.block;
         match self.site.target {
-            FaultTarget::Weight => ctx
-                .weights
-                .blocks[b]
+            FaultTarget::Weight => ctx.weights.blocks[b]
                 .layer_mut(self.site.point.layer)
                 .expect("sampled weight layer missing")
                 .weight
@@ -250,8 +244,8 @@ impl StateTap for StateFaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ft2_model::{KvCache, LayerKind, ModelConfig, TapPoint};
     use ft2_model::weights::ModelWeights;
+    use ft2_model::{KvCache, LayerKind, ModelConfig, TapPoint};
     use ft2_tensor::DType;
 
     fn ctx(step: usize, layer: LayerKind) -> TapCtx {
@@ -463,6 +457,10 @@ mod tests {
         inj.on_step_state(&mut ctx);
         inj.on_step_end(&mut ctx);
         assert_eq!(cache.block(0).k.get_flat(3), -1.0);
-        assert_eq!(cache.block(0).v.get_flat(3), 1.0, "V untouched for a K site");
+        assert_eq!(
+            cache.block(0).v.get_flat(3),
+            1.0,
+            "V untouched for a K site"
+        );
     }
 }

@@ -55,16 +55,10 @@ impl LiveFault {
             match k.trim() {
                 "kind" => kind = Some(v.trim().to_ascii_lowercase()),
                 "block" => {
-                    block = v
-                        .trim()
-                        .parse()
-                        .map_err(|_| format!("bad block {v:?}"))?;
+                    block = v.trim().parse().map_err(|_| format!("bad block {v:?}"))?;
                 }
                 "replica" => {
-                    replica = v
-                        .trim()
-                        .parse()
-                        .map_err(|_| format!("bad replica {v:?}"))?;
+                    replica = v.trim().parse().map_err(|_| format!("bad replica {v:?}"))?;
                 }
                 "persistent" => persistent = matches!(v.trim(), "1" | "true"),
                 _ => {}
@@ -114,11 +108,17 @@ mod tests {
     fn parses_defaults_and_flags() {
         assert_eq!(
             LiveFault::parse("kind=storm"),
-            Ok(LiveFault::Storm { block: 0, persistent: false })
+            Ok(LiveFault::Storm {
+                block: 0,
+                persistent: false
+            })
         );
         assert_eq!(
             LiveFault::parse("kind=storm&block=1&persistent=1"),
-            Ok(LiveFault::Storm { block: 1, persistent: true })
+            Ok(LiveFault::Storm {
+                block: 1,
+                persistent: true
+            })
         );
         assert_eq!(
             LiveFault::parse("kind=crash&replica=1"),
@@ -142,10 +142,17 @@ mod tests {
     fn descriptions_name_the_target() {
         assert_eq!(LiveFault::Flip { block: 2 }.describe(), "flip block 2");
         assert_eq!(
-            LiveFault::Storm { block: 0, persistent: true }.describe(),
+            LiveFault::Storm {
+                block: 0,
+                persistent: true
+            }
+            .describe(),
             "persistent storm block 0"
         );
-        assert_eq!(LiveFault::Crash { replica: 1 }.describe(), "crash replica 1");
+        assert_eq!(
+            LiveFault::Crash { replica: 1 }.describe(),
+            "crash replica 1"
+        );
     }
 
     #[test]
@@ -168,8 +175,17 @@ mod tests {
         }
         // Multi-byte characters on either side of `&` and `=` in keys the
         // parser ignores leave the known keys intact.
-        for body in ["é&kind=flip&é", "kind=flip&é=ü", "kind=flip&€=&=€", "ü=é&kind=flip"] {
-            assert_eq!(LiveFault::parse(body), Ok(LiveFault::Flip { block: 0 }), "{body}");
+        for body in [
+            "é&kind=flip&é",
+            "kind=flip&é=ü",
+            "kind=flip&€=&=€",
+            "ü=é&kind=flip",
+        ] {
+            assert_eq!(
+                LiveFault::parse(body),
+                Ok(LiveFault::Flip { block: 0 }),
+                "{body}"
+            );
         }
     }
 

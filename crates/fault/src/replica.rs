@@ -90,8 +90,7 @@ impl ReplicaFaultSpec {
         match self.duration {
             FaultDuration::Transient => step == self.at_step && self.strikes == 0,
             FaultDuration::Intermittent { period } => {
-                step >= self.at_step
-                    && (step - self.at_step).is_multiple_of(period.max(1) as u64)
+                step >= self.at_step && (step - self.at_step).is_multiple_of(period.max(1) as u64)
             }
             FaultDuration::Persistent => step >= self.at_step,
         }

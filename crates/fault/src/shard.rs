@@ -313,10 +313,7 @@ pub fn classify_sharded(
             },
             ShardIncidentKind::Anomaly => Outcome::Crash {
                 site: format!("shard{}", f.shard),
-                message: format!(
-                    "shard {} anomaly unrecovered at step {}",
-                    f.shard, f.step
-                ),
+                message: format!("shard {} anomaly unrecovered at step {}", f.shard, f.step),
             },
         };
     }
@@ -398,7 +395,12 @@ mod tests {
         assert_eq!(out.tokens, clean.tokens);
         assert!(out.storms >= 1);
         let outcome = classify_sharded(&clean.tokens, &out, &ExactJudge);
-        assert_eq!(outcome, Outcome::Recovered { retries: out.shard_retries });
+        assert_eq!(
+            outcome,
+            Outcome::Recovered {
+                retries: out.shard_retries
+            }
+        );
     }
 
     #[test]

@@ -75,7 +75,9 @@ impl Default for StepWeighting {
         // lengths used here (16-48 tokens vs the paper's 60-180) this puts
         // the first-token step at 2-6% of inference time, matching the
         // measured shares of Fig. 10.
-        StepWeighting::ByTime { prefill_factor: 1.0 }
+        StepWeighting::ByTime {
+            prefill_factor: 1.0,
+        }
     }
 }
 
@@ -179,7 +181,12 @@ impl SiteSampler {
 
     /// Sample a site. Uniform over `(step, layer, element)` computations
     /// within the allowed steps/layers.
-    pub fn sample(&self, rng: &mut impl Rng, fault_model: FaultModel, format: ft2_numeric::DType) -> FaultSite {
+    pub fn sample(
+        &self,
+        rng: &mut impl Rng,
+        fault_model: FaultModel,
+        format: ft2_numeric::DType,
+    ) -> FaultSite {
         let layers = self.eligible_layers();
         assert!(!layers.is_empty(), "no eligible layers to sample");
         // Per-layer sampling weight: activation and KV faults land
@@ -301,9 +308,7 @@ mod tests {
         let mut rng = Xoshiro256StarStar::new(8);
         let n = 20_000;
         let step0 = (0..n)
-            .filter(|_| {
-                s.sample(&mut rng, FaultModel::SingleBit, DType::F16).step == 0
-            })
+            .filter(|_| s.sample(&mut rng, FaultModel::SingleBit, DType::F16).step == 0)
             .count();
         let frac = step0 as f64 / n as f64;
         let expect = 1.0 / 10.0;
@@ -317,9 +322,7 @@ mod tests {
         let mut rng = Xoshiro256StarStar::new(8);
         let n = 20_000;
         let step0 = (0..n)
-            .filter(|_| {
-                s.sample(&mut rng, FaultModel::SingleBit, DType::F16).step == 0
-            })
+            .filter(|_| s.sample(&mut rng, FaultModel::SingleBit, DType::F16).step == 0)
             .count();
         let frac = step0 as f64 / n as f64;
         let expect = 8.0 / 17.0;
@@ -351,11 +354,20 @@ mod tests {
         let mut rng = Xoshiro256StarStar::new(10);
         let first = sampler().with_step_filter(StepFilter::FirstTokenOnly);
         for _ in 0..100 {
-            assert_eq!(first.sample(&mut rng, FaultModel::SingleBit, DType::F16).step, 0);
+            assert_eq!(
+                first
+                    .sample(&mut rng, FaultModel::SingleBit, DType::F16)
+                    .step,
+                0
+            );
         }
         let rest = sampler().with_step_filter(StepFilter::FollowingTokensOnly);
         for _ in 0..100 {
-            assert!(rest.sample(&mut rng, FaultModel::SingleBit, DType::F16).step >= 1);
+            assert!(
+                rest.sample(&mut rng, FaultModel::SingleBit, DType::F16)
+                    .step
+                    >= 1
+            );
         }
     }
 
@@ -365,7 +377,10 @@ mod tests {
         let s = sampler().with_layer_filter(vec![LayerKind::VProj, LayerKind::Fc2]);
         for _ in 0..500 {
             let site = s.sample(&mut rng, FaultModel::ExponentBit, DType::F16);
-            assert!(matches!(site.point.layer, LayerKind::VProj | LayerKind::Fc2));
+            assert!(matches!(
+                site.point.layer,
+                LayerKind::VProj | LayerKind::Fc2
+            ));
             assert!((10..=14).contains(&site.bits[0]));
         }
     }
@@ -394,7 +409,11 @@ mod tests {
             assert_eq!(site.duration, FaultDuration::Persistent);
             let out = config.out_features(site.point.layer);
             let inf = config.in_features(site.point.layer);
-            assert!(site.element < out * inf, "element {} out of bounds", site.element);
+            assert!(
+                site.element < out * inf,
+                "element {} out of bounds",
+                site.element
+            );
         }
     }
 
@@ -407,7 +426,10 @@ mod tests {
         for _ in 0..2000 {
             let site = s.sample(&mut rng, FaultModel::SingleBit, DType::F16);
             assert!(site.step >= 1, "cache is empty before the prefill");
-            assert!(matches!(site.point.layer, LayerKind::KProj | LayerKind::VProj));
+            assert!(matches!(
+                site.point.layer,
+                LayerKind::KProj | LayerKind::VProj
+            ));
             // prompt_len 8, so at step s the cache holds 8 + s - 1 rows.
             let cached = 8 + site.step - 1;
             assert!(site.element < cached * config.out_features(site.point.layer));

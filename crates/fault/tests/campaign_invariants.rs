@@ -54,7 +54,11 @@ fn per_bit_class_totals_are_consistent() {
     let by_class: u64 = r.per_bit_class.values().map(|c| c.total()).sum();
     assert_eq!(by_class, r.counts.total());
     // Single-bit over f16: mantissa 10/16, exponent 5/16, sign 1/16.
-    let mant = r.per_bit_class.get("mantissa").map(|c| c.total()).unwrap_or(0);
+    let mant = r
+        .per_bit_class
+        .get("mantissa")
+        .map(|c| c.total())
+        .unwrap_or(0);
     assert!(mant as f64 > 0.4 * r.counts.total() as f64);
 }
 
@@ -64,13 +68,7 @@ fn exp_model_hits_only_exponent_bits() {
     let pool = WorkStealingPool::new(1);
     let ins = inputs();
     let judge = ExactJudge;
-    let campaign = Campaign::new(
-        &model,
-        &ins,
-        &judge,
-        cfg(FaultModel::ExponentBit),
-        &pool,
-    );
+    let campaign = Campaign::new(&model, &ins, &judge, cfg(FaultModel::ExponentBit), &pool);
     let r = campaign.run(&Unprotected, &pool);
     assert_eq!(r.per_bit_class.len(), 1);
     assert!(r.per_bit_class.contains_key("exponent"));
@@ -118,13 +116,7 @@ fn custom_judge_is_respected() {
     let model = Model::new(ModelConfig::tiny_opt());
     let pool = WorkStealingPool::new(1);
     let ins = inputs();
-    let campaign = Campaign::new(
-        &model,
-        &ins,
-        &Paranoid,
-        cfg(FaultModel::SingleBit),
-        &pool,
-    );
+    let campaign = Campaign::new(&model, &ins, &Paranoid, cfg(FaultModel::SingleBit), &pool);
     let r = campaign.run(&Unprotected, &pool);
     assert_eq!(r.sdc_rate(), 1.0);
 }
@@ -137,7 +129,9 @@ fn computation_weighting_is_config_driven() {
     let judge = ExactJudge;
     let mut c = cfg(FaultModel::SingleBit);
     c.trials_per_input = 120;
-    c.step_weighting = StepWeighting::ByTime { prefill_factor: 4.0 };
+    c.step_weighting = StepWeighting::ByTime {
+        prefill_factor: 4.0,
+    };
     let campaign = Campaign::new(&model, &ins, &judge, c, &pool);
     let r = campaign.run(&Unprotected, &pool);
     // 8 steps: prefill weight 4 of 11 => ~36% of faults in step 0.

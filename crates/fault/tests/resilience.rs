@@ -189,7 +189,10 @@ fn token_budget_hangs_are_reproducible() {
 
     assert_eq!(r1.counts.hang, 36);
     assert_eq!(r1.counts, r4.counts);
-    assert!(r1.crashes.is_empty(), "hangs must not be reported as crashes");
+    assert!(
+        r1.crashes.is_empty(),
+        "hangs must not be reported as crashes"
+    );
 }
 
 #[test]

@@ -185,7 +185,9 @@ fn main() {
         println!("  JSON, another campaign) is reported and overwritten by a rerun;");
         println!("  FT2_CHECKPOINT_EVERY, FT2_CHECKPOINT_DIR control checkpointing;");
         println!("  FT2_TRIAL_DEADLINE_MS, FT2_TRIAL_TOKEN_BUDGET arm the trial watchdog;");
-        println!("  FT2_RECOVERY_RETRIES arms token-rollback recovery (FT2_STORM_THRESHOLD tunes it);");
+        println!(
+            "  FT2_RECOVERY_RETRIES arms token-rollback recovery (FT2_STORM_THRESHOLD tunes it);"
+        );
         println!("  FT2_SCRUB_TILES_PER_STEP, FT2_RECOVERY_REPAIR=1 arm the integrity layer");
         return;
     }
@@ -236,7 +238,11 @@ fn main() {
             "checkpointing: every {} trials under {}{}\n",
             ctx.resilience.cadence(),
             ctx.resilience.checkpoint_dir.display(),
-            if ctx.resilience.resume { " (resuming)" } else { "" }
+            if ctx.resilience.resume {
+                " (resuming)"
+            } else {
+                ""
+            }
         );
     }
 
@@ -268,14 +274,24 @@ mod tests {
     fn gates_take_smoke_and_reject_everything_else() {
         for (gate, _) in GATES {
             assert_eq!(parse_gate_args(gate, &[]), Ok((false, false)));
-            assert_eq!(parse_gate_args(gate, &args(&["--smoke"])), Ok((true, false)));
-            for bad in [&["--json"][..], &["--out", "x"], &["--smoke", "--frobnicate"]] {
+            assert_eq!(
+                parse_gate_args(gate, &args(&["--smoke"])),
+                Ok((true, false))
+            );
+            for bad in [
+                &["--json"][..],
+                &["--out", "x"],
+                &["--smoke", "--frobnicate"],
+            ] {
                 let err = parse_gate_args(gate, &args(bad)).expect_err("must be rejected");
                 let flag = bad.iter().find(|a| **a != "--smoke").unwrap();
                 assert_eq!(err, format!("unknown {gate} option {flag}"));
             }
         }
-        assert_eq!(parse_gate_args("serve", &args(&["--web"])), Ok((false, true)));
+        assert_eq!(
+            parse_gate_args("serve", &args(&["--web"])),
+            Ok((false, true))
+        );
         assert!(parse_gate_args("shards", &args(&["--web"])).is_err());
         assert!(parse_gate_args("replicas", &args(&["--web"])).is_err());
     }

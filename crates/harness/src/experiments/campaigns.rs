@@ -8,27 +8,41 @@ use crate::report::{format_pct, Table};
 use crate::settings::{evaluation_grid, Settings};
 use ft2_core::critical::CriticalityReport;
 use ft2_core::{Scheme, TILE_ELEMS};
-use ft2_fault::{CampaignResult, FaultDuration, FaultModel, FaultTarget, StepFilter, StepWeighting};
+use ft2_fault::{
+    CampaignResult, FaultDuration, FaultModel, FaultTarget, StepFilter, StepWeighting,
+};
 use ft2_hw::{CostModel, WorkloadShape, A100, GH200_H100};
 use ft2_model::ZooModel;
 use ft2_tasks::DatasetId;
 use ft2_tensor::DType;
 
 /// The five schemes Fig. 2 and Fig. 15 compare.
-const BASELINES_AND_FT2: [Scheme; 5] =
-    [Scheme::NoProtection, Scheme::Ranger, Scheme::MaxiMals, Scheme::GlobalClipper, Scheme::Ft2];
+const BASELINES_AND_FT2: [Scheme; 5] = [
+    Scheme::NoProtection,
+    Scheme::Ranger,
+    Scheme::MaxiMals,
+    Scheme::GlobalClipper,
+    Scheme::Ft2,
+];
 
 /// Figure 2 — motivational comparison: SDC rate of existing protections vs
 /// FT2 on Llama2-7B + GSM8K under the EXP fault model. A single-pair figure
 /// affords tighter intervals: four times the trials.
 pub fn fig2(s: &Settings) -> Sweep {
-    let base = Cell::new(s, &ZooModel::Llama2_7B.spec(), DatasetId::Gsm8k, FaultModel::ExponentBit)
-        .edit(|c| c.trials_per_input = s.trials * 4);
+    let base = Cell::new(
+        s,
+        &ZooModel::Llama2_7B.spec(),
+        DatasetId::Gsm8k,
+        FaultModel::ExponentBit,
+    )
+    .edit(|c| c.trials_per_input = s.trials * 4);
     Sweep {
         csv: "fig02_motivation",
         title: "Fig. 2 — SDC under protections (Llama2-7B, GSM8K, EXP faults)",
         cols: vec![Col::Label("scheme"), SDC, CI95],
-        cells: BASELINES_AND_FT2.map(|x| base.with(&[x.name()], Protect::Scheme(x))).into(),
+        cells: BASELINES_AND_FT2
+            .map(|x| base.with(&[x.name()], Protect::Scheme(x)))
+            .into(),
     }
 }
 
@@ -51,8 +65,13 @@ pub fn fig6(s: &Settings) -> Sweep {
         let mut cell = base
             .with(&[excluded.name()], Protect::AllBut(excluded))
             .edit(|c| c.layer_filter = Some(vec![excluded]));
-        let critical = if CriticalityReport::table1_expectation(excluded) { "Y" } else { "N" };
-        cell.labels.extend([format_pct(fault_share(&cell)), critical.into()]);
+        let critical = if CriticalityReport::table1_expectation(excluded) {
+            "Y"
+        } else {
+            "N"
+        };
+        cell.labels
+            .extend([format_pct(fault_share(&cell)), critical.into()]);
         cell
     });
     Sweep {
@@ -79,7 +98,11 @@ fn fault_share(cell: &Cell) -> f64 {
     let features = |kinds: &[ft2_model::LayerKind]| -> usize {
         kinds.iter().map(|&k| config.out_features(k)).sum()
     };
-    let struck = cell.config.layer_filter.as_deref().unwrap_or(config.block_layers());
+    let struck = cell
+        .config
+        .layer_filter
+        .as_deref()
+        .unwrap_or(config.block_layers());
     features(struck) as f64 / features(config.block_layers()) as f64
 }
 
@@ -88,7 +111,12 @@ fn fault_share(cell: &Cell) -> f64 {
 /// benign decode values); any scale ≥ 1.25 recovers, and the exact choice
 /// barely matters.
 pub fn fig9(s: &Settings) -> Sweep {
-    let base = Cell::new(s, &ZooModel::Qwen2_7B.spec(), DatasetId::Gsm8k, FaultModel::ExponentBit);
+    let base = Cell::new(
+        s,
+        &ZooModel::Qwen2_7B.spec(),
+        DatasetId::Gsm8k,
+        FaultModel::ExponentBit,
+    );
     let mut cells = vec![base.with(&["no protection"], Protect::Scheme(Scheme::NoProtection))];
     for scale in [1.0f32, 1.25, 1.5, 2.0, 3.0, 5.0, 10.0] {
         cells.push(base.with(&[&format!("FT2, scale {scale}")], Protect::Ft2Scale(scale)));
@@ -111,18 +139,29 @@ pub fn fig11(s: &Settings) -> Sweep {
     let mut cells = Vec::new();
     for fm in FaultModel::ALL {
         let base = Cell::new(s, &ZooModel::Opt6_7B.spec(), DatasetId::Squad, fm);
-        let (none, ft2) = (Protect::Scheme(Scheme::NoProtection), Protect::Scheme(Scheme::Ft2));
+        let (none, ft2) = (
+            Protect::Scheme(Scheme::NoProtection),
+            Protect::Scheme(Scheme::Ft2),
+        );
         cells.push(base.with(&[fm.name(), "no protection (all steps)"], none));
         cells.push(base.with(&[fm.name(), "FT2 (all steps)"], ft2));
         cells.push(
-            base.with(&[fm.name(), "faults in first token only (NaN corrected)"], ft2)
-                .edit(|c| c.step_filter = StepFilter::FirstTokenOnly),
+            base.with(
+                &[fm.name(), "faults in first token only (NaN corrected)"],
+                ft2,
+            )
+            .edit(|c| c.step_filter = StepFilter::FirstTokenOnly),
         );
     }
     Sweep {
         csv: "fig11_first_token_resilience",
         title: "Fig. 11 — first-token resilience (OPT-6.7B, SQuAD)",
-        cols: vec![Col::Label("fault_model"), Col::Label("configuration"), SDC, CI95],
+        cols: vec![
+            Col::Label("fault_model"),
+            Col::Label("configuration"),
+            SDC,
+            CI95,
+        ],
         cells,
     }
 }
@@ -223,12 +262,20 @@ pub fn fig15(s: &Settings) -> Sweep {
 /// context.
 pub fn fig16(s: &Settings) -> Sweep {
     let mut cells = Vec::new();
-    let pairs = [(ZooModel::Opt6_7B, DatasetId::Squad), (ZooModel::Qwen2_7B, DatasetId::Xtreme)];
+    let pairs = [
+        (ZooModel::Opt6_7B, DatasetId::Squad),
+        (ZooModel::Qwen2_7B, DatasetId::Xtreme),
+    ];
     for (m, dataset) in pairs {
         let spec = m.spec();
         let shape = WorkloadShape::from_spec(&spec);
         let latency = |hw| {
-            format!("{:.2}", CostModel::new(hw).generation_time(&shape, 150, 60).total_s())
+            format!(
+                "{:.2}",
+                CostModel::new(hw)
+                    .generation_time(&shape, 150, 60)
+                    .total_s()
+            )
         };
         let (a100, h100) = (latency(A100), latency(GH200_H100));
         let base = Cell::new(s, &spec, dataset, FaultModel::ExponentBit);
@@ -258,14 +305,25 @@ pub fn fig16(s: &Settings) -> Sweep {
 /// Llama-family model) and coverage (FT2's critical-layer set vs protecting
 /// every linear layer, the "nearly 2× overhead" naive option).
 pub fn correction_coverage(s: &Settings) -> Sweep {
-    let base = Cell::new(s, &ZooModel::Vicuna7B.spec(), DatasetId::Squad, FaultModel::ExponentBit);
-    let schemes =
-        [Scheme::NoProtection, Scheme::Ft2, Scheme::Ft2ClipToZero, Scheme::FullProtection];
+    let base = Cell::new(
+        s,
+        &ZooModel::Vicuna7B.spec(),
+        DatasetId::Squad,
+        FaultModel::ExponentBit,
+    );
+    let schemes = [
+        Scheme::NoProtection,
+        Scheme::Ft2,
+        Scheme::Ft2ClipToZero,
+        Scheme::FullProtection,
+    ];
     Sweep {
         csv: "ablation_correction_coverage",
         title: "Ablation — correction policy & coverage (Vicuna-7B, SQuAD, EXP)",
         cols: vec![Col::Label("scheme"), SDC, CI95],
-        cells: schemes.map(|x| base.with(&[x.name()], Protect::Scheme(x))).into(),
+        cells: schemes
+            .map(|x| base.with(&[x.name()], Protect::Scheme(x)))
+            .into(),
     }
 }
 
@@ -325,7 +383,10 @@ pub fn recovery(s: &Settings) -> Sweep {
         let base = Cell::new(s, &ZooModel::Qwen2_1_5B.spec(), DatasetId::Squad, fm)
             .edit(|c| c.step_filter = StepFilter::FollowingTokensOnly);
         for retries in RETRY_BUDGETS {
-            let cell = base.with(&[fm.name(), &retries.to_string()], Protect::Scheme(Scheme::Ft2));
+            let cell = base.with(
+                &[fm.name(), &retries.to_string()],
+                Protect::Scheme(Scheme::Ft2),
+            );
             cells.push(cell.edit(|c| c.recovery_retries = retries));
         }
     }
@@ -337,7 +398,9 @@ pub fn recovery(s: &Settings) -> Sweep {
             Col::Label("retries"),
             SDC,
             Col::Metric("recovered", |r| r.result.counts.recovered.to_string()),
-            Col::Metric("rec_failed", |r| r.result.counts.recovery_failed.to_string()),
+            Col::Metric("rec_failed", |r| {
+                r.result.counts.recovery_failed.to_string()
+            }),
             Col::Metric("rollbacks", |r| r.result.rollbacks.to_string()),
             Col::Metric("storms", |r| r.result.storms.to_string()),
             // Paper-scale pricing: SQuAD prompt (~150 tokens), 60 generated.
@@ -366,18 +429,46 @@ pub enum Mode {
 /// transient activation rows are the paper's regime and the baseline the
 /// persistent rows are judged against.
 pub const SWEEP: &[(FaultDuration, FaultTarget, Mode)] = &[
-    (FaultDuration::Transient, FaultTarget::Activation, Mode::None),
-    (FaultDuration::Transient, FaultTarget::Activation, Mode::Rollback),
+    (
+        FaultDuration::Transient,
+        FaultTarget::Activation,
+        Mode::None,
+    ),
+    (
+        FaultDuration::Transient,
+        FaultTarget::Activation,
+        Mode::Rollback,
+    ),
     (FaultDuration::Transient, FaultTarget::Weight, Mode::None),
     (FaultDuration::Transient, FaultTarget::KvCache, Mode::None),
-    (FaultDuration::Intermittent { period: 4 }, FaultTarget::Weight, Mode::None),
+    (
+        FaultDuration::Intermittent { period: 4 },
+        FaultTarget::Weight,
+        Mode::None,
+    ),
     (FaultDuration::Persistent, FaultTarget::Weight, Mode::None),
-    (FaultDuration::Persistent, FaultTarget::Weight, Mode::Rollback),
+    (
+        FaultDuration::Persistent,
+        FaultTarget::Weight,
+        Mode::Rollback,
+    ),
     (FaultDuration::Persistent, FaultTarget::Weight, Mode::Repair),
-    (FaultDuration::Intermittent { period: 4 }, FaultTarget::Weight, Mode::Repair),
+    (
+        FaultDuration::Intermittent { period: 4 },
+        FaultTarget::Weight,
+        Mode::Repair,
+    ),
     (FaultDuration::Persistent, FaultTarget::KvCache, Mode::None),
-    (FaultDuration::Persistent, FaultTarget::KvCache, Mode::Rollback),
-    (FaultDuration::Persistent, FaultTarget::KvCache, Mode::Repair),
+    (
+        FaultDuration::Persistent,
+        FaultTarget::KvCache,
+        Mode::Rollback,
+    ),
+    (
+        FaultDuration::Persistent,
+        FaultTarget::KvCache,
+        Mode::Repair,
+    ),
 ];
 
 /// `ft2-repro persistent` — persistent-fault resilience: SDC/DUE under the
@@ -401,20 +492,30 @@ pub const SWEEP: &[(FaultDuration, FaultTarget, Mode)] = &[
 /// column prices that rate with the A100 roofline model
 /// ([`ft2_hw::CostModel::scrub_overhead`]).
 pub fn persistent(s: &Settings) -> Sweep {
-    let base = Cell::new(s, &ZooModel::Qwen2_1_5B.spec(), DatasetId::Gsm8k, FaultModel::ExponentBit)
-        .edit(|c| c.step_filter = StepFilter::FollowingTokensOnly);
+    let base = Cell::new(
+        s,
+        &ZooModel::Qwen2_1_5B.spec(),
+        DatasetId::Gsm8k,
+        FaultModel::ExponentBit,
+    )
+    .edit(|c| c.step_filter = StepFilter::FollowingTokensOnly);
     let cells = SWEEP.iter().map(|&(duration, target, mode)| {
         let (name, protect) = match mode {
             Mode::None => ("none", Protect::Scheme(Scheme::NoProtection)),
             Mode::Rollback => ("rollback", Protect::Scheme(Scheme::Ft2)),
             Mode::Repair => ("repair", Protect::Ft2Repair),
         };
-        base.with(&[&format!("{duration:?}"), target.name(), name], protect).edit(|c| {
-            c.fault_duration = duration;
-            c.fault_target = target;
-            c.recovery_retries = if mode == Mode::None { 0 } else { c.recovery_retries.max(2) };
-            c.recovery_repair = mode == Mode::Repair;
-        })
+        base.with(&[&format!("{duration:?}"), target.name(), name], protect)
+            .edit(|c| {
+                c.fault_duration = duration;
+                c.fault_target = target;
+                c.recovery_retries = if mode == Mode::None {
+                    0
+                } else {
+                    c.recovery_retries.max(2)
+                };
+                c.recovery_repair = mode == Mode::Repair;
+            })
     });
     Sweep {
         csv: "persistent_faults",
@@ -430,7 +531,9 @@ pub fn persistent(s: &Settings) -> Sweep {
             Col::Metric("due", |r| r.result.counts.due().to_string()),
             Col::Metric("recovered", |r| r.result.counts.recovered.to_string()),
             Col::Metric("repaired", |r| r.result.counts.repaired.to_string()),
-            Col::Metric("rec_failed", |r| r.result.counts.recovery_failed.to_string()),
+            Col::Metric("rec_failed", |r| {
+                r.result.counts.recovery_failed.to_string()
+            }),
             Col::Metric("rollbacks", |r| r.result.rollbacks.to_string()),
             Col::Metric("w_repairs", |r| r.result.weight_repairs.to_string()),
             Col::Metric("kv_repairs", |r| r.result.kv_repairs.to_string()),
@@ -463,7 +566,10 @@ mod tests {
             .iter()
             .filter(|r| r[0] == "EXP" && r[1] != "0")
             .collect();
-        assert!(exp_rows.iter().any(|r| r[5] != "0"), "no rollbacks in {exp_rows:?}");
+        assert!(
+            exp_rows.iter().any(|r| r[5] != "0"),
+            "no rollbacks in {exp_rows:?}"
+        );
         // The disabled baseline never reports recovery counters.
         for r in table.rows().iter().filter(|r| r[1] == "0") {
             assert_eq!((r[3].as_str(), r[5].as_str()), ("0", "0"));

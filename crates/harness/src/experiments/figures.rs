@@ -91,18 +91,39 @@ pub fn table1(ctx: &ExperimentCtx) {
             "FT2",
         ],
     );
-    let methods = [Scheme::Ranger, Scheme::MaxiMals, Scheme::GlobalClipper, Scheme::Ft2];
+    let methods = [
+        Scheme::Ranger,
+        Scheme::MaxiMals,
+        Scheme::GlobalClipper,
+        Scheme::Ft2,
+    ];
     for kind in LayerKind::ALL {
         // A layer kind exists in exactly one family (or both for attention).
         let style = match kind {
             LayerKind::Fc1 | LayerKind::Fc2 => ArchStyle::OptStyle,
             _ => ArchStyle::LlamaStyle,
         };
-        let heuristic = is_critical(style, kind).map(|c| if c { "Y" } else { "N" }).unwrap_or("-");
-        let paper = if CriticalityReport::table1_expectation(kind) { "Y" } else { "N" };
-        let mut cells = vec![kind.name().to_string(), heuristic.to_string(), paper.to_string()];
+        let heuristic = is_critical(style, kind)
+            .map(|c| if c { "Y" } else { "N" })
+            .unwrap_or("-");
+        let paper = if CriticalityReport::table1_expectation(kind) {
+            "Y"
+        } else {
+            "N"
+        };
+        let mut cells = vec![
+            kind.name().to_string(),
+            heuristic.to_string(),
+            paper.to_string(),
+        ];
         // Ranger protects activation outputs only — no linear layer.
-        let covered = methods.map(|m| if m.covers_linear(style, kind) { "✓" } else { "" });
+        let covered = methods.map(|m| {
+            if m.covers_linear(style, kind) {
+                "✓"
+            } else {
+                ""
+            }
+        });
         cells.extend(covered.map(String::from));
         table.row(cells);
     }
@@ -117,7 +138,11 @@ pub fn table1(ctx: &ExperimentCtx) {
         println!(
             "heuristic vs paper Table 1 ({:?}): {}",
             style,
-            if report.matches_table1() { "MATCH" } else { "MISMATCH" }
+            if report.matches_table1() {
+                "MATCH"
+            } else {
+                "MISMATCH"
+            }
         );
     }
 }
@@ -254,7 +279,13 @@ pub fn fig4(ctx: &ExperimentCtx) {
 pub fn fig7(ctx: &ExperimentCtx) {
     let mut table = Table::new(
         "Fig. 7 — highest-exponent-bit flip on FP16 values (sign|exp5|mant10)",
-        &["value", "bits_before", "bits_after", "becomes", "nan_vulnerable"],
+        &[
+            "value",
+            "bits_before",
+            "bits_after",
+            "becomes",
+            "nan_vulnerable",
+        ],
     );
     for v in [0.5f32, 0.0312, 1.5, -1.25, 1.0, 2.0, 3.75] {
         let h = F16::from_f32(v);
@@ -271,7 +302,12 @@ pub fn fig7(ctx: &ExperimentCtx) {
             format!("{:016b}", h.to_bits()),
             format!("{:016b}", flipped.to_bits()),
             becomes,
-            if is_nan_vulnerable(v, DType::F16) { "yes" } else { "no" }.into(),
+            if is_nan_vulnerable(v, DType::F16) {
+                "yes"
+            } else {
+                "no"
+            }
+            .into(),
         ]);
     }
     ctx.emit("fig07_bitflip_examples", &table);
@@ -287,7 +323,15 @@ pub fn fig8(ctx: &ExperimentCtx) {
     let (model, rec) = record_block1(ctx, ZooModel::Opt6_7B);
     let mut table = Table::new(
         "Fig. 8 — neuron value distributions, OPT-6.7B block 1 (SQuAD input 686)",
-        &["layer", "mean", "std", "min", "max", "nan_vulnerable_pct", "critical"],
+        &[
+            "layer",
+            "mean",
+            "std",
+            "min",
+            "max",
+            "nan_vulnerable_pct",
+            "critical",
+        ],
     );
     for &kind in model.config().block_layers() {
         let mut values: Vec<f32> = Vec::new();
@@ -327,21 +371,40 @@ pub fn fig8(ctx: &ExperimentCtx) {
 pub fn fig10(ctx: &ExperimentCtx) {
     let mut table = Table::new(
         "Fig. 10 — first-token share of inference time",
-        &["model", "dataset", "A100_share", "H100_share", "simulator_share"],
+        &[
+            "model",
+            "dataset",
+            "A100_share",
+            "H100_share",
+            "simulator_share",
+        ],
     );
     let a100 = CostModel::new(A100);
     let h100 = CostModel::new(GH200_H100);
 
-    for m in [ZooModel::Opt6_7B, ZooModel::GptJ6B, ZooModel::Llama2_7B, ZooModel::Qwen2_7B] {
+    for m in [
+        ZooModel::Opt6_7B,
+        ZooModel::GptJ6B,
+        ZooModel::Llama2_7B,
+        ZooModel::Qwen2_7B,
+    ] {
         let spec = m.spec();
         let shape = WorkloadShape::from_spec(&spec);
         let model = spec.build();
-        let second = if spec.supports_math { DatasetId::Gsm8k } else { DatasetId::Xtreme };
+        let second = if spec.supports_math {
+            DatasetId::Gsm8k
+        } else {
+            DatasetId::Xtreme
+        };
         for ds in [DatasetId::Squad, second] {
             let prompt = paper_prompt_len(ds);
             let gen = paper_gen_tokens(ds);
-            let ta = a100.generation_time(&shape, prompt, gen).first_token_share();
-            let th = h100.generation_time(&shape, prompt, gen).first_token_share();
+            let ta = a100
+                .generation_time(&shape, prompt, gen)
+                .first_token_share();
+            let th = h100
+                .generation_time(&shape, prompt, gen)
+                .first_token_share();
 
             // Measured on the simulator (its prefill is CPU-serial, so its
             // share is higher than a GPU's — shown for context only).
@@ -464,7 +527,13 @@ pub fn fig14(ctx: &ExperimentCtx) {
 pub fn ablations(ctx: &ExperimentCtx) {
     let s = &ctx.settings;
     let (_, coverage) = campaigns::correction_coverage(s).run(ctx);
-    let pair = Pair::new(s, &ctx.pool, &ZooModel::Vicuna7B.spec(), DatasetId::Squad, false);
+    let pair = Pair::new(
+        s,
+        &ctx.pool,
+        &ZooModel::Vicuna7B.spec(),
+        DatasetId::Squad,
+        false,
+    );
     let cfg = s.campaign(DatasetId::Squad, FaultModel::ExponentBit);
 
     // Take-away #8's real content — the correction policy decides the fate
@@ -472,7 +541,11 @@ pub fn ablations(ctx: &ExperimentCtx) {
     // bounds profiled on a mismatched corpus, TweetEval at its own short
     // length). Clamp-to-bound keeps a truncated version of the outlier;
     // clip-to-zero destroys it and corrupts fault-free inference.
-    let foreign = generate_prompts(DatasetId::TweetEval, s.profile_inputs / 4, s.seed ^ 0x0FF11E);
+    let foreign = generate_prompts(
+        DatasetId::TweetEval,
+        s.profile_inputs / 4,
+        s.seed ^ 0x0FF11E,
+    );
     let gen = DatasetId::TweetEval.typical_gen_tokens();
     let offline = Arc::new(offline_profile(&pair.model, &foreign, gen, &ctx.pool));
     let campaign = pair.campaign(&ctx.pool, cfg.clone());
@@ -500,7 +573,11 @@ pub fn ablations(ctx: &ExperimentCtx) {
         "Ablation — FT2 vs dual modular redundancy (Vicuna-7B, SQuAD, EXP)",
         &["technique", "sdc_rate", "execution_overhead"],
     );
-    t.row(vec!["FT2".into(), format_pct(coverage[1].sdc_rate()), "~3-9% (Fig. 14)".into()]);
+    t.row(vec![
+        "FT2".into(),
+        format_pct(coverage[1].sdc_rate()),
+        "~3-9% (Fig. 14)".into(),
+    ]);
     t.row(vec![
         "DMR (duplicate + re-execute)".into(),
         format_pct(dmr.sdc_after_recovery as f64 / dmr.trials.max(1) as f64),

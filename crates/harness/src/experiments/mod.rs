@@ -21,26 +21,42 @@ pub type Experiment = fn(&ExperimentCtx);
 pub const ALL: [(&str, Experiment); 19] = [
     ("table1", figures::table1),
     ("table2", figures::table2),
-    ("fig2", |ctx| { campaigns::fig2(&ctx.settings).run(ctx); }),
+    ("fig2", |ctx| {
+        campaigns::fig2(&ctx.settings).run(ctx);
+    }),
     ("fig3", figures::fig3),
     ("fig4", figures::fig4),
-    ("fig6", |ctx| { campaigns::fig6(&ctx.settings).run(ctx); }),
+    ("fig6", |ctx| {
+        campaigns::fig6(&ctx.settings).run(ctx);
+    }),
     ("fig7", figures::fig7),
     ("fig8", figures::fig8),
-    ("fig9", |ctx| { campaigns::fig9(&ctx.settings).run(ctx); }),
+    ("fig9", |ctx| {
+        campaigns::fig9(&ctx.settings).run(ctx);
+    }),
     ("fig10", figures::fig10),
-    ("fig11", |ctx| { campaigns::fig11(&ctx.settings).run(ctx); }),
+    ("fig11", |ctx| {
+        campaigns::fig11(&ctx.settings).run(ctx);
+    }),
     ("fig12", figures::fig12),
     ("fig13", |ctx| {
         let (_, results) = campaigns::fig13(&ctx.settings).run(ctx);
         campaigns::fig13_aggregates(ctx, &results);
     }),
     ("fig14", figures::fig14),
-    ("fig15", |ctx| { campaigns::fig15(&ctx.settings).run(ctx); }),
-    ("fig16", |ctx| { campaigns::fig16(&ctx.settings).run(ctx); }),
+    ("fig15", |ctx| {
+        campaigns::fig15(&ctx.settings).run(ctx);
+    }),
+    ("fig16", |ctx| {
+        campaigns::fig16(&ctx.settings).run(ctx);
+    }),
     ("ablations", figures::ablations),
-    ("recovery", |ctx| { campaigns::recovery(&ctx.settings).run(ctx); }),
-    ("persistent", |ctx| { campaigns::persistent(&ctx.settings).run(ctx); }),
+    ("recovery", |ctx| {
+        campaigns::recovery(&ctx.settings).run(ctx);
+    }),
+    ("persistent", |ctx| {
+        campaigns::persistent(&ctx.settings).run(ctx);
+    }),
 ];
 
 /// Shared context: sizing, the worker pool, and the CSV sink.
@@ -88,11 +104,11 @@ pub(crate) mod tests {
     use super::sweep::{checkpoint_name, run_checkpointed, OfflineCoverageFactory, Pair, Protect};
     use super::*;
     use ft2_core::protect::Correction;
-    use ft2_model::ZooModel;
-    use ft2_tasks::DatasetId;
     use ft2_core::{Scheme, SchemeFactory};
     use ft2_fault::{CheckpointPolicy, FaultModel, ProtectionFactory};
     use ft2_model::LayerKind;
+    use ft2_model::ZooModel;
+    use ft2_tasks::DatasetId;
 
     pub(crate) fn tiny_ctx() -> ExperimentCtx {
         ExperimentCtx {
@@ -123,7 +139,13 @@ pub(crate) mod tests {
     }
 
     fn tiny_pair(ctx: &ExperimentCtx, offline: bool) -> Pair {
-        Pair::new(&ctx.settings, &ctx.pool, &ZooModel::Qwen2_1_5B.spec(), DatasetId::Squad, offline)
+        Pair::new(
+            &ctx.settings,
+            &ctx.pool,
+            &ZooModel::Qwen2_1_5B.spec(),
+            DatasetId::Squad,
+            offline,
+        )
     }
 
     #[test]
@@ -132,10 +154,15 @@ pub(crate) mod tests {
         let pair = tiny_pair(&ctx, true);
         assert_eq!(pair.prompts.len(), 3);
         assert!(!pair.offline.as_ref().unwrap().linear.is_empty());
-        assert!(tiny_pair(&ctx, false).offline.is_none(), "profiled without a need");
+        assert!(
+            tiny_pair(&ctx, false).offline.is_none(),
+            "profiled without a need"
+        );
 
         let ft2 = Protect::Scheme(Scheme::Ft2).factory(&pair, &ctx.settings);
-        let cfg = ctx.settings.campaign(DatasetId::Squad, FaultModel::SingleBit);
+        let cfg = ctx
+            .settings
+            .campaign(DatasetId::Squad, FaultModel::SingleBit);
         let campaign = pair.campaign(&ctx.pool, cfg);
         let r = run_checkpointed(&ctx, &campaign, DatasetId::Squad, ft2.as_ref());
         assert_eq!(r.counts.total(), 12);
@@ -151,7 +178,9 @@ pub(crate) mod tests {
         };
         let pair = tiny_pair(&ctx, false);
         let ft2 = SchemeFactory::new(Scheme::Ft2, pair.model.config(), None);
-        let cfg = ctx.settings.campaign(DatasetId::Squad, FaultModel::SingleBit);
+        let cfg = ctx
+            .settings
+            .campaign(DatasetId::Squad, FaultModel::SingleBit);
         let campaign = pair.campaign(&ctx.pool, cfg);
 
         // A checkpoint an older binary left: a version-5 JSON document.
@@ -164,7 +193,11 @@ pub(crate) mod tests {
         assert_eq!(result, campaign.run(&ft2, &ctx.pool));
         // Rerun through the checkpointing path: the stale file was
         // overwritten and, once the campaign completed, removed.
-        assert!(!path.exists(), "stale checkpoint left at {}", path.display());
+        assert!(
+            !path.exists(),
+            "stale checkpoint left at {}",
+            path.display()
+        );
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -199,7 +232,13 @@ pub(crate) mod tests {
         let dir = std::env::temp_dir().join("ft2_checkpoints_sweep_test");
         std::fs::remove_dir_all(&dir).ok();
         let s = ctx.settings;
-        let pair = Pair::new(&s, &ctx.pool, &sweep.cells[0].model, sweep.cells[0].dataset, false);
+        let pair = Pair::new(
+            &s,
+            &ctx.pool,
+            &sweep.cells[0].model,
+            sweep.cells[0].dataset,
+            false,
+        );
         let campaign = pair.campaign(&ctx.pool, sweep.cells[0].config.clone());
         for cell in &sweep.cells {
             let factory = cell.protect.factory(&pair, &s);
@@ -210,7 +249,9 @@ pub(crate) mod tests {
                 resume: false,
                 abort_after: Some(5),
             };
-            let run = campaign.run_resumable(factory.as_ref(), &ctx.pool, &stop).unwrap();
+            let run = campaign
+                .run_resumable(factory.as_ref(), &ctx.pool, &stop)
+                .unwrap();
             assert!(run.interrupted);
         }
         let left = std::fs::read_dir(&dir).unwrap().count();
@@ -224,7 +265,11 @@ pub(crate) mod tests {
         let (got, got_results) = sweep.run(&ctx);
         assert_eq!(got.rows(), want.rows());
         assert_eq!(got_results, want_results);
-        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "completed checkpoints removed");
+        assert_eq!(
+            std::fs::read_dir(&dir).unwrap().count(),
+            0,
+            "completed checkpoints removed"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

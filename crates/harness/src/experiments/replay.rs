@@ -12,7 +12,9 @@ use super::sweep::{Cell, Pair, Protect};
 use crate::experiments::ExperimentCtx;
 use crate::settings::Settings;
 use ft2_core::Scheme;
-use ft2_fault::{CampaignConfig, FaultDuration, FaultModel, FaultTarget, Outcome, ProtectionFactory};
+use ft2_fault::{
+    CampaignConfig, FaultDuration, FaultModel, FaultTarget, Outcome, ProtectionFactory,
+};
 use ft2_model::ZooModel;
 use ft2_tasks::DatasetId;
 
@@ -125,8 +127,14 @@ impl ReplaySpec {
             .ok_or("model config outside the zoo")?;
         let unexpressed = [
             (c.layer_filter.is_some(), "layer filter"),
-            (c.step_filter != ft2_fault::StepFilter::AllSteps, "step filter"),
-            (c.step_weighting != ft2_fault::StepWeighting::default(), "step weighting"),
+            (
+                c.step_filter != ft2_fault::StepFilter::AllSteps,
+                "step filter",
+            ),
+            (
+                c.step_weighting != ft2_fault::StepWeighting::default(),
+                "step weighting",
+            ),
         ];
         if let Some((_, what)) = unexpressed.iter().find(|(differs, _)| *differs) {
             return Err(what.to_string());
@@ -156,7 +164,10 @@ impl ReplaySpec {
             FaultDuration::Intermittent { period } => format!("intermittent:{period}"),
             d => d.name().to_string(),
         };
-        let scheme = SCHEMES.iter().find(|(_, s)| *s == self.scheme).expect("a name per scheme");
+        let scheme = SCHEMES
+            .iter()
+            .find(|(_, s)| *s == self.scheme)
+            .expect("a name per scheme");
         format!(
             "ft2-repro replay {:#x}/{}/{} --model {} --dataset {} --scheme {} --fault {} \
              --duration {duration} --target {}",
@@ -187,7 +198,10 @@ impl ReplaySpec {
         &self,
         ctx: &ExperimentCtx,
     ) -> (Pair, CampaignConfig, Box<dyn ProtectionFactory>) {
-        let s = Settings { seed: self.seed, ..ctx.settings };
+        let s = Settings {
+            seed: self.seed,
+            ..ctx.settings
+        };
         let offline = self.scheme.needs_offline_bounds();
         let pair = Pair::new(&s, &ctx.pool, &self.model.spec(), self.dataset, offline);
         let factory = Protect::Scheme(self.scheme).factory(&pair, &s);
@@ -369,7 +383,9 @@ mod tests {
         run(&ctx, &spec).unwrap();
         // Out-of-grid indices are rejected, not panicked on.
         let bad = ReplaySpec::parse("7/999/0").unwrap();
-        assert!(run(&ctx, &bad).unwrap_err().contains("outside the campaign"));
+        assert!(run(&ctx, &bad)
+            .unwrap_err()
+            .contains("outside the campaign"));
     }
 
     #[test]
@@ -387,10 +403,15 @@ mod tests {
         for cell in [grid_cell.unwrap(), fig2.cells.last().unwrap()] {
             let pair = Pair::new(&s, &ctx.pool, &cell.model, cell.dataset, true);
             let factory = cell.protect.factory(&pair, &s);
-            let want = pair.campaign(&ctx.pool, cell.config.clone()).fingerprint(factory.scheme_name());
+            let want = pair
+                .campaign(&ctx.pool, cell.config.clone())
+                .fingerprint(factory.scheme_name());
 
             let pointer = replay_pointer(cell, &s, 2, 3);
-            let mut words = pointer.strip_prefix("replay: ").expect(&pointer).split_whitespace();
+            let mut words = pointer
+                .strip_prefix("replay: ")
+                .expect(&pointer)
+                .split_whitespace();
             ctx.settings = s;
             for word in words.by_ref() {
                 match word.split_once('=') {
@@ -398,7 +419,10 @@ mod tests {
                     _ => break,
                 }
             }
-            assert_eq!(ctx.settings.trials, cell.config.trials_per_input, "{pointer}");
+            assert_eq!(
+                ctx.settings.trials, cell.config.trials_per_input,
+                "{pointer}"
+            );
             assert_eq!(words.next(), Some("replay"));
             let mut spec = ReplaySpec::parse(words.next().unwrap()).unwrap();
             let options: Vec<&str> = words.collect();
@@ -407,7 +431,9 @@ mod tests {
             }
             assert_eq!((spec.input, spec.trial), (2, 3));
             let (pair, config, factory) = spec.parts(&ctx);
-            let got = pair.campaign(&ctx.pool, config).fingerprint(factory.scheme_name());
+            let got = pair
+                .campaign(&ctx.pool, config)
+                .fingerprint(factory.scheme_name());
             assert_eq!(got, want, "{pointer}");
         }
 
@@ -417,11 +443,17 @@ mod tests {
             (&campaigns::fig6(&s).cells[0], "custom protection"),
             (&campaigns::fig11(&s).cells[2], "step filter"),
             (&campaigns::step_weighting(&s).cells[3], "step weighting"),
-            (&campaigns::fig15(&s).cells[5], "model config outside the zoo"),
+            (
+                &campaigns::fig15(&s).cells[5],
+                "model config outside the zoo",
+            ),
             (&campaigns::persistent(&s).cells[7], "integrity layer"),
         ];
         for (cell, what) in unexpressed {
-            assert_eq!(replay_pointer(cell, &s, 0, 0), format!("not replayable: {what}"));
+            assert_eq!(
+                replay_pointer(cell, &s, 0, 0),
+                format!("not replayable: {what}")
+            );
         }
     }
 

@@ -131,10 +131,15 @@ impl Protect {
         let factory = match self {
             Protect::Scheme(scheme) => SchemeFactory::new(scheme, config, pair.offline.clone()),
             Protect::Ft2Scale(scale) => SchemeFactory::ft2_with_scale(config, scale),
-            Protect::Ft2Repair => SchemeFactory::new(Scheme::Ft2, config, None)
-                .with_integrity(pair.integrity.clone()),
+            Protect::Ft2Repair => {
+                SchemeFactory::new(Scheme::Ft2, config, None).with_integrity(pair.integrity.clone())
+            }
             Protect::AllBut(excluded) => {
-                let kinds = config.block_layers().iter().copied().filter(|&k| k != excluded);
+                let kinds = config
+                    .block_layers()
+                    .iter()
+                    .copied()
+                    .filter(|&k| k != excluded);
                 return Box::new(OfflineCoverageFactory {
                     kinds: kinds.collect(),
                     offline: pair.offline.clone().expect("the pair was profiled"),
@@ -178,7 +183,11 @@ impl Cell {
     /// This cell labelled `labels` and protected by `protect`.
     pub fn with(&self, labels: &[&str], protect: Protect) -> Cell {
         let labels = labels.iter().map(|l| l.to_string()).collect();
-        Cell { labels, protect, ..self.clone() }
+        Cell {
+            labels,
+            protect,
+            ..self.clone()
+        }
     }
 
     /// This cell with its campaign configuration edited.
@@ -253,23 +262,40 @@ impl Sweep {
                     let factory = cell.protect.factory(&pair, s);
                     let result = run_checkpointed(ctx, &campaign, cell.dataset, factory.as_ref());
                     report_dues(cell, s, factory.scheme_name(), &result);
-                    rows.push(self.row(&Ran { cell, pair: &pair, result: &result }));
+                    rows.push(self.row(&Ran {
+                        cell,
+                        pair: &pair,
+                        result: &result,
+                    }));
                     schemes.push(factory.scheme_name().to_string());
                     results.push(result);
                 }
             }
-            eprintln!("  {}: finished {} / {}", self.csv, lead.model.name(), lead.dataset.name());
+            eprintln!(
+                "  {}: finished {} / {}",
+                self.csv,
+                lead.model.name(),
+                lead.dataset.name()
+            );
         }
         let mut header: Vec<&str> = self.cols.iter().filter_map(Col::name).collect();
         let mut width = 1;
         if let Some(Col::SdcPerScheme) = self.cols.last() {
-            width = self.cells.iter().take_while(|c| c.labels == self.cells[0].labels).count();
+            width = self
+                .cells
+                .iter()
+                .take_while(|c| c.labels == self.cells[0].labels)
+                .count();
             header.extend(schemes[..width].iter().map(String::as_str));
         }
         let mut table = Table::new(self.title, &header);
         for row in rows.chunks(width) {
             let mut cells = row[0].clone();
-            cells.extend(row[1..].iter().map(|r| r.last().expect("an SDC column").clone()));
+            cells.extend(
+                row[1..]
+                    .iter()
+                    .map(|r| r.last().expect("an SDC column").clone()),
+            );
             table.row(cells);
         }
         ctx.emit(self.csv, &table);
@@ -316,7 +342,9 @@ pub fn run_checkpointed(
         return campaign.run(protection, &ctx.pool);
     }
     let mut policy = CheckpointPolicy {
-        path: r.checkpoint_dir.join(checkpoint_name(campaign, dataset, protection)),
+        path: r
+            .checkpoint_dir
+            .join(checkpoint_name(campaign, dataset, protection)),
         every: r.cadence(),
         resume: r.resume,
         abort_after: None,
@@ -334,7 +362,10 @@ pub fn run_checkpointed(
         Ok(run) => {
             if run.resumed_from > 0 {
                 let (name, total) = (protection.scheme_name(), run.total_tasks);
-                eprintln!("   (resumed {name} from {}/{total} completed trials)", run.resumed_from);
+                eprintln!(
+                    "   (resumed {name} from {}/{total} completed trials)",
+                    run.resumed_from
+                );
             }
             run.result
         }
@@ -373,7 +404,10 @@ fn report_dues(cell: &Cell, s: &Settings, scheme: &str, result: &CampaignResult)
 /// or `not replayable: <what>` when the replay options cannot express the
 /// cell. (A cell's input count is its pair's, always `s.inputs`.)
 pub fn replay_pointer(cell: &Cell, s: &Settings, input: usize, trial: usize) -> String {
-    let sized = Settings { trials: cell.config.trials_per_input, ..*s };
+    let sized = Settings {
+        trials: cell.config.trials_per_input,
+        ..*s
+    };
     match ReplaySpec::for_cell(cell, &sized, input, trial) {
         Ok(spec) if sized.trials != s.trials => {
             format!("replay: FT2_TRIALS={} {}", sized.trials, spec.command())
@@ -395,9 +429,20 @@ pub(crate) fn checkpoint_name(
     let scheme: String = protection
         .scheme_name()
         .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c.to_ascii_lowercase() } else { '-' })
+        .map(|c| {
+            if c.is_ascii_alphanumeric() {
+                c.to_ascii_lowercase()
+            } else {
+                '-'
+            }
+        })
         .collect();
-    format!("{}-{}-{:016x}", dataset.name(), scheme, crc64(fingerprint.as_bytes()))
+    format!(
+        "{}-{}-{:016x}",
+        dataset.name(),
+        scheme,
+        crc64(fingerprint.as_bytes())
+    )
 }
 
 /// A protection factory with an arbitrary linear-layer coverage set,

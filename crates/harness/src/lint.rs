@@ -26,8 +26,9 @@ impl LintArgs {
             match key.as_str() {
                 "--json" => out.json = true,
                 "--root" => {
-                    out.root =
-                        Some(PathBuf::from(rest.next().ok_or("option --root needs a value")?));
+                    out.root = Some(PathBuf::from(
+                        rest.next().ok_or("option --root needs a value")?,
+                    ));
                 }
                 other => return Err(format!("unknown lint option {other}")),
             }
@@ -91,8 +92,7 @@ mod tests {
     fn parse_lint_args() {
         let args = LintArgs::parse(&["--json".to_string()]).unwrap();
         assert!(args.json && args.root.is_none());
-        let args =
-            LintArgs::parse(&["--root".to_string(), "/tmp/x".to_string()]).unwrap();
+        let args = LintArgs::parse(&["--root".to_string(), "/tmp/x".to_string()]).unwrap();
         assert_eq!(args.root.as_deref(), Some(Path::new("/tmp/x")));
         assert!(LintArgs::parse(&["--bogus".to_string()]).is_err());
         assert!(LintArgs::parse(&["--root".to_string()]).is_err());

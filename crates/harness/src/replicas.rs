@@ -31,7 +31,9 @@ use crate::settings::{env_usize, quick_mode};
 use ft2_fault::{Outcome as FaultOutcome, OutcomeCounts, ReplicaFaultKind, ReplicaFaultSpec};
 use ft2_model::{Model, TapList, ZooModel};
 use ft2_parallel::WorkStealingPool;
-use ft2_serve::replica::{ReplicaCompletion, ReplicaConfig, ReplicaHealth, ReplicaSet, RetryPolicy};
+use ft2_serve::replica::{
+    ReplicaCompletion, ReplicaConfig, ReplicaHealth, ReplicaSet, RetryPolicy,
+};
 use ft2_serve::scheduler::{Outcome, Request};
 use ft2_tasks::datasets::generate_prompts;
 use ft2_tasks::DatasetId;
@@ -146,7 +148,11 @@ pub fn run(pool: &WorkStealingPool, smoke: bool) -> Vec<Check> {
         &prompts,
         gen_tokens,
         requests,
-        Some(ReplicaFaultSpec::persistent(0, ReplicaFaultKind::ActStorm, 0)),
+        Some(ReplicaFaultSpec::persistent(
+            0,
+            ReplicaFaultKind::ActStorm,
+            0,
+        )),
     );
     let storm_identical = storm_done.iter().filter(|c| identical(c)).count();
     let storm_stats = *storm_set.stats();
@@ -205,7 +211,11 @@ pub fn run(pool: &WorkStealingPool, smoke: bool) -> Vec<Check> {
             crash_done.len() == requests && crash_identical == requests,
             format!("{crash_identical} of {requests} requests completed identical to solo"),
         ),
-        at_least_one("crash failovers", crash_stats.failovers, "failover(s) forced by the crash"),
+        at_least_one(
+            "crash failovers",
+            crash_stats.failovers,
+            "failover(s) forced by the crash",
+        ),
         at_least_one(
             "crash handoff tokens",
             crash_stats.handoff_tokens,
@@ -262,7 +272,11 @@ mod tests {
         let pool = WorkStealingPool::new(3);
         let checks = run(&pool, true);
         assert!(gate_passes(&checks), "replicas gate failed: {checks:#?}");
-        for name in ["crash failovers", "crash handoff tokens", "storm quarantine"] {
+        for name in [
+            "crash failovers",
+            "crash handoff tokens",
+            "storm quarantine",
+        ] {
             let check = checks.iter().find(|c| c.name == name);
             assert!(check.is_some_and(|c| c.pass), "{name}: {check:?}");
         }

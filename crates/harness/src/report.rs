@@ -96,7 +96,11 @@ impl Table {
         let _ = writeln!(
             out,
             "{}",
-            self.header.iter().map(|c| esc(c)).collect::<Vec<_>>().join(",")
+            self.header
+                .iter()
+                .map(|c| esc(c))
+                .collect::<Vec<_>>()
+                .join(",")
         );
         for row in &self.rows {
             let _ = writeln!(
@@ -202,7 +206,10 @@ mod tests {
                 assert_eq!(failed, [name.as_str()], "{gate}:\n{}", table.render());
             }
         }
-        assert!(!gate_passes(&[]), "a gate that checked nothing must not pass");
+        assert!(
+            !gate_passes(&[]),
+            "a gate that checked nothing must not pass"
+        );
     }
 
     #[test]

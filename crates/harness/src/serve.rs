@@ -48,8 +48,8 @@ fn serve_wave(
     };
     let mut sched = Scheduler::new(Arc::clone(model), config);
     for i in 0..requests {
-        let tap: Option<Box<dyn ft2_model::LayerTap + Send>> = (storm_first && i == 0)
-            .then(|| Box::new(StormTap::transient(3, 1)) as _);
+        let tap: Option<Box<dyn ft2_model::LayerTap + Send>> =
+            (storm_first && i == 0).then(|| Box::new(StormTap::transient(3, 1)) as _);
         sched
             .try_submit(Request {
                 id: i as u64,
@@ -97,7 +97,14 @@ pub fn run(pool: &WorkStealingPool, smoke: bool) -> Vec<Check> {
     for &batch in &batch_sizes {
         let requests = batch * waves;
         let done = serve_wave(
-            &model, pool, &prompts, gen_tokens, batch, queue_depth, requests, false,
+            &model,
+            pool,
+            &prompts,
+            gen_tokens,
+            batch,
+            queue_depth,
+            requests,
+            false,
         );
         let identical = done
             .iter()
@@ -115,7 +122,14 @@ pub fn run(pool: &WorkStealingPool, smoke: bool) -> Vec<Check> {
     let storm_batch = 4usize.min(max_batch);
     let requests = storm_batch * waves;
     let done = serve_wave(
-        &model, pool, &prompts, gen_tokens, storm_batch, queue_depth, requests, true,
+        &model,
+        pool,
+        &prompts,
+        gen_tokens,
+        storm_batch,
+        queue_depth,
+        requests,
+        true,
     );
     let stormer = done.iter().find(|c| c.id == 0);
     let rollbacks = stormer.map_or(0, |c| c.rollbacks);
@@ -151,6 +165,9 @@ mod tests {
         assert!(named("batch 4 ").is_some() || named("batch 8 ").is_some());
         let heals = named("storm heals").expect("storm drill ran");
         assert!(heals.detail.contains("Completed"), "{heals:?}");
-        assert!(heals.pass, "the storm must have struck and healed: {heals:?}");
+        assert!(
+            heals.pass,
+            "the storm must have struck and healed: {heals:?}"
+        );
     }
 }

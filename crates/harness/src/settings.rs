@@ -1,7 +1,9 @@
 //! Experiment sizing, the central `FT2_*` env-knob registry, and the
 //! model × dataset evaluation grid.
 
-use ft2_fault::{CampaignConfig, FaultDuration, FaultModel, FaultTarget, StepFilter, StepWeighting};
+use ft2_fault::{
+    CampaignConfig, FaultDuration, FaultModel, FaultTarget, StepFilter, StepWeighting,
+};
 use ft2_model::{ModelSpec, ZooModel};
 use ft2_tasks::{DatasetId, TaskSpec, TaskType};
 
@@ -356,9 +358,7 @@ fn parse_knob<T: std::str::FromStr>(name: &str, raw: &str) -> Option<T> {
 
 pub(crate) fn env_knob<T: std::str::FromStr>(name: &str) -> Option<T> {
     let _ = knob_spec(name); // every harness read goes through the registry
-    std::env::var(name)
-        .ok()
-        .and_then(|v| parse_knob(name, &v))
+    std::env::var(name).ok().and_then(|v| parse_knob(name, &v))
 }
 
 pub(crate) fn env_usize(name: &str) -> Option<usize> {
@@ -520,7 +520,10 @@ pub fn evaluation_grid() -> Vec<(ModelSpec, DatasetId)> {
     for m in ZooModel::ALL {
         let spec = m.spec();
         let math = spec.supports_math.then_some(DatasetId::Gsm8k);
-        for ds in [Some(DatasetId::Squad), Some(DatasetId::Xtreme), math].into_iter().flatten() {
+        for ds in [Some(DatasetId::Squad), Some(DatasetId::Xtreme), math]
+            .into_iter()
+            .flatten()
+        {
             pairs.push((spec.clone(), ds));
         }
     }
@@ -563,8 +566,16 @@ mod tests {
         };
         assert_eq!(s.gen_tokens(TaskType::Qa), 16);
         assert_eq!(s.gen_tokens(TaskType::Math), 36);
-        assert_eq!(s.campaign(DatasetId::Gsm8k, FaultModel::SingleBit).gen_tokens, 36);
-        assert_eq!(s.campaign(DatasetId::Squad, FaultModel::SingleBit).gen_tokens, 16);
+        assert_eq!(
+            s.campaign(DatasetId::Gsm8k, FaultModel::SingleBit)
+                .gen_tokens,
+            36
+        );
+        assert_eq!(
+            s.campaign(DatasetId::Squad, FaultModel::SingleBit)
+                .gen_tokens,
+            16
+        );
     }
 
     #[test]
@@ -628,7 +639,10 @@ mod tests {
         let mut sorted = names.clone();
         sorted.sort_unstable();
         sorted.dedup();
-        assert_eq!(names, sorted, "KNOB_REGISTRY must be sorted by name, no duplicates");
+        assert_eq!(
+            names, sorted,
+            "KNOB_REGISTRY must be sorted by name, no duplicates"
+        );
         assert!(names.iter().all(|n| n.starts_with("FT2_")));
     }
 
@@ -664,7 +678,10 @@ mod tests {
     #[test]
     fn wellformed_knobs_parse_with_surrounding_whitespace() {
         assert_eq!(parse_knob::<u64>("FT2_TRIAL_DEADLINE_MS", "250"), Some(250));
-        assert_eq!(parse_knob::<usize>("FT2_TRIAL_TOKEN_BUDGET", " 64 "), Some(64));
+        assert_eq!(
+            parse_knob::<usize>("FT2_TRIAL_TOKEN_BUDGET", " 64 "),
+            Some(64)
+        );
         assert_eq!(parse_knob::<u32>("FT2_RECOVERY_RETRIES", "2"), Some(2));
         assert_eq!(parse_knob::<u64>("FT2_STORM_THRESHOLD", "8"), Some(8));
         assert_eq!(parse_knob::<usize>("FT2_TRIAL_TOKEN_BUDGET", "0"), Some(0));

@@ -68,7 +68,8 @@ impl ShardTap for SeamFault {
     fn on_partial(&mut self, ctx: &ShardPartialCtx, data: PartialMut<'_>) {
         // V_PROJ is column-sharded: its partial is the f32 kind.
         let PartialMut::F32(m) = data else { return };
-        if (ctx.step, ctx.block, ctx.layer, ctx.shard) == (SEAM_FAULT_STEP, 0, LayerKind::VProj, 0) {
+        if (ctx.step, ctx.block, ctx.layer, ctx.shard) == (SEAM_FAULT_STEP, 0, LayerKind::VProj, 0)
+        {
             m.as_mut_slice().iter_mut().for_each(|v| *v *= 1e3);
         }
     }
@@ -171,12 +172,25 @@ fn probe_cell(
             lane_taps.push(p.as_mut());
         }
         let policy = RecoveryPolicy::disabled();
-        ShardedModel::new(model, n)
-            .generate_tapped(pool, &PROMPT, gen_tokens, &mut lane_taps, &mut taps, policy, heartbeat)
+        ShardedModel::new(model, n).generate_tapped(
+            pool,
+            &PROMPT,
+            gen_tokens,
+            &mut lane_taps,
+            &mut taps,
+            policy,
+            heartbeat,
+        )
     };
     let unseen = on_seam(true, Scheme::NoProtection);
-    let clamped = on_seam(true, Scheme::Ft2).steps[SEAM_FAULT_STEP].report.clamps;
-    let false_clamps: u64 = on_seam(false, Scheme::Ft2).steps.iter().map(|s| s.report.clamps).sum();
+    let clamped = on_seam(true, Scheme::Ft2).steps[SEAM_FAULT_STEP]
+        .report
+        .clamps;
+    let false_clamps: u64 = on_seam(false, Scheme::Ft2)
+        .steps
+        .iter()
+        .map(|s| s.report.clamps)
+        .sum();
 
     // A restart would not even clear a persistent fault; this shows one
     // repair rung also wins on pure time.
@@ -251,7 +265,14 @@ pub fn run(pool: &WorkStealingPool, smoke: bool) -> Vec<Check> {
         let spec = zoo.spec();
         let model = spec.build();
         for &n in &counts {
-            checks.extend(probe_cell(spec.name(), &model, pool, n, gen_tokens, heartbeat));
+            checks.extend(probe_cell(
+                spec.name(),
+                &model,
+                pool,
+                n,
+                gen_tokens,
+                heartbeat,
+            ));
         }
     }
     checks

@@ -135,8 +135,7 @@ pub fn run(
     // Initial health badges so a fresh viewer sees every replica. The
     // stream has no replay, so the snapshot is also re-emitted
     // periodically below for late joiners.
-    let mut last_health: Vec<ReplicaHealth> =
-        (0..set.replicas()).map(|r| set.health(r)).collect();
+    let mut last_health: Vec<ReplicaHealth> = (0..set.replicas()).map(|r| set.health(r)).collect();
     for (r, h) in last_health.iter().enumerate() {
         sink.emit(ServeEvent::Health {
             replica: r,
@@ -206,9 +205,7 @@ pub fn run(
         }
 
         // Keep the lanes fed with deterministic cycling traffic.
-        while inflight < config.inflight
-            && config.max_requests.is_none_or(|m| next_id < m)
-        {
+        while inflight < config.inflight && config.max_requests.is_none_or(|m| next_id < m) {
             let tap: Option<Box<dyn ft2_model::LayerTap + Send>> =
                 pending_taps.pop_front().map(|t| Box::new(t) as _);
             let req = Request {
@@ -327,7 +324,8 @@ mod tests {
         let mut sse = TcpStream::connect(addr).expect("connect /events");
         sse.write_all(b"GET /events HTTP/1.1\r\nHost: t\r\n\r\n")
             .unwrap();
-        sse.set_read_timeout(Some(Duration::from_millis(100))).unwrap();
+        sse.set_read_timeout(Some(Duration::from_millis(100)))
+            .unwrap();
 
         // Fire the live fault: flip a bit in block 2 now.
         let mut post = TcpStream::connect(addr).expect("connect /inject");
@@ -402,7 +400,10 @@ mod tests {
             redecoded_clean,
             "struck step never re-decoded clean:\n{buf}"
         );
-        assert!(recovered, "struck request never completed recovered:\n{buf}");
+        assert!(
+            recovered,
+            "struck request never completed recovered:\n{buf}"
+        );
         assert_eq!(stats.injects, 1);
         assert!(stats.served >= 1, "nothing served: {stats:?}");
         assert!(

@@ -42,7 +42,12 @@ impl WorkloadShape {
     pub fn block_params(&self) -> f64 {
         let h = self.hidden as f64;
         let f = self.ffn as f64;
-        let mats = 4.0 * h * h + if self.gated_mlp { 3.0 * h * f } else { 2.0 * h * f };
+        let mats = 4.0 * h * h
+            + if self.gated_mlp {
+                3.0 * h * f
+            } else {
+                2.0 * h * f
+            };
         mats * self.blocks as f64
     }
 
@@ -65,7 +70,8 @@ impl WorkloadShape {
         // Token t attends to t positions; sum over prompt.
         let h = self.hidden as f64;
         let gemm = (2.0 * self.block_params() + 2.0 * (self.vocab as f64) * h) * prompt as f64;
-        let attn: f64 = self.blocks as f64 * 4.0 * h * (prompt as f64 * (prompt as f64 + 1.0) / 2.0);
+        let attn: f64 =
+            self.blocks as f64 * 4.0 * h * (prompt as f64 * (prompt as f64 + 1.0) / 2.0);
         gemm + attn
     }
 
@@ -168,7 +174,10 @@ impl CostModel {
         for t in 1..gen_tokens {
             decode_s += self.decode_step_time(shape, prompt + t);
         }
-        InferenceBreakdown { prefill_s, decode_s }
+        InferenceBreakdown {
+            prefill_s,
+            decode_s,
+        }
     }
 
     /// Extra time per generation step from FT2's protection taps: one fused
@@ -199,8 +208,7 @@ impl CostModel {
     /// coverage (activations on), hence the extra activation-point kernels.
     pub fn rollback_time(&self, shape: &WorkloadShape, ctx: usize) -> f64 {
         let activation_points = if shape.gated_mlp { 2.0 } else { 1.0 };
-        let escalation_extra =
-            activation_points * shape.blocks as f64 * self.protection_kernel_s;
+        let escalation_extra = activation_points * shape.blocks as f64 * self.protection_kernel_s;
         self.decode_step_time(shape, ctx) + self.protection_time_per_step(shape) + escalation_extra
     }
 
@@ -366,9 +374,7 @@ mod tests {
         let model = CostModel::new(A100);
         let qa = model.generation_time(&opt_shape(), 150, 60).total_s();
         assert!(qa > 1.0 && qa < 7.0, "QA inference {qa}s");
-        let math = model
-            .generation_time(&llama_shape(), 80, 180)
-            .total_s();
+        let math = model.generation_time(&llama_shape(), 80, 180).total_s();
         assert!(math > 2.0 && math < 10.0, "math inference {math}s");
     }
 

@@ -23,9 +23,8 @@ fn overhead_is_worst_on_the_smallest_model() {
     // its per-step base time is smallest while the per-layer kernel cost is
     // roughly constant.
     let model = CostModel::new(A100);
-    let overhead = |m: ZooModel| {
-        model.protection_overhead(&WorkloadShape::from_spec(&m.spec()), 150, 60)
-    };
+    let overhead =
+        |m: ZooModel| model.protection_overhead(&WorkloadShape::from_spec(&m.spec()), 150, 60);
     let worst = model_zoo()
         .iter()
         .map(|s| {

@@ -183,7 +183,16 @@ mod tests {
     ) -> Matrix {
         let mut scratch = AttnScratch::default();
         attention_forward_into(
-            config, weights, 0, x, start_pos, step, cache, taps, KernelPolicy::Strict, None,
+            config,
+            weights,
+            0,
+            x,
+            start_pos,
+            step,
+            cache,
+            taps,
+            KernelPolicy::Strict,
+            None,
             &mut scratch,
         );
         scratch.out
@@ -218,7 +227,9 @@ mod tests {
         let config = ModelConfig::tiny_llama();
         let weights = ModelWeights::build(&config);
         let block = &weights.blocks[0];
-        let x_full = Matrix::from_fn(3, config.hidden, |r, c| ((r * 31 + c * 7) % 13) as f32 * 0.1 - 0.6);
+        let x_full = Matrix::from_fn(3, config.hidden, |r, c| {
+            ((r * 31 + c * 7) % 13) as f32 * 0.1 - 0.6
+        });
 
         let mut taps = TapList::new();
         let mut cache_a = KvCacheBlock::new(config.hidden);
@@ -242,8 +253,20 @@ mod tests {
         let block = &weights.blocks[0];
         let mut taps = TapList::new();
 
-        let x_a = Matrix::from_fn(2, config.hidden, |r, c| if r == 0 { (c % 5) as f32 * 0.2 } else { 1.0 });
-        let x_b = Matrix::from_fn(2, config.hidden, |r, c| if r == 0 { (c % 5) as f32 * 0.2 } else { -1.0 });
+        let x_a = Matrix::from_fn(2, config.hidden, |r, c| {
+            if r == 0 {
+                (c % 5) as f32 * 0.2
+            } else {
+                1.0
+            }
+        });
+        let x_b = Matrix::from_fn(2, config.hidden, |r, c| {
+            if r == 0 {
+                (c % 5) as f32 * 0.2
+            } else {
+                -1.0
+            }
+        });
 
         let mut ca = KvCacheBlock::new(config.hidden);
         let out_a = attention(&config, block, &x_a, 0, 0, &mut ca, &mut taps);
@@ -337,8 +360,7 @@ mod tests {
         }
         let mut run = |corrupt: bool| -> Matrix {
             let mut cache = KvCacheBlock::new(config.hidden);
-            let prefill =
-                Matrix::from_fn(3, config.hidden, |r, c| ((r * 7 + c) % 5) as f32 * 0.1);
+            let prefill = Matrix::from_fn(3, config.hidden, |r, c| ((r * 7 + c) % 5) as f32 * 0.1);
             let _ = attention(&config, block, &prefill, 0, 0, &mut cache, &mut taps);
             for ccol in 0..config.hidden {
                 cache.k.set(2, ccol, 100.0);
@@ -352,8 +374,17 @@ mod tests {
             step_taps.push(&mut force);
             let mut s2 = AttnScratch::default();
             attention_forward_into(
-                &config, block, 0, &x, 3, 1, &mut cache, &mut step_taps,
-                KernelPolicy::Strict, None, &mut s2,
+                &config,
+                block,
+                0,
+                &x,
+                3,
+                1,
+                &mut cache,
+                &mut step_taps,
+                KernelPolicy::Strict,
+                None,
+                &mut s2,
             );
             // Sanity: the weight for position 0 really is exactly zero
             // (the scratch keeps the last head's softmax row; every head
@@ -366,7 +397,10 @@ mod tests {
             s2.out
         };
 
-        assert!(!run(false).has_nan(), "a clean cache must give a clean output");
+        assert!(
+            !run(false).has_nan(),
+            "a clean cache must give a clean output"
+        );
         assert!(
             run(true).has_nan(),
             "attention masked a NaN in a zero-weight cached V row"
@@ -383,7 +417,15 @@ mod tests {
         let _ = attention(&config, &weights.blocks[0], &x, 0, 0, &mut cache, &mut taps);
         assert_eq!(cache.len(), 4);
         let x1 = Matrix::zeros(1, config.hidden);
-        let _ = attention(&config, &weights.blocks[0], &x1, 4, 1, &mut cache, &mut taps);
+        let _ = attention(
+            &config,
+            &weights.blocks[0],
+            &x1,
+            4,
+            1,
+            &mut cache,
+            &mut taps,
+        );
         assert_eq!(cache.len(), 5);
     }
 }

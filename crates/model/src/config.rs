@@ -292,7 +292,10 @@ impl RopeTable {
     /// Build the table for a model (positions `0..config.max_seq`).
     pub fn build(config: &ModelConfig) -> RopeTable {
         let head_dim = config.head_dim();
-        assert!(head_dim.is_multiple_of(2), "rotary embeddings need an even head_dim");
+        assert!(
+            head_dim.is_multiple_of(2),
+            "rotary embeddings need an even head_dim"
+        );
         let half = head_dim / 2;
         let positions = config.max_seq;
         let mut sin = Vec::with_capacity(positions * half);
@@ -301,8 +304,7 @@ impl RopeTable {
             for i in 0..half {
                 // Must match apply_rope's expression exactly for the
                 // bit-identity contract above.
-                let theta =
-                    pos as f32 * 10_000f32.powf(-2.0 * i as f32 / head_dim as f32);
+                let theta = pos as f32 * 10_000f32.powf(-2.0 * i as f32 / head_dim as f32);
                 let (s, c) = theta.sin_cos();
                 sin.push(s);
                 cos.push(c);
@@ -405,8 +407,7 @@ mod tests {
         for pos in [0usize, 1, 7, config.max_seq - 1] {
             let (sin, cos) = table.at(pos);
             for i in 0..half {
-                let theta =
-                    pos as f32 * 10_000f32.powf(-2.0 * i as f32 / head_dim as f32);
+                let theta = pos as f32 * 10_000f32.powf(-2.0 * i as f32 / head_dim as f32);
                 let (s, c) = theta.sin_cos();
                 assert_eq!(sin[i].to_bits(), s.to_bits(), "sin pos={pos} i={i}");
                 assert_eq!(cos[i].to_bits(), c.to_bits(), "cos pos={pos} i={i}");

@@ -306,15 +306,30 @@ impl Model {
         taps: &mut TapList<'_>,
     ) -> Matrix {
         let mut scratch = DecodeScratch::new();
-        let Ok(()) =
-            self.forward_with(&mut Dense, &self.weights, tokens, start_pos, step, cache, taps, &mut scratch);
+        let Ok(()) = self.forward_with(
+            &mut Dense,
+            &self.weights,
+            tokens,
+            start_pos,
+            step,
+            cache,
+            taps,
+            &mut scratch,
+        );
         scratch.hidden
     }
 
     /// Logits for a single hidden-state row, with an explicit weight set,
     /// into a reusable buffer.
-    pub(crate) fn logits_into(&self, weights: &ModelWeights, hidden_row: &Matrix, out: &mut Matrix) {
-        weights.lm_head.forward_into(hidden_row, self.config.dtype, out);
+    pub(crate) fn logits_into(
+        &self,
+        weights: &ModelWeights,
+        hidden_row: &Matrix,
+        out: &mut Matrix,
+    ) {
+        weights
+            .lm_head
+            .forward_into(hidden_row, self.config.dtype, out);
     }
 
     /// Logits for a single hidden-state row.
@@ -530,8 +545,9 @@ impl Model {
         let end = Instant::now();
         let first = first_token_at.unwrap_or(end);
 
-        let (scrubbed_tiles, weight_repairs, kv_repairs) = stored
-            .map_or((0, 0, 0), |s| (s.scrubbed_tiles, s.weight_repairs, s.kv_repairs));
+        let (scrubbed_tiles, weight_repairs, kv_repairs) = stored.map_or((0, 0, 0), |s| {
+            (s.scrubbed_tiles, s.weight_repairs, s.kv_repairs)
+        });
         GenerationOutput {
             tokens,
             prefill_ns: (first - t0).as_nanos() as u64,
@@ -660,7 +676,10 @@ mod tests {
         let b = model.generate(&prompt, 8, &mut taps);
         assert_eq!(a.tokens, b.tokens);
         assert_eq!(a.tokens.len(), 8);
-        assert!(a.tokens.iter().all(|&t| (t as usize) < model.config().vocab));
+        assert!(a
+            .tokens
+            .iter()
+            .all(|&t| (t as usize) < model.config().vocab));
     }
 
     #[test]
@@ -855,12 +874,14 @@ mod tests {
         let mut taps_a = TapList::new();
         let a = model.generate(&prompt, 8, &mut taps_a);
         let mut taps_b = TapList::new();
-        let b =
-            model.generate_with_recovery(&prompt, 8, &mut taps_b, RecoveryPolicy::disabled());
+        let b = model.generate_with_recovery(&prompt, 8, &mut taps_b, RecoveryPolicy::disabled());
         assert_eq!(a.tokens, b.tokens);
         assert_eq!(a.rollbacks, 0);
         assert_eq!(b.steps.len(), 8);
-        assert!(b.steps.iter().all(|s| s.report.verdict == AnomalyVerdict::Clean));
+        assert!(b
+            .steps
+            .iter()
+            .all(|s| s.report.verdict == AnomalyVerdict::Clean));
     }
 
     #[test]

@@ -42,7 +42,10 @@ impl OpClass {
     /// activation layers qualify; residual adds, norms, weighted sums and
     /// elementwise products do not (a huge value survives all of them).
     pub const fn squashes_magnitude(self) -> bool {
-        matches!(self, OpClass::Scale | OpClass::Softmax | OpClass::Activation)
+        matches!(
+            self,
+            OpClass::Scale | OpClass::Softmax | OpClass::Activation
+        )
     }
 }
 
@@ -131,7 +134,10 @@ mod tests {
             g.path_after(LayerKind::KProj).unwrap(),
             &[OpClass::Scale, OpClass::Softmax]
         );
-        assert_eq!(g.path_after(LayerKind::Fc1).unwrap(), &[OpClass::Activation]);
+        assert_eq!(
+            g.path_after(LayerKind::Fc1).unwrap(),
+            &[OpClass::Activation]
+        );
         assert_eq!(
             g.path_after(LayerKind::Fc2).unwrap(),
             &[OpClass::Residual, OpClass::Norm]

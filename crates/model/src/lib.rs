@@ -51,21 +51,19 @@ pub mod weights;
 pub mod zoo;
 
 pub use config::{Activation, ArchStyle, LayerKind, ModelConfig, NormKind, RopeTable};
+pub use engine::{GenerationOutput, KvCache, Model, RecoveryPolicy, StepRecord};
 pub use ft2_tensor::KernelPolicy;
-pub use scratch::{AttnScratch, BlockScratch, DecodeScratch, MlpScratch};
-pub use engine::{
-    GenerationOutput, KvCache, Model, RecoveryPolicy, StepRecord,
-};
 pub use graph::{ArchGraph, OpClass};
 pub use hooks::{
     AnomalyVerdict, HookKind, LayerTap, NoTaps, RecordingTap, StepReport, TapCtx, TapList,
     TapPoint, MAX_BLOCK_HITS,
 };
 pub use ladder::{Ladder, Rung};
+pub use scratch::{AttnScratch, BlockScratch, DecodeScratch, MlpScratch};
 pub use shard::{
     balanced_spans, DegradeEvent, PartialMut, RepairScope, ShardBlockWeights, ShardFailure,
-    ShardIncidentKind, ShardPartialCtx, ShardPlan, ShardTap, ShardTapList,
-    ShardWeights, ShardedGeneration, ShardedModel, Span, TaskDirective,
+    ShardIncidentKind, ShardPartialCtx, ShardPlan, ShardTap, ShardTapList, ShardWeights,
+    ShardedGeneration, ShardedModel, Span, TaskDirective,
 };
 pub use state::{StateCtx, StateReport, StateTap, StateTapList};
 pub use zoo::{model_zoo, ModelSpec, ZooModel};

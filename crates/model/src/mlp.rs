@@ -44,7 +44,12 @@ mod tests {
     use crate::weights::ModelWeights;
 
     /// [`mlp_forward_into`] at position 0, step 0, with fresh scratch.
-    fn mlp(config: &ModelConfig, weights: &BlockWeights, x: &Matrix, taps: &mut TapList<'_>) -> Matrix {
+    fn mlp(
+        config: &ModelConfig,
+        weights: &BlockWeights,
+        x: &Matrix,
+        taps: &mut TapList<'_>,
+    ) -> Matrix {
         let mut scratch = MlpScratch::default();
         mlp_forward_into(config, weights, 0, x, 0, 0, taps, &mut scratch);
         scratch.out

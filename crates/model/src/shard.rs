@@ -180,9 +180,10 @@ impl ShardPlan {
                     .blocks
                     .iter()
                     .map(|bw| {
-                        let fc = bw.fc.as_ref().map(|(fc1, fc2)| {
-                            (rows_slice(fc1, ffn), cols_slice(fc2, ffn, s == 0))
-                        });
+                        let fc = bw
+                            .fc
+                            .as_ref()
+                            .map(|(fc1, fc2)| (rows_slice(fc1, ffn), cols_slice(fc2, ffn, s == 0)));
                         let gated = bw.gated.as_ref().map(|(gate, up, down)| {
                             (
                                 rows_slice(gate, ffn),
@@ -220,7 +221,9 @@ impl ShardPlan {
             for (bw, sb) in weights.blocks.iter().zip(&mut sw.blocks) {
                 for &kind in config.block_layers() {
                     let lin = bw.layer(kind).expect("block layer of this architecture");
-                    let slice = sb.layer_mut(kind).expect("sharded layer of this architecture");
+                    let slice = sb
+                        .layer_mut(kind)
+                        .expect("sharded layer of this architecture");
                     let span = self.span(s, kind);
                     match seam_mode(kind) {
                         SeamMode::Col => {
@@ -281,10 +284,7 @@ impl ShardPlan {
 fn rows_slice(lin: &Linear, span: Span) -> Linear {
     Linear {
         weight: lin.weight.slice_rows(span.start, span.end),
-        bias: lin
-            .bias
-            .as_ref()
-            .map(|b| b[span.start..span.end].to_vec()),
+        bias: lin.bias.as_ref().map(|b| b[span.start..span.end].to_vec()),
     }
 }
 
@@ -799,7 +799,9 @@ impl<'m> ShardedModel<'m> {
     }
 
     fn repartition(&mut self) {
-        self.weights = self.plan.partition(self.model.config(), self.model.weights());
+        self.weights = self
+            .plan
+            .partition(self.model.config(), self.model.weights());
         self.bufs = (0..self.plan.shards).map(|_| ShardBuf::default()).collect();
     }
 
@@ -1060,7 +1062,9 @@ impl Host for Fanout<'_, '_, '_> {
             self.stats.failed = Some(ShardFailure { step, shard, kind });
             return false;
         }
-        self.stats.degrade_events.push(DegradeEvent { step, shard, kind });
+        self.stats
+            .degrade_events
+            .push(DegradeEvent { step, shard, kind });
         self.stats.shards_lost += 1;
         self.sharded.degrade();
         self.taps.on_repartition(&self.sharded.weights);
@@ -1113,7 +1117,11 @@ impl Exec for Fanout<'_, '_, '_> {
                 ..
             } = &mut sharded.scratch;
             directives.clear();
-            directives.extend(pending.iter().map(|&s| taps.directive(step, block, layer, s)));
+            directives.extend(
+                pending
+                    .iter()
+                    .map(|&s| taps.directive(step, block, layer, s)),
+            );
             let mut bad = sharded.exec(pool, hb, block, layer, x);
             // Crashed and hung shards left no partial to look at; the
             // anomalies found below are appended behind them.
@@ -1271,7 +1279,13 @@ mod tests {
             for n in [1usize, 2, 3, 5] {
                 let mut sharded = ShardedModel::new(&model, n);
                 let fresh = sharded.plan.partition(config, model.weights());
-                let tile = |m: &ShardedModel<'_>| m.weights[n - 1].blocks[0].out_proj.weight.as_slice().as_ptr();
+                let tile = |m: &ShardedModel<'_>| {
+                    m.weights[n - 1].blocks[0]
+                        .out_proj
+                        .weight
+                        .as_slice()
+                        .as_ptr()
+                };
                 let before = tile(&sharded);
                 corrupt(config, &mut sharded.weights);
                 assert_ne!(sharded.weights, fresh);
@@ -1289,7 +1303,11 @@ mod tests {
                 sharded.reset();
                 assert_eq!(sharded.alive(), n);
                 assert_eq!(sharded.plan().shards, n);
-                assert_eq!(sharded.weights, fresh, "{} n={n} after a degrade", config.name);
+                assert_eq!(
+                    sharded.weights, fresh,
+                    "{} n={n} after a degrade",
+                    config.name
+                );
             }
         }
     }
@@ -1519,7 +1537,10 @@ mod tests {
             HEARTBEAT,
         );
         assert!(out.completed());
-        assert_eq!(out.tokens, clean.tokens, "re-execution must clear the storm");
+        assert_eq!(
+            out.tokens, clean.tokens,
+            "re-execution must clear the storm"
+        );
         assert!(out.storms >= 1);
         assert!(out.shard_retries >= 1);
     }
@@ -1533,7 +1554,13 @@ mod tests {
         /// by then — from step 2 until it is evicted.
         struct CrashUntilEvicted(bool);
         impl ShardTap for CrashUntilEvicted {
-            fn directive(&mut self, step: usize, block: usize, _: LayerKind, shard: usize) -> TaskDirective {
+            fn directive(
+                &mut self,
+                step: usize,
+                block: usize,
+                _: LayerKind,
+                shard: usize,
+            ) -> TaskDirective {
                 if !self.0 && step >= 2 && block == 1 && shard == 1 {
                     return TaskDirective::Crash;
                 }
@@ -1558,7 +1585,10 @@ mod tests {
                 } else {
                     AnomalyVerdict::Clean
                 };
-                StepReport { verdict, ..StepReport::default() }
+                StepReport {
+                    verdict,
+                    ..StepReport::default()
+                }
             }
             fn on_rollback(&mut self, _step: usize, _attempt: u32) {
                 self.healed = true;
@@ -1582,7 +1612,10 @@ mod tests {
         let policy = RecoveryPolicy::retries(2).with_shard_degrade();
         let (mut crash, mut storm, mut lens) = (
             CrashUntilEvicted(false),
-            StormOnce { healed: false, stormed: false },
+            StormOnce {
+                healed: false,
+                stormed: false,
+            },
             KvLens(Vec::new()),
         );
         let (mut taps, mut lane_taps, mut state) =
@@ -1618,11 +1651,26 @@ mod tests {
         // leaves exactly one more row.
         let passes = |step| lens.0.iter().filter(move |p| p.0 == step);
         for step in 0..8 {
-            let snapshot = if step == 0 { 0 } else { prompt.len() + step - 1 };
-            assert!(passes(step).all(|p| p.1 == snapshot), "step {step}: {:?}", lens.0);
+            let snapshot = if step == 0 {
+                0
+            } else {
+                prompt.len() + step - 1
+            };
+            assert!(
+                passes(step).all(|p| p.1 == snapshot),
+                "step {step}: {:?}",
+                lens.0
+            );
             let rows = if step == 0 { prompt.len() } else { 1 };
-            assert_eq!(passes(step).next_back().unwrap().2, snapshot + rows, "step {step}");
-            assert_eq!(passes(step).count(), if step == 2 || step == 4 { 2 } else { 1 });
+            assert_eq!(
+                passes(step).next_back().unwrap().2,
+                snapshot + rows,
+                "step {step}"
+            );
+            assert_eq!(
+                passes(step).count(),
+                if step == 2 || step == 4 { 2 } else { 1 }
+            );
         }
         // The aborted pass had appended block 0's row before it died.
         assert_eq!(passes(2).next().unwrap().2, prompt.len() + 2);

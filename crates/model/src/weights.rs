@@ -288,11 +288,7 @@ fn add_mlp_spikes(
     second.weight.quantize(config.dtype);
 }
 
-fn block_linear(
-    rng: &mut Xoshiro256StarStar,
-    config: &ModelConfig,
-    kind: LayerKind,
-) -> Linear {
+fn block_linear(rng: &mut Xoshiro256StarStar, config: &ModelConfig, kind: LayerKind) -> Linear {
     let inp = config.in_features(kind);
     let out = config.out_features(kind);
     let std = target_output_std(kind) / (inp as f32).sqrt();
@@ -509,7 +505,10 @@ mod tests {
         let w = ModelWeights::build(&c);
         let std_of = |m: &Matrix| {
             let mean: f32 = m.as_slice().iter().sum::<f32>() / m.len() as f32;
-            (m.as_slice().iter().map(|v| (v - mean) * (v - mean)).sum::<f32>()
+            (m.as_slice()
+                .iter()
+                .map(|v| (v - mean) * (v - mean))
+                .sum::<f32>()
                 / m.len() as f32)
                 .sqrt()
         };
@@ -529,7 +528,13 @@ mod tests {
         // Row max |w| distribution: the outlier rows should stand out by a
         // factor close to OUTLIER_GAIN.
         let row_norms: Vec<f32> = (0..fc2.weight.rows())
-            .map(|r| fc2.weight.row(r).iter().map(|v| v.abs()).fold(0.0, f32::max))
+            .map(|r| {
+                fc2.weight
+                    .row(r)
+                    .iter()
+                    .map(|v| v.abs())
+                    .fold(0.0, f32::max)
+            })
             .collect();
         let max = row_norms.iter().copied().fold(0.0, f32::max);
         let median = {
@@ -537,7 +542,10 @@ mod tests {
             s.sort_by(|a, b| a.partial_cmp(b).unwrap());
             s[s.len() / 2]
         };
-        assert!(max > 4.0 * median, "no outlier channels (max={max}, median={median})");
+        assert!(
+            max > 4.0 * median,
+            "no outlier channels (max={max}, median={median})"
+        );
     }
 
     #[test]

@@ -81,10 +81,25 @@ fn joint_prefill_equals_incremental_prefill_bit_for_bit() {
             for (pos, &tok) in tokens.iter().enumerate().skip(split) {
                 last = model.forward_step(&[tok], pos, pos - split + 1, &mut inc, &mut taps);
             }
-            assert_eq!(last, last_joint, "{} split {split}: last hidden row", spec.name());
+            assert_eq!(
+                last,
+                last_joint,
+                "{} split {split}: last hidden row",
+                spec.name()
+            );
             for b in 0..joint.num_blocks() {
-                assert_eq!(inc.block(b).k, joint.block(b).k, "{} split {split}: K of block {b}", spec.name());
-                assert_eq!(inc.block(b).v, joint.block(b).v, "{} split {split}: V of block {b}", spec.name());
+                assert_eq!(
+                    inc.block(b).k,
+                    joint.block(b).k,
+                    "{} split {split}: K of block {b}",
+                    spec.name()
+                );
+                assert_eq!(
+                    inc.block(b).v,
+                    joint.block(b).v,
+                    "{} split {split}: V of block {b}",
+                    spec.name()
+                );
             }
         }
     }

@@ -81,7 +81,11 @@ impl<const EXP: u32, const MANT: u32> Float<EXP, MANT> {
         // weight of half an ulp of what is kept.
         let (mut bits, rem, half) = if biased > 0 {
             let bits = ((biased as u32) << MANT) | (mant >> Self::SHIFT);
-            (bits, mant & ((1 << Self::SHIFT) - 1), 1 << (Self::SHIFT - 1))
+            (
+                bits,
+                mant & ((1 << Self::SHIFT) - 1),
+                1 << (Self::SHIFT - 1),
+            )
         } else {
             // A subnormal (or zero) result: the significand shifts one more
             // place per exponent step below 1. A binary32 subnormal has no

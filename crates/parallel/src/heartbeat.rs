@@ -321,10 +321,7 @@ mod tests {
         // polled well past the timeout must never report it hung again.
         hb.begin(0);
         std::thread::sleep(Duration::from_millis(30));
-        assert!(
-            !hb.is_cancelled(0),
-            "monitor re-cancelled an evicted shard"
-        );
+        assert!(!hb.is_cancelled(0), "monitor re-cancelled an evicted shard");
         assert!(!hb.is_cancelled(1), "eviction must not leak to live shards");
         // Reset reclaims the slot for a repartitioned successor.
         hb.reset(0);

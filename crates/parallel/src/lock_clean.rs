@@ -56,7 +56,10 @@ mod tests {
     fn lock_clean_recovers_a_poisoned_mutex() {
         let m = Mutex::new(41);
         // Poison the mutex by unwinding through a held guard.
-        #[allow(clippy::disallowed_methods, reason = "this test poisons the lock on purpose")]
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "this test poisons the lock on purpose"
+        )]
         let _ = catch_quiet(|| {
             let _g = m.lock().unwrap();
             panic!("deliberate poison");

@@ -95,7 +95,11 @@ pub struct TaskPanic {
 
 impl std::fmt::Display for TaskPanic {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "task {} panicked at {}: {}", self.index, self.site, self.message)
+        write!(
+            f,
+            "task {} panicked at {}: {}",
+            self.index, self.site, self.message
+        )
     }
 }
 
@@ -340,11 +344,7 @@ impl WorkStealingPool {
     {
         let panics = self.try_run(n, grain, f);
         if let Some(first) = panics.first() {
-            panic!(
-                "{} pool task(s) panicked; first: {}",
-                panics.len(),
-                first
-            );
+            panic!("{} pool task(s) panicked; first: {}", panics.len(), first);
         }
     }
 
@@ -495,7 +495,11 @@ mod tests {
             }
             x * 2 + i as u64
         });
-        let expect: Vec<u64> = items.iter().enumerate().map(|(i, &x)| x * 2 + i as u64).collect();
+        let expect: Vec<u64> = items
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| x * 2 + i as u64)
+            .collect();
         assert_eq!(out, expect);
     }
 
@@ -541,7 +545,11 @@ mod tests {
         indices.sort_unstable();
         assert_eq!(indices, vec![3, 253, 503, 753]);
         assert!(panics[0].message.starts_with("injected failure"));
-        assert!(panics[0].site.contains("pool.rs"), "site: {}", panics[0].site);
+        assert!(
+            panics[0].site.contains("pool.rs"),
+            "site: {}",
+            panics[0].site
+        );
 
         // The pool is immediately reusable.
         let hits = AtomicU64::new(0);
@@ -564,7 +572,11 @@ mod tests {
             });
         })
         .unwrap_err();
-        assert!(err.message.contains("1 pool task(s) panicked"), "{}", err.message);
+        assert!(
+            err.message.contains("1 pool task(s) panicked"),
+            "{}",
+            err.message
+        );
         assert!(err.message.contains("task 10"), "{}", err.message);
 
         // Still usable after the propagated panic.

@@ -15,7 +15,9 @@ use ft2_parallel::{HeartbeatMonitor, WorkStealingPool};
 
 /// Deterministic per-round choice of which task indices get cancelled.
 fn cancelled_in_round(round: usize, n: usize) -> Vec<usize> {
-    (0..n).filter(|i| (i * 7 + round * 3).is_multiple_of(5)).collect()
+    (0..n)
+        .filter(|i| (i * 7 + round * 3).is_multiple_of(5))
+        .collect()
 }
 
 #[test]
@@ -69,7 +71,8 @@ fn pool_drains_under_concurrent_cancellation_and_eviction() {
         assert_eq!(got, want, "round {round}: cancelled set must panic");
         for p in &panics {
             assert!(
-                p.message.contains(&format!("request {} cancelled", p.index)),
+                p.message
+                    .contains(&format!("request {} cancelled", p.index)),
                 "round {round}: panic message lost its payload: {}",
                 p.message
             );

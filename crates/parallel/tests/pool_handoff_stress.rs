@@ -123,12 +123,18 @@ fn hammer(workers: usize) -> (u64, u64) {
 
 #[test]
 fn one_worker_pool_never_runs_a_foreign_closure() {
-    assert_eq!(under_watchdog("hammer, 1 worker", HAMMER_LIMIT, || hammer(1)), (0, 0));
+    assert_eq!(
+        under_watchdog("hammer, 1 worker", HAMMER_LIMIT, || hammer(1)),
+        (0, 0)
+    );
 }
 
 #[test]
 fn two_worker_pool_never_runs_a_foreign_closure() {
-    assert_eq!(under_watchdog("hammer, 2 workers", HAMMER_LIMIT, || hammer(2)), (0, 0));
+    assert_eq!(
+        under_watchdog("hammer, 2 workers", HAMMER_LIMIT, || hammer(2)),
+        (0, 0)
+    );
 }
 
 /// `pool.rs`'s private `SPIN_BUDGET`, restated: the schedules below are
@@ -277,7 +283,10 @@ fn an_idle_pool_uses_no_cpu_and_wakes_when_called() {
             tids[i].store(current_tid(), Ordering::SeqCst);
             started.fetch_add(1, Ordering::SeqCst);
             while started.load(Ordering::SeqCst) <= WORKERS {
-                assert!(t0.elapsed() < Duration::from_secs(30), "a worker never joined the batch");
+                assert!(
+                    t0.elapsed() < Duration::from_secs(30),
+                    "a worker never joined the batch"
+                );
                 std::thread::yield_now();
             }
         });
@@ -301,7 +310,10 @@ fn an_idle_pool_uses_no_cpu_and_wakes_when_called() {
         // charge 20 of them, a parked one none (one, if a tick boundary
         // falls badly).
         let used = thread_cpu_ticks(tid) - before;
-        assert!(used <= 1, "worker thread {tid} used {used} ticks of CPU while the pool was idle");
+        assert!(
+            used <= 1,
+            "worker thread {tid} used {used} ticks of CPU while the pool was idle"
+        );
     }
     // A publish reaches every one of the parked workers: the caller cannot
     // finish this batch on its own.
@@ -428,13 +440,29 @@ fn step(w: World, party: Party, phases: usize, omit: Omit) -> Option<World> {
                     }
                     n.mutex = Some(Party::Sleeper);
                     let first = at == Sleeper::Lock;
-                    Some((k, if first { Sleeper::Register } else { Sleeper::LookAgain }))
+                    Some((
+                        k,
+                        if first {
+                            Sleeper::Register
+                        } else {
+                            Sleeper::LookAgain
+                        },
+                    ))
                 }
                 Sleeper::Register => {
                     n.registered = omit != Omit::Registration;
-                    Some((k, if omit == Omit::Reread { Sleeper::Wait } else { Sleeper::Reread }))
+                    Some((
+                        k,
+                        if omit == Omit::Reread {
+                            Sleeper::Wait
+                        } else {
+                            Sleeper::Reread
+                        },
+                    ))
                 }
-                Sleeper::Reread | Sleeper::LookAgain if w.raised[k] => Some((k, Sleeper::Unregister)),
+                Sleeper::Reread | Sleeper::LookAgain if w.raised[k] => {
+                    Some((k, Sleeper::Unregister))
+                }
                 Sleeper::Reread | Sleeper::LookAgain => Some((k, Sleeper::Wait)),
                 Sleeper::Wait => {
                     n.mutex = None;
@@ -488,18 +516,31 @@ fn no_schedule_loses_a_wakeup() {
     // done pair.
     for (pair, phases) in [("work", 1usize), ("done", 2)] {
         let (states, stuck) = explore(phases, Omit::Nothing);
-        assert!(states > 20 * phases, "{pair}: the walk saw only {states} states");
-        assert!(stuck.is_empty(), "{pair}: a schedule ends in {:?}", stuck[0]);
+        assert!(
+            states > 20 * phases,
+            "{pair}: the walk saw only {states} states"
+        );
+        assert!(
+            stuck.is_empty(),
+            "{pair}: a schedule ends in {:?}",
+            stuck[0]
+        );
 
         // The protocol has no slack: without either half of the Dekker
         // pair some schedule parks the sleeper for good with its flag up.
         for omit in [Omit::Registration, Omit::Reread] {
             let (_, stuck) = explore(phases, omit);
-            assert!(!stuck.is_empty(), "{pair}: no schedule is lost without {omit:?}");
+            assert!(
+                !stuck.is_empty(),
+                "{pair}: no schedule is lost without {omit:?}"
+            );
             for w in &stuck {
                 let (k, at) = w.sleeper.expect("the stuck party is the sleeper");
                 assert_eq!(at, Sleeper::Parked, "{pair} without {omit:?}: {w:?}");
-                assert!(w.raised[k] && w.signaller.is_none(), "{pair} without {omit:?}: {w:?}");
+                assert!(
+                    w.raised[k] && w.signaller.is_none(),
+                    "{pair} without {omit:?}: {w:?}"
+                );
             }
         }
     }

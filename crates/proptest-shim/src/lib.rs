@@ -268,20 +268,29 @@ pub mod prop {
 
         impl From<usize> for SizeRange {
             fn from(n: usize) -> SizeRange {
-                SizeRange { lo: n, hi_inclusive: n }
+                SizeRange {
+                    lo: n,
+                    hi_inclusive: n,
+                }
             }
         }
 
         impl From<std::ops::Range<usize>> for SizeRange {
             fn from(r: std::ops::Range<usize>) -> SizeRange {
                 assert!(r.start < r.end, "empty vec size range");
-                SizeRange { lo: r.start, hi_inclusive: r.end - 1 }
+                SizeRange {
+                    lo: r.start,
+                    hi_inclusive: r.end - 1,
+                }
             }
         }
 
         impl From<std::ops::RangeInclusive<usize>> for SizeRange {
             fn from(r: std::ops::RangeInclusive<usize>) -> SizeRange {
-                SizeRange { lo: *r.start(), hi_inclusive: *r.end() }
+                SizeRange {
+                    lo: *r.start(),
+                    hi_inclusive: *r.end(),
+                }
             }
         }
 
@@ -294,14 +303,22 @@ pub mod prop {
         /// A vector whose elements come from `element` and whose length
         /// comes from `size`.
         pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S> {
-            VecStrategy { element, size: size.into() }
+            VecStrategy {
+                element,
+                size: size.into(),
+            }
         }
 
         impl<S: Strategy> Strategy for VecStrategy<S> {
             type Value = Vec<S::Value>;
             fn generate(&self, gen: &mut Gen) -> Vec<S::Value> {
                 let span = (self.size.hi_inclusive - self.size.lo) as u64;
-                let n = self.size.lo + if span == 0 { 0 } else { gen.below(span + 1) as usize };
+                let n = self.size.lo
+                    + if span == 0 {
+                        0
+                    } else {
+                        gen.below(span + 1) as usize
+                    };
                 (0..n).map(|_| self.element.generate(gen)).collect()
             }
         }

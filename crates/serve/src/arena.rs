@@ -201,7 +201,11 @@ impl KvSeq {
     /// Slab row index of logical position `j` (the same row in every
     /// block's slab).
     pub fn row_of(&self, j: usize) -> usize {
-        debug_assert!(j < self.len, "position {j} beyond sequence length {}", self.len);
+        debug_assert!(
+            j < self.len,
+            "position {j} beyond sequence length {}",
+            self.len
+        );
         self.pages[j / KV_PAGE] * KV_PAGE + j % KV_PAGE
     }
 

@@ -160,9 +160,13 @@ impl ServeEvent {
     /// Stable one-line JSON payload (the SSE `data:` line).
     pub fn to_json(&self) -> String {
         match self {
-            ServeEvent::Admitted { replica, id, resumed } => format!(
-                r#"{{"ev":"admitted","replica":{replica},"id":{id},"resumed":{resumed}}}"#
-            ),
+            ServeEvent::Admitted {
+                replica,
+                id,
+                resumed,
+            } => {
+                format!(r#"{{"ev":"admitted","replica":{replica},"id":{id},"resumed":{resumed}}}"#)
+            }
             ServeEvent::Token {
                 replica,
                 id,
@@ -235,12 +239,12 @@ impl ServeEvent {
                 ),
                 replica, id, outcome, tokens, rollbacks, storms
             ),
-            ServeEvent::Health { replica, state } => format!(
-                r#"{{"ev":"health","replica":{replica},"state":"{state}"}}"#
-            ),
-            ServeEvent::Inject { replica, what } => format!(
-                r#"{{"ev":"inject","replica":{replica},"what":"{what}"}}"#
-            ),
+            ServeEvent::Health { replica, state } => {
+                format!(r#"{{"ev":"health","replica":{replica},"state":"{state}"}}"#)
+            }
+            ServeEvent::Inject { replica, what } => {
+                format!(r#"{{"ev":"inject","replica":{replica},"what":"{what}"}}"#)
+            }
             ServeEvent::Shutdown => r#"{"ev":"shutdown"}"#.to_string(),
         }
     }

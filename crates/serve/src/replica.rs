@@ -491,10 +491,9 @@ impl ReplicaSet {
     pub fn is_idle(&self) -> bool {
         self.pending.is_empty()
             && self.meta.is_empty()
-            && self
-                .replicas
-                .iter()
-                .all(|rep| rep.health.serving() && rep.sched.as_ref().is_none_or(Scheduler::is_idle))
+            && self.replicas.iter().all(|rep| {
+                rep.health.serving() && rep.sched.as_ref().is_none_or(Scheduler::is_idle)
+            })
     }
 
     /// One router tick: flush due re-routes, advance every serving replica
@@ -631,9 +630,12 @@ impl ReplicaSet {
         let Some(meta) = self.meta.get_mut(&req.id) else {
             // Unknown id (never routed by us): drop with a typed outcome
             // rather than silently.
-            self.reject(from, req.id, accepted, RejectReason::FailoverBudgetExhausted {
-                failovers: 0,
-            });
+            self.reject(
+                from,
+                req.id,
+                accepted,
+                RejectReason::FailoverBudgetExhausted { failovers: 0 },
+            );
             return;
         };
         meta.failovers += 1;
@@ -731,9 +733,7 @@ impl ReplicaSet {
     /// accepted prefix intact.
     fn settle(&mut self, r: usize, c: Completion) {
         match c.outcome {
-            Outcome::Evicted(_)
-                if self.meta.get(&c.id).is_some_and(|m| m.storm_injected) =>
-            {
+            Outcome::Evicted(_) if self.meta.get(&c.id).is_some_and(|m| m.storm_injected) => {
                 self.stats.storm_evictions += 1;
                 let m = self.meta.get_mut(&c.id).expect("checked above");
                 m.storm_injected = false;
@@ -752,7 +752,10 @@ impl ReplicaSet {
     /// Advance replica `r` one scheduler step under the heartbeat and
     /// panic containment, then run the breaker over its completions.
     fn step_replica(&mut self, r: usize, pool: &WorkStealingPool) {
-        let idle = self.replicas[r].sched.as_ref().is_none_or(Scheduler::is_idle);
+        let idle = self.replicas[r]
+            .sched
+            .as_ref()
+            .is_none_or(Scheduler::is_idle);
         if idle {
             return;
         }
@@ -827,8 +830,8 @@ impl ReplicaSet {
         let budget = self.config.rebuild_budget.max(1);
         let rep = &mut self.replicas[r];
         debug_assert!(rep.sched.is_none(), "rebuilding replica still scheduled");
-        let live = Arc::get_mut(&mut rep.model)
-            .expect("rebuilding replica's model must be uniquely held");
+        let live =
+            Arc::get_mut(&mut rep.model).expect("rebuilding replica's model must be uniquely held");
         let (checked, repaired) = self.checksums.sweep(
             rep.rebuild_cursor,
             budget,

@@ -809,7 +809,11 @@ mod tests {
                     Scheduler::rebuild_kv(model, arena, scratch, &mut active[0], from, &pool);
                 assert_eq!(rebuilt, len - from);
                 assert_eq!(rows_of(&sched, 0), clean, "rebuild from {from}");
-                assert_eq!(rows_of(&sched, 1), mate, "batchmate after rebuild from {from}");
+                assert_eq!(
+                    rows_of(&sched, 1),
+                    mate,
+                    "batchmate after rebuild from {from}"
+                );
                 for ar in &sched.active {
                     let guard = ar.guard.as_ref().expect("the default config seals");
                     assert_eq!(guard.verify(&sched.arena, &ar.seq), None);

@@ -98,9 +98,7 @@ impl StormTap {
 
     fn strikes_at(&self, step: usize) -> bool {
         match self.duration {
-            FaultDuration::Transient => {
-                step == self.target_step && self.attempts < self.heal_after
-            }
+            FaultDuration::Transient => step == self.target_step && self.attempts < self.heal_after,
             FaultDuration::Intermittent { period } => {
                 step >= self.target_step
                     && (step - self.target_step).is_multiple_of(period.max(1))
@@ -214,7 +212,11 @@ mod tests {
         let report = tap.end_step(1);
         assert_eq!(report.verdict, AnomalyVerdict::Storm);
         assert_eq!(report.hit_blocks().collect::<Vec<_>>(), vec![(0, 1)]);
-        assert_eq!(tap.end_step(1).verdict, AnomalyVerdict::Clean, "flag resets");
+        assert_eq!(
+            tap.end_step(1).verdict,
+            AnomalyVerdict::Clean,
+            "flag resets"
+        );
         assert!(data.row(0).iter().all(|&v| v == STORM_MAGNITUDE));
     }
 

@@ -616,8 +616,14 @@ mod tests {
         // JSON document the viewer can parse, whatever request bytes the
         // error text quotes.
         for (body, refusal) in [
-            ("kind=meteor", r#"{"ok":false,"error":"unknown fault kind \"meteor\""}"#),
-            ("kind=flip&block=\"", r#"{"ok":false,"error":"bad block \"\\\"\""}"#),
+            (
+                "kind=meteor",
+                r#"{"ok":false,"error":"unknown fault kind \"meteor\""}"#,
+            ),
+            (
+                "kind=flip&block=\"",
+                r#"{"ok":false,"error":"bad block \"\\\"\""}"#,
+            ),
         ] {
             let mut s = TcpStream::connect(addr).unwrap();
             s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
@@ -642,7 +648,10 @@ mod tests {
         let pad = "a".repeat(1 << 20);
         for (head, status) in [
             (format!("GET /{pad}"), "HTTP/1.1 431"), // newline-free request line
-            (format!("GET / HTTP/1.1\r\nX-Pad: {pad}\r\n\r\n"), "HTTP/1.1 431"),
+            (
+                format!("GET / HTTP/1.1\r\nX-Pad: {pad}\r\n\r\n"),
+                "HTTP/1.1 431",
+            ),
             ("nonsense\r\n\r\n".to_string(), "HTTP/1.1 400"),
         ] {
             let mut s = TcpStream::connect(addr).unwrap();
@@ -676,8 +685,19 @@ mod tests {
     /// bytes, or a `POST` whose `Content-Length` is absurd, negative or
     /// past `u64::MAX`.
     fn hostile_head() -> impl Strategy<Value = Vec<u8>> {
-        let lengths = ["-1", "18446744073709551616", "99999999999999999999999", "4294967296", "+7", ""];
-        let parts = (0u8..6, prop::collection::vec(any::<u8>(), 0..600), 0usize..4096);
+        let lengths = [
+            "-1",
+            "18446744073709551616",
+            "99999999999999999999999",
+            "4294967296",
+            "+7",
+            "",
+        ];
+        let parts = (
+            0u8..6,
+            prop::collection::vec(any::<u8>(), 0..600),
+            0usize..4096,
+        );
         (parts, prop::sample::select(lengths.to_vec())).prop_map(|((kind, bytes, cut), length)| {
             let request = b"GET /events HTTP/1.1\r\nHost: x\r\n\r\n";
             let lossy = String::from_utf8_lossy(&bytes).into_owned();
@@ -685,10 +705,22 @@ mod tests {
                 0 => lossy.into_bytes(),
                 1 => request[..cut % request.len()].to_vec(),
                 2 => format!("GET /{}", lossy.replace(['\r', '\n'], " ")).into_bytes(),
-                3 => format!("GET / HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "a".repeat(MAX_HEAD + cut)).into_bytes(),
-                4 => [b"GET /".as_slice(), &bytes, &[0xff, 0xfe], b" HTTP/1.1\r\n\r\n"].concat(),
-                _ => format!("POST /inject HTTP/1.1\r\nContent-Length: {length}\r\n\r\nkind=flip&block=1")
-                    .into_bytes(),
+                3 => format!(
+                    "GET / HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
+                    "a".repeat(MAX_HEAD + cut)
+                )
+                .into_bytes(),
+                4 => [
+                    b"GET /".as_slice(),
+                    &bytes,
+                    &[0xff, 0xfe],
+                    b" HTTP/1.1\r\n\r\n",
+                ]
+                .concat(),
+                _ => format!(
+                    "POST /inject HTTP/1.1\r\nContent-Length: {length}\r\n\r\nkind=flip&block=1"
+                )
+                .into_bytes(),
             }
         })
     }
@@ -702,13 +734,22 @@ mod tests {
             match s.read(&mut buf) {
                 Ok(0) => break,
                 Ok(n) => text.extend_from_slice(&buf[..n]),
-                Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
+                {
                     panic!("no reply and no close: {e}")
                 }
                 Err(_) => break,
             }
         }
-        String::from_utf8_lossy(&text).lines().next().unwrap_or_default().to_string()
+        String::from_utf8_lossy(&text)
+            .lines()
+            .next()
+            .unwrap_or_default()
+            .to_string()
     }
 
     /// One server, many hostile heads: each gets a typed status or a clean
@@ -734,11 +775,18 @@ mod tests {
             let typed = ["200", "400", "404", "431", "503"]
                 .iter()
                 .any(|code| status.starts_with(&format!("HTTP/1.1 {code} ")));
-            assert!(status.is_empty() || typed, "{status:?} for a {}-byte head {shown:?}", head.len());
+            assert!(
+                status.is_empty() || typed,
+                "{status:?} for a {}-byte head {shown:?}",
+                head.len()
+            );
 
             let mut page = http_get(addr, "/");
             let html = read_until(&mut page, "</html>", Duration::from_secs(5));
-            assert!(html.starts_with("HTTP/1.1 200"), "after {shown:?}: {html:?}");
+            assert!(
+                html.starts_with("HTTP/1.1 200"),
+                "after {shown:?}: {html:?}"
+            );
         }
         server.shutdown();
     }
@@ -769,7 +817,10 @@ mod tests {
 
         let mut third = http_get(addr, "/events");
         let head = read_until(&mut third, ": connected", Duration::from_secs(5));
-        assert!(head.contains("HTTP/1.1 200"), "freed slot refused: {head:?}");
+        assert!(
+            head.contains("HTTP/1.1 200"),
+            "freed slot refused: {head:?}"
+        );
         server.shutdown();
     }
 

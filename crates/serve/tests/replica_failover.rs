@@ -138,7 +138,11 @@ fn storming_replica_is_quarantined_and_its_requests_retried_clean() {
     let mut cfg = config();
     cfg.quarantine_errs = 2;
     let mut set = ReplicaSet::new(model(), cfg);
-    set.inject(ReplicaFaultSpec::persistent(0, ReplicaFaultKind::ActStorm, 0));
+    set.inject(ReplicaFaultSpec::persistent(
+        0,
+        ReplicaFaultKind::ActStorm,
+        0,
+    ));
     for i in 0..4 {
         set.try_submit(request(i)).unwrap();
     }

@@ -51,7 +51,11 @@ fn fault_free_batch_matches_single_sequence_generation() {
     done.sort_by_key(|c| c.id);
     for (i, c) in done.iter().enumerate() {
         assert_eq!(c.outcome, Outcome::Completed);
-        assert_eq!(c.tokens, solo_tokens(&model, PROMPTS[i], GEN), "request {i}");
+        assert_eq!(
+            c.tokens,
+            solo_tokens(&model, PROMPTS[i], GEN),
+            "request {i}"
+        );
         assert_eq!(c.rollbacks, 0);
         assert_eq!(c.tokens.len(), GEN);
     }
@@ -79,7 +83,11 @@ fn transient_storm_is_isolated_to_the_storming_request() {
         assert_eq!(c.outcome, Outcome::Completed, "request {i}");
         // Rollback discards the storm entirely: every request — including
         // the storming one — matches its clean solo generation.
-        assert_eq!(c.tokens, solo_tokens(&model, PROMPTS[i], GEN), "request {i}");
+        assert_eq!(
+            c.tokens,
+            solo_tokens(&model, PROMPTS[i], GEN),
+            "request {i}"
+        );
         if i == 0 {
             assert_eq!(c.storms, 1, "one storming step");
             assert_eq!(c.rollbacks, 1, "healed after one rollback");
@@ -118,9 +126,17 @@ fn persistent_storm_is_evicted_without_stalling_batchmates() {
     assert!(done[0].repair_retries >= 1, "repair rung was attempted");
     for (i, c) in done.iter().enumerate().skip(1) {
         assert_eq!(c.outcome, Outcome::Completed, "batchmate {i} completes");
-        assert_eq!(c.tokens, solo_tokens(&model, PROMPTS[i], GEN), "batchmate {i}");
+        assert_eq!(
+            c.tokens,
+            solo_tokens(&model, PROMPTS[i], GEN),
+            "batchmate {i}"
+        );
     }
-    assert_eq!(sched.arena_mut().pages_in_use(), 0, "evicted pages returned");
+    assert_eq!(
+        sched.arena_mut().pages_in_use(),
+        0,
+        "evicted pages returned"
+    );
 }
 
 /// The engine, the scheduler and the sharded executor climb the same
@@ -167,7 +183,11 @@ fn engine_and_scheduler_climb_the_same_ladder() {
             assert_eq!(served.rollbacks, heal_after.min(granted), "{case}");
             assert_eq!(served.storms, solo.storms, "{case}");
             assert_eq!(served.repair_retries, solo.repair_retries, "{case}");
-            assert_eq!(served.repair_retries, u32::from(guarded && heal_after >= 3), "{case}");
+            assert_eq!(
+                served.repair_retries,
+                u32::from(guarded && heal_after >= 3),
+                "{case}"
+            );
             // Giving up means different things — the engine accepts the
             // token and flags the run, the scheduler evicts — but it
             // happens on the same failure of the same step.
@@ -179,11 +199,19 @@ fn engine_and_scheduler_climb_the_same_ladder() {
             assert_eq!(solo.recovery_failed, served.outcome == evicted, "{case}");
             if solo.recovery_failed {
                 assert_eq!(solo.steps[3].redecodes, granted, "{case}");
-                assert_eq!(served.tokens, solo.tokens[..3], "{case}: tokens before step 3");
+                assert_eq!(
+                    served.tokens,
+                    solo.tokens[..3],
+                    "{case}: tokens before step 3"
+                );
             } else {
                 assert_eq!(served.outcome, Outcome::Completed, "{case}");
                 assert_eq!(served.tokens, solo.tokens, "{case}");
-                assert_eq!(served.tokens, solo_tokens(&model, PROMPTS[0], GEN), "{case}");
+                assert_eq!(
+                    served.tokens,
+                    solo_tokens(&model, PROMPTS[0], GEN),
+                    "{case}"
+                );
             }
             if guarded {
                 continue;
@@ -206,9 +234,19 @@ fn engine_and_scheduler_climb_the_same_ladder() {
             assert!(sharded.completed(), "{case}");
             assert_eq!(sharded.rollbacks, solo.rollbacks, "{case}, sharded");
             assert_eq!(sharded.tap_storms, solo.storms, "{case}, sharded");
-            assert_eq!(sharded.recovery_failed, solo.recovery_failed, "{case}, sharded");
-            assert_eq!(sharded.steps[3].redecodes, solo.steps[3].redecodes, "{case}, sharded");
-            assert_eq!((sharded.storms, sharded.shard_retries), (0, 0), "{case}, sharded");
+            assert_eq!(
+                sharded.recovery_failed, solo.recovery_failed,
+                "{case}, sharded"
+            );
+            assert_eq!(
+                sharded.steps[3].redecodes, solo.steps[3].redecodes,
+                "{case}, sharded"
+            );
+            assert_eq!(
+                (sharded.storms, sharded.shard_retries),
+                (0, 0),
+                "{case}, sharded"
+            );
         }
     }
 }
@@ -226,7 +264,11 @@ fn disabled_policy_accepts_storming_tokens() {
     sched.try_submit(request(0, Some(tap))).unwrap();
     let done = sched.run(&pool);
     assert_eq!(done.len(), 1);
-    assert_eq!(done[0].outcome, Outcome::Completed, "no eviction when disabled");
+    assert_eq!(
+        done[0].outcome,
+        Outcome::Completed,
+        "no eviction when disabled"
+    );
     assert_eq!(done[0].tokens.len(), GEN);
     assert!(done[0].storms > 0, "storms are still recorded");
     assert_eq!(done[0].rollbacks, 0, "no rollback when disabled");
@@ -326,7 +368,10 @@ fn server_serves_concurrent_submissions_end_to_end() {
         assert_eq!(c.outcome, Outcome::Completed);
         assert_eq!(&c.tokens, toks, "request {id}");
     }
-    assert_eq!(server.submit(vec![], 4, None), Err(SubmitError::EmptyPrompt));
+    assert_eq!(
+        server.submit(vec![], 4, None),
+        Err(SubmitError::EmptyPrompt)
+    );
 }
 
 #[test]

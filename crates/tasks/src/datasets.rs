@@ -170,8 +170,7 @@ pub fn generate_inputs(dataset: DatasetId, n: usize, seed: u64) -> Vec<TaskInput
     let (lo, hi) = dataset.length_range();
     (0..n)
         .map(|id| {
-            let mut rng =
-                Xoshiro256StarStar::for_stream(seed, &[dataset as u64 + 1, id as u64]);
+            let mut rng = Xoshiro256StarStar::for_stream(seed, &[dataset as u64 + 1, id as u64]);
             let len = lo + rng.index(hi - lo + 1);
             let mut prompt = Vec::with_capacity(len);
             // Start with a BOS-ish special token for stability.

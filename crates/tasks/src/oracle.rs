@@ -137,7 +137,10 @@ mod tests {
         let mut shifted = vec![7u32, 8, 9];
         shifted.extend_from_slice(&answer);
         shifted.extend_from_slice(&[200, 201]);
-        assert_eq!(judge.classify(&reference, &shifted), Outcome::MaskedSemantic);
+        assert_eq!(
+            judge.classify(&reference, &shifted),
+            Outcome::MaskedSemantic
+        );
         // Answer destroyed: SDC.
         let garbage: Vec<u32> = (300..312).collect();
         assert_eq!(judge.classify(&reference, &garbage), Outcome::Sdc);

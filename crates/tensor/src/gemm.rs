@@ -225,7 +225,13 @@ fn transb_row(a_row: &[f32], b_t: &Matrix, out_row: &mut [f32]) {
     debug_assert_eq!(out_row.len(), n);
     let mut j = 0;
     while j + 4 <= n {
-        let r = dot4(a_row, b_t.row(j), b_t.row(j + 1), b_t.row(j + 2), b_t.row(j + 3));
+        let r = dot4(
+            a_row,
+            b_t.row(j),
+            b_t.row(j + 1),
+            b_t.row(j + 2),
+            b_t.row(j + 3),
+        );
         out_row[j..j + 4].copy_from_slice(&r);
         j += 4;
     }
@@ -339,7 +345,14 @@ mod tests {
     fn transb_matches_explicit_transpose() {
         let mut rng = Xoshiro256StarStar::new(19);
         // The last two are empty on one side: no output columns, no rows.
-        let shapes = [(3usize, 10usize, 4usize), (64, 96, 64), (1, 64, 512), (5, 13, 7), (3, 4, 0), (0, 4, 3)];
+        let shapes = [
+            (3usize, 10usize, 4usize),
+            (64, 96, 64),
+            (1, 64, 512),
+            (5, 13, 7),
+            (3, 4, 0),
+            (0, 4, 3),
+        ];
         for &(m, k, n) in &shapes {
             let a = random_matrix(&mut rng, m, k);
             let bt = random_matrix(&mut rng, n, k);
@@ -388,9 +401,9 @@ mod tests {
         let mut rng = Xoshiro256StarStar::new(77);
         for &(m, k, n) in &[
             (2usize, 24usize, 16usize),
-            (3, 13, 7),   // remainder columns (n % 4 != 0)
-            (4, 64, 33),  // remainder + odd k
-            (8, 96, 64),  // serving batch against a square-ish weight
+            (3, 13, 7),  // remainder columns (n % 4 != 0)
+            (4, 64, 33), // remainder + odd k
+            (8, 96, 64), // serving batch against a square-ish weight
             (16, 17, 5),
         ] {
             let a = random_matrix(&mut rng, m, k);

@@ -27,14 +27,14 @@ pub mod matrix;
 pub mod ops;
 pub mod seam;
 
+pub use ft2_numeric::DType;
 pub use gemm::{
     dot, matmul_naive, matmul_transb_batch_into, matmul_transb_into, matmul_transb_rows_into,
     KernelPolicy,
 };
-pub use ft2_numeric::DType;
 pub use matrix::Matrix;
-pub use seam::{matmul_transb_cols_f64, reduce_seam_into};
 pub use ops::{
     add_bias_inplace, add_inplace, argmax, gelu_inplace, layer_norm, relu_inplace, rms_norm,
     scale_inplace, silu_inplace, softmax_inplace, softmax_rows,
 };
+pub use seam::{matmul_transb_cols_f64, reduce_seam_into};

@@ -149,7 +149,11 @@ impl Matrix {
     /// of [`Matrix::append_rows`] (KV-cache rollback restores a snapshot by
     /// truncating back to the snapshotted length).
     pub fn truncate_rows(&mut self, rows: usize) {
-        assert!(rows <= self.rows, "cannot truncate {} rows to {rows}", self.rows);
+        assert!(
+            rows <= self.rows,
+            "cannot truncate {} rows to {rows}",
+            self.rows
+        );
         self.data.truncate(rows * self.cols);
         self.rows = rows;
     }

@@ -200,7 +200,12 @@ mod tests {
         let beta = vec![0.0; 4];
         layer_norm(&mut m, &gamma, &beta, 1e-5);
         let mean: f32 = m.row(0).iter().sum::<f32>() / 4.0;
-        let var: f32 = m.row(0).iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / 4.0;
+        let var: f32 = m
+            .row(0)
+            .iter()
+            .map(|v| (v - mean) * (v - mean))
+            .sum::<f32>()
+            / 4.0;
         assert!(close(mean, 0.0, 1e-5));
         assert!(close(var, 1.0, 1e-3));
     }

@@ -100,7 +100,12 @@ const REDUCE_CHUNK: usize = 8;
 /// Partials must all have length `rows * cols`; an empty shard may pass
 /// an empty slice (skipped). The summation order is the caller's slice
 /// order, so reduces are deterministic for a fixed shard layout.
-pub fn reduce_seam_into<P: AsRef<[f64]>>(partials: &[P], rows: usize, cols: usize, out: &mut Matrix) {
+pub fn reduce_seam_into<P: AsRef<[f64]>>(
+    partials: &[P],
+    rows: usize,
+    cols: usize,
+    out: &mut Matrix,
+) {
     out.reset(rows, cols);
     let len = rows * cols;
     for part in partials {
@@ -174,8 +179,20 @@ mod tests {
     fn interleaved_kernel_is_bit_identical_to_the_sequential_one_on_ragged_shapes() {
         let mut part = Vec::new();
         for n in [1usize, 5, 112] {
-            for out_f in [0usize, 1, INTERLEAVE - 1, INTERLEAVE, INTERLEAVE + 3, 3 * INTERLEAVE + 1] {
-                for (k_full, col_lo, k_slice) in [(9usize, 0usize, 9usize), (40, 7, 21), (33, 32, 1), (16, 4, 0)] {
+            for out_f in [
+                0usize,
+                1,
+                INTERLEAVE - 1,
+                INTERLEAVE,
+                INTERLEAVE + 3,
+                3 * INTERLEAVE + 1,
+            ] {
+                for (k_full, col_lo, k_slice) in [
+                    (9usize, 0usize, 9usize),
+                    (40, 7, 21),
+                    (33, 32, 1),
+                    (16, 4, 0),
+                ] {
                     let a = demo(n, k_full, (n + out_f) as u32);
                     let w = demo(out_f, k_slice, (k_slice + 31 * out_f) as u32);
                     matmul_transb_cols_f64(&a, &w, col_lo, &mut part);
@@ -291,12 +308,21 @@ mod tests {
         let parts: Vec<Vec<f64>> = (0..3)
             .map(|s| {
                 let values = demo(1, rows * cols, s);
-                values.as_slice().iter().map(|&v| f64::from(v) * 1e-3 + 1.0).collect()
+                values
+                    .as_slice()
+                    .iter()
+                    .map(|&v| f64::from(v) * 1e-3 + 1.0)
+                    .collect()
             })
             .collect();
         let empty: Vec<f64> = Vec::new();
         let mut got = Matrix::zeros(0, 0);
-        reduce_seam_into(&[&parts[0], &empty, &parts[1], &parts[2]], rows, cols, &mut got);
+        reduce_seam_into(
+            &[&parts[0], &empty, &parts[1], &parts[2]],
+            rows,
+            cols,
+            &mut got,
+        );
         // Shard order, f64 throughout, one rounding.
         let want = Matrix::from_fn(rows, cols, |r, c| {
             let i = r * cols + c;

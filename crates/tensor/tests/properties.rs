@@ -23,7 +23,9 @@ const SPECIALS: [f32; 6] = [
 fn plant_specials(a: &mut Matrix, b: &mut Matrix, seed: u64, plants: usize) {
     let mut s = seed | 1;
     let mut next = |n: usize| {
-        s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         ((s >> 33) % n.max(1) as u64) as usize
     };
     for _ in 0..plants {

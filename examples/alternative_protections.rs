@@ -36,7 +36,10 @@ fn main() {
     );
     let dmr = run_dmr_campaign(&model, &prompts, &judge, &cfg, &pool);
 
-    println!("{:<28} {:>8} {:>22}", "technique", "SDC", "execution overhead");
+    println!(
+        "{:<28} {:>8} {:>22}",
+        "technique", "SDC", "execution overhead"
+    );
     println!(
         "{:<28} {:>7.2}% {:>22}",
         "no protection",

@@ -47,7 +47,10 @@ fn main() {
         "layer", "online [lo, hi]", "offline [lo, hi]"
     );
     for &kind in critical_layers(model.config().style).iter() {
-        let point = TapPoint { block: 0, layer: kind };
+        let point = TapPoint {
+            block: 0,
+            layer: kind,
+        };
         let on = online_protector.current_bounds(&point).unwrap();
         let off = offline.linear.get(&point).unwrap();
         println!(

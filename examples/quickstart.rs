@@ -17,7 +17,11 @@ fn main() {
     // 1. A model from the zoo (OPT-6.7B stand-in, FP16).
     let spec = ZooModel::Opt6_7B.spec();
     let model = spec.build();
-    println!("model: {} ({} sim parameters)", spec.name(), spec.config.sim_params());
+    println!(
+        "model: {} ({} sim parameters)",
+        spec.name(),
+        spec.config.sim_params()
+    );
 
     // 2. A prompt and the fault-free reference generation.
     let prompt: Vec<u32> = vec![0, 118, 320, 25, 130, 4, 121, 330, 17, 2];
@@ -66,9 +70,6 @@ fn main() {
     drop(taps);
     println!("FT2    : {}", render_tokens(&protected.tokens));
 
-    assert_eq!(
-        clean.tokens, protected.tokens,
-        "FT2 should mask this fault"
-    );
+    assert_eq!(clean.tokens, protected.tokens, "FT2 should mask this fault");
     println!("\nFT2 masked the fault: output identical to the clean run.");
 }

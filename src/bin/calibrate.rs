@@ -43,7 +43,9 @@ fn main() {
         spec.name(),
         model.config().hidden
     );
-    let only: Option<FaultModel> = std::env::var("CAL_FM").ok().and_then(|s| FaultModel::parse(&s));
+    let only: Option<FaultModel> = std::env::var("CAL_FM")
+        .ok()
+        .and_then(|s| FaultModel::parse(&s));
     for fm in FaultModel::ALL {
         if let Some(f) = only {
             if f != fm {
@@ -66,7 +68,13 @@ fn main() {
             r.sdc_rate() * 100.0,
             r.counts.masked_semantic as f64 / r.counts.total() as f64 * 100.0
         );
-        for scheme in [Scheme::Ranger, Scheme::MaxiMals, Scheme::GlobalClipper, Scheme::Ft2Offline, Scheme::Ft2] {
+        for scheme in [
+            Scheme::Ranger,
+            Scheme::MaxiMals,
+            Scheme::GlobalClipper,
+            Scheme::Ft2Offline,
+            Scheme::Ft2,
+        ] {
             let f = SchemeFactory::new(scheme, model.config(), Some(offline.clone()));
             let r = campaign.run(&f, &pool);
             print!("  {}={:.2}%", scheme.name(), r.sdc_rate() * 100.0);
@@ -86,7 +94,10 @@ fn main() {
         // per-layer leaks.
         let f = SchemeFactory::new(Scheme::Ft2, model.config(), None);
         let ff = campaign.run_fault_free(&f, &pool);
-        let corrupted = ff.iter().filter(|o| **o == ft2::fault::Outcome::Sdc).count();
+        let corrupted = ff
+            .iter()
+            .filter(|o| **o == ft2::fault::Outcome::Sdc)
+            .count();
         let changed = ff
             .iter()
             .filter(|o| **o != ft2::fault::Outcome::MaskedIdentical)

@@ -31,7 +31,11 @@ impl ProtectionFactory for CoverageFactory {
 fn heuristic_matches_paper_table1_for_all_zoo_models() {
     for spec in ft2::model::model_zoo() {
         let report = CriticalityReport::analyse(&spec.config);
-        assert!(report.matches_table1(), "{} diverges from Table 1", spec.name());
+        assert!(
+            report.matches_table1(),
+            "{} diverges from Table 1",
+            spec.name()
+        );
     }
 }
 

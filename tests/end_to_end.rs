@@ -88,7 +88,10 @@ fn ft2_beats_no_protection_across_fault_models() {
         let campaign = Campaign::new(&model, &prompts, &judge, quick_cfg(fm, 40, 14), &pool);
         unprot_sdc += campaign.run(&Unprotected, &pool).counts.sdc;
         ft2_sdc += campaign
-            .run(&SchemeFactory::new(Scheme::Ft2, model.config(), None), &pool)
+            .run(
+                &SchemeFactory::new(Scheme::Ft2, model.config(), None),
+                &pool,
+            )
             .counts
             .sdc;
     }
@@ -162,7 +165,10 @@ fn judge_semantics_shifted_answers_are_masked() {
     shifted.extend_from_slice(&answer);
     shifted.extend(std::iter::repeat_n(3u32, 12 - shifted.len().min(12)));
     use ft2::fault::OutcomeJudge;
-    assert_eq!(judge.classify(&reference, &shifted), Outcome::MaskedSemantic);
+    assert_eq!(
+        judge.classify(&reference, &shifted),
+        Outcome::MaskedSemantic
+    );
 }
 
 #[test]

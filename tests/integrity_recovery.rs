@@ -47,7 +47,13 @@ fn run_campaign(
     let prompts = generate_prompts(DatasetId::Gsm8k, 6, 0xF72_CAFE ^ 0xEA71);
     let task = TaskSpec::new(TaskType::Math, 16);
     let judge = task.judge();
-    let campaign = Campaign::new(model, &prompts, &judge, persistent_weight_cfg(trials), &pool);
+    let campaign = Campaign::new(
+        model,
+        &prompts,
+        &judge,
+        persistent_weight_cfg(trials),
+        &pool,
+    );
     campaign.run(factory, &pool)
 }
 

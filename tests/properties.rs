@@ -9,8 +9,8 @@ use ft2::model::{
     HookKind, LayerKind, LayerTap, ModelConfig, ShardTapList, ShardedModel, TapCtx, TapPoint,
     ZooModel,
 };
-use ft2::parallel::WorkStealingPool;
 use ft2::numeric::{crc64_f32s, Xoshiro256StarStar};
+use ft2::parallel::WorkStealingPool;
 use ft2::tensor::{DType, Matrix};
 use proptest::prelude::*;
 

@@ -100,7 +100,14 @@ fn shard_repair_strictly_reduces_silent_corruption() {
         let mut corrupt = SilentCorruptor { inert: false };
         let mut taps = ShardTapList::new();
         taps.push(&mut corrupt);
-        let off = run_sharded(&model, &pool, 2, &prompt, &mut taps, RecoveryPolicy::retries(2));
+        let off = run_sharded(
+            &model,
+            &pool,
+            2,
+            &prompt,
+            &mut taps,
+            RecoveryPolicy::retries(2),
+        );
         assert!(off.completed(), "silent corruption must not be detected");
         assert_eq!(off.storms, 0, "corruption was supposed to stay silent");
         if classify_sharded(&golden.tokens, &off, &ExactJudge) == Outcome::Sdc {
@@ -250,7 +257,14 @@ fn crash_with_degrade_keeps_serving_and_reports_degraded() {
     let mut injector = ShardFaultInjector::new(spec);
     let mut taps = ShardTapList::new();
     taps.push(&mut injector);
-    let due = run_sharded(&model, &pool, 3, &prompt, &mut taps, RecoveryPolicy::retries(1));
+    let due = run_sharded(
+        &model,
+        &pool,
+        3,
+        &prompt,
+        &mut taps,
+        RecoveryPolicy::retries(1),
+    );
     assert!(due.failed.is_some());
     match classify_sharded(&golden.tokens, &due, &ExactJudge) {
         Outcome::Crash { site, .. } => assert_eq!(site, "shard2"),
@@ -297,8 +311,15 @@ fn protected_generation_is_shard_count_invariant() {
         let case = format!("{zoo:?} at scale {scale}");
         // The protector was on the lane: it saw every covered linear of
         // every step, and the reports are its own.
-        assert!(stats.invocations as usize >= 24 * model.config().blocks, "{case}: {stats:?}");
-        assert_eq!(steps.iter().map(|s| s.report.clamps).sum::<u64>(), stats.clipped, "{case}");
+        assert!(
+            stats.invocations as usize >= 24 * model.config().blocks,
+            "{case}: {stats:?}"
+        );
+        assert_eq!(
+            steps.iter().map(|s| s.report.clamps).sum::<u64>(),
+            stats.clipped,
+            "{case}"
+        );
         assert!(scale != 1.0 || stats.clipped > 0, "{case}: {stats:?}");
         for (n, run) in [2, 4].into_iter().zip(&runs[1..]) {
             assert_eq!(&run.0, tokens, "{case}: tokens differ at N={n}");
