@@ -10,8 +10,9 @@
 //!
 //! * [`Exec`] — how a linear layer runs: [`Dense`] on this thread, the
 //!   sharded executor's fan-out behind the f64 seam (fallible), or the
-//!   serving runtime's GEMMs split by rows ([`linear_in_row_blocks`]) with
-//!   the rows' attention on a pool.
+//!   serving runtime's: one panel-major GEMM over a decode lane group's
+//!   rows on that group's own thread, or, for prefill, GEMMs split by rows
+//!   ([`linear_in_row_blocks`]) with the rows' attention on a pool.
 //! * [`KvStore`] — where a block's K/V rows live: a contiguous
 //!   [`crate::attention::KvCacheBlock`], or a slab of the serving arena's
 //!   pages addressed through a request's page list.

@@ -19,9 +19,16 @@
 //! position and, on the repair rung of the recovery ladder, verifies the
 //! seals to find (and rebuild) corrupted positions without touching any
 //! other request's pages.
+//!
+//! The no-alias invariant — a page is on the free list or held by exactly
+//! one sequence, never both and never by two — is what lets the decode
+//! step's lane groups write K/V rows concurrently: each group reaches the
+//! slabs through its own set of [`KvSlabView`]s and touches only the pages
+//! its own lanes hold.
 
 use ft2_model::walk::KvStore;
 use ft2_tensor::Matrix;
+use std::marker::PhantomData;
 
 pub use ft2_core::KvGuard;
 
@@ -57,6 +64,76 @@ impl KvStore for KvSlab {
     }
 }
 
+/// One block's slab as one lane group of a decode step sees it while the
+/// other groups write theirs: row access through the slab's base pointers
+/// instead of a borrow of the whole slab, so several threads can put K/V
+/// rows into one slab at once. Made only by [`KvArena::slab_views`], whose
+/// contract — every sequence is addressed through one view set only —
+/// keeps the rows any two threads touch disjoint.
+pub struct KvSlabView<'a> {
+    k: *mut f32,
+    v: *mut f32,
+    rows: usize,
+    cols: usize,
+    _slab: PhantomData<&'a mut KvSlab>,
+}
+
+impl KvSlabView<'_> {
+    /// Slab row `row` behind `base` (`self.k` or `self.v`), bounds-checked.
+    fn row(&self, base: *mut f32, row: usize) -> *mut f32 {
+        assert!(row < self.rows, "slab row {row} beyond {} rows", self.rows);
+        base.wrapping_add(row * self.cols)
+    }
+
+    /// Row `row` behind `base` as a slice.
+    ///
+    /// # Safety
+    /// No other thread may write the row while the slice lives: the row
+    /// must belong to a sequence only this view's set addresses.
+    unsafe fn read(&self, base: *mut f32, row: usize) -> &[f32] {
+        // SAFETY: `row` is in bounds of the live slab (checked by `row`,
+        // the slab is mutably borrowed for 'a); the caller guarantees no
+        // concurrent writer, and this view writes only through `&mut self`.
+        unsafe { std::slice::from_raw_parts(self.row(base, row), self.cols) }
+    }
+}
+
+impl KvStore for KvSlabView<'_> {
+    type Seq = KvSeq;
+
+    fn k_row(&self, seq: &KvSeq, pos: usize) -> &[f32] {
+        // SAFETY: `seq` is addressed through this view set only (the
+        // contract of `KvArena::slab_views`), so its rows have no other
+        // reader or writer.
+        unsafe { self.read(self.k, seq.row_of(pos)) }
+    }
+
+    fn v_row(&self, seq: &KvSeq, pos: usize) -> &[f32] {
+        // SAFETY: as in `k_row`.
+        unsafe { self.read(self.v, seq.row_of(pos)) }
+    }
+
+    fn put(&mut self, seq: &KvSeq, pos: usize, k: &[f32], v: &[f32]) {
+        let row = seq.row_of(pos);
+        let (kp, vp) = (self.row(self.k, row), self.row(self.v, row));
+        // SAFETY: both rows are in bounds of the live slab (checked by
+        // `row`) and belong to `seq`, which only this view set addresses;
+        // `&mut self` excludes this view's own outstanding row slices.
+        unsafe {
+            std::slice::from_raw_parts_mut(kp, self.cols).copy_from_slice(k);
+            std::slice::from_raw_parts_mut(vp, self.cols).copy_from_slice(v);
+        }
+    }
+}
+
+// SAFETY: a view is a pair of pointers into a slab mutably borrowed for
+// 'a; the threads holding views of one slab touch disjoint rows (the
+// contract of `KvArena::slab_views`).
+unsafe impl Send for KvSlabView<'_> {}
+// SAFETY: the same disjoint-rows argument — no two threads read or write
+// the same row through views of one slab.
+unsafe impl Sync for KvSlabView<'_> {}
+
 /// Paged K/V storage shared by every sequence in a serving batch.
 pub struct KvArena {
     /// Per-block slabs, grown in lockstep.
@@ -87,6 +164,40 @@ impl KvArena {
     /// sequences reads and writes.
     pub fn slabs_mut(&mut self) -> &mut [KvSlab] {
         &mut self.slabs
+    }
+
+    /// `sets` sets of views of every block's slab, in block order: the
+    /// stores of passes that run on different threads at once.
+    ///
+    /// # Safety
+    /// While the views live, each sequence must be read and written
+    /// through one set only, and one set must be used by one thread at a
+    /// time. Sequences hold disjoint pages (the arena's no-alias
+    /// invariant), so the sets then touch disjoint slab rows.
+    pub unsafe fn slab_views(&mut self, sets: usize) -> Vec<Vec<KvSlabView<'_>>> {
+        // Every set shares one base pointer per matrix, taken once: a
+        // second `as_mut_slice` would retire the pointers of the first.
+        let bases: Vec<(*mut f32, *mut f32)> = self
+            .slabs
+            .iter_mut()
+            .map(|slab| {
+                (
+                    slab.k.as_mut_slice().as_mut_ptr(),
+                    slab.v.as_mut_slice().as_mut_ptr(),
+                )
+            })
+            .collect();
+        let (rows, cols) = (self.capacity_pages * KV_PAGE, self.hidden);
+        let view = |&(k, v): &(*mut f32, *mut f32)| KvSlabView {
+            k,
+            v,
+            rows,
+            cols,
+            _slab: PhantomData,
+        };
+        (0..sets)
+            .map(|_| bases.iter().map(view).collect())
+            .collect()
     }
 
     /// Hidden width of every stored row.
@@ -165,6 +276,19 @@ impl AsRef<[KvSlab]> for KvArena {
     fn as_ref(&self) -> &[KvSlab] {
         &self.slabs
     }
+}
+
+/// True when no page is held by two of `seqs` — the no-alias invariant
+/// over one batch, which [`KvArena::slab_views`]' callers rest on.
+pub fn pages_disjoint<'s>(seqs: impl IntoIterator<Item = &'s KvSeq>) -> bool {
+    let mut pages: Vec<usize> = seqs
+        .into_iter()
+        .flat_map(|q| q.pages.iter().copied())
+        .collect();
+    let held = pages.len();
+    pages.sort_unstable();
+    pages.dedup();
+    pages.len() == held
 }
 
 /// One request's logical KV sequence: an ordered list of arena pages plus

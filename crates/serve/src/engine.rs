@@ -3,38 +3,45 @@
 //! written straight into a request's arena pages).
 //!
 //! Neither contains any model math. Both are [`ft2_model::walk`] over the
-//! arena's paged [`crate::arena::KvSlab`] stores, so a clean request served
-//! in a batch of N emits exactly the tokens its solo [`Model::generate`]
-//! would — the identity that makes per-request fault isolation checkable —
-//! because it runs the same code, not a copy of it. What this module adds
-//! is the serving [`Exec`]:
+//! arena's paged K/V slabs, so a clean request served in a batch of N emits
+//! exactly the tokens its solo [`Model::generate`] would — the identity
+//! that makes per-request fault isolation checkable — because it runs the
+//! same code, not a copy of it. What this module adds is how the work is
+//! spread over the [`WorkStealingPool`]:
 //!
-//! * every linear, the batch step's LM head included, is split by rows
-//!   into one contiguous block per pool thread plus one for the caller
-//!   ([`walk::linear_in_row_blocks`]); each block runs the panel-major GEMM
-//!   ([`ft2_tensor::matmul_transb_rows_into`], the exact `dot4`/`dot`
-//!   reductions of the row-major kernel, one weight-panel pass amortised
-//!   over the block's rows), the bias and the quantisation straight into
-//!   its own rows of the output;
-//! * the rows' attention runs in parallel on the [`WorkStealingPool`].
+//! * **Decode runs by lane groups.** [`batch_step`] splits the lanes into
+//!   at most one contiguous group per pool thread plus one for the caller
+//!   and issues **one** pool batch per step: each task walks its group's
+//!   lanes end to end on its own thread — every linear as one panel-major
+//!   GEMM over the group's rows ([`Linear::forward_rows_into`], the exact
+//!   `dot4`/`dot` reductions of the row-major kernel), attention, the
+//!   lanes' taps, the LM head and `argmax` — with its own walk buffers and
+//!   tap stage. Groups write K/V rows concurrently into the disjoint pages
+//!   their lanes hold, each through its own set of
+//!   [`crate::arena::KvSlabView`]s.
+//! * **Prefill runs by row blocks.** One lane's rows attend to each other,
+//!   so [`prefill`] (admission and KV rebuild) keeps the row-split
+//!   executor: every linear split by rows into one contiguous block per
+//!   pool thread plus one for the caller ([`walk::linear_in_row_blocks`]),
+//!   the rows' attention in parallel on the pool.
 //!
-//! Blocks and rows write disjoint rows, so neither the block count nor the
-//! schedule can change a result. Prefill runs on the same executor, so
-//! admission and KV rebuild use the whole pool too.
+//! Groups, blocks and rows write disjoint rows, so neither the group or
+//! block count nor the schedule can change a result.
 //!
 //! Per-request taps ride in their lanes: the walk shows each tap its own
 //! row with its own `step` and position, in the engine's layer order, so
 //! per-request injectors and detectors observe exactly what they would
 //! single-sequence.
 
-use crate::arena::{KvArena, KvSeq};
+use crate::arena::{self, KvArena, KvSeq, KvSlabView};
 use ft2_model::hooks::{LayerTap, TapPoint};
 use ft2_model::walk::{self, Exec, Lane, Pass};
 use ft2_model::weights::Linear;
 use ft2_model::{DecodeScratch, Model};
-use ft2_parallel::WorkStealingPool;
+use ft2_parallel::{lock_clean, WorkStealingPool};
 use ft2_tensor::{argmax, DType, Matrix};
 use std::convert::Infallible;
+use std::sync::Mutex;
 
 /// One request's view of a batch step: the token to decode, its absolute
 /// position, the generation step number (for tap contexts), the request's
@@ -58,10 +65,10 @@ pub struct BatchLane<'a> {
 /// and `reset` in place every pass.
 #[derive(Default)]
 pub struct BatchScratch {
-    /// The walk's own buffers; the hidden states land in `walk.hidden`.
+    /// Prefill's walk buffers; its hidden states land in `walk.hidden`.
     pub(crate) walk: DecodeScratch,
-    /// The one-lane view a tap sees its rows through in a multi-lane pass.
-    stage: Matrix,
+    /// One set of buffers per lane group of a decode step.
+    groups: Vec<GroupScratch>,
 }
 
 impl BatchScratch {
@@ -71,8 +78,17 @@ impl BatchScratch {
     }
 }
 
-/// The serving [`Exec`]: every linear split by rows over the pool, rows
-/// attending in parallel.
+/// One lane group's buffers.
+#[derive(Default)]
+struct GroupScratch {
+    /// The group's walk buffers.
+    walk: DecodeScratch,
+    /// The one-lane view a tap sees its rows through in a multi-lane pass.
+    stage: Matrix,
+}
+
+/// The row-split [`Exec`] of prefill: every linear split by rows over the
+/// pool, rows attending in parallel.
 struct Batched<'p>(&'p WorkStealingPool);
 
 impl Batched<'_> {
@@ -108,10 +124,67 @@ impl Exec for Batched<'_> {
     }
 }
 
+/// The [`Exec`] of one lane group: every linear as one panel-major GEMM
+/// over the group's rows, and the rows' attention, on the calling thread.
+struct Panel;
+
+impl Exec for Panel {
+    type Error = Infallible;
+
+    fn linear(
+        &mut self,
+        golden: &Linear,
+        _point: TapPoint,
+        dtype: DType,
+        x: &Matrix,
+        out: &mut Matrix,
+    ) -> Result<(), Infallible> {
+        walk::linear_in_row_blocks(self, 1, golden, dtype, x, out);
+        Ok(())
+    }
+}
+
+/// What one task of the decode batch owns: a contiguous run of the lanes,
+/// the group's buffers and the group's view of every block's slab.
+struct Group<'g, 'l> {
+    lanes: &'g mut [BatchLane<'l>],
+    scratch: &'g mut GroupScratch,
+    kv: Vec<KvSlabView<'g>>,
+}
+
+impl Group<'_, '_> {
+    /// Walk the group's lanes end to end — the decoder stack, the LM head
+    /// and `argmax` — and return each lane's next token.
+    fn decode(&mut self, model: &Model) -> Vec<u32> {
+        let (config, weights) = (model.config(), model.weights());
+        let tokens: Vec<u32> = self.lanes.iter().map(|lane| lane.token).collect();
+        let mut rows: Vec<Lane<'_, KvSeq>> = self
+            .lanes
+            .iter_mut()
+            .map(|lane| Lane {
+                rows: 1,
+                start_pos: lane.pos,
+                step: lane.step,
+                seq: &*lane.seq,
+                tap: lane.tap.as_deref_mut().map(|tap| tap as &mut dyn LayerTap),
+            })
+            .collect();
+        let GroupScratch { walk: s, stage } = &mut *self.scratch;
+        let (rope, mut exec) = (model.rope_table(), Panel);
+        let mut pass = Pass::new(config, rope, &mut exec, &mut rows, stage);
+        let Ok(()) = walk::walk(&mut pass, weights, &tokens, &mut self.kv, s);
+        let (head, dtype) = (&weights.lm_head, config.dtype);
+        walk::linear_in_row_blocks(&Panel, 1, head, dtype, &s.hidden, &mut s.logits);
+        (0..tokens.len())
+            .map(|r| argmax(s.logits.row(r)) as u32)
+            .collect()
+    }
+}
+
 /// Advance every lane by one decode step. Reserves each lane's KV slot,
-/// runs the batched forward pass, and returns the next token per lane.
-/// Lanes that subsequently roll back truncate their [`KvSeq`] and discard
-/// the returned token; accepted lanes keep both.
+/// walks the lane groups in one pool batch, and returns the next token per
+/// lane. Lanes that subsequently roll back truncate their [`KvSeq`] and
+/// discard the returned token; accepted lanes keep both.
 pub fn batch_step(
     model: &Model,
     arena: &mut KvArena,
@@ -120,53 +193,55 @@ pub fn batch_step(
     scratch: &mut BatchScratch,
 ) -> Vec<u32> {
     assert!(!lanes.is_empty(), "batch_step on an empty batch");
-    let config = model.config();
-    let tokens: Vec<u32> = lanes.iter().map(|lane| lane.token).collect();
-    let mut rows: Vec<Lane<'_, KvSeq>> = lanes
-        .iter_mut()
-        .map(|lane| {
-            debug_assert_eq!(lane.seq.len(), lane.pos, "KV sequence out of sync");
-            lane.seq.push(arena);
-            Lane {
-                rows: 1,
-                start_pos: lane.pos,
-                step: lane.step,
-                seq: &*lane.seq,
-                tap: lane.tap.as_deref_mut().map(|tap| tap as &mut dyn LayerTap),
-            }
+    for lane in lanes.iter_mut() {
+        debug_assert_eq!(lane.seq.len(), lane.pos, "KV sequence out of sync");
+        lane.seq.push(arena);
+    }
+    // What the concurrent K/V writes below rest on. The arena keeps it, but
+    // a sequence released into another arena could break it from safe
+    // code, so it is checked in every build.
+    assert!(
+        arena::pages_disjoint(lanes.iter().map(|lane| &*lane.seq)),
+        "two lanes hold one KV page"
+    );
+    let n = lanes.len();
+    let groups = n.min(pool.threads() + 1);
+    if scratch.groups.len() < groups {
+        scratch.groups.resize_with(groups, GroupScratch::default);
+    }
+    // SAFETY: set `g` goes to group `g` alone, whose task is the only one
+    // to use it; every lane, so every sequence, is in one group, and no
+    // two lanes' sequences share a page (asserted above).
+    let views = unsafe { arena.slab_views(groups) };
+    let mut rest = lanes;
+    let cells: Vec<Mutex<Group<'_, '_>>> = views
+        .into_iter()
+        .zip(&mut scratch.groups)
+        .enumerate()
+        .map(|(g, (kv, scratch))| {
+            let size = (g + 1) * n / groups - g * n / groups;
+            let (own, tail) = std::mem::take(&mut rest).split_at_mut(size);
+            rest = tail;
+            Mutex::new(Group {
+                lanes: own,
+                scratch,
+                kv,
+            })
         })
         .collect();
-    let mut exec = Batched(pool);
-    let mut pass = Pass::new(
-        config,
-        model.rope_table(),
-        &mut exec,
-        &mut rows,
-        &mut scratch.stage,
-    );
-    let weights = model.weights();
-    let Ok(()) = walk::walk(
-        &mut pass,
-        weights,
-        &tokens,
-        arena.slabs_mut(),
-        &mut scratch.walk,
-    );
-
-    // The batched LM head over the final-norm rows, split like the rest.
-    let (hidden, logits) = (&scratch.walk.hidden, &mut scratch.walk.logits);
-    exec.split(&weights.lm_head, config.dtype, hidden, logits);
-    (0..tokens.len())
-        .map(|r| argmax(logits.row(r)) as u32)
-        .collect()
+    if let [cell] = &cells[..] {
+        return lock_clean(cell).decode(model);
+    }
+    pool.map(&cells, 1, |_, cell| lock_clean(cell).decode(model))
+        .concat()
 }
 
 /// Prefill `tokens` as positions `start_pos..` of `seq`, straight into its
-/// arena pages: one multi-row lane on the serving executor — linears split
-/// by rows over `pool`, attention rows on it too — attending to the rows
-/// `seq` already holds below `start_pos`. Pages are reserved as needed;
-/// positions `seq` already has are overwritten in place (KV rebuild). The
-/// hidden states land in `scratch.walk.hidden`.
+/// arena pages: one multi-row lane on the row-split executor — linears
+/// split by rows over `pool`, attention rows on it too — attending to the
+/// rows `seq` already holds below `start_pos`. Pages are reserved as
+/// needed; positions `seq` already has are overwritten in place (KV
+/// rebuild). The hidden states land in `scratch.walk.hidden`.
 #[allow(clippy::too_many_arguments)]
 pub fn prefill<'a>(
     model: &Model,
@@ -199,6 +274,7 @@ pub fn prefill<'a>(
 mod tests {
     use super::*;
     use ft2_model::engine::KvCache;
+    use ft2_model::hooks::StepReport;
     use ft2_model::{ModelConfig, TapList};
 
     /// Decode a prompt token-by-token with the single-sequence engine path
@@ -215,16 +291,6 @@ mod tests {
             tokens.push(argmax(&model.logits(&h)) as u32);
         }
         (cache, tokens)
-    }
-
-    /// Prefill a lane's prompt into the arena on a two-thread pool,
-    /// returning its first token.
-    fn arena_prefill(model: &Model, arena: &mut KvArena, seq: &mut KvSeq, prompt: &[u32]) -> u32 {
-        let (pool, mut scratch) = (WorkStealingPool::new(2), BatchScratch::new());
-        prefill(model, arena, seq, prompt, 0, None, &pool, &mut scratch);
-        let hidden = &scratch.walk.hidden;
-        let last = hidden.slice_rows(hidden.rows() - 1, hidden.rows());
-        argmax(&model.logits(&last)) as u32
     }
 
     /// Identity (ii) of the layer walk: a prefill written straight into
@@ -350,100 +416,205 @@ mod tests {
         }
     }
 
+    /// A lane's prompt: lengths just under a page, so decode steps cross
+    /// page boundaries, varied so lanes cross them at different steps.
+    fn lane_prompt(i: usize) -> Vec<u32> {
+        use crate::arena::KV_PAGE;
+        let len = KV_PAGE - 4 + (i * 5) % 7;
+        (0..len)
+            .map(|j| ((i * 31 + j * 7 + 3) % 90) as u32)
+            .collect()
+    }
+
+    /// An FT2 protector with no headroom over its first-token profile, so
+    /// that clamps certainly edit the streams being compared.
+    fn ft2(model: &Model) -> ft2_core::Protector {
+        let coverage = ft2_core::Scheme::Ft2.coverage(model.config().style);
+        ft2_core::Protector::ft2_online(coverage, 1.0)
+    }
+
+    /// What one served lane ended with.
+    struct Served {
+        tokens: Vec<u32>,
+        stats: ft2_core::protect::ProtectionStats,
+        reports: Vec<StepReport>,
+        /// Every stored K/V row, per position, per block.
+        kv: Vec<Vec<(Vec<f32>, Vec<f32>)>>,
+        pages: Vec<usize>,
+    }
+
+    /// Serve `prompts` as one batch the way the scheduler does — prefill
+    /// each lane (with its tap) on `pool`, then `gen - 1` batch steps, each
+    /// lane's tap closing every step — over an arena pre-fragmented so that
+    /// pages come off the free list out of order.
+    fn serve(
+        model: &Model,
+        prompts: &[Vec<u32>],
+        gen: usize,
+        pool: &WorkStealingPool,
+        protect: bool,
+    ) -> Vec<Served> {
+        let (blocks, hidden) = (model.config().blocks, model.config().hidden);
+        let mut arena = KvArena::new(blocks, hidden);
+        let mut hole = KvSeq::new();
+        for _ in 0..(3 * prompts.len()) * crate::arena::KV_PAGE {
+            hole.push(&mut arena);
+        }
+        hole.release(&mut arena);
+        let mut seqs: Vec<KvSeq> = prompts.iter().map(|_| KvSeq::new()).collect();
+        let mut taps: Vec<Option<ft2_core::Protector>> = prompts
+            .iter()
+            .map(|_| protect.then(|| ft2(model)))
+            .collect();
+        let mut scratch = BatchScratch::new();
+        let mut served: Vec<Served> = Vec::new();
+        for ((prompt, seq), tap) in prompts.iter().zip(&mut seqs).zip(&mut taps) {
+            let lane_tap = tap.as_mut().map(|t| t as &mut dyn LayerTap);
+            prefill(
+                model,
+                &mut arena,
+                seq,
+                prompt,
+                0,
+                lane_tap,
+                pool,
+                &mut scratch,
+            );
+            let hidden = &scratch.walk.hidden;
+            let last = hidden.slice_rows(hidden.rows() - 1, hidden.rows());
+            served.push(Served {
+                tokens: vec![argmax(&model.logits(&last)) as u32],
+                stats: Default::default(),
+                reports: tap.iter_mut().map(|t| t.end_step(0)).collect(),
+                kv: Vec::new(),
+                pages: Vec::new(),
+            });
+        }
+        for step in 1..gen {
+            let mut lanes: Vec<BatchLane<'_>> = seqs
+                .iter_mut()
+                .zip(&mut taps)
+                .zip(&served)
+                .zip(prompts)
+                .map(|(((seq, tap), lane), prompt)| BatchLane {
+                    token: lane.tokens[step - 1],
+                    pos: prompt.len() + step - 1,
+                    step,
+                    seq,
+                    tap: tap.as_mut().map(|t| t as &mut (dyn LayerTap + Send)),
+                })
+                .collect();
+            let next = batch_step(model, &mut arena, &mut lanes, pool, &mut scratch);
+            drop(lanes);
+            for ((lane, tap), t) in served.iter_mut().zip(&mut taps).zip(next) {
+                lane.tokens.push(t);
+                lane.reports
+                    .extend(tap.iter_mut().map(|t| t.end_step(step)));
+            }
+        }
+        for ((lane, tap), seq) in served.iter_mut().zip(&taps).zip(&seqs) {
+            lane.stats = tap.as_ref().map(|t| t.stats).unwrap_or_default();
+            lane.pages = seq.pages().to_vec();
+            lane.kv = (0..seq.len())
+                .map(|j| {
+                    let row = seq.row_of(j);
+                    (0..blocks)
+                        .map(|b| (arena.k_row(b, row).to_vec(), arena.v_row(b, row).to_vec()))
+                        .collect()
+                })
+                .collect();
+        }
+        served
+    }
+
+    /// Batch ≡ solo, by lane groups: for 1..=8 lanes (groups of uneven
+    /// sizes) on pools of 1, 2 and 4 threads, over a pre-fragmented arena
+    /// whose groups' pages interleave, every lane emits the tokens of its
+    /// solo run and stores the engine cache's K/V rows bit for bit
+    /// (tap-less), and with an FT2 protector on every lane its tokens,
+    /// `ProtectionStats` and `StepReport`s equal solo [`Model::generate`]'s.
+    /// `scripts/verify.sh` runs this once more with `FT2_NO_SIMD=1`.
     #[test]
     fn batched_decode_is_bit_identical_to_the_engine() {
-        let pool = WorkStealingPool::new(2);
+        let gen = 8;
+        let pools = [1, 2, 4].map(WorkStealingPool::new);
         for config in [ModelConfig::tiny_opt(), ModelConfig::tiny_llama()] {
             let model = Model::new(config);
-            let prompts: [&[u32]; 3] = [&[3, 14, 15, 92, 6], &[1, 2, 3], &[9, 8, 7, 6, 5, 4]];
-            let gen = 6;
-            let refs: Vec<(KvCache, Vec<u32>)> = prompts
+            let prompts: Vec<Vec<u32>> = (0..8).map(lane_prompt).collect();
+            let bare: Vec<(KvCache, Vec<u32>)> = prompts
                 .iter()
                 .map(|p| reference_decode(&model, p, gen))
                 .collect();
-
-            let mut arena = KvArena::new(model.config().blocks, model.config().hidden);
-            let mut seqs: Vec<KvSeq> = prompts.iter().map(|_| KvSeq::new()).collect();
-            let mut tokens: Vec<Vec<u32>> = Vec::new();
-            for (p, seq) in prompts.iter().zip(seqs.iter_mut()) {
-                tokens.push(vec![arena_prefill(&model, &mut arena, seq, p)]);
-            }
-            let mut scratch = BatchScratch::new();
-            for step in 1..gen {
-                let mut lanes: Vec<BatchLane<'_>> = seqs
-                    .iter_mut()
+            let solo: Vec<_> = prompts
+                .iter()
+                .map(|p| {
+                    let mut protector = ft2(&model);
+                    let mut taps = TapList::new();
+                    taps.push(&mut protector);
+                    let out = model.generate(p, gen, &mut taps);
+                    drop(taps);
+                    let reports: Vec<StepReport> = out.steps.iter().map(|s| s.report).collect();
+                    (out.tokens, protector.stats, reports)
+                })
+                .collect();
+            let clamps: u64 = solo.iter().map(|(_, stats, _)| stats.clipped).sum();
+            assert!(clamps > 0, "no clamp edited any solo stream");
+            for (pool, n) in pools.iter().flat_map(|p| (1..=8).map(move |n| (p, n))) {
+                let case = format!("{n} lanes, {} threads", pool.threads());
+                let lanes = &prompts[..n];
+                for (i, (lane, (cache, tokens))) in serve(&model, lanes, gen, pool, false)
+                    .iter()
+                    .zip(&bare)
                     .enumerate()
-                    .map(|(i, seq)| BatchLane {
-                        token: tokens[i][step - 1],
-                        pos: prompts[i].len() + step - 1,
-                        step,
-                        seq,
-                        tap: None,
-                    })
-                    .collect();
-                let next = batch_step(&model, &mut arena, &mut lanes, &pool, &mut scratch);
-                drop(lanes);
-                for (i, t) in next.into_iter().enumerate() {
-                    tokens[i].push(t);
-                }
-            }
-            for (i, (cache, ref_tokens)) in refs.iter().enumerate() {
-                assert_eq!(&tokens[i], ref_tokens, "lane {i} tokens diverged");
-                // The arena rows must be bit-identical to the engine cache.
-                for j in 0..seqs[i].len() {
-                    let row = seqs[i].row_of(j);
-                    for b in 0..cache.num_blocks() {
-                        assert_eq!(
-                            arena.k_row(b, row),
-                            cache.block(b).k.row(j),
-                            "K row {j} block {b}"
-                        );
-                        assert_eq!(
-                            arena.v_row(b, row),
-                            cache.block(b).v.row(j),
-                            "V row {j} block {b}"
-                        );
+                {
+                    assert_eq!(&lane.tokens, tokens, "{case}: lane {i} tokens diverged");
+                    for (j, blocks) in lane.kv.iter().enumerate() {
+                        for (b, (k, v)) in blocks.iter().enumerate() {
+                            assert_eq!(k, cache.block(b).k.row(j), "{case}: K {i}/{j}/{b}");
+                            assert_eq!(v, cache.block(b).v.row(j), "{case}: V {i}/{j}/{b}");
+                        }
                     }
+                }
+                let served = serve(&model, lanes, gen, pool, true);
+                if let [first, .., last] = &served[..] {
+                    let (a, b) = (&first.pages, &last.pages);
+                    let span = |q: &[usize]| (*q.iter().min().unwrap(), *q.iter().max().unwrap());
+                    let ((a0, a1), (b0, b1)) = (span(a), span(b));
+                    assert!(
+                        a0 < b1 && b0 < a1,
+                        "{case}: pages {a:?} and {b:?} do not interleave"
+                    );
+                }
+                for (i, (lane, (tokens, stats, reports))) in served.iter().zip(&solo).enumerate() {
+                    assert_eq!(&lane.tokens, tokens, "{case}: lane {i} protected tokens");
+                    assert_eq!(&lane.stats, stats, "{case}: lane {i} ProtectionStats");
+                    assert_eq!(&lane.reports, reports, "{case}: lane {i} StepReports");
                 }
             }
         }
     }
 
+    /// The lane groups' split cannot change a result: for 1..=8 FT2-protected
+    /// lanes, pools of 1, 2 and 4 threads end with the same tokens, stats,
+    /// step reports and stored K/V rows.
     #[test]
     fn batch_results_do_not_depend_on_thread_count() {
         let model = Model::new(ModelConfig::tiny_llama());
-        let prompts: [&[u32]; 4] = [&[1, 2, 3], &[4, 5, 6, 7], &[8, 9], &[10, 11, 12]];
-        let mut outputs = Vec::new();
-        for threads in [1usize, 4] {
-            let pool = WorkStealingPool::new(threads);
-            let mut arena = KvArena::new(model.config().blocks, model.config().hidden);
-            let mut seqs: Vec<KvSeq> = prompts.iter().map(|_| KvSeq::new()).collect();
-            let mut tokens: Vec<Vec<u32>> = prompts
-                .iter()
-                .zip(seqs.iter_mut())
-                .map(|(p, seq)| vec![arena_prefill(&model, &mut arena, seq, p)])
-                .collect();
-            let mut scratch = BatchScratch::new();
-            for step in 1..5 {
-                let mut lanes: Vec<BatchLane<'_>> = seqs
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(i, seq)| BatchLane {
-                        token: tokens[i][step - 1],
-                        pos: prompts[i].len() + step - 1,
-                        step,
-                        seq,
-                        tap: None,
-                    })
-                    .collect();
-                let next = batch_step(&model, &mut arena, &mut lanes, &pool, &mut scratch);
-                drop(lanes);
-                for (i, t) in next.into_iter().enumerate() {
-                    tokens[i].push(t);
+        let prompts: Vec<Vec<u32>> = (0..8).map(lane_prompt).collect();
+        let pools = [1, 2, 4].map(WorkStealingPool::new);
+        for n in 1..=8 {
+            let runs = pools
+                .each_ref()
+                .map(|pool| serve(&model, &prompts[..n], 6, pool, true));
+            for (threads, run) in [2, 4].into_iter().zip(&runs[1..]) {
+                for (i, (lane, one)) in run.iter().zip(&runs[0]).enumerate() {
+                    let case = format!("{n} lanes, lane {i}, {threads} threads vs 1");
+                    assert_eq!(lane.tokens, one.tokens, "{case}: tokens");
+                    assert_eq!(lane.stats, one.stats, "{case}: ProtectionStats");
+                    assert_eq!(lane.reports, one.reports, "{case}: StepReports");
+                    assert!(lane.kv == one.kv, "{case}: K/V rows");
                 }
             }
-            outputs.push(tokens);
         }
-        assert_eq!(outputs[0], outputs[1]);
     }
 }

@@ -17,9 +17,9 @@
 //!   ([`ft2_model::walk`]): [`engine::batch_step`] advances every lane one
 //!   token and [`engine::prefill`] writes a prompt straight into a
 //!   request's arena pages — the engine's own code over the paged store
-//!   (linears split by rows over the pool on the panel-major batch GEMM,
-//!   rows attending in parallel, per-lane taps), so bit-identity per lane
-//!   is by construction.
+//!   (decode by lane groups, one pool task walking each group's lanes end
+//!   to end; prefill by row blocks, every linear split by rows over the
+//!   pool; per-lane taps), so bit-identity per lane is by construction.
 //! * [`scheduler`] — the continuous-batching scheduler and per-request
 //!   recovery ladder: a storming lane rolls back and re-decodes its own
 //!   token while batchmates keep advancing; the repair rung sweeps the

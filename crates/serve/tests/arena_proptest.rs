@@ -1,7 +1,9 @@
 //! Property-based tests of the paged KV arena: page accounting is an
-//! involution, concurrent sequences never alias, the arena-backed batch
-//! path stores bit-identical KV to the single-sequence cache, and the one
-//! KV seal localises corruption identically on both layouts.
+//! involution, concurrent sequences never alias (so threads writing
+//! through their own view sets never touch each other's rows), the
+//! arena-backed batch path stores bit-identical KV to the single-sequence
+//! cache, and the one KV seal localises corruption identically on both
+//! layouts.
 
 use std::sync::OnceLock;
 
@@ -9,6 +11,7 @@ use ft2_model::engine::KvCache;
 use ft2_model::walk::KvStore;
 use ft2_model::{Model, ModelConfig, TapList};
 use ft2_parallel::WorkStealingPool;
+use ft2_serve::arena::pages_disjoint;
 use ft2_serve::engine::{batch_step, BatchLane, BatchScratch};
 use ft2_serve::{KvArena, KvGuard, KvSeq, KV_PAGE};
 use proptest::prelude::*;
@@ -173,6 +176,50 @@ proptest! {
             for j in 0..q.len() {
                 let got = arena.k_row(0, q.row_of(j))[0];
                 prop_assert_eq!(got, (s * 1000 + j) as f32);
+            }
+        }
+    }
+
+    /// The invariant the decode step's concurrent lane groups rest on:
+    /// after any interleaving of pushes, truncates and releases, no page is
+    /// held twice, so one thread per sequence, each writing through its
+    /// own view set, lands every K/V row where that sequence maps it.
+    #[test]
+    fn view_sets_write_disjoint_rows_from_concurrent_threads(
+        ops in prop::collection::vec((0usize..3, 0usize..3, 0usize..40), 1..60)
+    ) {
+        let mut arena = KvArena::new(2, 4);
+        let mut seqs = [KvSeq::new(), KvSeq::new(), KvSeq::new()];
+        for (s, kind, amount) in ops {
+            match kind {
+                0 => (0..amount).for_each(|_| { seqs[s].push(&mut arena); }),
+                1 => seqs[s].truncate(amount.min(seqs[s].len()), &mut arena),
+                _ => seqs[s].release(&mut arena),
+            }
+            prop_assert!(pages_disjoint(&seqs));
+        }
+        let marker = |s: usize, j: usize, b: usize| (s * 10_000 + j * 10 + b) as f32;
+        // SAFETY: set `s` goes to the thread serving sequence `s` alone.
+        let sets = unsafe { arena.slab_views(seqs.len()) };
+        std::thread::scope(|scope| {
+            for ((s, q), mut set) in seqs.iter().enumerate().zip(sets) {
+                scope.spawn(move || {
+                    for j in 0..q.len() {
+                        for (b, view) in set.iter_mut().enumerate() {
+                            let row = [marker(s, j, b); 4];
+                            view.put(q, j, &row, &row.map(|x| -x));
+                            assert_eq!(view.k_row(q, j), row);
+                        }
+                    }
+                });
+            }
+        });
+        for (s, q) in seqs.iter().enumerate() {
+            for j in 0..q.len() {
+                for b in 0..2 {
+                    prop_assert_eq!(arena.k_row(b, q.row_of(j)), [marker(s, j, b); 4]);
+                    prop_assert_eq!(arena.v_row(b, q.row_of(j)), [-marker(s, j, b); 4]);
+                }
             }
         }
     }
